@@ -1,20 +1,20 @@
 """Interpreter throughput benchmark — the ``repro bench`` command.
 
-Runs workload programs under all three execution engines (the
-per-instruction reference loop, the block-threaded default, and the
-tier-2 specializing engine), checks that they agree on every observable
-(counters, output, exit code — the same contract the differential oracle
-in ``tests/interp/test_engine_equiv.py`` enforces), and reports
-wall-clock, ops/sec, and the speedup of every engine pair.  The result
+Runs workload programs under both execution engines (the
+per-instruction reference loop and the compiled tier), checks that they
+agree on every observable (counters, output, exit code — the same
+contract the differential oracle in
+``tests/interp/test_engine_equiv.py`` enforces), and reports wall-clock,
+ops/sec, and the compiled-vs-simple speedup.  The result
 is written as ``BENCH_interp.json`` so the interpreter's performance
 trajectory is tracked in-repo; see ``docs/PERFORMANCE.md`` for how to
 read it.
 
 Timing covers interpretation only (compilation is outside the clock).
-Each cached engine gets one untimed warm-up run (the threaded decode
-cache and the tier-2 region cache live on the module and persist across
-runs), then ``repeats`` timed runs; the best wall time wins — the steady
-state the suite runner actually sees.
+The compiled engine gets one untimed warm-up run (its generated code
+lives on the module and persists across runs), then every engine gets
+``repeats`` timed runs; the best wall time wins — the steady state the
+suite runner actually sees.
 
 :func:`check_regression` compares a fresh payload against a committed
 baseline: the per-pair geomean speedups are host-independent ratios, so
@@ -37,19 +37,12 @@ from .workloads import all_workloads, get_workload
 #: small-but-representative subset for CI (``repro bench --quick``)
 QUICK_PROGRAMS = ("dhrystone", "fft", "mlink", "tsp")
 
-ENGINES = ("simple", "threaded", "tier2")
-
-#: engines whose compiled state is cached on the module and survives runs
-_CACHED_ENGINES = frozenset({"threaded", "tier2"})
+ENGINES = ("simple", "compiled")
 
 #: (numerator, denominator) speedup pairs reported in the summary
-ENGINE_PAIRS = (
-    ("threaded", "simple"),
-    ("tier2", "simple"),
-    ("tier2", "threaded"),
-)
+ENGINE_PAIRS = (("compiled", "simple"),)
 
-BENCH_SCHEMA = 2
+BENCH_SCHEMA = 3
 
 
 def _geomean(values: list[float]) -> float:
@@ -68,9 +61,8 @@ def bench_interpreters(
     """Benchmark every engine over ``names`` (default: all 14 workloads).
 
     Returns the ``BENCH_interp.json`` payload: per program and engine,
-    ``{wall_s, total_ops, ops_per_sec, engine, speedup_vs_simple}`` (the
-    tier2 cell also carries ``speedup_vs_threaded``), plus a summary with
-    the geomean/min/max speedup of every engine pair.  Raises
+    ``{wall_s, total_ops, ops_per_sec, engine, speedup_vs_simple}``, plus
+    a summary with the geomean/min/max speedup of every engine pair.  Raises
     :class:`~repro.errors.ReproError` if the engines disagree on any
     observable — a benchmark of engines computing different things would
     be meaningless.
@@ -88,9 +80,9 @@ def bench_interpreters(
                 defines=workload.defines,
             ).module
             machine_options = MachineOptions(engine=engine, max_steps=max_steps)
-            if engine in _CACHED_ENGINES:
-                # prime the on-module cache (threaded decode / tier-2
-                # regions) so timed runs measure the steady state
+            if engine == "compiled":
+                # prime the on-module cache of generated code so timed
+                # runs measure the steady state
                 Machine(module, machine_options).run()
             best = math.inf
             result = None
@@ -125,13 +117,8 @@ def bench_interpreters(
                 "engine": engine,
                 "speedup_vs_simple": 1.0,
             }
-        simple_wall = entry["simple"]["wall_s"]
-        for engine in ("threaded", "tier2"):
-            entry[engine]["speedup_vs_simple"] = round(
-                simple_wall / entry[engine]["wall_s"], 3
-            )
-        entry["tier2"]["speedup_vs_threaded"] = round(
-            entry["threaded"]["wall_s"] / entry["tier2"]["wall_s"], 3
+        entry["compiled"]["speedup_vs_simple"] = round(
+            entry["simple"]["wall_s"] / entry["compiled"]["wall_s"], 3
         )
         programs[workload.name] = entry
 
@@ -150,7 +137,6 @@ def bench_interpreters(
             "max": round(max(values), 3) if values else 0.0,
         }
 
-    threaded_pair = speedups_summary["threaded_vs_simple"]
     return {
         "schema": BENCH_SCHEMA,
         "host": host_metadata(),
@@ -159,10 +145,6 @@ def bench_interpreters(
         "programs": programs,
         "summary": {
             "programs": len(programs),
-            # headline numbers kept from schema 1: threaded vs simple
-            "geomean_speedup": threaded_pair["geomean"],
-            "min_speedup": threaded_pair["min"],
-            "max_speedup": threaded_pair["max"],
             "speedups": speedups_summary,
             **{
                 f"total_wall_{engine}_s": round(
@@ -182,16 +164,11 @@ def check_regression(
     Gates on the per-pair geomean speedups (host-independent ratios):
     a pair present in both summaries fails when the fresh geomean drops
     more than ``tolerance_pct`` percent below the baseline's.  Returns
-    the list of failure messages (empty = no regression).  Baselines
-    from schema 1 (no tier2 column) gate only the pairs they carry.
+    the list of failure messages (empty = no regression).  Pairs the
+    baseline does not carry are not gated.
     """
     failures: list[str] = []
-    base_summary = baseline.get("summary", {})
-    base_pairs = dict(base_summary.get("speedups") or {})
-    if not base_pairs and "geomean_speedup" in base_summary:
-        base_pairs["threaded_vs_simple"] = {
-            "geomean": base_summary["geomean_speedup"]
-        }
+    base_pairs = baseline.get("summary", {}).get("speedups") or {}
     cur_pairs = payload.get("summary", {}).get("speedups", {})
     for pair, base_cell in sorted(base_pairs.items()):
         base_geo = float(base_cell.get("geomean", 0.0))
@@ -232,13 +209,6 @@ def format_bench(payload: dict) -> str:
         lines.append(
             f"geomean speedup {label:<20} {cell['geomean']:>6.2f}x "
             f"(min {cell['min']:.2f}x, max {cell['max']:.2f}x)"
-        )
-    if "speedups" not in summary:
-        lines.append(
-            f"geomean speedup {summary['geomean_speedup']:.2f}x over "
-            f"{summary['programs']} program(s) "
-            f"(min {summary['min_speedup']:.2f}x, "
-            f"max {summary['max_speedup']:.2f}x)"
         )
     return "\n".join(lines)
 

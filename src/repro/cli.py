@@ -23,8 +23,8 @@ Commands
     Run the suite and diff its metrics against a checked-in baseline;
     non-zero exit on gated regressions.  ``--update`` re-baselines.
 ``bench [PROGRAM ...]``
-    Time the benchmark programs under all three interpreter engines and
-    write ``BENCH_interp.json`` with per-pair geomean speedups
+    Time the benchmark programs under both interpreter engines and
+    write ``BENCH_interp.json`` with the compiled-vs-simple geomean speedup
     (``--quick`` for the CI subset; ``--baseline``/``--tolerance`` gate
     against a committed run).
 ``fuzz``
@@ -41,10 +41,11 @@ Commands
     Drive a running server with a configurable concurrency/duration/
     program-mix campaign and write ``BENCH_serve.json``.
 
-Commands that execute programs accept ``--engine threaded|simple|tier2``
-to pick the interpreter engine (default: the block-threaded one; all
-three produce bit-identical counters and output — ``tier2`` adds the
-specializing superblock tier on top of threaded execution).
+Commands that execute programs accept ``--engine compiled|simple`` to
+pick the interpreter engine (default: ``compiled``, which turns each IR
+function into one generated Python function; ``simple`` is the
+per-instruction reference loop; both produce bit-identical counters and
+output).
 
 Global ``-v``/``-vv`` raise log verbosity (INFO/DEBUG); ``-q`` silences
 warnings.  The flags are accepted both before and after the subcommand.
@@ -81,9 +82,9 @@ def _pipeline_options(args: argparse.Namespace) -> PipelineOptions:
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=["threaded", "simple", "tier2"],
-        default="threaded",
-        help="interpreter engine (default: threaded; all are bit-identical)",
+        choices=["compiled", "simple"],
+        default="compiled",
+        help="interpreter engine (default: compiled; both are bit-identical)",
     )
 
 
@@ -156,7 +157,7 @@ def _promotion_summary(cells: dict[str, ExperimentCell]) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
-    from .runner import telemetry
+    from . import trace
 
     source = Path(args.file).read_text()
     stem = Path(args.file).stem
@@ -173,16 +174,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ).items():
 
         def build():
-            with telemetry.span("compile", variant=name):
+            with trace.span("compile", variant=name):
                 compiled = compile_source(source, options, name=stem)
-            with telemetry.span("execute", variant=name):
+            with trace.span("execute", variant=name):
                 run = run_module(compiled.module, options=machine)
             return compiled, run
 
         if args.trace:
-            with telemetry.tracing(name) as trace:
+            with trace.tracing(name) as cell_trace:
                 compiled, run = build()
-            trace_groups[name] = trace.events
+            trace_groups[name] = cell_trace.events
         else:
             compiled, run = build()
         cells[name] = ExperimentCell(
@@ -225,8 +226,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         }
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     if args.trace:
-        telemetry.write_chrome_trace(args.trace, trace_groups)
-        print(telemetry.format_span_summary(trace_groups), file=sys.stderr)
+        trace.write_chrome_trace(args.trace, trace_groups)
+        print(trace.format_span_summary(trace_groups), file=sys.stderr)
     print()
     print("program output (identical across variants):")
     sys.stdout.write(cells["modref/promo"].output)
@@ -268,7 +269,8 @@ def cmd_ir(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from .harness import METRICS, format_figure
-    from .runner import ResultCache, telemetry
+    from .runner import ResultCache
+    from .trace import format_span_summary, write_chrome_trace
     from .runner.report import run_suite_report, write_suite_json
     from .workloads import workload_names
 
@@ -333,8 +335,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
         write_suite_json(args.json, report)
     if args.trace:
         groups = report.trace_groups()
-        telemetry.write_chrome_trace(args.trace, groups)
-        print(telemetry.format_span_summary(groups), file=sys.stderr)
+        write_chrome_trace(args.trace, groups)
+        print(format_span_summary(groups), file=sys.stderr)
     return report.exit_code()
 
 
@@ -958,10 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "cache and do real compile+execute work "
                            "(0..1, default 0); cold requests are always "
                            "traced when --trace-sample is set")
-    p_lg.add_argument("--engine", default="threaded",
-                      choices=["threaded", "simple", "tier2"],
+    p_lg.add_argument("--engine", default="compiled",
+                      choices=["compiled", "simple"],
                       help="interpreter engine for the mix cells "
-                           "(default threaded)")
+                           "(default compiled)")
     p_lg.add_argument("--resilient", action="store_true",
                       help="drive through the ResilientClient: retries "
                            "with backoff, per-host circuit breaker, "

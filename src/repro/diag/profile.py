@@ -7,8 +7,8 @@ is the only non-counted instruction), the exact dynamic cost of a block is
 ``visits x static instruction mix`` — so profiling costs one dictionary
 increment per *block* executed, never per instruction, and the profile-off
 path allocates nothing.  Both execution engines count visits at block
-entry with identical semantics, so a profile taken under the
-block-threaded engine matches one taken under the reference loop exactly.
+entry with identical semantics, so a profile taken under the compiled
+tier matches one taken under the reference loop exactly.
 
 This module folds those block counts up through the loop forest of the
 optimized module: each loop row aggregates every block in the loop body

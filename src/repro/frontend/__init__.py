@@ -31,6 +31,14 @@ def compile_c(
         ast = parser.parse(text, filename=name)
     except ParseError as exc:
         raise FrontendError(f"parse error: {exc}") from exc
+    except AssertionError as exc:
+        # pycparser asserts, instead of raising ParseError, on some malformed
+        # inputs (a '}' that closes no open scope, odd declarations)
+        line = getattr(parser.clex, "_lineno", None)
+        detail = f" ({exc})" if str(exc) else ""
+        raise FrontendError(
+            f"parse error: malformed input{detail}", f"{name}:{line}"
+        ) from exc
     lowerer = ModuleLowerer(name)
     module = lowerer.lower(ast)
     from ..ir.verify import verify_module

@@ -300,6 +300,11 @@ class ModuleLowerer:
                     if isinstance(param, c_ast.EllipsisParam):
                         varargs = True
                         continue
+                    if isinstance(param, c_ast.ID):
+                        raise UnsupportedFeatureError(
+                            "K&R-style parameter lists are not supported",
+                            param.coord,
+                        )
                     ptype = self.resolve_type(param.type)
                     if ptype.is_void():
                         continue  # f(void)

@@ -6,8 +6,8 @@ the Csmith-style answer (scaled to our C subset):
 
 :mod:`repro.fuzz.gen`
     a seeded random C program generator biased toward the constructs
-    register promotion, tag refinement, and the threaded engine actually
-    have to get right — loops over memory-resident scalars, aliasing
+    register promotion, tag refinement, and the compiled interpreter tier
+    actually have to get right — loops over memory-resident scalars, aliasing
     pointer stores, calls with varied MOD/REF effects, and 64-bit
     wrap-boundary arithmetic;
 
@@ -15,8 +15,8 @@ the Csmith-style answer (scaled to our C subset):
     a multi-level differential oracle: each program is compiled at -O0,
     at the full pipeline without/with promotion, and at full + pointer
     analysis + pointer promotion (all with ``verify_each_stage``), each
-    variant runs on every interpreter engine (simple, threaded, and the
-    tier-2 specializing engine), and every observable — output, exit
+    variant runs on both interpreter engines (the simple reference loop
+    and the compiled tier), and every observable — output, exit
     code, counters, metric invariants — must agree;
 
 :mod:`repro.fuzz.reduce`

@@ -13,8 +13,8 @@ level                 pipeline
 ``pointer``           full + points-to analysis + pointer promotion
 ====================  ====================================================
 
-each × every interpreter engine (``threaded``, ``simple``, and the
-tier-2 specializing engine), and every cell compiled with
+each × both interpreter engines (the ``simple`` reference loop and the
+``compiled`` tier), and every cell compiled with
 ``verify_each_stage=True`` so the IR verifier runs between passes.  The
 verdict is built from four invariant families:
 
@@ -23,10 +23,10 @@ verdict is built from four invariant families:
 * **crash consistency** — if the program traps (guarded UB such as
   division by zero), *every* cell must trap with the same message; a
   trap in some variants only is a miscompile;
-* **engine equivalence** — for each level, all engines must produce
-  bit-identical counters (the threaded engine's batching contract and
-  the tier-2 engine's exact-deoptimization contract); a violation names
-  the engine pair that split;
+* **engine equivalence** — for each level, both engines must produce
+  bit-identical counters (the compiled tier's batching and
+  exact-deoptimization contract); a violation names the engine pair
+  that split;
 * **counter consistency** — loads/stores breakdowns must sum, and
   disjoint instruction classes cannot exceed ``total_ops``.
 
@@ -57,7 +57,7 @@ from ..pipeline import Analysis, PipelineOptions
 from ..runner.scheduler import CellData, CellFailure, CellSpec, run_cells
 from .gen import FuzzProgram
 
-ENGINES = ("threaded", "simple", "tier2")
+ENGINES = ("compiled", "simple")
 
 #: levels whose dynamic memory traffic the advisory check compares
 _TRAFFIC_PAIR = ("full-nopromo", "full")
@@ -335,7 +335,7 @@ def classify_outcomes(
 
     # advisory: promotion should not grow dynamic memory traffic ------------
     base_level, promo_level = _TRAFFIC_PAIR
-    for engine in ("threaded",):
+    for engine in ("compiled",):
         base = successes.get(f"{base_level}+{engine}")
         promo = successes.get(f"{promo_level}+{engine}")
         if base is None or promo is None:

@@ -2,7 +2,7 @@
 load, and store counting (the paper's measurement apparatus)."""
 
 from .counters import Counters
-from .engine import invalidate_decoded
+from .compiled import invalidate_decoded
 from .machine import Machine, MachineOptions, RunResult, c_div, c_mod, run_module, wrap_int
 from .memory import MemoryImage
 

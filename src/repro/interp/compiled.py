@@ -1,0 +1,925 @@
+"""The compiled execution tier: one generated Python function per IR function.
+
+The reference loop in :mod:`repro.interp.machine` pays, per executed
+instruction, for a ``type()`` dispatch chain, a register-list index per
+operand, a dict lookup per scalar tag address and a ``max_steps``
+comparison.  This tier applies the paper's own discipline to the
+interpreter.  On its first call, each IR function is translated into one
+Python function in which
+
+* every virtual register is a Python local (``r7``);
+* every frame slot of at most one word whose address is never taken (no
+  ``LoadAddr`` names it) is a local too (``x2``).  No pointer to it can
+  exist, so neither callees nor pointer-based memory operations can touch
+  it.  It is loaded when the activation starts and stored back at returns;
+* scalar globals whose address is never taken anywhere in the module are
+  locals (``g0_1``) over *tiles*.  A callee may name a global without any
+  pointer, so a tile must be call-free: it is the whole function when the
+  function calls no other function, otherwise each maximal call-free loop
+  nest.  Inside a tile the global is unambiguous, so it is loaded on the
+  tile's entry edges and stored on its exit edges.  This is register
+  promotion with loop nests as the tiles of register reuse;
+* control flow is a ``while`` loop dispatching on an integer ``_pc``, with
+  the most deeply nested blocks tested first.  A block with a single
+  predecessor is emitted inline after it (superblock fallthrough), so most
+  edges cost nothing;
+* counters accumulate in local deltas (``_t``, ``_ld``, ...), added once
+  per *segment* (a block's instructions up to and including each call)
+  and flushed to :class:`~repro.interp.counters.Counters` at returns, on
+  every exit, and, for ``total_ops`` only, before calls that read or spend
+  the operation budget: ``clock()`` reads ``total_ops``, and a callee's
+  budget starts from it.
+
+Promoted accesses still count as loads and stores: the tier changes how
+the program executes, never what the experiment measures.
+
+Exactness
+---------
+Every observable is bit-identical to the reference loop: output, exit
+code, counters, ``block_visits``, ``clock()`` values, and the counter and
+memory state left behind by traps and ``max_steps`` exhaustion.
+
+* Each segment's guard adds the segment's operation count and compares it
+  with the remaining budget.  Within a segment the reference loop's
+  running count peaks at the last instruction, which is a call or the
+  terminator; a ``nop``'s +1/-1 never exceeds that peak.  So the guard
+  trips iff the reference loop would stop somewhere in the segment.  It
+  then deoptimizes to the one deopt target, the reference loop: the
+  segment's count is taken back, promoted values are stored, counters are
+  flushed, and :meth:`Machine._exec_blocks` resumes at (block, first
+  instruction of the segment) with the live register file and frame.  It
+  raises exactly where the reference loop would have.
+* An exception inside a segment (a trap, ``exit()``, an error raised by a
+  callee) crosses one handler.  It stores promoted values, flushes the
+  deltas, and takes back the counts of the segment's instructions that
+  never ran, found from the generated line the exception passed through.
+
+The generated code lives in one cache on the module, ``module._compiled``.
+It is checked on every run against an identity signature of the module's
+instruction objects and rebuilt on mismatch; optimization passes replace
+instruction objects, which the signature catches.  Mutating a *field* of
+an existing instruction in place is invisible to it: call
+:func:`invalidate_decoded` (or run with ``MachineOptions(engine="simple")``)
+in that case.  ``Module`` drops the cache when pickled or deep-copied.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable
+
+from ..analysis.liveness import compute_liveness
+from ..analysis.loops import find_loops
+from ..errors import InterpError, InterpTrap, ResourceLimitError
+from ..intrinsics import is_intrinsic
+from ..ir.function import Function
+from ..ir.instructions import (
+    BinOp,
+    Branch,
+    Call,
+    CLoad,
+    Jump,
+    LoadAddr,
+    LoadI,
+    MemLoad,
+    MemStore,
+    Mov,
+    Nop,
+    Phi,
+    Ret,
+    ScalarLoad,
+    ScalarStore,
+    UnOp,
+)
+from ..ir.module import Module
+from ..ir.opcodes import Opcode
+from ..ir.tags import TagKind
+from .machine import Machine, _binop, _unop, c_div, c_mod
+from .memory import _ALIGN, MemoryImage, frame_layout
+
+#: counter fields each instruction class bumps besides ``total_ops``
+_COUNTS = {
+    Mov: ("copies",),
+    ScalarLoad: ("loads", "scalar_loads"),
+    CLoad: ("loads", "scalar_loads"),
+    ScalarStore: ("stores", "scalar_stores"),
+    MemLoad: ("loads", "general_loads"),
+    MemStore: ("stores", "general_stores"),
+    Branch: ("branches",),
+    Call: ("calls",),
+}
+
+#: the local holding each counter's pending delta
+_DELTA = {
+    "total_ops": "_t",
+    "loads": "_ld",
+    "stores": "_st",
+    "scalar_loads": "_sl",
+    "scalar_stores": "_ss",
+    "general_loads": "_gl",
+    "general_stores": "_gs",
+    "copies": "_cp",
+    "calls": "_ca",
+    "branches": "_br",
+}
+
+_SCALAR_OPS = (ScalarLoad, CLoad, ScalarStore)
+
+#: compares need no wrap: the result is always 0 or 1
+_CMP_SRC = {
+    Opcode.CMP_LT: "<",
+    Opcode.CMP_LE: "<=",
+    Opcode.CMP_GT: ">",
+    Opcode.CMP_GE: ">=",
+    Opcode.CMP_EQ: "==",
+    Opcode.CMP_NE: "!=",
+}
+
+#: ops whose int result wraps; inlined with a range check that masks only
+#: on actual overflow
+_WRAP_SRC = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
+
+#: bitwise ops; their results wrap only when an operand is out of range
+#: (the front end keeps literals such as ``0xFFFFFFFFFFFFFFFF`` unwrapped)
+_BIT_SRC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+
+_RANGE = "-9223372036854775808 <= {v} <= 9223372036854775807"
+#: guards a mask for a result that may be a float
+_WRAP_CHECK = "if {v}.__class__ is int and not " + _RANGE + ":"
+#: guards a mask for a result known to be an int
+_RANGE_CHECK = "if not " + _RANGE + ":"
+_WRAP_MASK = (
+    "{v} = (({v} + 9223372036854775808)"
+    " & 18446744073709551615) - 9223372036854775808"
+)
+
+
+def _mix(instrs) -> dict[str, int]:
+    """The counter increments the reference loop makes running ``instrs``."""
+    mix: dict[str, int] = {}
+    for instr in instrs:
+        cls = instr.__class__
+        if cls is Nop:
+            continue
+        for fld in ("total_ops",) + _COUNTS.get(cls, ()):
+            mix[fld] = mix.get(fld, 0) + 1
+    return mix
+
+
+def _body(instrs: list) -> list:
+    """A block's instructions up to its first terminator: the reference
+    loop never runs past one."""
+    for idx, instr in enumerate(instrs):
+        if instr.is_terminator():
+            return instrs[: idx + 1]
+    return instrs
+
+
+def _successors(instrs: list) -> tuple[str, ...]:
+    term = instrs[-1] if instrs else None
+    if term.__class__ is Jump:
+        return (term.target,)
+    if term.__class__ is Branch:
+        if term.if_true == term.if_false:
+            return (term.if_true,)
+        return (term.if_true, term.if_false)
+    return ()
+
+
+# -- runtime helpers the generated code calls --------------------------------
+def _raiser(message: str) -> Callable:
+    """A callable raising ``InterpError(message)``, for errors the reference
+    loop raises at run time: code generation itself never raises early."""
+
+    def _raise(*_args):
+        raise InterpError(message)
+
+    return _raise
+
+
+def _trap_load(addr) -> None:
+    raise InterpTrap(f"load through non-integer address {addr!r}")
+
+
+def _trap_store(addr) -> None:
+    raise InterpTrap(f"store through non-integer address {addr!r}")
+
+
+def _untrap(c, fixes: dict[int, dict[str, int]], exc: BaseException) -> None:
+    """Take back the counts of the instructions that follow, in the same
+    segment, the one ``exc`` was raised by."""
+    mix = fixes.get(exc.__traceback__.tb_lineno)
+    if mix:
+        for fld, n in mix.items():
+            setattr(c, fld, getattr(c, fld) - n)
+
+
+def _deopt(m: Machine, code: "FunctionCode", point: int, names: dict, sp: int):
+    """Resume the reference loop at deopt ``point`` of ``code``'s function,
+    with the register file rebuilt from the generated function's locals."""
+    label, index = code.points[point]
+    regs: list[int | float] = [0] * code.nregs
+    for rid in code.vregs:
+        value = names.get(f"r{rid}")
+        if value is not None:
+            regs[rid] = value
+    frame = {name: sp + off for name, off in code.offsets.items()}
+    return m._exec_blocks(code.func, regs, frame, label, index)
+
+
+_HELPERS: dict[str, Any] = {
+    "_binop": _binop,
+    "_unop": _unop,
+    "_div": c_div,
+    "_mod": c_mod,
+    "_Op": Opcode,
+    "_trap_load": _trap_load,
+    "_trap_store": _trap_store,
+    "_untrap": _untrap,
+    "_deopt": _deopt,
+    "_RLE": ResourceLimitError,
+}
+
+
+# -- the cache -----------------------------------------------------------------
+def _module_signature(module: Module) -> tuple:
+    """Identity snapshot of the module's executable structure.
+
+    Passes rewrite programs by replacing instruction and function objects,
+    so comparing identities (plus classes, to survive id reuse after gc)
+    detects stale code.
+    """
+    parts = []
+    for name, func in module.functions.items():
+        blocks = tuple(
+            (label, tuple((id(i), i.__class__) for i in block.instrs))
+            for label, block in func.blocks.items()
+        )
+        parts.append(
+            (name, id(func), func.entry, tuple(map(id, func.local_tags)), blocks)
+        )
+    return tuple(parts)
+
+
+class FunctionCode:
+    """One generated function plus what its deopt and trap paths need."""
+
+    __slots__ = ("func", "nregs", "vregs", "offsets", "points", "fixes", "source")
+
+    def __init__(self, func: Function) -> None:
+        self.func = func
+        self.nregs = func.max_vreg_id() + 1
+        #: ids of every register the function names
+        self.vregs: list[int] = []
+        #: local tag name -> offset of its slot in the frame
+        self.offsets: dict[str, int] = {}
+        #: deopt point -> (block label, instruction index) to resume at
+        self.points: list[tuple[str, int]] = []
+        #: generated line -> counts to take back when an exception leaves it
+        self.fixes: dict[int, dict[str, int]] = {}
+        self.source = ""
+
+
+class CompiledModule:
+    """The module's generated code.
+
+    One namespace per profiling mode holds every function as
+    ``_F_<name>``, bound to a stub until the function's first call
+    generates it; generated functions call each other through these names.
+    Addresses are baked from one :class:`MemoryImage`.  The layout is a
+    pure function of the module's globals and strings, and every run
+    checks it anyway.
+    """
+
+    def __init__(self, module: Module, mem: MemoryImage) -> None:
+        self.module = module
+        self.global_addr = dict(mem.global_addr)
+        self.string_addr = dict(mem.string_addr)
+        self.signature = _module_signature(module)
+        #: global tag names whose address is taken anywhere in the module
+        self.global_addressed = frozenset(
+            i.tag.name
+            for func in module.functions.values()
+            for i in func.instructions()
+            if i.__class__ is LoadAddr and i.tag.kind is not TagKind.LOCAL
+        )
+        #: (function name, profiled) -> generated code, filled on first call
+        self.code: dict[tuple[str, bool], FunctionCode] = {}
+        self.namespaces = (self._namespace(False), self._namespace(True))
+
+    def _namespace(self, profiled: bool) -> dict[str, Any]:
+        ns = dict(_HELPERS)
+        for name in self.module.functions:
+            ns[f"_F_{name}"] = self._stub(name, profiled, ns)
+        return ns
+
+    def _stub(self, name: str, profiled: bool, ns: dict) -> Callable:
+        def first_call(m, *args):
+            func = self.module.functions[name]
+            self.code[(name, profiled)] = _Gen(self, func, profiled, ns).build()
+            return ns[f"_F_{name}"](m, *args)
+
+        return first_call
+
+    def validate(self, mem: MemoryImage) -> bool:
+        return (
+            self.global_addr == mem.global_addr
+            and self.string_addr == mem.string_addr
+            and self.signature == _module_signature(self.module)
+        )
+
+
+def get_compiled(module: Module, mem: MemoryImage) -> CompiledModule:
+    """The module's compiled code, rebuilt if the program changed."""
+    cm = getattr(module, "_compiled", None)
+    if cm is not None and cm.validate(mem):
+        return cm
+    cm = CompiledModule(module, mem)
+    module._compiled = cm
+    return cm
+
+
+def invalidate_decoded(module: Module) -> None:
+    """Drop the compiled code (needed only after in-place instruction field
+    mutation, which the staleness signature cannot see)."""
+    module.__dict__.pop("_compiled", None)
+
+
+# -- execution -----------------------------------------------------------------
+def exec_entry(machine: Machine, func: Function) -> int | float | None:
+    """Run ``func`` on ``machine`` under the compiled tier.
+
+    When a trace is active, building the cache and running get their own
+    spans (``interp.decode`` notes whether the cache hit).  When tracing is
+    off this calls straight into the generated code, which is never
+    instrumented.
+    """
+    from ..trace import current_trace
+
+    trace = current_trace()
+    if trace is None:
+        return _call_entry(machine, get_compiled(machine.module, machine.mem), func)
+    cached = getattr(machine.module, "_compiled", None)
+    with trace.span("interp.decode") as decode_extra:
+        cm = get_compiled(machine.module, machine.mem)
+        decode_extra["cached"] = cm is cached
+    with trace.span("interp.run", function=func.name) as run_extra:
+        result = _call_entry(machine, cm, func)
+        run_extra["total_ops"] = machine.counters.total_ops
+    return result
+
+
+def _call_entry(m: Machine, cm: CompiledModule, func: Function):
+    ns = cm.namespaces[m.block_visits is not None]
+    return ns[f"_F_{func.name}"](m, *([0] * len(func.params)))
+
+
+# -- code generation -------------------------------------------------------------
+class _Tile:
+    """A call-free region whose scalar globals live in locals."""
+
+    __slots__ = ("flag", "blocks", "vars", "stored")
+
+    def __init__(self, flag: str | None, blocks) -> None:
+        #: local that is 1 while the tile's globals are in locals; None for
+        #: the whole-function tile, whose globals always are
+        self.flag = flag
+        self.blocks = blocks
+        self.vars: dict[str, str] = {}
+        #: names the tile stores to (only these are written back)
+        self.stored: set[str] = set()
+
+
+class _Gen:
+    """Generates one function's code; see the module docstring for its
+    shape."""
+
+    def __init__(
+        self, cm: CompiledModule, func: Function, profiled: bool, ns: dict
+    ) -> None:
+        self.cm = cm
+        self.func = func
+        self.name = func.name
+        self.profiled = profiled
+        self.ns = ns
+        self.code = FunctionCode(func)
+        self.lines: list[str] = []
+        self.uid = 0
+        self.point_ids: dict[tuple[str, int], int] = {}
+        self.bodies = {lbl: _body(b.instrs) for lbl, b in func.blocks.items()}
+        instrs = [i for body in self.bodies.values() for i in body]
+        functions = cm.module.functions
+
+        offsets, self.frame_size = frame_layout(func.local_tags, func.local_tag_sizes)
+        self.code.offsets = offsets
+
+        # frame slots: promoted to a local value, or a local holding the
+        # slot's (per-activation) address
+        slot_of = {name: i for i, name in enumerate(offsets)}
+        addressed = {
+            i.tag.name
+            for i in instrs
+            if i.__class__ is LoadAddr and i.tag.kind is TagKind.LOCAL
+        }
+        self.slot_var: dict[str, str] = {}
+        self.slot_addr: dict[str, str] = {}
+        self.stored_slots: set[str] = set()
+        for i in instrs:
+            cls = i.__class__
+            if cls not in _SCALAR_OPS and cls is not LoadAddr:
+                continue
+            tag = i.tag
+            if tag.kind is not TagKind.LOCAL or tag.name not in slot_of:
+                continue
+            name = tag.name
+            if (
+                cls is not LoadAddr
+                and name not in addressed
+                and func.local_tag_sizes.get(name, _ALIGN) <= _ALIGN
+            ):
+                self.slot_var[name] = f"x{slot_of[name]}"
+                if cls is ScalarStore:
+                    self.stored_slots.add(name)
+            else:
+                self.slot_addr[name] = f"_h{slot_of[name]}"
+
+        # tiles: the whole function if it calls nothing, else each maximal
+        # call-free loop nest
+        def user_call(i) -> bool:
+            return i.__class__ is Call and (
+                i.callee is None
+                or i.callee in functions
+                or not is_intrinsic(i.callee)
+            )
+
+        forest = find_loops(func)
+        call_blocks = {
+            lbl for lbl, body in self.bodies.items() if any(map(user_call, body))
+        }
+        if not call_blocks:
+            regions = [(None, set(self.bodies))]
+        else:
+            regions = [
+                (loop, loop.blocks)
+                for loop in forest.loops
+                if not loop.blocks & call_blocks
+                and (loop.parent is None or loop.parent.blocks & call_blocks)
+            ]
+        self.tiles: list[_Tile] = []
+        self.tile_of: dict[str, _Tile] = {}
+        for loop, members in regions:
+            n = len(self.tiles)
+            tile = _Tile(None if loop is None else f"_i{n}", members)
+            for lbl in members:
+                for i in self.bodies[lbl]:
+                    if i.__class__ in _SCALAR_OPS and self._promotable_global(i.tag):
+                        name = i.tag.name
+                        if name not in tile.vars:
+                            tile.vars[name] = f"g{n}_{len(tile.vars)}"
+                        if i.__class__ is ScalarStore:
+                            tile.stored.add(name)
+            if tile.vars:
+                self.tiles.append(tile)
+                for lbl in members:
+                    self.tile_of[lbl] = tile
+
+        vregs = {p.id for p in func.params}
+        for i in instrs:
+            vregs.update(u.id for u in i.uses())
+            if i.dest is not None:
+                vregs.add(i.dest.id)
+        self.code.vregs = sorted(vregs)
+        self.fields = [
+            fld for fld in _DELTA if any(fld in _mix([i]) for i in instrs)
+        ]
+
+        # superblock layout: a block with exactly one predecessor falls
+        # through from it; for a branch whose targets both qualify, the
+        # hotter one does.  Every other block is an arm of the dispatch
+        # loop, hottest first.
+        order = {lbl: n for n, lbl in enumerate(self.bodies)}
+
+        def heat(lbl: str) -> tuple[int, int]:
+            return (-forest.depth_of(lbl), order[lbl])
+
+        preds = dict.fromkeys(order, 0)
+        for body in self.bodies.values():
+            for succ in _successors(body):
+                if succ in preds:
+                    preds[succ] += 1
+        self.fallthrough: dict[str, str] = {}
+        inlined: set[str] = set()
+        for lbl, body in self.bodies.items():
+            for succ in sorted(
+                (s for s in _successors(body) if s in order), key=heat
+            ):
+                if (
+                    succ != func.entry
+                    and succ != lbl
+                    and preds[succ] == 1
+                    and succ not in inlined
+                ):
+                    self.fallthrough[lbl] = succ
+                    inlined.add(succ)
+                    break
+        self.arms = sorted((lbl for lbl in order if lbl not in inlined), key=heat)
+        self.pc_of = {lbl: n for n, lbl in enumerate(self.arms)}
+
+    def _promotable_global(self, tag) -> bool:
+        if tag.kind is TagKind.LOCAL or tag.name in self.cm.global_addressed:
+            return False
+        var = self.cm.module.globals.get(tag.name)
+        return (
+            var is not None
+            and tag.name in self.cm.global_addr
+            and var.size <= _ALIGN
+        )
+
+    # -- emission helpers ------------------------------------------------------
+    def emit(self, ind: int, text: str) -> None:
+        self.lines.append(" " * ind + text)
+
+    def bind(self, value: Any) -> str:
+        name = f"_k_{self.name}_{self.uid}"
+        self.uid += 1
+        self.ns[name] = value
+        return name
+
+    def raiser(self, message: str) -> str:
+        return self.bind(_raiser(message)) + "()"
+
+    def point(self, label: str, index: int) -> int:
+        key = (label, index)
+        pid = self.point_ids.get(key)
+        if pid is None:
+            pid = self.point_ids[key] = len(self.code.points)
+            self.code.points.append(key)
+        return pid
+
+    def flush(self, ind: int) -> None:
+        for fld in self.fields:
+            self.emit(ind, f"c.{fld} += {_DELTA[fld]}")
+
+    def slot_addr_src(self, name: str) -> str:
+        off = self.code.offsets[name]
+        return f"_sp + {off}" if off else "_sp"
+
+    def writeback(self, ind: int, at_return: bool = False) -> None:
+        """Store every promoted value to memory.  At a return no loop tile
+        is live: a return block is never inside a loop."""
+        for name in sorted(self.stored_slots):
+            self.emit(ind, f"cells[{self.slot_addr_src(name)}] = {self.slot_var[name]}")
+        for tile in self.tiles:
+            if not tile.stored:
+                continue
+            inner = ind
+            if tile.flag is not None:
+                if at_return:
+                    continue
+                self.emit(ind, f"if {tile.flag}:")
+                inner += 4
+            self.store_tile(tile, inner)
+
+    def store_tile(self, tile: _Tile, ind: int) -> None:
+        for name in sorted(tile.stored):
+            self.emit(ind, f"cells[{self.cm.global_addr[name]}] = {tile.vars[name]}")
+
+    def load_tile(self, tile: _Tile, ind: int) -> None:
+        for name, var in tile.vars.items():
+            self.emit(ind, f"{var} = _g({self.cm.global_addr[name]}, 0)")
+        if tile.flag is not None:
+            self.emit(ind, f"{tile.flag} = 1")
+
+    # -- the function ------------------------------------------------------------
+    def build(self) -> FunctionCode:
+        func = self.func
+        emit = self.emit
+        params = [f"r{p.id}" for p in func.params]
+        args = params
+        if len(set(params)) != len(params):
+            args = [f"_a{n}" for n in range(len(params))]
+        emit(0, f"def _F_{self.name}({', '.join(['m'] + args)}):")
+        emit(4, "_cd = m._call_depth + 1")
+        emit(4, "m._call_depth = _cd")
+        emit(4, "if _cd > 2000:")
+        emit(8, "raise _RLE('interpreted call stack too deep')")
+        size = self.frame_size
+        if size:
+            emit(4, "mem = m.mem")
+            emit(4, f"_sp = mem.reserve({size})")
+        emit(4, "try:")
+        if args is not params:
+            for param, arg in zip(params, args):
+                emit(8, f"{param} = {arg}")
+        emit(8, "cells = m.mem.cells")
+        emit(8, "_g = cells.get")
+        emit(8, "c = m.counters")
+        emit(8, "_m = m._max_steps")
+        emit(8, "_lim = _m - c.total_ops")
+        for fld in self.fields:
+            emit(8, f"{_DELTA[fld]} = 0")
+        # registers read before any write start at zero, as in the
+        # reference loop's register file
+        live = compute_liveness(func).live_in.get(func.entry, frozenset())
+        zeros = sorted({r.id for r in live} - {p.id for p in func.params})
+        for start in range(0, len(zeros), 20):
+            emit(8, " = ".join(f"r{rid}" for rid in zeros[start : start + 20]) + " = 0")
+        for name, var in self.slot_addr.items():
+            emit(8, f"{var} = {self.slot_addr_src(name)}")
+        for name, var in self.slot_var.items():
+            emit(8, f"{var} = _g({self.slot_addr_src(name)}, 0)")
+        for tile in self.tiles:
+            if tile.flag is None or func.entry in tile.blocks:
+                self.load_tile(tile, 8)
+            else:
+                emit(8, f"{tile.flag} = 0")
+        if self.profiled:
+            emit(8, "_vb = m.block_visits")
+        emit(8, f"_pc = {self.pc_of[func.entry]}")
+        emit(8, "try:")
+        emit(12, "while True:")
+        if len(self.arms) == 1:
+            self.block(self.arms[0], 16)
+        else:
+            for pc, lbl in enumerate(self.arms):
+                emit(16, f"{'if' if pc == 0 else 'elif'} _pc == {pc}:")
+                self.block(lbl, 20)
+        emit(8, "except BaseException as _e:")
+        self.writeback(12)
+        self.flush(12)
+        emit(12, f"_untrap(c, {self.bind(self.code.fixes)}, _e)")
+        emit(12, "raise")
+        # reached only through a guard's ``break``
+        self.writeback(8)
+        self.flush(8)
+        sp = "_sp" if size else "0"
+        emit(8, f"return _deopt(m, {self.bind(self.code)}, _d, locals(), {sp})")
+        emit(4, "finally:")
+        if size:
+            emit(8, "mem.stack_ptr = _sp")
+        emit(8, "m._call_depth -= 1")
+
+        source = self.code.source = "\n".join(self.lines)
+        flavour = "+profile" if self.profiled else ""
+        exec(compile(source, f"<compiled {self.name}{flavour}>", "exec"), self.ns)
+        return self.code
+
+    def block(self, label: str, ind: int) -> None:
+        """Emit one block (and, through its edges, its fallthrough chain)."""
+        emit = self.emit
+        instrs = self.bodies[label]
+        if self.profiled:
+            key = repr((self.name, label))
+            emit(ind, f"_vb[{key}] = _vb.get({key}, 0) + 1")
+        starts = [0] + [
+            n + 1 for n, i in enumerate(instrs[:-1]) if i.__class__ is Call
+        ]
+        for start, end in zip(starts, starts[1:] + [len(instrs)]):
+            mix = _mix(instrs[start:end])
+            ops = mix.pop("total_ops", 0)
+            if ops:
+                emit(ind, f"_t += {ops}")
+                emit(ind, "if _t > _lim:")
+                emit(ind + 4, f"_t -= {ops}")
+                emit(ind + 4, f"_d = {self.point(label, start)}")
+                emit(ind + 4, "break")
+            for fld, n in mix.items():
+                emit(ind, f"{_DELTA[fld]} += {n}")
+            for idx in range(start, end):
+                first = len(self.lines) + 1
+                self.instr(label, instrs[idx], ind)
+                rest = _mix(instrs[idx + 1 : end])
+                if rest:
+                    for line in range(first, len(self.lines) + 1):
+                        self.code.fixes[line] = rest
+        if not instrs or not instrs[-1].is_terminator():
+            emit(
+                ind,
+                self.raiser(
+                    f"block {label} in {self.name} fell through without terminator"
+                ),
+            )
+
+    def edge(self, src: str, dst: str, ind: int) -> None:
+        """Control transfer along ``src -> dst``, crossing loop-tile
+        boundaries."""
+        before, after = self.tile_of.get(src), self.tile_of.get(dst)
+        if before is not after:
+            if before is not None and before.flag is not None:
+                self.store_tile(before, ind)
+                self.emit(ind, f"{before.flag} = 0")
+            if after is not None and after.flag is not None:
+                self.load_tile(after, ind)
+        if self.fallthrough.get(src) == dst:
+            self.block(dst, ind)
+        elif dst in self.pc_of:
+            self.emit(ind, f"_pc = {self.pc_of[dst]}")
+            self.emit(ind, "continue")
+        else:
+            # no such block: the reference loop raises its lookup error
+            self.emit(ind, f"_d = {self.point(dst, 0)}")
+            self.emit(ind, "break")
+
+    def tag_ref(self, label: str, tag) -> tuple[str, Any]:
+        """``("var", local)`` for a promoted tag, ``("addr", expr)`` for a
+        frame slot, ``("const", address)`` for a global or string, and
+        ``("err", call)`` for a tag with no storage."""
+        name = tag.name
+        if tag.kind is TagKind.LOCAL:
+            if name in self.slot_var:
+                return "var", self.slot_var[name]
+            if name in self.slot_addr:
+                return "addr", self.slot_addr[name]
+            return "err", self.raiser(f"local tag {name} has no frame slot")
+        tile = self.tile_of.get(label)
+        if tile is not None and name in tile.vars:
+            return "var", tile.vars[name]
+        addr = self.cm.global_addr.get(name)
+        if addr is None:
+            addr = self.cm.string_addr.get(name)
+        if addr is None:
+            return "err", self.raiser(f"tag {name} has no address")
+        return "const", addr
+
+    def instr(self, label: str, instr, ind: int) -> None:
+        emit = self.emit
+        cls = instr.__class__
+        if cls is BinOp:
+            self.binop(instr, ind)
+        elif cls is LoadI:
+            value = instr.value
+            # floats (incl. inf/nan) bind the exact object the reference
+            # loop would store
+            src = repr(value) if type(value) is int else self.bind(value)
+            emit(ind, f"r{instr.dst.id} = {src}")
+        elif cls is Mov:
+            emit(ind, f"r{instr.dst.id} = r{instr.src.id}")
+        elif cls is ScalarLoad or cls is CLoad:
+            kind, ref = self.tag_ref(label, instr.tag)
+            if kind == "var":
+                emit(ind, f"r{instr.dst.id} = {ref}")
+            elif kind == "err":
+                emit(ind, ref)
+            else:
+                emit(ind, f"r{instr.dst.id} = _g({ref}, 0)")
+        elif cls is ScalarStore:
+            kind, ref = self.tag_ref(label, instr.tag)
+            if kind == "var":
+                emit(ind, f"{ref} = r{instr.src.id}")
+            elif kind == "err":
+                emit(ind, ref)
+            else:
+                emit(ind, f"cells[{ref}] = r{instr.src.id}")
+        elif cls is MemLoad or cls is MemStore:
+            addr = f"r{instr.addr.id}"
+            emit(ind, f"if {addr}.__class__ is not int:")
+            if cls is MemLoad:
+                emit(ind + 4, f"_trap_load({addr})")
+                emit(ind, f"r{instr.dst.id} = _g({addr}, 0)")
+            else:
+                emit(ind + 4, f"_trap_store({addr})")
+                emit(ind, f"cells[{addr}] = r{instr.src.id}")
+        elif cls is LoadAddr:
+            kind, ref = self.tag_ref(label, instr.tag)
+            if kind == "const":
+                emit(ind, f"r{instr.dst.id} = {ref + instr.offset!r}")
+            elif kind == "addr":
+                off = f" + {instr.offset}" if instr.offset else ""
+                emit(ind, f"r{instr.dst.id} = {ref}{off}")
+            else:
+                emit(ind, ref)
+        elif cls is UnOp:
+            self.unop(instr, ind)
+        elif cls is Call:
+            self.call(instr, ind)
+        elif cls is Jump:
+            self.edge(label, instr.target, ind)
+        elif cls is Branch:
+            taken, other = instr.if_true, instr.if_false
+            if taken == other:
+                self.edge(label, taken, ind)
+                return
+            test = f"r{instr.cond.id}"
+            if self.fallthrough.get(label) == taken:
+                taken, other, test = other, taken, f"not {test}"
+            emit(ind, f"if {test}:")
+            self.edge(label, taken, ind + 4)
+            self.edge(label, other, ind)
+        elif cls is Ret:
+            self.writeback(ind, at_return=True)
+            self.flush(ind)
+            value = "None" if instr.value is None else f"r{instr.value.id}"
+            emit(ind, f"return {value}")
+        elif cls is Nop:
+            pass
+        elif cls is Phi:
+            emit(ind, self.raiser("phi reached the interpreter; destruct SSA first"))
+        else:  # pragma: no cover - defensive
+            emit(ind, self.raiser(f"unknown instruction {instr}"))
+
+    def binop(self, instr: BinOp, ind: int) -> None:
+        emit = self.emit
+        op = instr.opcode
+        dst, lhs, rhs = f"r{instr.dst.id}", f"r{instr.lhs.id}", f"r{instr.rhs.id}"
+        generic = f"{dst} = _binop(_Op.{op.name}, {lhs}, {rhs})"
+        both_int = f"{lhs}.__class__ is int and {rhs}.__class__ is int"
+        if op in _WRAP_SRC:
+            emit(ind, f"{dst} = {lhs} {_WRAP_SRC[op]} {rhs}")
+            emit(ind, _WRAP_CHECK.format(v=dst))
+            emit(ind + 4, _WRAP_MASK.format(v=dst))
+        elif op in _CMP_SRC:
+            emit(ind, f"{dst} = 1 if {lhs} {_CMP_SRC[op]} {rhs} else 0")
+        elif op is Opcode.DIV or op is Opcode.MOD:
+            # for non-negative operands C truncation is floor division; the
+            # result needs a wrap only for an out-of-range operand
+            sym, slow = ("//", "_div") if op is Opcode.DIV else ("%", "_mod")
+            emit(ind, f"if {both_int}:")
+            emit(ind + 4, f"if {lhs} >= 0 and {rhs} > 0:")
+            emit(ind + 8, f"{dst} = {lhs} {sym} {rhs}")
+            emit(ind + 8, _RANGE_CHECK.format(v=dst))
+            emit(ind + 12, _WRAP_MASK.format(v=dst))
+            emit(ind + 4, "else:")
+            emit(ind + 8, f"{dst} = {slow}({lhs}, {rhs})")
+            if op is Opcode.DIV:
+                emit(ind, f"elif {rhs}.__class__ is float and {rhs} != 0.0:")
+                emit(ind + 4, f"{dst} = {lhs} / {rhs}")
+            emit(ind, "else:")
+            emit(ind + 4, generic)
+        elif op in _BIT_SRC or op is Opcode.SHL or op is Opcode.SHR:
+            emit(ind, f"if {both_int}:")
+            if op in _BIT_SRC:
+                emit(ind + 4, f"{dst} = {lhs} {_BIT_SRC[op]} {rhs}")
+            elif op is Opcode.SHR:
+                emit(ind + 4, f"{dst} = {lhs} >> ({rhs} & 63)")
+            else:
+                emit(ind + 4, f"{dst} = {lhs} << ({rhs} & 63)")
+            emit(ind + 4, _RANGE_CHECK.format(v=dst))
+            emit(ind + 8, _WRAP_MASK.format(v=dst))
+            emit(ind, "else:")
+            emit(ind + 4, generic)
+        else:
+            emit(ind, generic)
+
+    def unop(self, instr: UnOp, ind: int) -> None:
+        emit = self.emit
+        op = instr.opcode
+        dst, src = f"r{instr.dst.id}", f"r{instr.src.id}"
+        if op is Opcode.NEG or op is Opcode.F2I:
+            emit(ind, f"{dst} = -{src}" if op is Opcode.NEG else f"{dst} = int({src})")
+            emit(ind, _WRAP_CHECK.format(v=dst))
+            emit(ind + 4, _WRAP_MASK.format(v=dst))
+        elif op is Opcode.LNOT:
+            emit(ind, f"{dst} = 1 if {src} == 0 else 0")
+        elif op is Opcode.I2F:
+            emit(ind, f"{dst} = float({src})")
+        elif op is Opcode.NOT:
+            emit(ind, f"if {src}.__class__ is int:")
+            emit(ind + 4, f"{dst} = ~{src}")
+            emit(ind + 4, _RANGE_CHECK.format(v=dst))
+            emit(ind + 8, _WRAP_MASK.format(v=dst))
+            emit(ind, "else:")
+            emit(ind + 4, f"{dst} = _unop(_Op.{op.name}, {src})")
+        else:
+            emit(ind, f"{dst} = _unop(_Op.{op.name}, {src})")
+
+    def call(self, instr: Call, ind: int) -> None:
+        """A call ends its segment.  Only ``total_ops`` must be exact at the
+        boundary; the other deltas commute with the callee's own counts.
+        Intrinsics other than ``clock()`` neither read nor spend the budget,
+        so they skip the flush."""
+        emit = self.emit
+        callee = instr.callee
+        functions = self.cm.module.functions
+        observes = True
+        may_be_none = True
+        if callee is None:
+            expr = self.raiser("indirect calls are not executable in this build")
+        elif callee in functions:
+            target = functions[callee]
+            # extra arguments are dropped, missing ones read as zero
+            n = len(target.params)
+            args = [f"r{a.id}" for a in instr.args[:n]]
+            args += ["0"] * (n - len(args))
+            expr = f"_F_{callee}({', '.join(['m'] + args)})"
+            may_be_none = any(
+                i.__class__ is Ret and i.value is None for i in target.instructions()
+            )
+        elif is_intrinsic(callee):
+            observes = callee == "clock"
+            parts = ", ".join(f"r{a.id}" for a in instr.args)
+            if len(instr.args) == 1:
+                parts += ","
+            expr = f"m._exec_intrinsic({callee!r}, ({parts}), {instr.site_id})"
+        else:
+            expr = self.raiser(f"call to unknown function {callee!r}")
+        if observes:
+            emit(ind, "c.total_ops += _t")
+            emit(ind, "_t = 0")
+        if instr.dst is None:
+            emit(ind, expr)
+        elif may_be_none:
+            emit(ind, f"v = {expr}")
+            emit(ind, f"r{instr.dst.id} = 0 if v is None else v")
+        else:
+            emit(ind, f"r{instr.dst.id} = {expr}")
+        if observes:
+            emit(ind, "_lim = _m - c.total_ops")

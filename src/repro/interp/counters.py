@@ -7,11 +7,13 @@ reference and is not counted as a load (it still counts as an operation).
 
 Both execution engines mutate one ``Counters`` instance: the reference
 (``simple``) engine increments per executed instruction, while the
-block-threaded engine folds each decoded block's static mix in as a batch
-on block entry (see :mod:`repro.interp.engine`).  The two disciplines
-produce bit-identical totals because a basic block always executes all of
-its instructions once entered.  The dataclass is slotted so the per-op
-increments of the reference engine stay as cheap as possible.
+compiled tier adds each segment's static mix (a block's instructions up
+to and including each call) as a batch, through local deltas flushed at
+calls, returns and exits (see :mod:`repro.interp.compiled`).  The two
+disciplines produce bit-identical totals because a basic block always
+executes all of its instructions once entered.  The dataclass is slotted
+so the per-op increments of the reference engine stay as cheap as
+possible.
 """
 
 from __future__ import annotations

@@ -9,29 +9,22 @@ The machine is also the *substitute for the paper's hardware testbed*: the
 paper instrumented compiled binaries; we instrument IL execution, which
 measures the same three quantities exactly (and deterministically).
 
-Three execution engines share this measurement contract:
+Two execution engines share this measurement contract:
 
-``threaded`` (the default)
-    The block-threaded engine in :mod:`repro.interp.engine`: each basic
-    block is decoded once into a specialized closure with addresses,
-    register indices, and callees resolved at decode time, and counters
-    folded in as per-block batches.  Observable behavior — counters,
+``compiled`` (the default)
+    The compiled tier in :mod:`repro.interp.compiled`: on its first call
+    each IR function becomes one generated Python function, with virtual
+    registers and never-address-taken scalars held in Python locals and
+    counters batched per segment.  Observable behavior — counters,
     output, exit code, ``clock()`` values, traps, ``max_steps``
     exhaustion, and ``block_visits`` under profiling — is bit-identical
-    to the reference engine (enforced by the differential oracle in
-    ``tests/interp/test_engine_equiv.py``).
-
-``tier2``
-    The specializing tier in :mod:`repro.interp.tier2`: hot regions
-    (whole small functions and natural loops) are template-compiled into
-    single Python functions with virtual registers and promotion-eligible
-    frame slots held in Python locals, deoptimizing exactly to the
-    threaded tier at budget/trap boundaries.  Same bit-identical
-    observable contract, same differential oracle.
+    to the reference loop (enforced by the differential oracle in
+    ``tests/interp/test_engine_equiv.py``).  Its one deopt target is the
+    reference loop, resumed mid-block through :meth:`Machine._exec_blocks`.
 
 ``simple``
     The reference semantics: the per-instruction dispatch loop in
-    :meth:`Machine._exec_function` below.  Kept deliberately direct so it
+    :meth:`Machine._exec_blocks` below.  Kept deliberately direct so it
     stays auditable against the IL specification.
 """
 
@@ -124,11 +117,10 @@ class MachineOptions:
     #: count per-block executions for per-loop attribution; the default
     #: (off) path allocates nothing and does no per-instruction work
     profile: bool = False
-    #: execution engine: ``"threaded"`` (block-threaded, pre-decoded — the
-    #: default), ``"tier2"`` (the specializing tier: hot regions compiled
-    #: with frame slots promoted to Python locals, threaded elsewhere), or
-    #: ``"simple"`` (the per-instruction reference loop)
-    engine: str = "threaded"
+    #: execution engine: ``"compiled"`` (one generated Python function per
+    #: IR function — the default) or ``"simple"`` (the per-instruction
+    #: reference loop)
+    engine: str = "compiled"
 
 
 class Machine:
@@ -159,7 +151,7 @@ class Machine:
         if func is None:
             raise InterpError(f"no entry function {entry!r}")
         engine_name = self.options.engine
-        if engine_name not in ("threaded", "tier2", "simple"):
+        if engine_name not in ("compiled", "simple"):
             raise InterpError(f"unknown interpreter engine {engine_name!r}")
         # the interpreter recurses once per interpreted call; make room in
         # the Python stack for the machine's own depth limit, restoring
@@ -172,14 +164,10 @@ class Machine:
             sys.setrecursionlimit(40_000)
         try:
             try:
-                if engine_name == "threaded":
-                    from . import engine as _engine
+                if engine_name == "compiled":
+                    from . import compiled
 
-                    value = _engine.exec_entry(self, func)
-                elif engine_name == "tier2":
-                    from . import tier2 as _tier2
-
-                    value = _tier2.exec_entry(self, func)
+                    value = compiled.exec_entry(self, func)
                 else:
                     value = self._exec_function(func, [])
                 code = int(value) if isinstance(value, (int, float)) else 0
@@ -215,12 +203,30 @@ class Machine:
         regs: list[int | float] = [0] * nregs
         for reg, value in zip(func.params, args):
             regs[reg.id] = value
+        try:
+            return self._exec_blocks(func, regs, frame_addrs, func.entry)
+        finally:
+            self.mem.pop_frame(saved_sp)
+            self._call_depth -= 1
 
+    def _exec_blocks(
+        self,
+        func: Function,
+        regs: list[int | float],
+        frame_addrs: dict[str, int],
+        label: str,
+        start: int | None = None,
+    ) -> int | float | None:
+        """Run ``func``'s blocks from ``label`` until it returns.
+
+        With ``start`` the run *resumes* inside an activation whose frame
+        and register file already exist: the block at ``label`` was already
+        entered (its visit counted) and execution continues at instruction
+        ``start``.  This is how the compiled tier deoptimizes.
+        """
         counters = self.counters
-        mem = self.mem
-        cells = mem.cells
+        cells = self.mem.cells
         max_steps = self.options.max_steps
-        label = func.entry
         result: int | float | None = None
         # Profiling attributes whole blocks, never single instructions: a
         # block always executes all of its instructions once entered, so
@@ -229,98 +235,99 @@ class Machine:
         visits = self.block_visits
         func_name = func.name
 
-        try:
-            while True:
-                block = func.blocks[label]
+        while True:
+            block = func.blocks[label]
+            if start is None:
+                instrs = block.instrs
                 if visits is not None:
                     key = (func_name, label)
                     visits[key] = visits.get(key, 0) + 1
-                next_label: str | None = None
-                for instr in block.instrs:
-                    counters.total_ops += 1
-                    if counters.total_ops > max_steps:
-                        raise ResourceLimitError(
-                            f"exceeded {max_steps} executed operations"
-                        )
-                    cls = type(instr)
-                    if cls is BinOp:
-                        regs[instr.dst.id] = _binop(
-                            instr.opcode, regs[instr.lhs.id], regs[instr.rhs.id]
-                        )
-                    elif cls is LoadI:
-                        regs[instr.dst.id] = instr.value
-                    elif cls is Mov:
-                        counters.copies += 1
-                        regs[instr.dst.id] = regs[instr.src.id]
-                    elif cls is ScalarLoad:
-                        counters.loads += 1
-                        counters.scalar_loads += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is ScalarStore:
-                        counters.stores += 1
-                        counters.scalar_stores += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        cells[addr] = regs[instr.src.id]
-                    elif cls is MemLoad:
-                        counters.loads += 1
-                        counters.general_loads += 1
-                        addr = regs[instr.addr.id]
-                        if not isinstance(addr, int):
-                            raise InterpTrap(f"load through non-integer address {addr!r}")
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is MemStore:
-                        counters.stores += 1
-                        counters.general_stores += 1
-                        addr = regs[instr.addr.id]
-                        if not isinstance(addr, int):
-                            raise InterpTrap(f"store through non-integer address {addr!r}")
-                        cells[addr] = regs[instr.src.id]
-                    elif cls is CLoad:
-                        counters.loads += 1
-                        counters.scalar_loads += 1
-                        addr = self._tag_addr(instr.tag, frame_addrs)
-                        regs[instr.dst.id] = cells.get(addr, 0)
-                    elif cls is UnOp:
-                        regs[instr.dst.id] = _unop(instr.opcode, regs[instr.src.id])
-                    elif cls is LoadAddr:
-                        regs[instr.dst.id] = (
-                            self._tag_addr(instr.tag, frame_addrs) + instr.offset
-                        )
-                    elif cls is Jump:
-                        next_label = instr.target
-                        break
-                    elif cls is Branch:
-                        counters.branches += 1
-                        next_label = (
-                            instr.if_true if regs[instr.cond.id] != 0 else instr.if_false
-                        )
-                        break
-                    elif cls is Ret:
-                        if instr.value is not None:
-                            result = regs[instr.value.id]
-                        return result
-                    elif cls is Call:
-                        counters.calls += 1
-                        value = self._exec_call(instr, regs)
-                        if instr.dst is not None:
-                            regs[instr.dst.id] = value if value is not None else 0
-                    elif cls is Nop:
-                        counters.total_ops -= 1  # structural, never "executed"
-                    elif cls is Phi:
-                        raise InterpError(
-                            "phi reached the interpreter; destruct SSA first"
-                        )
-                    else:  # pragma: no cover - defensive
-                        raise InterpError(f"unknown instruction {instr}")
-                if next_label is None:
-                    raise InterpError(
-                        f"block {label} in {func.name} fell through without terminator"
+            else:
+                instrs = block.instrs[start:]
+                start = None
+            next_label: str | None = None
+            for instr in instrs:
+                counters.total_ops += 1
+                if counters.total_ops > max_steps:
+                    raise ResourceLimitError(
+                        f"exceeded {max_steps} executed operations"
                     )
-                label = next_label
-        finally:
-            self.mem.pop_frame(saved_sp)
-            self._call_depth -= 1
+                cls = type(instr)
+                if cls is BinOp:
+                    regs[instr.dst.id] = _binop(
+                        instr.opcode, regs[instr.lhs.id], regs[instr.rhs.id]
+                    )
+                elif cls is LoadI:
+                    regs[instr.dst.id] = instr.value
+                elif cls is Mov:
+                    counters.copies += 1
+                    regs[instr.dst.id] = regs[instr.src.id]
+                elif cls is ScalarLoad:
+                    counters.loads += 1
+                    counters.scalar_loads += 1
+                    addr = self._tag_addr(instr.tag, frame_addrs)
+                    regs[instr.dst.id] = cells.get(addr, 0)
+                elif cls is ScalarStore:
+                    counters.stores += 1
+                    counters.scalar_stores += 1
+                    addr = self._tag_addr(instr.tag, frame_addrs)
+                    cells[addr] = regs[instr.src.id]
+                elif cls is MemLoad:
+                    counters.loads += 1
+                    counters.general_loads += 1
+                    addr = regs[instr.addr.id]
+                    if not isinstance(addr, int):
+                        raise InterpTrap(f"load through non-integer address {addr!r}")
+                    regs[instr.dst.id] = cells.get(addr, 0)
+                elif cls is MemStore:
+                    counters.stores += 1
+                    counters.general_stores += 1
+                    addr = regs[instr.addr.id]
+                    if not isinstance(addr, int):
+                        raise InterpTrap(f"store through non-integer address {addr!r}")
+                    cells[addr] = regs[instr.src.id]
+                elif cls is CLoad:
+                    counters.loads += 1
+                    counters.scalar_loads += 1
+                    addr = self._tag_addr(instr.tag, frame_addrs)
+                    regs[instr.dst.id] = cells.get(addr, 0)
+                elif cls is UnOp:
+                    regs[instr.dst.id] = _unop(instr.opcode, regs[instr.src.id])
+                elif cls is LoadAddr:
+                    regs[instr.dst.id] = (
+                        self._tag_addr(instr.tag, frame_addrs) + instr.offset
+                    )
+                elif cls is Jump:
+                    next_label = instr.target
+                    break
+                elif cls is Branch:
+                    counters.branches += 1
+                    next_label = (
+                        instr.if_true if regs[instr.cond.id] != 0 else instr.if_false
+                    )
+                    break
+                elif cls is Ret:
+                    if instr.value is not None:
+                        result = regs[instr.value.id]
+                    return result
+                elif cls is Call:
+                    counters.calls += 1
+                    value = self._exec_call(instr, regs)
+                    if instr.dst is not None:
+                        regs[instr.dst.id] = value if value is not None else 0
+                elif cls is Nop:
+                    counters.total_ops -= 1  # structural, never "executed"
+                elif cls is Phi:
+                    raise InterpError(
+                        "phi reached the interpreter; destruct SSA first"
+                    )
+                else:  # pragma: no cover - defensive
+                    raise InterpError(f"unknown instruction {instr}")
+            if next_label is None:
+                raise InterpError(
+                    f"block {label} in {func.name} fell through without terminator"
+                )
+            label = next_label
 
     # -- helpers -----------------------------------------------------------
     def _tag_addr(self, tag, frame_addrs: dict[str, int]) -> int:

@@ -37,6 +37,18 @@ def _align(value: int) -> int:
     return (value + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
+def frame_layout(tags: list[Tag], sizes: dict[str, int]) -> tuple[dict[str, int], int]:
+    """One activation's frame: ``tag name -> offset`` from the frame base,
+    and the frame's size.  Sizes default to one word.  The reference loop
+    and the compiled tier both lay frames out with this function."""
+    offsets: dict[str, int] = {}
+    size = 0
+    for tag in tags:
+        offsets[tag.name] = size
+        size = _align(size + max(sizes.get(tag.name, _ALIGN), 1))
+    return offsets, size
+
+
 class MemoryImage:
     """The memory of one program run."""
 
@@ -70,31 +82,19 @@ class MemoryImage:
             addr = _align(addr + len(data) + 1)
 
     # -- stack frames -----------------------------------------------------
-    def push_frame_slots(self, tags: list[Tag], sizes: dict[str, int]) -> list[int]:
-        """Allocate one activation's address for each local tag.
-
-        Returns the addresses as a list parallel to ``tags`` — the
-        block-threaded engine resolves each local tag to its position in
-        ``tags`` once at decode time, so a frame push is one list build
-        and every later access is a plain index.  Sizes default to one
-        word.
-        """
-        addrs: list[int] = []
-        ptr = self.stack_ptr
-        for tag in tags:
-            size = sizes.get(tag.name, _ALIGN)
-            addrs.append(ptr)
-            ptr = _align(ptr + max(size, 1))
-        if ptr > STACK_LIMIT:
+    def reserve(self, size: int) -> int:
+        """Push a frame of ``size`` bytes; returns its base address."""
+        base = self.stack_ptr
+        if base + size > STACK_LIMIT:
             raise InterpError("interpreted program overflowed its stack")
-        self.stack_ptr = ptr
-        return addrs
+        self.stack_ptr = base + size
+        return base
 
     def push_frame(self, tags: list[Tag], sizes: dict[str, int]) -> dict[str, int]:
-        """Like :meth:`push_frame_slots`, returning ``tag name -> address``
-        (the reference engine's by-name view; layout is identical)."""
-        slots = self.push_frame_slots(tags, sizes)
-        return {tag.name: addr for tag, addr in zip(tags, slots)}
+        """Push one activation's frame; returns ``tag name -> address``."""
+        offsets, size = frame_layout(tags, sizes)
+        base = self.reserve(size)
+        return {name: base + off for name, off in offsets.items()}
 
     def pop_frame(self, saved_stack_ptr: int) -> None:
         self.stack_ptr = saved_stack_ptr

@@ -63,13 +63,11 @@ class Module:
         self._next_site = 0
 
     def __getstate__(self) -> dict:
-        # the block-threaded and tier-2 interpreters cache compiled
-        # closures on the module (see repro.interp.engine/tier2); they are
-        # unpicklable and cheap to rebuild, so drop them from pickles and
-        # deep copies
+        # the compiled interpreter tier caches generated functions on the
+        # module (see repro.interp.compiled); they are unpicklable and
+        # cheap to rebuild, so drop them from pickles and deep copies
         state = self.__dict__.copy()
-        state.pop("_decoded", None)
-        state.pop("_tier2", None)
+        state.pop("_compiled", None)
         return state
 
     # -- functions -------------------------------------------------------

@@ -1,25 +1,19 @@
 """Parallel, cached, instrumented experiment runner.
 
-Four cooperating modules:
+Three cooperating modules (per-pass span tracing lives in
+:mod:`repro.trace`):
 
 * :mod:`~repro.runner.scheduler` — process-pool job scheduler with
   per-cell timeouts, bounded retries, and graceful degradation;
 * :mod:`~repro.runner.cache` — content-addressed on-disk result cache;
-* :mod:`~repro.runner.telemetry` — per-pass span tracing with Chrome
-  trace export;
 * :mod:`~repro.runner.report` — suite orchestration, aggregation into the
   harness's figure shapes, and ``suite.json`` serialization.
 
-Heavy submodules are loaded lazily: the compiler pipeline itself imports
-:mod:`~repro.runner.telemetry` for its pass spans, so this package's
-``__init__`` must not eagerly import the scheduler (which imports the
-pipeline back).
+Submodules are loaded lazily, so importing this package does not pull in
+the scheduler (which imports the compiler pipeline).
 """
 
 from __future__ import annotations
-
-from . import telemetry
-from .telemetry import span, tracing
 
 __all__ = [
     "CellData",
@@ -33,9 +27,6 @@ __all__ = [
     "execute_cell",
     "run_cells",
     "run_suite_report",
-    "span",
-    "telemetry",
-    "tracing",
     "write_suite_json",
 ]
 

@@ -38,7 +38,7 @@ from .scheduler import (
     ProgressFn,
     run_cells,
 )
-from .telemetry import SpanEvent
+from ..trace import SpanEvent
 
 __all__ = [
     "SuiteReport",
@@ -60,8 +60,8 @@ class SuiteReport:
     jobs: int = 1
     cache_hits: int = 0
     cache_misses: int = 0
-    #: interpreter engine every cell ran under (threaded | simple)
-    engine: str = "threaded"
+    #: interpreter engine every cell ran under (compiled | simple)
+    engine: str = "compiled"
 
     @property
     def ok(self) -> bool:
@@ -130,7 +130,7 @@ def build_suite_specs(
     pointer_promotion: bool = False,
     regalloc: RegAllocOptions | None = None,
     max_steps: int = 50_000_000,
-    engine: str = "threaded",
+    engine: str = "compiled",
 ) -> list[CellSpec]:
     """The full matrix: one spec per (workload, paper variant)."""
     machine = MachineOptions(max_steps=max_steps, engine=engine)
@@ -214,7 +214,7 @@ def run_suite_report(
     pointer_promotion: bool = False,
     regalloc: RegAllocOptions | None = None,
     max_steps: int = 50_000_000,
-    engine: str = "threaded",
+    engine: str = "compiled",
     jobs: int = 1,
     cache: ResultCache | None = None,
     timeout: float | None = None,

@@ -19,7 +19,7 @@ processes without any registry coordination.  The scheduler provides:
 * **caching** — when a :class:`~repro.runner.cache.ResultCache` is given,
   hits skip execution entirely and successes are written back;
 * **telemetry** — with ``collect_trace=True`` every cell records per-pass
-  spans (see :mod:`repro.runner.telemetry`) that travel back to the parent
+  spans (see :mod:`repro.trace`) that travel back to the parent
   as plain dicts for merging into one Chrome trace.
 
 Timeouts are enforced at the join: the parent waits at most ``timeout``
@@ -52,8 +52,7 @@ from ..pipeline import (
     compile_source,
     run_compiled,
 )
-from ..trace import TraceContext
-from . import telemetry
+from ..trace import TraceContext, tracing
 from .cache import ResultCache, cell_key
 
 _log = get_logger(__name__)
@@ -184,7 +183,7 @@ def execute_cell(
     started = time.perf_counter()
     with metrics_session() as registry:
         if collect_trace or trace_ctx is not None:
-            with telemetry.tracing(
+            with tracing(
                 f"{spec.workload}:{spec.variant}",
                 context=trace_ctx,
                 worker=(

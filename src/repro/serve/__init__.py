@@ -3,7 +3,7 @@
 Turns the one-shot experiment pipeline into a serving system: a
 stdlib-only asyncio TCP server (newline-delimited JSON) in front of a
 persistent worker pool that keeps imports, compiled modules, and the
-block-threaded engine's decode caches warm across requests.
+interpreter's generated code warm across requests.
 
 Modules:
 

@@ -471,8 +471,8 @@ class LoadgenConfig:
     #: compile/execute buckets reflect miss-path latency instead of
     #: reading all-zero on an all-hits campaign.
     cold_fraction: float = 0.0
-    #: interpreter engine the mix cells run under (simple/threaded/tier2)
-    engine: str = "threaded"
+    #: interpreter engine the mix cells run under (compiled/simple)
+    engine: str = "compiled"
     #: drive the campaign through :class:`ResilientClient` — retries,
     #: idempotency keys, circuit breaker; the payload's ``resilience``
     #: section records what the client layer absorbed

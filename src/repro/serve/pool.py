@@ -8,7 +8,7 @@ time on every invocation.  Workers here are long-lived
 * each worker keeps a ``compile_cache`` dict (keyed by
   :func:`repro.runner.scheduler.compile_memo_key`) so repeat requests
   for the same source/options reuse the compiled module — and with it
-  the block-threaded engine's decode cache, which lives on the
+  the interpreter's generated code, which lives on the
   :class:`~repro.ir.module.Module`;
 * below that, a memory-only :class:`~repro.inccomp.FunctionStore` memo
   makes *cold* requests incremental: a request whose source misses

@@ -670,12 +670,11 @@ class ReproServer:
         )
 
     def _machine_options(self, request: Request, params: dict) -> MachineOptions:
-        engine = params.get("engine", "threaded")
-        if engine not in ("threaded", "simple", "tier2"):
+        engine = params.get("engine", "compiled")
+        if engine not in ("compiled", "simple"):
             raise ProtocolError(
                 "invalid_params",
-                f"engine must be 'threaded', 'simple', or 'tier2', "
-                f"got {engine!r}",
+                f"engine must be 'compiled' or 'simple', got {engine!r}",
                 request.id,
             )
         max_steps = params.get("max_steps", self.config.default_max_steps)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-# -- Chrome trace export (moved from runner.telemetry, format unchanged) ----
+# -- Chrome trace export (format unchanged since the runner's telemetry) ----
 
 
 def chrome_trace(groups: dict[str, list[SpanEvent]]) -> dict:

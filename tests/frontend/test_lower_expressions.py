@@ -284,3 +284,16 @@ class TestErrors:
     def test_union_unsupported(self):
         with pytest.raises(UnsupportedFeatureError):
             run_c("union u { int a; }; int main(void) { return 0; }")
+
+    def test_kr_parameter_list_is_typed_with_coordinate(self):
+        with pytest.raises(UnsupportedFeatureError) as excinfo:
+            run_c("int f(a, b) { return 0; }")
+        assert excinfo.value.coord is not None
+        assert "K&R" in str(excinfo.value)
+
+    def test_unbalanced_braces_are_typed_with_coordinate(self):
+        source = "int main(void) { int x; { x = 1; return x; }\n}\n}\n{"
+        with pytest.raises(FrontendError) as excinfo:
+            run_c(source)
+        assert excinfo.value.coord is not None
+        assert "parse error: malformed input" in str(excinfo.value)

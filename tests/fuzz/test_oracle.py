@@ -56,28 +56,28 @@ def _program():
 
 class TestClassification:
     def test_all_agree_is_ok(self):
-        outcomes = {v: _data(v) for v in ("O0+threaded", "O0+simple")}
+        outcomes = {v: _data(v) for v in ("O0+compiled", "O0+simple")}
         report = classify_outcomes(_program(), outcomes)
         assert report.status == "ok"
         assert not report.divergences
 
     def test_consistent_trap_is_explained(self):
-        outcomes = {v: _failure(v) for v in ("O0+threaded", "full+threaded")}
+        outcomes = {v: _failure(v) for v in ("O0+compiled", "full+compiled")}
         report = classify_outcomes(_program(), outcomes)
         assert report.status == "trap"
         assert report.ok
 
     def test_mixed_crash_and_success_diverges(self):
-        outcomes = {"O0+threaded": _data("O0+threaded"),
-                    "full+threaded": _failure("full+threaded")}
+        outcomes = {"O0+compiled": _data("O0+compiled"),
+                    "full+compiled": _failure("full+compiled")}
         report = classify_outcomes(_program(), outcomes)
         assert report.status == "divergent"
         assert report.divergences[0].kind == "crash-divergence"
 
     def test_different_trap_messages_diverge(self):
         outcomes = {
-            "O0+threaded": _failure("O0+threaded", "InterpTrap: a"),
-            "full+threaded": _failure("full+threaded", "InterpTrap: b"),
+            "O0+compiled": _failure("O0+compiled", "InterpTrap: a"),
+            "full+compiled": _failure("full+compiled", "InterpTrap: b"),
         }
         report = classify_outcomes(_program(), outcomes)
         assert report.status == "divergent"
@@ -85,23 +85,23 @@ class TestClassification:
 
     def test_output_mismatch_diverges(self):
         outcomes = {
-            "O0+threaded": _data("O0+threaded", output="x 1\n"),
-            "full+threaded": _data("full+threaded", output="x 2\n"),
+            "O0+compiled": _data("O0+compiled", output="x 1\n"),
+            "full+compiled": _data("full+compiled", output="x 2\n"),
         }
         report = classify_outcomes(_program(), outcomes)
         assert any(d.kind == "output-divergence" for d in report.divergences)
 
     def test_exit_code_mismatch_diverges(self):
         outcomes = {
-            "O0+threaded": _data("O0+threaded", exit_code=0),
-            "full+threaded": _data("full+threaded", exit_code=3),
+            "O0+compiled": _data("O0+compiled", exit_code=0),
+            "full+compiled": _data("full+compiled", exit_code=3),
         }
         report = classify_outcomes(_program(), outcomes)
         assert any(d.kind == "output-divergence" for d in report.divergences)
 
     def test_engine_counter_mismatch_diverges(self):
         outcomes = {
-            "full+threaded": _data("full+threaded"),
+            "full+compiled": _data("full+compiled"),
             "full+simple": _data("full+simple", total_ops=101),
         }
         report = classify_outcomes(_program(), outcomes)
@@ -109,32 +109,31 @@ class TestClassification:
 
     def test_engine_divergence_names_the_pair(self):
         outcomes = {
-            "full+threaded": _data("full+threaded"),
             "full+simple": _data("full+simple"),
-            "full+tier2": _data("full+tier2", total_ops=101),
+            "full+compiled": _data("full+compiled", total_ops=101),
         }
         report = classify_outcomes(_program(), outcomes)
         d = next(
             d for d in report.divergences if d.kind == "engine-divergence"
         )
-        assert d.detail["engines"] == ["threaded", "tier2"]
+        assert d.detail["engines"] == ["simple", "compiled"]
         assert d.detail["fields"] == ["total_ops"]
-        assert "tier2" in d.message and "threaded" in d.message
+        assert "compiled" in d.message and "simple" in d.message
 
     def test_counter_invariant_violation_diverges(self):
-        outcomes = {"full+threaded": _data("full+threaded", scalar_loads=999)}
+        outcomes = {"full+compiled": _data("full+compiled", scalar_loads=999)}
         report = classify_outcomes(_program(), outcomes)
         assert any(d.kind == "counter-invariant" for d in report.divergences)
 
     def test_promotion_traffic_growth_is_advisory(self):
         # more memory ops under "full" than "full-nopromo" warns, not fails
         outcomes = {
-            "full-nopromo+threaded": _data(
-                "full-nopromo+threaded", loads=4, stores=2,
+            "full-nopromo+compiled": _data(
+                "full-nopromo+compiled", loads=4, stores=2,
                 scalar_loads=2, general_loads=2,
                 scalar_stores=1, general_stores=1,
             ),
-            "full+threaded": _data("full+threaded"),
+            "full+compiled": _data("full+compiled"),
         }
         report = classify_outcomes(_program(), outcomes)
         assert report.status == "ok"
@@ -148,9 +147,9 @@ class TestEndToEnd:
         assert len(specs) == len(config.levels) * len(config.engines)
         assert all(spec.options.verify_each_stage for spec in specs)
 
-    def test_matrix_includes_all_three_engines(self):
+    def test_matrix_includes_both_engines(self):
         config = OracleConfig()
-        assert set(config.engines) == {"simple", "threaded", "tier2"}
+        assert set(config.engines) == {"simple", "compiled"}
         specs = build_oracle_specs("p", "int main(void){return 0;}", config)
         variants = {spec.variant for spec in specs}
         for level in config.levels:

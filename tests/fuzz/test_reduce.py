@@ -105,9 +105,9 @@ class TestSyntheticReduction:
 class TestMiscompileReduction:
     def test_shrinks_injected_miscompile_to_under_20_lines(self):
         # a 2-cell oracle subset keeps every probe cheap: the broken full
-        # pipeline against the O0 reference, threaded engine only
+        # pipeline against the O0 reference, compiled engine only
         config = config_with_broken_promotion(
-            OracleConfig(levels=("O0", "full"), engines=("threaded",))
+            OracleConfig(levels=("O0", "full"), engines=("compiled",))
         )
         predicate = make_divergence_predicate(config, kind="output-divergence")
         assert predicate(MISCOMPILE_WITH_PADDING), (

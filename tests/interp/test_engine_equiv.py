@@ -1,21 +1,22 @@
-"""Differential oracle: every engine vs the reference loop.
+"""Differential oracle: the compiled tier vs the reference loop.
 
 The engine contract is *bit-identical observables* — counters (every
 field), output, exit code, ``block_visits`` under profiling, ``clock()``
-values, traps, and the exact operation count at which ``max_steps``
-exhaustion fires.  The block-threaded engine must satisfy it through
-batching; the tier-2 specializing engine must satisfy it through exact
-deoptimization of its compiled regions.  These tests enforce the
-contract over the whole 14-program benchmark suite at -O0 and through
-the full pipeline, plus targeted boundary cases the suite cannot hit
-(including the tier-2 deopt edges: ``max_steps`` expiring mid-region,
-traps inside promoted regions, and cache invalidation between runs).
+values, traps, and the exact operation count and counter state at which
+``max_steps`` exhaustion fires.  The compiled tier must satisfy it through
+batching and exact deoptimization to the reference loop.  These tests
+enforce the contract over the whole 14-program benchmark suite at -O0 and
+through the full pipeline, plus targeted boundary cases the suite cannot
+hit (the deopt edges: ``max_steps`` expiring inside compiled code, also in
+the segment after a call; traps inside code with promoted slots; and
+cache invalidation between runs).
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import re
 import sys
 
 import pytest
@@ -42,8 +43,8 @@ FULL = PipelineOptions()
 
 PIPELINES = {"O0": O0, "full": FULL}
 
-#: engines held to the bit-identical contract against "simple"
-ENGINES = ("simple", "threaded", "tier2")
+#: the reference loop first, then the engine held to its contract
+ENGINES = ("simple", "compiled")
 
 
 def _module(workload, options):
@@ -57,18 +58,24 @@ def _run(module, engine, **kwargs):
     return Machine(module, options).run()
 
 
-def _assert_identical(simple, threaded, context):
-    assert simple.counters.as_dict() == threaded.counters.as_dict(), context
-    assert simple.output == threaded.output, context
-    assert simple.exit_code == threaded.exit_code, context
-    assert simple.returned == threaded.returned, context
-    assert simple.block_visits == threaded.block_visits, context
+def _assert_identical(simple, compiled, context):
+    assert simple.counters.as_dict() == compiled.counters.as_dict(), context
+    assert simple.output == compiled.output, context
+    assert simple.exit_code == compiled.exit_code, context
+    assert simple.returned == compiled.returned, context
+    assert simple.block_visits == compiled.block_visits, context
+
+
+def _compiled(module) -> bool:
+    """Has the compiled tier generated code for ``module``?"""
+    cm = module.__dict__.get("_compiled")
+    return cm is not None and bool(cm.code)
 
 
 #: suite programs whose full-equivalence sweep dominates tier-1 wall
-#: time (three engines x two runs each); they run in CI and under
-#: plain `pytest`, but `-m "not slow"` skips them for the fast lane,
-#: which keeps allroots/dhrystone/fft/mlink as its equivalence smoke
+#: time; they run in CI and under plain `pytest`, but `-m "not slow"`
+#: skips them for the fast lane, which keeps allroots/dhrystone/fft/mlink
+#: as its equivalence smoke
 SLOW_WORKLOADS = frozenset(
     {
         "bc",
@@ -97,48 +104,39 @@ def test_workload_observables_identical(name, pipeline):
     workload = get_workload(name)
     options = PIPELINES[pipeline]
     simple = _run(_module(workload, options), "simple")
-    for engine in ("threaded", "tier2"):
-        module = _module(workload, options)
-        run = _run(module, engine)
-        _assert_identical(simple, run, f"{name}/{pipeline}/{engine}")
-        # a second run on the same module exercises the warm caches (the
-        # threaded decode cache / the tier-2 compiled-region cache)
-        rerun = _run(module, engine)
-        _assert_identical(run, rerun, f"{name}/{pipeline}/{engine} warm")
+    module = _module(workload, options)
+    run = _run(module, "compiled")
+    _assert_identical(simple, run, f"{name}/{pipeline}")
+    # a second run on the same module exercises the warm cache
+    rerun = _run(module, "compiled")
+    _assert_identical(run, rerun, f"{name}/{pipeline} warm")
 
 
 class TestMaxStepsExhaustion:
     """The limit fires at the same op count, with the same message, and
     leaves the counters in the same state under both engines."""
 
-    def _modules(self):
-        workload = get_workload("fft")
-        return lambda: _module(workload, FULL)
-
     @pytest.mark.slow
     def test_limit_boundary(self):
-        fresh = self._modules()
-        total = _run(fresh(), "threaded").counters.total_ops
+        workload = get_workload("fft")
+        total = _run(_module(workload, FULL), "compiled").counters.total_ops
         for engine in ENGINES:
             # exactly enough steps: completes
-            run = _run(fresh(), engine, max_steps=total)
+            run = _run(_module(workload, FULL), engine, max_steps=total)
             assert run.counters.total_ops == total
-            # one short (and much shorter): raises
-            for limit in (total - 1, total // 2, 1):
+        # one short (and much shorter): raises, in identical state
+        for limit in (total - 1, total // 2, 1):
+            states = []
+            for engine in ENGINES:
                 machine = Machine(
-                    fresh(), MachineOptions(engine=engine, max_steps=limit)
+                    _module(workload, FULL),
+                    MachineOptions(engine=engine, max_steps=limit),
                 )
                 with pytest.raises(ResourceLimitError) as exc:
                     machine.run()
-                assert str(exc.value) == (
-                    f"exceeded {limit} executed operations"
-                )
-                if engine == "simple":
-                    states = getattr(self, "_states", {})
-                    states[limit] = machine.counters.as_dict()
-                    self._states = states
-                else:
-                    assert machine.counters.as_dict() == self._states[limit]
+                assert str(exc.value) == f"exceeded {limit} executed operations"
+                states.append(machine.counters.as_dict())
+            assert states[0] == states[1], limit
 
 
 def test_clock_values_identical():
@@ -170,6 +168,30 @@ def test_trap_identical():
     assert messages == {"integer division by zero"}
 
 
+@pytest.mark.parametrize("pipeline", list(PIPELINES))
+def test_out_of_range_literals_wrap_identically(pipeline):
+    """The front end keeps literals at or above 2**63 unwrapped, so every
+    inlined fast path must wrap its result the way the reference does."""
+    source = r"""
+    long big = 0x8000000000000000;
+    long ones = 0xFFFFFFFFFFFFFFFF;
+    int main(void) {
+        long x = 0x8000000000000000;
+        long y = 0xFFFFFFFFFFFFFFFF;
+        printf("%ld %ld %ld %ld %ld\n", x ^ 0, x | 0, x & y, x >> 0, x / 1);
+        printf("%ld %ld %ld %ld %ld\n", y ^ 0, y | 0, y >> 1, y / 1, y % 3);
+        printf("%ld %ld %ld %ld %ld\n", ~x, ~y, big ^ 0, ones / 1, big % ones);
+        return (x ^ 0) < 0;
+    }
+    """
+    runs = []
+    for engine in ENGINES:
+        module = compile_source(source, PIPELINES[pipeline]).module
+        runs.append(_run(module, engine))
+    _assert_identical(*runs, pipeline)
+    assert runs[0].exit_code == 1
+
+
 def test_deep_recursion_limit_identical():
     source = r"""
     int f(int n) { if (n == 0) { return 0; } return f(n - 1); }
@@ -186,37 +208,39 @@ def test_deep_recursion_limit_identical():
 
 def test_unknown_engine_rejected():
     module = compile_source("int main(void) { return 0; }", O0).module
-    with pytest.raises(InterpError, match="unknown interpreter engine"):
-        Machine(module, MachineOptions(engine="jit")).run()
+    for name in ("jit", "threaded", "tier2"):
+        with pytest.raises(InterpError, match="unknown interpreter engine"):
+            Machine(module, MachineOptions(engine=name)).run()
 
 
 class TestDecodeCache:
     def test_cache_lives_on_module_and_pickles_away(self):
         module = compile_source("int main(void) { return 3; }", O0).module
-        _run(module, "threaded")
-        assert hasattr(module, "_decoded")
+        _run(module, "compiled")
+        assert hasattr(module, "_compiled")
         clone = pickle.loads(pickle.dumps(module))
-        assert not hasattr(clone, "_decoded")
-        assert _run(clone, "threaded").exit_code == 3
+        assert not hasattr(clone, "_compiled")
+        assert _run(clone, "compiled").exit_code == 3
         deep = copy.deepcopy(module)
-        assert not hasattr(deep, "_decoded")
-        assert _run(deep, "threaded").exit_code == 3
+        assert not hasattr(deep, "_compiled")
+        assert _run(deep, "compiled").exit_code == 3
 
     def test_invalidate_decoded(self):
         module = compile_source("int main(void) { return 3; }", O0).module
-        _run(module, "threaded")
+        _run(module, "compiled")
         invalidate_decoded(module)
-        assert not hasattr(module, "_decoded")
-        assert _run(module, "threaded").exit_code == 3
+        assert not hasattr(module, "_compiled")
+        assert _run(module, "compiled").exit_code == 3
+        invalidate_decoded(module)
         invalidate_decoded(module)  # idempotent on a cold module
 
     def test_instruction_replacement_invalidates(self):
         # passes rewrite programs by splicing in new instruction objects;
-        # the staleness signature must notice and re-decode
+        # the staleness signature must notice and regenerate
         module = compile_source(
             'int main(void) { printf("%d\\n", 7); return 0; }', O0
         ).module
-        assert _run(module, "threaded").output == "7\n"
+        assert _run(module, "compiled").output == "7\n"
         for func in module.functions.values():
             for block in func.blocks.values():
                 block.instrs = [
@@ -225,22 +249,10 @@ class TestDecodeCache:
                     else i
                     for i in block.instrs
                 ]
-        assert _run(module, "threaded").output == "8\n"
+        assert _run(module, "compiled").output == "8\n"
 
 
-def _tier2_compiled(module) -> bool:
-    """Did the tier-2 engine compile at least one region on ``module``?"""
-    dm = module.__dict__.get("_tier2")
-    if dm is None:
-        return False
-    return any(
-        tf.regions or tf.fresh_off is not None or tf.fresh_on is not None
-        for tf in dm.functions.values()
-    )
-
-
-#: a hot callee (fresh-entry region) plus a hot caller loop — both cross
-#: the tier-2 threshold well before the program's midpoint
+#: a hot callee plus a caller loop around it
 HOT_SOURCE = r"""
 int g;
 int work(int n) {
@@ -257,75 +269,105 @@ int main(void) {
 """
 
 
+def _limit_states(source, options, limits):
+    """Per limit: the (message, counters) each engine stops with."""
+    states = {}
+    for limit in limits:
+        seen = []
+        for engine in ENGINES:
+            module = compile_source(source, options).module
+            machine = Machine(module, MachineOptions(engine=engine, max_steps=limit))
+            with pytest.raises(ResourceLimitError) as exc:
+                machine.run()
+            if engine == "compiled":
+                # the limit really interrupted generated code
+                assert _compiled(module)
+            seen.append((str(exc.value), machine.counters.as_dict()))
+        states[limit] = seen
+    return states
+
+
 class TestTier2Deopt:
-    """The tier-2 exactness contract at its deoptimization edges: the
-    engine must leave *identical* observables when a compiled region is
+    """The compiled tier's exactness contract at its deoptimization edges:
+    it must leave *identical* observables when generated code is
     interrupted (fuel exhaustion, traps) or its cache is torn down
     (invalidation, pickling) — not merely on clean completions."""
 
     def test_max_steps_expires_mid_region_with_identical_counters(self):
-        module = compile_source(HOT_SOURCE, FULL).module
-        total = _run(module, "tier2").counters.total_ops
-        assert _tier2_compiled(module)
-        for limit in (total // 2, 2 * total // 3, total - 1):
-            reference = None
-            for engine in ENGINES:
-                fresh = compile_source(HOT_SOURCE, FULL).module
-                machine = Machine(
-                    fresh, MachineOptions(engine=engine, max_steps=limit)
-                )
-                with pytest.raises(ResourceLimitError) as exc:
-                    machine.run()
-                assert str(exc.value) == (
-                    f"exceeded {limit} executed operations"
-                )
-                if engine == "tier2":
-                    # the limit really interrupted compiled code, not a
-                    # cold fallback path
-                    assert _tier2_compiled(fresh)
-                state = machine.counters.as_dict()
-                if reference is None:
-                    reference = state
-                else:
-                    assert state == reference, (engine, limit)
+        total = _run(compile_source(HOT_SOURCE, FULL).module, "simple")
+        total = total.counters.total_ops
+        limits = (total // 2, 2 * total // 3, total - 1)
+        for limit, (reference, compiled) in _limit_states(
+            HOT_SOURCE, FULL, limits
+        ).items():
+            assert reference[0] == f"exceeded {limit} executed operations"
+            assert compiled == reference, limit
 
-    def test_trap_inside_promoted_region_flushes_state(self):
-        # the loop-local `s` and the induction variable are promoted to
-        # Python locals; the division traps on iteration 50, long after
-        # the region compiled at the hot threshold, so the deopt path
-        # must write the slots and counter deltas back before the trap
-        # surfaces
+    def test_max_steps_expires_in_segment_after_call(self, monkeypatch):
+        # the loop body calls bump() mid-block, so a limit swept over one
+        # iteration must stop some runs inside the segment that follows
+        # the call; the reference loop then resumes mid-block
         source = r"""
+        int g;
+        int bump(int x) { g = g + x; return x + 1; }
         int main(void) {
             int i; int s = 0;
-            for (i = 0; i < 100; i = i + 1) {
-                s = s + 1000 / (50 - i);
-            }
-            printf("s=%d\n", s);
+            for (i = 0; i < 50; i = i + 1) { s = s + bump(i) * 3 + i; }
+            printf("%d %d\n", s, g);
             return 0;
         }
         """
-        states = {}
+        resumed = []
+        exec_blocks = Machine._exec_blocks
+
+        def spy(self, func, regs, frame, label, start=None):
+            if start:
+                resumed.append((func.name, label, start))
+            return exec_blocks(self, func, regs, frame, label, start)
+
+        monkeypatch.setattr(Machine, "_exec_blocks", spy)
+        total = _run(compile_source(source, FULL).module, "simple")
+        middle = total.counters.total_ops // 2
+        for limit, (reference, compiled) in _limit_states(
+            source, FULL, range(middle, middle + 24)
+        ).items():
+            assert compiled == reference, limit
+        assert any(name == "main" for name, _, _ in resumed), resumed
+
+    def test_trap_inside_promoted_region_flushes_state(self):
+        # with promotion off, the loop loads and stores the frame slot of
+        # `x` every iteration; its address never survives optimization, so
+        # the compiled tier keeps it in a Python local.  The division traps
+        # on iteration 50: the handler must store the slot back and take
+        # back the trapping segment's unexecuted counts, leaving memory
+        # and counters exactly as the reference loop leaves them
+        source = r"""
+        int main(void) {
+            int x = 0; int *p = &x; int i;
+            for (i = 0; i < 100; i = i + 1) {
+                *p = *p + 1000 / (50 - i);
+            }
+            printf("x=%d\n", x);
+            return 0;
+        }
+        """
+        options = PipelineOptions(promotion=False)
+        states = []
         for engine in ENGINES:
-            module = compile_source(source, FULL).module
+            module = compile_source(source, options).module
             machine = Machine(module, MachineOptions(engine=engine))
             with pytest.raises(InterpTrap) as exc:
                 machine.run()
             assert str(exc.value) == "integer division by zero"
-            if engine == "tier2":
-                assert _tier2_compiled(module)
-            states[engine] = machine.counters.as_dict()
-        # post-trap counters follow the threaded engine's batch-charging
-        # semantics (a block's ops are counted before it executes), which
-        # the reference loop does not share; the tier-2 contract is that
-        # its except-path flush lands on *exactly* the threaded state —
-        # promoted slots and counter deltas written back, nothing lost
-        assert states["tier2"] == states["threaded"]
+            cells = {a: v for a, v in machine.mem.cells.items() if v != 0}
+            states.append((machine.counters.as_dict(), cells))
+        code = module._compiled.code[("main", False)]
+        assert re.search(r"\bx\d+ = r\d+", code.source), code.source
+        assert states[0] == states[1]
 
     def test_recursion_into_invalidated_region_recompiles(self):
-        # fib's whole body is an entry-headed candidate region; after
-        # invalidation the next run re-enters it through cold probes
-        # (recursively) and must recompile to the same observables
+        # after invalidation the next run re-enters fib through fresh
+        # stubs (recursively) and must regenerate to the same observables
         source = r"""
         int fib(int n) {
             if (n < 2) { return n; }
@@ -335,25 +377,25 @@ class TestTier2Deopt:
         """
         simple = _run(compile_source(source, FULL).module, "simple")
         module = compile_source(source, FULL).module
-        first = _run(module, "tier2")
-        _assert_identical(simple, first, "tier2 first run")
-        assert _tier2_compiled(module)
+        first = _run(module, "compiled")
+        _assert_identical(simple, first, "first run")
+        assert _compiled(module)
         invalidate_decoded(module)
-        assert not hasattr(module, "_tier2")
-        again = _run(module, "tier2")
-        _assert_identical(simple, again, "tier2 after invalidation")
-        assert _tier2_compiled(module)
+        assert not hasattr(module, "_compiled")
+        again = _run(module, "compiled")
+        _assert_identical(simple, again, "after invalidation")
+        assert _compiled(module)
 
     def test_pickle_and_deepcopy_strip_compiled_regions(self):
         module = compile_source(HOT_SOURCE, FULL).module
-        reference = _run(module, "tier2")
-        assert _tier2_compiled(module)
+        reference = _run(module, "compiled")
+        assert _compiled(module)
         clone = pickle.loads(pickle.dumps(module))
-        assert not hasattr(clone, "_tier2")
-        _assert_identical(reference, _run(clone, "tier2"), "pickle clone")
+        assert not hasattr(clone, "_compiled")
+        _assert_identical(reference, _run(clone, "compiled"), "pickle clone")
         deep = copy.deepcopy(module)
-        assert not hasattr(deep, "_tier2")
-        _assert_identical(reference, _run(deep, "tier2"), "deepcopy clone")
+        assert not hasattr(deep, "_compiled")
+        _assert_identical(reference, _run(deep, "compiled"), "deepcopy clone")
 
 
 def test_recursion_limit_restored_after_run():
@@ -368,5 +410,5 @@ def test_recursion_limit_restored_after_run():
         "int main(void) { int z = 0; return 1 / z; }", O0
     ).module
     with pytest.raises(InterpTrap):
-        Machine(trap, MachineOptions(engine="threaded")).run()
+        Machine(trap, MachineOptions(engine="compiled")).run()
     assert sys.getrecursionlimit() == old

@@ -278,8 +278,8 @@ class TestMemBulkOps:
 
 class TestIntrinsicCallPath:
     def test_intrinsic_accepts_tuple_args(self):
-        # the threaded engine's call thunks pass tuples, the reference
-        # engine passes lists; both must work
+        # the compiled tier passes tuples, the reference loop passes
+        # lists; both must work
         from repro.frontend import compile_c
         from repro.interp import Machine, MachineOptions
 

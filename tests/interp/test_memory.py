@@ -10,6 +10,7 @@ from repro.interp.memory import (
     STACK_BASE,
     STRING_BASE,
     MemoryImage,
+    frame_layout,
 )
 from repro.ir.tags import Tag, TagKind
 
@@ -111,33 +112,36 @@ class TestHeap:
 
 
 class TestFrameSlots:
-    """push_frame_slots is the threaded engine's list-backed view of a
-    frame; it must lay out addresses exactly like push_frame."""
+    """frame_layout is the one frame layout rule: push_frame and the
+    compiled tier's generated code both place slots with it."""
 
     def test_slots_parallel_to_tags(self):
-        mem = image_for("int g;")
         tags = [Tag("x", TagKind.LOCAL), Tag("y", TagKind.LOCAL)]
-        sp = mem.stack_ptr
-        slots = mem.push_frame_slots(tags, {"x": 8, "y": 8})
-        assert len(slots) == 2
-        assert slots[0] == sp
-        assert slots[1] > slots[0]
-        mem.pop_frame(sp)
-        assert mem.stack_ptr == sp
+        offsets, size = frame_layout(tags, {"x": 8, "y": 8})
+        assert list(offsets) == ["x", "y"]
+        assert offsets["x"] == 0
+        assert offsets["y"] > offsets["x"]
+        assert size == 16
 
     def test_same_layout_as_push_frame(self):
         tags = [Tag("a", TagKind.LOCAL), Tag("b", TagKind.LOCAL),
                 Tag("c", TagKind.LOCAL)]
         sizes = {"a": 4, "b": 40, "c": 8}
-        mem1 = image_for("int g;")
-        mem2 = image_for("int g;")
-        slots = mem1.push_frame_slots(tags, sizes)
-        by_name = mem2.push_frame(tags, sizes)
-        assert slots == [by_name[t.name] for t in tags]
-        assert mem1.stack_ptr == mem2.stack_ptr
+        mem = image_for("int g;")
+        sp = mem.stack_ptr
+        offsets, size = frame_layout(tags, sizes)
+        by_name = mem.push_frame(tags, sizes)
+        assert by_name == {name: sp + off for name, off in offsets.items()}
+        assert mem.stack_ptr == sp + size
+        mem.pop_frame(sp)
+        assert mem.stack_ptr == sp
 
     def test_overflow_raises(self):
         mem = image_for("int g;")
         tag = Tag("huge", TagKind.LOCAL)
+        sp = mem.stack_ptr
         with pytest.raises(InterpError, match="overflow"):
-            mem.push_frame_slots([tag], {"huge": 1 << 40})
+            mem.push_frame([tag], {"huge": 1 << 40})
+        with pytest.raises(InterpError, match="overflow"):
+            mem.reserve(1 << 40)
+        assert mem.stack_ptr == sp

@@ -72,8 +72,8 @@ class TestPooled:
         assert data.compile_result is None
 
     def test_timeout_yields_structured_failure(self):
-        # give the spinner several seconds of step fuel (the threaded
-        # engine runs ~10M ops/s); the 0.2s budget expires long before
+        # give the spinner several seconds of step fuel (the compiled
+        # engine runs ~20M ops/s); the 0.2s budget expires long before
         # and the suite moves on without waiting
         slow = make_spec(
             workload="spinner", source=SPIN_SOURCE, max_steps=200_000_000

@@ -5,8 +5,7 @@ import json
 import time
 
 from repro.pipeline import PipelineOptions, compile_and_run
-from repro.runner import telemetry
-from repro.runner.telemetry import (
+from repro.trace import (
     SpanEvent,
     chrome_trace,
     current_trace,
@@ -15,6 +14,7 @@ from repro.runner.telemetry import (
     module_op_count,
     span,
     tracing,
+    write_chrome_trace,
 )
 
 from tests.runner.helpers import GOOD_SOURCE
@@ -162,5 +162,5 @@ class TestExport:
 
     def test_write_chrome_trace(self, tmp_path):
         out = tmp_path / "trace.json"
-        telemetry.write_chrome_trace(out, self._traced_groups())
+        write_chrome_trace(out, self._traced_groups())
         assert json.loads(out.read_text())["traceEvents"]

@@ -17,14 +17,16 @@ int main() {
 }
 """
 
-#: ~1-2s of interpretation under the threaded engine — long enough to
-#: observe "busy", kill mid-request, or fire a deadline, short enough
-#: that a retry still finishes inside the test budget
+#: ~0.75s of interpretation under the compiled engine at the default
+#: 400000 iterations — long enough to observe "busy", kill mid-request,
+#: or fire a deadline, short enough that a retry still finishes inside
+#: the test budget
 SLOW_TEMPLATE = """
 long g;
 int main() {
-    long i;
-    for (i = 0; i < %d; i++) g += i;
+    long i; long j;
+    for (i = 0; i < %d; i++)
+        for (j = 0; j < 3; j++) g += i;
     return 0;
 }
 """

@@ -94,7 +94,7 @@ class TestBasicOps:
         async def scenario():
             async with serving() as server, connected(server) as client:
                 results = {}
-                for engine in ("simple", "threaded", "tier2"):
+                for engine in ("simple", "compiled"):
                     results[engine] = await client.call(
                         "run", {"source": FAST_SOURCE, "engine": engine}
                     )
@@ -205,7 +205,7 @@ class TestCaching:
             variant="modref/promo",
             source=workload.source,
             options=paper_variants()["modref/promo"],
-            machine=MachineOptions(max_steps=50_000_000, engine="threaded"),
+            machine=MachineOptions(max_steps=50_000_000, engine="compiled"),
             defines=tuple(sorted(workload.defines.items())),
         )
         payload = ResultCache(str(tmp_path)).get(spec_cache_key(spec))

@@ -24,32 +24,26 @@ def test_payload_schema_and_equivalence():
     entry = payload["programs"]["fft"]
     for engine in ENGINES:
         cell = entry[engine]
-        expected_keys = {
+        assert set(cell) == {
             "wall_s", "total_ops", "ops_per_sec", "engine", "speedup_vs_simple"
         }
-        if engine == "tier2":
-            expected_keys.add("speedup_vs_threaded")
-        assert set(cell) == expected_keys
         assert cell["engine"] == engine
         assert cell["wall_s"] > 0
         assert cell["ops_per_sec"] > 0
-    # every engine executed the identical op stream
-    assert entry["simple"]["total_ops"] == entry["threaded"]["total_ops"]
-    assert entry["simple"]["total_ops"] == entry["tier2"]["total_ops"]
+    # both engines executed the identical op stream
+    assert entry["simple"]["total_ops"] == entry["compiled"]["total_ops"]
     assert entry["simple"]["speedup_vs_simple"] == 1.0
     summary = payload["summary"]
     assert summary["programs"] == 1
-    # schema-1 headline numbers are preserved (threaded vs simple)...
-    assert summary["geomean_speedup"] == entry["threaded"]["speedup_vs_simple"]
-    # ...and the per-pair summary covers every engine pair
+    # the per-pair summary covers the one engine pair
     assert set(summary["speedups"]) == {
         f"{num}_vs_{den}" for num, den in ENGINE_PAIRS
-    }
+    } == {"compiled_vs_simple"}
     for cell in summary["speedups"].values():
         assert {"geomean", "min", "max"} <= set(cell)
     assert (
-        summary["speedups"]["tier2_vs_threaded"]["geomean"]
-        == entry["tier2"]["speedup_vs_threaded"]
+        summary["speedups"]["compiled_vs_simple"]["geomean"]
+        == entry["compiled"]["speedup_vs_simple"]
     )
     for engine in ENGINES:
         assert summary[f"total_wall_{engine}_s"] > 0
@@ -71,7 +65,7 @@ def test_format_bench_renders_summary():
     table = format_bench(payload)
     assert "geomean speedup" in table
     assert "fft" in table
-    assert "tier2 vs threaded" in table
+    assert "compiled vs simple" in table
 
 
 class TestRegressionGate:
@@ -86,29 +80,20 @@ class TestRegressionGate:
         }
 
     def test_no_regression_within_tolerance(self):
-        baseline = self._payload(tier2_vs_threaded=2.0, threaded_vs_simple=4.0)
-        current = self._payload(tier2_vs_threaded=1.9, threaded_vs_simple=3.8)
+        baseline = self._payload(compiled_vs_simple=12.0)
+        current = self._payload(compiled_vs_simple=11.0)
         assert check_regression(current, baseline, tolerance_pct=25.0) == []
 
     def test_regression_past_tolerance_fails_per_pair(self):
-        baseline = self._payload(tier2_vs_threaded=2.0, threaded_vs_simple=4.0)
-        current = self._payload(tier2_vs_threaded=1.0, threaded_vs_simple=3.8)
+        baseline = self._payload(compiled_vs_simple=12.0, other_vs_simple=2.0)
+        current = self._payload(compiled_vs_simple=6.0, other_vs_simple=2.0)
         failures = check_regression(current, baseline, tolerance_pct=25.0)
         assert len(failures) == 1
-        assert "tier2_vs_threaded" in failures[0]
-
-    def test_schema1_baseline_gates_only_threaded_pair(self):
-        baseline = {"summary": {"geomean_speedup": 4.0}}
-        ok = self._payload(threaded_vs_simple=3.9, tier2_vs_threaded=0.1)
-        assert check_regression(ok, baseline, tolerance_pct=25.0) == []
-        bad = self._payload(threaded_vs_simple=1.0, tier2_vs_threaded=0.1)
-        failures = check_regression(bad, baseline, tolerance_pct=25.0)
-        assert len(failures) == 1
-        assert "threaded_vs_simple" in failures[0]
+        assert "compiled_vs_simple" in failures[0]
 
     def test_missing_pair_in_current_is_skipped(self):
-        baseline = self._payload(tier2_vs_threaded=2.0)
-        current = self._payload(threaded_vs_simple=4.0)
+        baseline = self._payload(retired_vs_simple=2.0)
+        current = self._payload(compiled_vs_simple=12.0)
         assert check_regression(current, baseline, tolerance_pct=25.0) == []
 
 
@@ -124,9 +109,9 @@ def test_cli_bench_writes_json(tmp_path, capsys):
 def test_cli_bench_gates_against_baseline(tmp_path, capsys):
     out = tmp_path / "BENCH_interp.json"
     baseline = tmp_path / "baseline.json"
-    # an impossible baseline: tier2 would need a 1000x geomean
+    # an impossible baseline: the compiled tier would need a 1000x geomean
     baseline.write_text(json.dumps({
-        "summary": {"speedups": {"tier2_vs_threaded": {"geomean": 1000.0}}}
+        "summary": {"speedups": {"compiled_vs_simple": {"geomean": 1000.0}}}
     }))
     code = main([
         "bench", "fft", "--repeats", "1", "--out", str(out),
@@ -137,7 +122,7 @@ def test_cli_bench_gates_against_baseline(tmp_path, capsys):
 
     # a trivially satisfiable baseline passes
     baseline.write_text(json.dumps({
-        "summary": {"speedups": {"tier2_vs_threaded": {"geomean": 0.001}}}
+        "summary": {"speedups": {"compiled_vs_simple": {"geomean": 0.001}}}
     }))
     code = main([
         "bench", "fft", "--repeats", "1", "--out", str(out),

@@ -31,23 +31,32 @@ class TestGlobalSpanIsFreeWhenOff:
 
 class TestEngineHotPathUntraced:
     def test_exec_entry_keeps_the_original_untraced_path(self):
-        from repro.interp.engine import exec_entry
+        from repro.interp.compiled import exec_entry
 
         source = inspect.getsource(exec_entry)
         untraced = source.split("if trace is None:", 1)[1]
         untraced = untraced.split("cached =", 1)[0]
-        # the trace-off branch calls straight into exec_function with no
-        # span machinery
+        # the trace-off branch calls straight into the generated code
+        # with no span machinery
         assert "span" not in untraced
-        assert "exec_function" in untraced
+        assert "_call_entry" in untraced
 
     def test_exec_function_dispatch_loop_has_no_tracing(self):
-        """The per-block dispatch loop must never consult the trace."""
-        from repro.interp.engine import exec_function
+        """The generated dispatch loops must never consult the trace."""
+        from repro.interp import Machine, MachineOptions
+        from repro.pipeline import compile_source
 
-        source = inspect.getsource(exec_function)
-        assert "trace" not in source
-        assert "span" not in source
+        module = compile_source(
+            "int f(int n) { int i; int s = 0;"
+            " for (i = 0; i < n; i++) { s += i; } return s; }"
+            " int main(void) { return f(10); }"
+        ).module
+        Machine(module, MachineOptions(engine="compiled")).run()
+        sources = [code.source for code in module._compiled.code.values()]
+        assert len(sources) == 2
+        for source in sources:
+            assert "trace" not in source
+            assert "span" not in source
 
 
 class TestPipelineSpansAreAnonymousCompatible:
