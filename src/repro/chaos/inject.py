@@ -98,8 +98,8 @@ def corrupt_cache_entry(cache, key: str) -> bool:
     """Overwrite the cached entry with bytes that are not JSON.
 
     Returns whether an entry existed to corrupt.  The read that follows
-    must treat the entry as a miss (``ResultCache.get`` already rejects
-    undecodable payloads), never serve garbage — that is the invariant
+    must treat the entry as a miss (the store logs, unlinks and misses on
+    undecodable entries), never serve garbage — that is the invariant
     this site exists to exercise.
     """
     path = cache.path_for(key)

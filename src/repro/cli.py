@@ -281,17 +281,16 @@ def cmd_suite(args: argparse.Namespace) -> int:
         print(f"available: {workload_names()}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    fn_store = None
+    cache = fn_store = None
     if not args.no_cache:
         from .inccomp import FunctionStore
 
+        cache = ResultCache(args.cache_dir)
         fn_store = FunctionStore(Path(args.cache_dir) / "fn")
     if args.clear_cache and cache is not None:
         removed = cache.clear()
-        fn_removed = fn_store.clear() if fn_store is not None else 0
         print(
-            f"cache cleared ({removed} cells, {fn_removed} functions)",
+            f"cache cleared ({removed} cells, {fn_store.clear()} functions)",
             file=sys.stderr,
         )
 

@@ -108,7 +108,7 @@ def run_campaign(
     stop = False
     from ..inccomp import FunctionStore
 
-    fn_store = FunctionStore(root=None, max_entries=4096)
+    fn_store = FunctionStore(root=None)
 
     # last-N program history + recent log records ride along in every
     # divergence artifact (see _handle_divergence)

@@ -398,7 +398,7 @@ def make_divergence_predicate(
     scheduler_log = logging.getLogger("repro.runner.scheduler")
     # one warm memo across every probe: ddmin deletes a few lines per
     # candidate, so most of each probe's functions hit the store
-    fn_store = FunctionStore(root=None, max_entries=4096)
+    fn_store = FunctionStore(root=None)
 
     def predicate(source: str) -> bool:
         # most probes fail to compile by design; the scheduler's per-cell

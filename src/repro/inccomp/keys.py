@@ -19,7 +19,7 @@ key is a SHA-256 over all of them:
    set, addressed functions, and every function's local-tag attributes —
    the universe register promotion materializes ambiguity against.
 3. **The pipeline options**, via the same canonical JSON encoding the
-   cell cache uses.
+   cell cache uses (:mod:`repro.store`).
 4. **The compiler's own source fingerprint**, so editing any pass
    invalidates every cached body.
 
@@ -30,14 +30,11 @@ they get their own namespace rather than polluting plain compiles.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from ..ir.function import Function
 from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.printer import format_function
-from ..runner.cache import _jsonable, code_fingerprint
+from ..store import canonical_digest, code_fingerprint
 
 __all__ = [
     "FN_SCHEMA_VERSION",
@@ -52,21 +49,13 @@ __all__ = [
 FN_SCHEMA_VERSION = 1
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _tag_attrs(tag) -> list:
     return [tag.name, tag.kind.value, tag.is_scalar, tag.owner]
 
 
 def options_digest(options) -> str:
     """Canonical digest of a :class:`~repro.pipeline.PipelineOptions`."""
-    return _sha256(_canonical(_jsonable(options)))
+    return canonical_digest(options)
 
 
 def module_env_digest(module: Module) -> str:
@@ -103,7 +92,7 @@ def module_env_digest(module: Module) -> str:
             for func in sorted(module.functions.values(), key=lambda f: f.name)
         ],
     }
-    return _sha256(_canonical(env))
+    return canonical_digest(env)
 
 
 def function_digest(func: Function) -> str:
@@ -125,7 +114,7 @@ def function_digest(func: Function) -> str:
         "next_vreg": func._next_vreg,
         "next_label": func._next_label,
     }
-    return _sha256(format_function(func) + "\0" + _canonical(supplement))
+    return canonical_digest([format_function(func), supplement])
 
 
 def function_key(
@@ -135,15 +124,13 @@ def function_key(
     ledgered: bool,
 ) -> str:
     """The content address of one function's optimized body."""
-    return _sha256(
-        _canonical(
-            {
-                "schema": FN_SCHEMA_VERSION,
-                "code": code_fingerprint(),
-                "fn": fn_digest,
-                "env": env_digest,
-                "options": opts_digest,
-                "ledgered": ledgered,
-            }
-        )
+    return canonical_digest(
+        {
+            "schema": FN_SCHEMA_VERSION,
+            "code": code_fingerprint(),
+            "fn": fn_digest,
+            "env": env_digest,
+            "options": opts_digest,
+            "ledgered": ledgered,
+        }
     )

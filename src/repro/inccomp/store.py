@@ -1,19 +1,12 @@
-"""The on-disk / in-memory store of optimized function bodies.
+"""The store of optimized function bodies: a :class:`repro.store.Store`
+of :class:`FunctionRecord` pickles (``<root>/<2 hex>/<key>.pkl``).
 
-Layout mirrors the cell cache: ``<root>/<first two hex>/<key>.pkl``,
-write-then-rename so concurrent compilations (suite workers, serve
-workers sharing one directory) never observe a torn entry.  Payloads are
-pickles of :class:`FunctionRecord` — the optimized
-:class:`~repro.ir.function.Function` plus everything the pipeline must
-replay to stay observably identical to a from-scratch compile: pass
-reports, additive pass-stat contributions, and the decision-ledger rows
-the function's passes recorded.
-
-``get`` always unpickles from bytes (memoized in memory), so every hit
-hands out a *fresh* object graph — a spliced function is never shared
-between two modules.  ``root=None`` keeps the store memory-only (the
-serve workers' warm memo); ``max_entries`` bounds the memory layer with
-FIFO eviction for long fuzz campaigns.
+A record is the optimized :class:`~repro.ir.function.Function` plus
+everything the pipeline must replay to stay observably identical to a
+from-scratch compile: pass reports, additive pass-stat contributions,
+and the decision-ledger rows the function's passes recorded.  The
+memory layer unpickles on every hit, so a spliced function is never
+shared between two modules.  ``root=None`` is memory-only.
 """
 
 from __future__ import annotations
@@ -23,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..diag.log import get_logger
+from ..store import Store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..diag.ledger import Decision
@@ -32,8 +25,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["DEFAULT_FN_CACHE_DIR", "FunctionRecord", "FunctionStore"]
 
 DEFAULT_FN_CACHE_DIR = Path(".repro-cache") / "fn"
-
-_log = get_logger(__name__)
 
 
 @dataclass
@@ -53,90 +44,16 @@ class FunctionRecord:
     seconds: float = 0.0
 
 
-class FunctionStore:
+class FunctionStore(Store):
     """Content-addressed store of :class:`FunctionRecord` pickles."""
 
-    def __init__(
-        self,
-        root: str | Path | None = DEFAULT_FN_CACHE_DIR,
-        max_entries: int | None = None,
-    ) -> None:
-        self.root = Path(root) if root is not None else None
-        self.max_entries = max_entries
-        self._memory: dict[str, bytes] = {}
-        self.hits = 0
-        self.misses = 0
+    suffix = ".pkl"
+    memory = True
+    encode = staticmethod(pickle.dumps)
+    decode = staticmethod(pickle.loads)
 
-    def __getstate__(self) -> dict:
-        # stores travel to pool workers by pickle; the in-memory memo is
-        # a per-process warm layer and would be dead weight on the wire
-        state = self.__dict__.copy()
-        state["_memory"] = {}
-        return state
+    def __init__(self, root: str | Path | None = DEFAULT_FN_CACHE_DIR) -> None:
+        super().__init__(root)
 
-    def path_for(self, key: str) -> Path:
-        if self.root is None:
-            raise ValueError("memory-only store has no paths")
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def _remember(self, key: str, blob: bytes) -> None:
-        if self.max_entries is not None and key not in self._memory:
-            while len(self._memory) >= self.max_entries:
-                self._memory.pop(next(iter(self._memory)))
-        self._memory[key] = blob
-
-    def get(self, key: str) -> FunctionRecord | None:
-        blob = self._memory.get(key)
-        if blob is None and self.root is not None:
-            try:
-                blob = self.path_for(key).read_bytes()
-            except OSError:
-                blob = None
-            if blob is not None:
-                self._remember(key, blob)
-        if blob is None:
-            self.misses += 1
-            return None
-        try:
-            record = pickle.loads(blob)
-        except Exception as error:  # corrupt entry: treat as a miss
-            _log.warning("dropping corrupt fn-cache entry %s: %s", key, error)
-            self._memory.pop(key, None)
-            if self.root is not None:
-                self.path_for(key).unlink(missing_ok=True)
-            self.misses += 1
-            return None
-        if not isinstance(record, FunctionRecord):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: FunctionRecord) -> None:
-        blob = pickle.dumps(record)
-        self._remember(key, blob)
-        if self.root is None:
-            return
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{id(self)}")
-        tmp.write_bytes(blob)
-        tmp.replace(path)
-
-    def clear(self) -> int:
-        """Remove every entry (memory and disk); returns the disk count."""
-        self._memory.clear()
-        removed = 0
-        if self.root is None or not self.root.exists():
-            return removed
-        for path in self.root.rglob("*.pkl"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if self.root is None:
-            return len(self._memory)
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.rglob("*.pkl"))
+    def accepts(self, record) -> bool:
+        return isinstance(record, FunctionRecord)

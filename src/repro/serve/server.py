@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -48,6 +46,7 @@ from ..diag.host import host_metadata
 from ..diag.log import get_logger
 from ..interp import MachineOptions
 from ..pipeline import Analysis, PipelineOptions, paper_variants
+from ..store import canonical_digest
 from ..trace import (
     FlightRecorder,
     HeadSampler,
@@ -470,8 +469,8 @@ class ReproServer:
 
     def _cache_chaos(self, token: str, key: str) -> None:
         """Corrupt or evict the cached entry before the read.  Either
-        way the read must degrade to a miss (``ResultCache.get`` rejects
-        undecodable payloads) — never serve garbage."""
+        way the read must degrade to a miss (the store drops undecodable
+        entries) — never serve garbage."""
         from ..chaos.inject import corrupt_cache_entry, evict_cache_entry
 
         fault = self.chaos.decide("cache.corrupt", token)
@@ -624,9 +623,7 @@ class ReproServer:
     def _aux_key(op: str, source: str, defines, options, extra=None) -> str:
         from ..runner.cache import cell_key
 
-        digest = hashlib.sha256(
-            json.dumps(extra or {}, sort_keys=True).encode()
-        ).hexdigest()
+        digest = canonical_digest(extra or {})
         return f"{op}:{cell_key(source, defines, options, None)}:{digest}"
 
     @staticmethod

@@ -1,10 +1,9 @@
-"""Unit tests for the `repro.inccomp` building blocks: the store's
-persistence/eviction/corruption behavior, key-digest invariants the
-property tests don't reach, the edit helper, and the bench gate."""
+"""Unit tests for the `repro.inccomp` building blocks: the function
+store's memory-only configuration (the mechanics both stores share are
+in tests/test_store.py), key-digest invariants the property tests don't
+reach, the edit helper, and the bench gate."""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -23,7 +22,6 @@ from repro.inccomp.bench import (
     check_compile_gate,
     format_compile_bench,
 )
-from repro.ir.printer import format_function
 
 TINY = (
     "int add(int a, int b) {\n    return a + b;\n}\n"
@@ -41,17 +39,6 @@ def make_record(name: str = "add") -> FunctionRecord:
 # ---------------------------------------------------------------------------
 
 class TestFunctionStore:
-    def test_memory_only_roundtrip_hands_out_fresh_objects(self):
-        store = FunctionStore(root=None)
-        store.put("k1", make_record())
-        first = store.get("k1")
-        second = store.get("k1")
-        assert first is not None and second is not None
-        assert first is not second
-        assert first.function is not second.function
-        assert format_function(first.function) == format_function(second.function)
-        assert (store.hits, store.misses) == (2, 0)
-
     def test_miss_counts(self):
         store = FunctionStore(root=None)
         assert store.get("absent") is None
@@ -69,54 +56,10 @@ class TestFunctionStore:
         with pytest.raises(ValueError):
             FunctionStore(root=None).path_for("deadbeef")
 
-    def test_fifo_eviction_bounds_memory_layer(self):
-        store = FunctionStore(root=None, max_entries=2)
-        record = make_record()
-        store.put("k1", record)
-        store.put("k2", record)
-        store.put("k3", record)  # evicts k1
-        assert len(store) == 2
-        assert store.get("k1") is None
-        assert store.get("k2") is not None
-        assert store.get("k3") is not None
-
-    def test_corrupt_disk_entry_is_dropped_and_misses(self, tmp_path):
-        store = FunctionStore(root=tmp_path)
-        store.put("cc22", make_record())
-        path = store.path_for("cc22")
-        path.write_bytes(b"not a pickle")
-        fresh = FunctionStore(root=tmp_path)
-        assert fresh.get("cc22") is None
-        assert fresh.misses == 1
-        assert not path.exists()  # corrupt entry unlinked
-
-    def test_wrong_payload_type_is_a_miss(self):
-        store = FunctionStore(root=None)
-        store._memory["k1"] = pickle.dumps({"not": "a record"})
-        assert store.get("k1") is None
-        assert store.misses == 1
-
-    def test_clear_removes_memory_and_disk(self, tmp_path):
-        store = FunctionStore(root=tmp_path)
-        store.put("aa11", make_record())
-        store.put("bb22", make_record())
-        assert len(store) == 2
-        assert store.clear() == 2
-        assert len(store) == 0
-        assert store.get("aa11") is None
-
     def test_clear_on_empty_roots(self, tmp_path):
         assert FunctionStore(root=None).clear() == 0
         assert FunctionStore(root=tmp_path / "never-made").clear() == 0
         assert len(FunctionStore(root=tmp_path / "never-made")) == 0
-
-    def test_pickling_a_store_drops_the_memory_layer(self):
-        store = FunctionStore(root=None, max_entries=7)
-        store.put("k1", make_record())
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone._memory == {}
-        assert clone.max_entries == 7
-        assert clone.root is None
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,19 @@ class TestSuite:
         assert "cache cleared (4 cells, " in cleared
         assert " functions)" in cleared
 
+    def test_unwritable_cache_dir_degrades_to_uncached(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, so nothing can be created below it")
+        args = ["suite", "dhrystone", "--cache-dir", str(blocker / "cache")]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "FAILED" not in err
+        cells = [line for line in err.splitlines() if line.startswith("  dhrystone ")]
+        assert len(cells) == 4
+        assert all(line.endswith("s") for line in cells)  # timed, not cached
+        assert "left uncached" in err
+        assert "cache: 0 hits, 4 misses" in err
+
     def test_trace_export(self, tmp_path, capsys):
         import json
 

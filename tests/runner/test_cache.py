@@ -1,10 +1,13 @@
 """Result cache: key discipline, hit/miss behaviour, and invalidation."""
 
+import logging
+import multiprocessing
+import sys
 from dataclasses import replace
 
 from repro.interp import MachineOptions
 from repro.pipeline import Analysis, PipelineOptions
-from repro.runner.cache import ResultCache, cell_key
+from repro.runner.cache import SCHEMA_VERSION, ResultCache, cell_key
 from repro.runner.scheduler import CellData, CellFailure, run_cells, spec_cache_key
 
 from tests.runner.helpers import CRASH_SOURCE, GOOD_SOURCE, make_spec
@@ -100,3 +103,49 @@ class TestResultCache:
         warm = run_cells([spec], jobs=1, cache=cache)[spec.key]
         assert warm.from_cache
         assert warm.counters == cold.counters
+
+
+def _hammer(cache: ResultCache, key: str, payload: dict, puts: int) -> None:
+    """Put then read back ``puts`` times; exit with the number of raised
+    exceptions, torn read-backs and logged warnings (failed or dropped
+    entries) seen."""
+    problems = []
+
+    class Count(logging.Handler):
+        def emit(self, record):
+            problems.append(record.getMessage())
+
+    logger = logging.getLogger("repro")
+    logger.addHandler(Count(logging.WARNING))
+    logger.setLevel(logging.WARNING)
+    for _ in range(puts):
+        try:
+            cache.put(key, payload)
+            if cache.get(key) != {"schema": SCHEMA_VERSION, **payload}:
+                problems.append("torn read")
+        except Exception as error:  # noqa: BLE001 - counting is the test
+            problems.append(repr(error))
+    sys.exit(min(len(problems), 100))
+
+
+def test_forked_writers_share_one_key_safely(tmp_path):
+    # forked copies of one cache object: the temp-file name must still
+    # differ per process and per write
+    cache = ResultCache(tmp_path)
+    key = spec_cache_key(make_spec())
+    payload = {"output": "x" * 200_000, "counters": {"loads": 1}}
+    fork = multiprocessing.get_context("fork")
+    writers = [
+        fork.Process(target=_hammer, args=(cache, key, payload, 150))
+        for _ in range(4)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=120)
+        if writer.is_alive():  # hung: stop it, and fail on its exit code
+            writer.kill()
+            writer.join()
+    assert [writer.exitcode for writer in writers] == [0, 0, 0, 0]
+    assert ResultCache(tmp_path).get(key) == {"schema": SCHEMA_VERSION, **payload}
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [f"{key}.json"]

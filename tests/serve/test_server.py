@@ -165,6 +165,24 @@ class TestCaching:
 
         run_async(scenario())
 
+    def test_unwritable_cache_dir_answers_uncached(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, so nothing can be created below it")
+
+        async def scenario():
+            async with serving(cache_dir=str(blocker / "cache")) as server:
+                async with connected(server) as client:
+                    params = {"source": FAST_SOURCE, "name": "uncached"}
+                    first = await client.call("run", params)
+                    second = await client.call("run", params)
+                # the failed write-back cost the cache entry, not the answer
+                assert not first["from_cache"] and not second["from_cache"]
+                assert second["counters"] == first["counters"]
+                assert server.metrics.registry.get("serve.executed") == 2
+
+        # a write-back that raises leaves the client waiting: bound it
+        run_async(asyncio.wait_for(scenario(), timeout=60))
+
     def test_no_cache_must_be_boolean(self):
         async def scenario():
             async with serving() as server, connected(server) as client:
