@@ -9,8 +9,7 @@ This benchmark runs scalar-promotion-only vs scalar+pointer promotion on
 a representative subset and checks fft is where the wins live.
 """
 
-from benchmarks.conftest import write_artifact
-from repro.harness import run_single
+from benchmarks.conftest import run_workload, write_artifact
 from repro.pipeline import Analysis, PipelineOptions
 
 PROGRAMS = ["fft", "mlink", "go", "compress", "tsp"]
@@ -19,11 +18,11 @@ PROGRAMS = ["fft", "mlink", "go", "compress", "tsp"]
 def run_matrix():
     results = {}
     for name in PROGRAMS:
-        scalar = run_single(
+        scalar = run_workload(
             name,
             PipelineOptions(analysis=Analysis.POINTER, pointer_promotion=False),
         )
-        both = run_single(
+        both = run_workload(
             name,
             PipelineOptions(analysis=Analysis.POINTER, pointer_promotion=True),
         )

@@ -12,8 +12,7 @@ loss; with a large one, promotion wins outright.  It also demonstrates
 the throttle (``max_promoted_per_loop``) recovering most of the loss.
 """
 
-from benchmarks.conftest import write_artifact
-from repro.harness import run_single
+from benchmarks.conftest import run_workload, write_artifact
 from repro.opt.promotion import PromotionOptions
 from repro.pipeline import PipelineOptions
 from repro.regalloc import RegAllocOptions
@@ -25,13 +24,13 @@ def run_sweep():
     rows = []
     for k in KS:
         regalloc = RegAllocOptions(num_registers=k)
-        nopromo = run_single(
+        nopromo = run_workload(
             "water", PipelineOptions(promotion=False, regalloc=regalloc)
         )
-        promo = run_single(
+        promo = run_workload(
             "water", PipelineOptions(promotion=True, regalloc=regalloc)
         )
-        throttled = run_single(
+        throttled = run_workload(
             "water",
             PipelineOptions(
                 promotion=True,
@@ -39,7 +38,7 @@ def run_sweep():
                 promotion_options=PromotionOptions(max_promoted_per_loop=8),
             ),
         )
-        aware = run_single(
+        aware = run_workload(
             "water",
             PipelineOptions(
                 promotion=True,

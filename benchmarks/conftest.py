@@ -61,3 +61,20 @@ def write_artifact(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text + "\n")
     print()
     print(text)
+
+
+def run_workload(name: str, options, max_steps: int = 50_000_000):
+    """One (program, pipeline-variant) cell outside the paper's matrix —
+    the ablations' unit of work."""
+    from repro.interp import MachineOptions
+    from repro.pipeline import compile_and_run
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    return compile_and_run(
+        workload.source,
+        options,
+        name=workload.name,
+        defines=workload.defines,
+        machine_options=MachineOptions(max_steps=max_steps),
+    )

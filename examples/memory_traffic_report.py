@@ -11,7 +11,8 @@ vs with promotion; MOD/REF vs points-to) for the chosen programs.
 
 import sys
 
-from repro.harness import format_figure, run_program_matrix
+from repro.harness import format_figure
+from repro.runner import run_suite_report
 from repro.workloads import get_workload, workload_names
 
 
@@ -23,11 +24,17 @@ def main() -> None:
             f"unknown workload(s) {unknown}; choose from {workload_names()}"
         )
 
-    results = {}
-    for name in names:
-        workload = get_workload(name)
-        print(f"compiling and running {name} (4 variants)...", flush=True)
-        results[name] = run_program_matrix(workload)
+    print(
+        f"compiling and running {', '.join(names)} (4 variants each)...",
+        flush=True,
+    )
+    report = run_suite_report(names)
+    if not report.ok:
+        raise SystemExit(
+            f"suite failed: {[f.as_dict() for f in report.failures]} "
+            f"{report.disagreements}"
+        )
+    results = report.results
 
     for metric in ("total_ops", "stores", "loads"):
         print()

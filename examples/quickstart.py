@@ -39,7 +39,9 @@ def main() -> None:
         c = cell.counters
         print(f"{name:<18} {c.total_ops:>10} {c.loads:>8} {c.stores:>8}")
 
-    check_outputs_agree(cells)
+    disagreements = check_outputs_agree(cells)
+    if disagreements:
+        raise SystemExit("; ".join(disagreements))
     print()
     print("program output (identical for every variant):")
     print(" ", cells["modref/promo"].output.strip())

@@ -7,10 +7,14 @@ Public API, top to bottom:
 * :class:`repro.pipeline.PipelineOptions` / :func:`repro.pipeline.compile_and_run`
   — one cell of the paper's experiment matrix;
 * :func:`repro.pipeline.paper_variants` — the four cells of Figures 5-7;
-* :func:`repro.harness.run_suite` / :func:`repro.harness.format_figure`
-  — regenerate the paper's tables over the 14-program suite;
-* :mod:`repro.runner` — the parallel/cached/instrumented experiment
-  scheduler behind the suite (see docs/RUNNER.md);
+* :func:`repro.pipeline.check_outputs_agree` — the end-to-end oracle:
+  every variant of a program prints the same output;
+* :func:`repro.runner.run_suite_report` / :func:`repro.harness.format_figure`
+  — run the matrix over the 14-program suite (parallel, cached,
+  instrumented; see docs/RUNNER.md) and regenerate the paper's tables;
+* :class:`repro.diag.metrics.MetricsRegistry` — the one counter, gauge
+  and latency-histogram registry the passes, suite cells and server
+  publish into;
 * :mod:`repro.opt.promotion` — the promotion algorithm itself, usable on
   hand-built IL (see the Figure 2 tests).
 """

@@ -198,7 +198,7 @@ async def _soak(config: SoakConfig, tmp_root: Path) -> dict:
     await server.drain()
     duration_s = time.perf_counter() - started
 
-    registry = server.metrics.registry
+    registry = server.metrics
     crash_replacements = int(
         registry.get("serve.worker_restarts.crash") or 0
     ) + int(registry.get("serve.worker_restarts.idle_crash") or 0)

@@ -58,6 +58,7 @@ import sys
 from pathlib import Path
 
 from .diag.log import setup_logging
+from .errors import ReproError
 from .frontend import compile_c
 from .interp import MachineOptions, run_module
 from .ir.printer import format_module
@@ -199,7 +200,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             profiles[name] = profile_loops(compiled.module, run.block_visits or {})
         c = run.counters
         print(f"{name:<18} {c.total_ops:>12} {c.loads:>10} {c.stores:>10}")
-    check_outputs_agree(cells)
+    disagreements = check_outputs_agree(cells)
+    if disagreements:
+        raise ReproError("; ".join(disagreements))
     print()
     for line in _promotion_summary(cells):
         print(line)

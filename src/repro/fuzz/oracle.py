@@ -53,8 +53,8 @@ from ..diag.ledger import Decision
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
 from ..opt.promotion import PromotionOptions
-from ..pipeline import Analysis, PipelineOptions
-from ..runner.scheduler import CellData, CellFailure, CellSpec, run_cells
+from ..pipeline import Analysis, ExperimentCell, PipelineOptions
+from ..runner.scheduler import CellFailure, CellSpec, run_cells
 from .gen import FuzzProgram
 
 ENGINES = ("compiled", "simple")
@@ -198,17 +198,17 @@ def build_oracle_specs(
 
 def classify_outcomes(
     program: FuzzProgram,
-    outcomes: dict[str, CellData | CellFailure],
+    outcomes: dict[str, ExperimentCell | CellFailure],
 ) -> OracleReport:
     """Fold one program's cell outcomes into an :class:`OracleReport`.
 
     ``outcomes`` maps ``"<level>+<engine>"`` → cell outcome.
     """
     report = OracleReport(program=program, status="ok")
-    successes: dict[str, CellData] = {}
+    successes: dict[str, ExperimentCell] = {}
     failures: dict[str, CellFailure] = {}
     for variant, outcome in outcomes.items():
-        if isinstance(outcome, CellData):
+        if isinstance(outcome, ExperimentCell):
             successes[variant] = outcome
             report.cells[variant] = {
                 "exit_code": outcome.exit_code,
@@ -283,7 +283,7 @@ def classify_outcomes(
             )
 
     # engine equivalence ----------------------------------------------------
-    by_level: dict[str, dict[str, CellData]] = {}
+    by_level: dict[str, dict[str, ExperimentCell]] = {}
     for variant, data in successes.items():
         level, _, engine = variant.rpartition("+")
         by_level.setdefault(level, {})[engine] = data

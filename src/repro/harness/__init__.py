@@ -1,13 +1,10 @@
-"""Experiment harness: the paper's Figures 5-7 matrix and formatting."""
+"""Experiment harness: the paper's Figures 5-7 rows and formatting."""
 
 from .experiments import (
     FigureRow,
     METRICS,
     ProgramResult,
     figure_rows,
-    run_program_matrix,
-    run_single,
-    run_suite,
 )
 from .tables import format_figure, format_rows, summary_line
 
@@ -18,8 +15,5 @@ __all__ = [
     "figure_rows",
     "format_figure",
     "format_rows",
-    "run_program_matrix",
-    "run_single",
-    "run_suite",
     "summary_line",
 ]

@@ -1,27 +1,17 @@
-"""The Figures 5-7 experiment harness.
+"""The Figures 5-7 result shapes.
 
-Runs the paper's four-variant matrix — {MOD/REF, points-to} x {without,
-with promotion} — over the 14-program suite, checks that every variant
-produces identical program output (the end-to-end correctness oracle),
-and tabulates total operations, stores, and loads exactly like the
-paper's figures: ``without | with | difference | % removed`` per program
-per analysis.
+:func:`repro.runner.run_suite_report` runs the paper's four-variant
+matrix — {MOD/REF, points-to} x {without, with promotion} — and groups
+its cells per program into :class:`ProgramResult`; this module tabulates
+total operations, stores, and loads exactly like the paper's figures:
+``without | with | difference | % removed`` per program per analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..interp import MachineOptions
-from ..pipeline import (
-    ExperimentCell,
-    PipelineOptions,
-    check_outputs_agree,
-    compile_and_run,
-    paper_variants,
-)
-from ..regalloc import RegAllocOptions
-from ..workloads import Workload, get_workload
+from ..pipeline import ExperimentCell
 
 #: the metrics the paper reports, figure by figure
 METRICS = ("total_ops", "stores", "loads")
@@ -69,75 +59,6 @@ class FigureRow:
         return 100.0 * self.difference / self.without
 
 
-def run_program_matrix(
-    workload: Workload,
-    pointer_promotion: bool = False,
-    regalloc: RegAllocOptions | None = None,
-    max_steps: int = 50_000_000,
-    check_agreement: bool = True,
-) -> ProgramResult:
-    """Compile and run all four variants of one workload."""
-    result = ProgramResult(name=workload.name)
-    machine = MachineOptions(max_steps=max_steps)
-    for variant, options in paper_variants(
-        pointer_promotion=pointer_promotion, regalloc=regalloc
-    ).items():
-        result.cells[variant] = compile_and_run(
-            workload.source,
-            options,
-            name=workload.name,
-            defines=workload.defines,
-            machine_options=machine,
-        )
-    if check_agreement:
-        check_outputs_agree(result.cells)
-    return result
-
-
-def run_suite(
-    names: list[str] | None = None,
-    pointer_promotion: bool = False,
-    regalloc: RegAllocOptions | None = None,
-    *,
-    jobs: int = 1,
-    max_steps: int = 50_000_000,
-    cache=None,
-    timeout: float | None = None,
-    retries: int = 1,
-) -> dict[str, ProgramResult]:
-    """The full suite (or a named subset), one matrix per program.
-
-    Delegates to the :mod:`repro.runner` scheduler: ``jobs`` fans the
-    (program, variant) cells out over worker processes and ``cache``
-    (a :class:`repro.runner.ResultCache`) reuses prior results.  Any cell
-    failure or output disagreement raises :class:`~repro.errors.ReproError`
-    — callers that want per-cell failures instead should use
-    :func:`repro.runner.run_suite_report` directly.
-    """
-    from ..errors import ReproError
-    from ..runner.report import run_suite_report
-
-    report = run_suite_report(
-        names,
-        pointer_promotion=pointer_promotion,
-        regalloc=regalloc,
-        max_steps=max_steps,
-        jobs=jobs,
-        cache=cache,
-        timeout=timeout,
-        retries=retries,
-    )
-    if report.disagreements:
-        raise ReproError("; ".join(report.disagreements))
-    if report.failures:
-        failed = ", ".join(
-            f"{f.workload}[{f.variant}]: {f.kind}: {f.message}"
-            for f in report.failures
-        )
-        raise ReproError(f"suite cells failed: {failed}")
-    return report.results
-
-
 def figure_rows(
     results: dict[str, ProgramResult], metric: str
 ) -> list[FigureRow]:
@@ -149,19 +70,3 @@ def figure_rows(
         rows.append(result.row("modref", metric))
         rows.append(result.row("pointer", metric))
     return rows
-
-
-def run_single(
-    name: str,
-    options: PipelineOptions,
-    max_steps: int = 50_000_000,
-) -> ExperimentCell:
-    """One (program, pipeline-variant) cell — used by the ablations."""
-    workload = get_workload(name)
-    return compile_and_run(
-        workload.source,
-        options,
-        name=workload.name,
-        defines=workload.defines,
-        machine_options=MachineOptions(max_steps=max_steps),
-    )

@@ -33,7 +33,6 @@ from .analysis.pointsto import apply_points_to, run_points_to
 from .analysis.tagrefine import refine_memory_ops
 from .diag.log import get_logger
 from .diag.metrics import inc_metric, set_gauge
-from .errors import ReproError
 from .frontend import compile_c
 from .inccomp.keys import function_digest, function_key, module_env_digest, options_digest
 from .inccomp.store import FunctionRecord, FunctionStore
@@ -413,7 +412,9 @@ def compile_source(
 
 @dataclass
 class ExperimentCell:
-    """Result of running one pipeline variant on one program."""
+    """Result of running one pipeline variant on one program — also the
+    runner's successful-cell outcome, slim and picklable once
+    ``compile_result`` is dropped."""
 
     variant: str
     counters: Counters
@@ -422,6 +423,39 @@ class ExperimentCell:
     #: absent for cells that crossed a process or cache boundary (the IR
     #: does not travel; counters/output/exit code are the experiment data)
     compile_result: CompileResult | None = None
+    workload: str = ""
+    seconds: float = 0.0
+    from_cache: bool = False
+    trace_events: list[dict] = field(default_factory=list)
+    #: metrics the passes and interpreter published while this cell ran
+    #: (see :mod:`repro.diag.metrics`) — the drift gate's raw material
+    metrics: dict[str, float] = field(default_factory=dict)
+
+    ok = True
+
+    def cache_payload(self) -> dict:
+        return {
+            "counters": self.counters.as_dict(),
+            "exit_code": self.exit_code,
+            "output": self.output,
+            "seconds": self.seconds,
+            "metrics": dict(self.metrics),
+        }
+
+    @classmethod
+    def from_cache_payload(cls, spec, payload: dict) -> "ExperimentCell":
+        """Rebuild the cell ``spec`` (a runner ``CellSpec``) cached as
+        ``payload``."""
+        return cls(
+            variant=spec.variant,
+            counters=Counters(**payload["counters"]),
+            exit_code=int(payload["exit_code"]),
+            output=payload["output"],
+            workload=spec.workload,
+            seconds=float(payload["seconds"]),
+            from_cache=True,
+            metrics=dict(payload.get("metrics", {})),
+        )
 
 
 def run_compiled(
@@ -487,16 +521,15 @@ def paper_variants(
     }
 
 
-def check_outputs_agree(cells: dict[str, ExperimentCell]) -> None:
+def check_outputs_agree(cells: dict[str, ExperimentCell]) -> list[str]:
     """Every variant of a program must produce identical output and exit
-    code — the optimizer's end-to-end correctness oracle."""
-    baseline: ExperimentCell | None = None
-    for cell in cells.values():
-        if baseline is None:
-            baseline = cell
-            continue
-        if cell.output != baseline.output or cell.exit_code != baseline.exit_code:
-            raise ReproError(
-                f"variant {cell.variant} diverged from {baseline.variant}: "
-                f"exit {cell.exit_code} vs {baseline.exit_code}"
-            )
+    code — the optimizer's end-to-end correctness oracle.  Returns one
+    message per variant that diverged from the first; empty when all
+    agree."""
+    baseline_variant, baseline = next(iter(cells.items()))
+    return [
+        f"variant {variant} diverged from {baseline_variant}: "
+        f"exit {cell.exit_code} vs {baseline.exit_code}"
+        for variant, cell in cells.items()
+        if cell.output != baseline.output or cell.exit_code != baseline.exit_code
+    ]

@@ -16,7 +16,6 @@ the scheduler (which imports the compiler pipeline).
 from __future__ import annotations
 
 __all__ = [
-    "CellData",
     "CellFailure",
     "CellOutcome",
     "CellSpec",
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "CellData": "scheduler",
     "CellFailure": "scheduler",
     "CellOutcome": "scheduler",
     "CellSpec": "scheduler",

@@ -1,18 +1,19 @@
 """Suite orchestration and reporting.
 
-:func:`run_suite_report` is the runner's front door: it expands the
-workload x variant matrix into :class:`~repro.runner.scheduler.CellSpec`
-jobs, hands them to the scheduler, and folds the outcomes back into the
-harness's :class:`~repro.harness.experiments.ProgramResult` /
-``FigureRow`` shapes.  The result is a :class:`SuiteReport` that renders
-the paper's Figure 5/6/7 tables *and* serializes to a machine-readable
+:func:`run_suite_report` is the one way to run the paper's matrix: it
+expands the workload x variant matrix into
+:class:`~repro.runner.scheduler.CellSpec` jobs, hands them to the
+scheduler, and groups the outcomes into the harness's
+:class:`~repro.harness.experiments.ProgramResult` / ``FigureRow``
+shapes.  The result is a :class:`SuiteReport` that renders the paper's
+Figure 5/6/7 tables *and* serializes to a machine-readable
 ``suite.json``.
 
-Output-agreement checking (the end-to-end correctness oracle) happens
-here, after the join, over cells that succeeded — a crashed variant
-produces a :class:`~repro.runner.scheduler.CellFailure` entry and a
-non-zero suite exit code without suppressing the comparison of its
-healthy siblings.
+Output-agreement checking (the end-to-end correctness oracle,
+:func:`repro.pipeline.check_outputs_agree`) happens here, after the
+join, over cells that succeeded — a crashed variant produces a
+:class:`~repro.runner.scheduler.CellFailure` entry and a non-zero suite
+exit code without suppressing the comparison of its healthy siblings.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from ..diag.host import host_metadata
 from ..harness.experiments import METRICS, ProgramResult, figure_rows
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
-from ..pipeline import ExperimentCell, PipelineOptions, paper_variants
+from ..pipeline import ExperimentCell, check_outputs_agree, paper_variants
 from ..regalloc import RegAllocOptions
 from ..workloads import Workload, all_workloads, get_workload
 from .cache import SCHEMA_VERSION, ResultCache
 from .scheduler import (
-    CellData,
     CellFailure,
     CellOutcome,
     CellSpec,
@@ -74,7 +74,7 @@ class SuiteReport:
         """Per-cell span groups for Chrome-trace export / the summary."""
         groups: dict[str, list[SpanEvent]] = {}
         for (workload, variant), outcome in sorted(self.outcomes.items()):
-            if isinstance(outcome, CellData) and outcome.trace_events:
+            if isinstance(outcome, ExperimentCell) and outcome.trace_events:
                 groups[f"{workload}:{variant}"] = [
                     SpanEvent.from_dict(event) for event in outcome.trace_events
                 ]
@@ -84,7 +84,7 @@ class SuiteReport:
         programs: dict[str, dict] = {}
         for (workload, variant), outcome in sorted(self.outcomes.items()):
             entry = programs.setdefault(workload, {"cells": {}, "failures": {}})
-            if isinstance(outcome, CellData):
+            if isinstance(outcome, ExperimentCell):
                 entry["cells"][variant] = {
                     "counters": outcome.counters.as_dict(),
                     "exit_code": outcome.exit_code,
@@ -172,7 +172,7 @@ def collect_results(
         succeeded = {
             variant: outcome
             for variant, outcome in cells.items()
-            if isinstance(outcome, CellData)
+            if isinstance(outcome, ExperimentCell)
         }
         failures.extend(
             outcome
@@ -180,32 +180,13 @@ def collect_results(
             if isinstance(outcome, CellFailure)
         )
         if check_agreement and len(succeeded) > 1:
-            disagreements.extend(_check_agreement(workload, succeeded))
-        if len(succeeded) == len(cells):
-            result = ProgramResult(name=workload)
-            for variant, data in succeeded.items():
-                result.cells[variant] = ExperimentCell(
-                    variant=variant,
-                    counters=data.counters,
-                    exit_code=data.exit_code,
-                    output=data.output,
-                    compile_result=data.compile_result,
-                )
-            results[workload] = result
-    return results, failures, disagreements
-
-
-def _check_agreement(workload: str, cells: dict[str, CellData]) -> list[str]:
-    baseline_variant, baseline = next(iter(cells.items()))
-    problems = []
-    for variant, data in cells.items():
-        if data.output != baseline.output or data.exit_code != baseline.exit_code:
-            problems.append(
-                f"{workload}: variant {variant} diverged from "
-                f"{baseline_variant}: exit {data.exit_code} vs "
-                f"{baseline.exit_code}"
+            disagreements.extend(
+                f"{workload}: {problem}"
+                for problem in check_outputs_agree(succeeded)
             )
-    return problems
+        if len(succeeded) == len(cells):
+            results[workload] = ProgramResult(name=workload, cells=succeeded)
+    return results, failures, disagreements
 
 
 def run_suite_report(

@@ -37,16 +37,17 @@ import time
 import traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from ..diag.log import get_logger
 from ..diag.metrics import metrics_session
 from ..errors import ReproError
 from ..inccomp.store import FunctionStore
-from ..interp import Counters, MachineOptions
+from ..interp import MachineOptions
 from ..pipeline import (
     CompileResult,
+    ExperimentCell,
     PipelineOptions,
     compile_and_run,
     compile_source,
@@ -58,7 +59,6 @@ from .cache import ResultCache, cell_key
 _log = get_logger(__name__)
 
 __all__ = [
-    "CellData",
     "CellFailure",
     "CellOutcome",
     "CellSpec",
@@ -86,49 +86,6 @@ class CellSpec:
 
 
 @dataclass
-class CellData:
-    """A successful cell — slim and picklable (no IR attached)."""
-
-    workload: str
-    variant: str
-    counters: Counters
-    exit_code: int
-    output: str
-    seconds: float
-    from_cache: bool = False
-    trace_events: list[dict] = field(default_factory=list)
-    #: metrics the passes and interpreter published while this cell ran
-    #: (see :mod:`repro.diag.metrics`) — the drift gate's raw material
-    metrics: dict[str, float] = field(default_factory=dict)
-    #: populated only for inline (jobs<=1, cache-miss) execution
-    compile_result: CompileResult | None = None
-
-    ok = True
-
-    def cache_payload(self) -> dict:
-        return {
-            "counters": self.counters.as_dict(),
-            "exit_code": self.exit_code,
-            "output": self.output,
-            "seconds": self.seconds,
-            "metrics": dict(self.metrics),
-        }
-
-    @classmethod
-    def from_cache_payload(cls, spec: CellSpec, payload: dict) -> "CellData":
-        return cls(
-            workload=spec.workload,
-            variant=spec.variant,
-            counters=Counters(**payload["counters"]),
-            exit_code=int(payload["exit_code"]),
-            output=payload["output"],
-            seconds=float(payload["seconds"]),
-            from_cache=True,
-            metrics=dict(payload.get("metrics", {})),
-        )
-
-
-@dataclass
 class CellFailure:
     """A cell that crashed or timed out; the suite keeps going."""
 
@@ -150,7 +107,7 @@ class CellFailure:
         }
 
 
-CellOutcome = Union[CellData, CellFailure]
+CellOutcome = Union[ExperimentCell, CellFailure]
 
 
 def execute_cell(
@@ -161,7 +118,7 @@ def execute_cell(
     trace_ctx: TraceContext | None = None,
     trace_worker: str | None = None,
     fn_store: FunctionStore | None = None,
-) -> CellData:
+) -> ExperimentCell:
     """Compile and run one cell (runs in the worker process).
 
     ``keep_compile_result`` attaches the full IR-bearing
@@ -211,17 +168,14 @@ def execute_cell(
         "cell %s[%s] done in %.3fs", spec.workload, spec.variant,
         time.perf_counter() - started,
     )
-    return CellData(
-        workload=spec.workload,
-        variant=spec.variant,
-        counters=cell.counters,
-        exit_code=cell.exit_code,
-        output=cell.output,
-        seconds=time.perf_counter() - started,
-        trace_events=events,
-        metrics=registry.as_dict(),
-        compile_result=cell.compile_result if keep_compile_result else None,
-    )
+    cell.workload = spec.workload
+    cell.variant = spec.variant
+    cell.seconds = time.perf_counter() - started
+    cell.trace_events = events
+    cell.metrics = registry.as_dict()
+    if not keep_compile_result:
+        cell.compile_result = None
+    return cell
 
 
 def _compile_and_run(
@@ -301,7 +255,7 @@ def run_cells(
         outcomes[spec.key] = outcome
         if (
             cache is not None
-            and isinstance(outcome, CellData)
+            and isinstance(outcome, ExperimentCell)
             and not outcome.from_cache
         ):
             cache.put(spec_cache_key(spec), outcome.cache_payload())
@@ -312,7 +266,7 @@ def run_cells(
     for spec in specs:
         payload = cache.get(spec_cache_key(spec)) if cache is not None else None
         if payload is not None:
-            finish(spec, CellData.from_cache_payload(spec, payload))
+            finish(spec, ExperimentCell.from_cache_payload(spec, payload))
         else:
             pending.append(spec)
 

@@ -15,8 +15,6 @@ Modules:
 * :mod:`~repro.serve.pool` — persistent workers executing
   :mod:`repro.runner.scheduler` cells; crash respawn + retry-once,
   recycling, deadline kills;
-* :mod:`~repro.serve.metrics` — latency histograms over the
-  :mod:`repro.diag` registry;
 * :mod:`~repro.serve.server` — the asyncio server and endpoint logic;
 * :mod:`~repro.serve.resilience` — retry policy, circuit breaker, and
   latency tracking behind the resilient client;
@@ -34,14 +32,12 @@ from __future__ import annotations
 __all__ = [
     "AdmissionQueue",
     "CircuitBreaker",
-    "LatencyHistogram",
     "LoadgenConfig",
     "ReproServer",
     "ResilientClient",
     "RetryPolicy",
     "ServeClient",
     "ServeError",
-    "ServeMetrics",
     "ServerConfig",
     "SingleFlight",
     "WorkerPool",
@@ -52,14 +48,12 @@ __all__ = [
 _LAZY = {
     "AdmissionQueue": "queue",
     "CircuitBreaker": "resilience",
-    "LatencyHistogram": "metrics",
     "LoadgenConfig": "client",
     "ReproServer": "server",
     "ResilientClient": "client",
     "RetryPolicy": "resilience",
     "ServeClient": "client",
     "ServeError": "client",
-    "ServeMetrics": "metrics",
     "ServerConfig": "server",
     "SingleFlight": "coalesce",
     "WorkerPool": "pool",

@@ -32,6 +32,7 @@ from pathlib import Path
 from ..bench import QUICK_PROGRAMS
 from ..diag.host import host_metadata
 from ..diag.log import get_logger
+from ..diag.metrics import nearest_rank
 from .protocol import encode_frame
 from .resilience import (
     CircuitBreaker,
@@ -511,15 +512,6 @@ def _mix(config: LoadgenConfig) -> list[dict]:
     ]
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1)))
-    )
-    return sorted_values[index]
-
-
 def _request_breakdown(span_dicts: list[dict]) -> dict:
     """Attribution buckets for one sampled request's returned spans."""
     from ..trace import SpanEvent, attribution
@@ -539,9 +531,9 @@ def _breakdown_summary(breakdowns: list[dict]) -> dict:
     for bucket in _BREAKDOWN_BUCKETS:
         ordered = sorted(b.get(bucket, 0.0) * 1000 for b in breakdowns)
         summary[f"{bucket}_ms"] = {
-            "p50": round(_percentile(ordered, 0.50), 3),
-            "p95": round(_percentile(ordered, 0.95), 3),
-            "p99": round(_percentile(ordered, 0.99), 3),
+            "p50": round(nearest_rank(ordered, 0.50), 3),
+            "p95": round(nearest_rank(ordered, 0.95), 3),
+            "p99": round(nearest_rank(ordered, 0.99), 3),
             "mean": round(sum(ordered) / len(ordered), 3),
         }
     coverages = [b.get("coverage", 0.0) for b in breakdowns]
@@ -733,9 +725,9 @@ async def run_loadgen(config: LoadgenConfig) -> dict:
         "resilience": resilience,
         "errors_by_code": dict(sorted(tally.by_code.items())),
         "latency_ms": {
-            "p50": round(_percentile(ordered, 0.50) * 1000, 3),
-            "p95": round(_percentile(ordered, 0.95) * 1000, 3),
-            "p99": round(_percentile(ordered, 0.99) * 1000, 3),
+            "p50": round(nearest_rank(ordered, 0.50) * 1000, 3),
+            "p95": round(nearest_rank(ordered, 0.95) * 1000, 3),
+            "p99": round(nearest_rank(ordered, 0.99) * 1000, 3),
             "mean": round(sum(ordered) / len(ordered) * 1000, 3)
             if ordered
             else 0.0,

@@ -51,7 +51,7 @@ import time
 import traceback
 
 from ..diag.log import current_verbosity, get_logger, set_log_context
-from .metrics import ServeMetrics
+from ..diag.metrics import MetricsRegistry
 from .queue import AdmissionQueue, Ticket
 
 _log = get_logger(__name__)
@@ -362,7 +362,7 @@ class WorkerPool:
         *,
         size: int = 2,
         recycle_after: int = DEFAULT_RECYCLE_AFTER,
-        metrics: ServeMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         mp_context=None,
         chaos=None,
         on_replace=None,
@@ -370,7 +370,8 @@ class WorkerPool:
         self.queue = queue
         self.size = max(1, size)
         self.recycle_after = max(1, recycle_after)
-        self.metrics = metrics or ServeMetrics()
+        # an empty registry is falsy (``__len__``), so test identity
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ctx = mp_context or _default_context()
         self.slots: list[_Slot] = []
         self._drivers: list[asyncio.Task] = []
@@ -460,7 +461,7 @@ class WorkerPool:
                 self._update_gauges()
                 self._notify_state()
                 queue_wait = time.monotonic() - ticket.enqueued_at
-                self.metrics.observe_queue_wait(queue_wait)
+                self.metrics.observe("serve.queue_wait", queue_wait)
                 if ticket.trace is not None:
                     ticket.trace.add_event(
                         "queue_wait",

@@ -29,6 +29,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from ..diag.metrics import nearest_rank
+
 __all__ = [
     "CircuitBreaker",
     "CircuitOpen",
@@ -195,9 +197,7 @@ class LatencyTracker:
         """The 95th-percentile latency, or None with no samples yet."""
         if not self._samples:
             return None
-        ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, round(0.95 * (len(ordered) - 1)))
-        return ordered[index]
+        return nearest_rank(sorted(self._samples), 0.95)
 
 
 @dataclass

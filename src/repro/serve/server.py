@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from ..diag.host import host_metadata
 from ..diag.log import get_logger
+from ..diag.metrics import MetricsRegistry
 from ..interp import MachineOptions
 from ..pipeline import Analysis, PipelineOptions, paper_variants
 from ..store import canonical_digest
@@ -56,7 +57,6 @@ from ..trace import (
     write_spans_jsonl,
 )
 from .coalesce import SingleFlight
-from .metrics import ServeMetrics
 from .pool import DEFAULT_RECYCLE_AFTER, WorkerPool
 from .protocol import (
     ERROR_CODES,
@@ -113,7 +113,8 @@ class ReproServer:
 
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
-        self.metrics = ServeMetrics()
+        self.metrics = MetricsRegistry()
+        self._started_at = time.monotonic()
         chaos = self.config.chaos_plan
         if isinstance(chaos, str):
             from ..chaos.plan import FaultPlan
@@ -249,7 +250,7 @@ class ReproServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    self.metrics.observe_error("payload_too_large")
+                    self.metrics.inc("serve.errors.payload_too_large")
                     await self._send(
                         writer,
                         write_lock,
@@ -289,6 +290,7 @@ class ReproServer:
         write_lock: asyncio.Lock,
     ) -> None:
         started = time.monotonic()
+        request: Request | None = None
         op = "invalid"
         ok = False
         trace: Trace | None = None
@@ -324,16 +326,26 @@ class ReproServer:
             ok = True
             frame = encode_result(request.id, result)
         except ProtocolError as error:
-            self.metrics.observe_error(error.code)
+            self.metrics.inc(f"serve.errors.{error.code}")
             frame = encode_error(error.request_id, error.code, error.message)
         except asyncio.CancelledError:
             raise
-        except Exception as error:  # pragma: no cover - defensive
+        except Exception as error:
             _log.exception("internal error serving request")
-            self.metrics.observe_error("internal")
-            frame = encode_error(None, "internal", f"{type(error).__name__}: {error}")
+            self.metrics.inc("serve.errors.internal")
+            # the client waits on the request's id; only a request that
+            # never parsed is answered without one
+            frame = encode_error(
+                request.id if request is not None else None,
+                "internal",
+                f"{type(error).__name__}: {error}",
+            )
         latency = time.monotonic() - started
-        self.metrics.observe_request(op, latency, ok)
+        self.metrics.inc("serve.requests")
+        self.metrics.inc(f"serve.requests.{op}")
+        if not ok:
+            self.metrics.inc("serve.errors")
+        self.metrics.observe(f"serve.latency.{op}", latency)
         # always-on coarse marker: one preallocated ring slot per request,
         # regardless of sampling — this is what crash bundles replay
         self.recorder.record_span(
@@ -390,7 +402,7 @@ class ReproServer:
         """Write a crash bundle (bounded per server lifetime)."""
         if self.recorder.dumps >= self.config.max_flight_dumps:
             return
-        meta: dict = {"server_uptime_s": round(self.metrics.uptime_s(), 3)}
+        meta: dict = {"server_uptime_s": self._uptime_s()}
         if trace is not None:
             meta["trace_id"] = trace.context.trace_id
         try:
@@ -520,10 +532,13 @@ class ReproServer:
             chaos_token=chaos_token,
         )
 
+    def _uptime_s(self) -> float:
+        return round(time.monotonic() - self._started_at, 3)
+
     def _health(self) -> dict:
         return {
             "status": "draining" if self._draining else "ok",
-            "uptime_s": round(self.metrics.uptime_s(), 3),
+            "uptime_s": self._uptime_s(),
             "queue_depth": self.queue.depth,
             "inflight": self.flight.depth,
             "draining": self._draining,
@@ -541,8 +556,17 @@ class ReproServer:
         self.metrics.set_gauge(
             "serve.flight_occupancy", self.recorder.occupancy
         )
-        snapshot = self.metrics.snapshot()
-        snapshot["uptime_s"] = round(self.metrics.uptime_s(), 3)
+        latency_prefix = "serve.latency."
+        snapshot = {
+            "uptime_s": self._uptime_s(),
+            "metrics": self.metrics.as_dict(),
+            "latency": {
+                name[len(latency_prefix):]: histogram.snapshot()
+                for name, histogram in sorted(self.metrics.histograms.items())
+                if name.startswith(latency_prefix)
+            },
+            "queue_wait": self.metrics.histogram("serve.queue_wait").snapshot(),
+        }
         snapshot["queue"] = {
             "depth": self.queue.depth,
             "normal_depth": self.queue.normal_depth,

@@ -1,13 +1,17 @@
-"""The metrics registry, its pipeline integration, and logging setup."""
+"""The metrics registry, its latency histograms, its pipeline
+integration, and logging setup."""
 
 import logging
 
 from repro.diag.log import get_logger, setup_logging
 from repro.diag.metrics import (
+    BUCKET_BOUNDS,
+    LatencyHistogram,
     MetricsRegistry,
     current_registry,
     inc_metric,
     metrics_session,
+    nearest_rank,
     set_gauge,
 )
 from repro.pipeline import PipelineOptions, compile_and_run
@@ -48,6 +52,101 @@ class TestRegistry:
             assert inner.get("n") == 10
         assert current_registry() is None
         assert outer.get("n") == 1
+
+
+class TestLatencyHistogram:
+    def test_empty(self):
+        histogram = LatencyHistogram()
+        assert histogram.quantile(0.5) == 0.0
+        snapshot = histogram.snapshot()
+        assert snapshot["count"] == 0
+        assert snapshot["p99_ms"] == 0.0
+
+    def test_single_observation(self):
+        histogram = LatencyHistogram()
+        histogram.observe(0.003)
+        assert histogram.count == 1
+        assert histogram.max == 0.003
+        # lands in the (0.0025, 0.005] bucket; quantiles stay inside it
+        for q in (0.5, 0.95, 0.99):
+            assert 0.0 < histogram.quantile(q) <= 0.005
+
+    def test_quantiles_ordered_and_capped_by_max(self):
+        histogram = LatencyHistogram()
+        for index in range(1000):
+            histogram.observe(0.0001 * (index + 1))  # 0.1ms .. 100ms
+        p50 = histogram.quantile(0.50)
+        p95 = histogram.quantile(0.95)
+        p99 = histogram.quantile(0.99)
+        assert p50 <= p95 <= p99 <= histogram.max
+        # the true p50 is 50ms; bucket interpolation is coarse but sane
+        assert 0.025 <= p50 <= 0.1
+        assert p99 >= 0.05
+
+    def test_overflow_bucket(self):
+        histogram = LatencyHistogram()
+        histogram.observe(99.0)  # beyond the last bound
+        assert histogram.counts[len(BUCKET_BOUNDS)] == 1
+        assert histogram.quantile(0.99) <= histogram.max == 99.0
+
+    def test_mean_in_snapshot(self):
+        histogram = LatencyHistogram()
+        histogram.observe(0.010)
+        histogram.observe(0.030)
+        assert abs(histogram.snapshot()["mean_ms"] - 20.0) < 0.001
+
+
+class TestRegistryHistograms:
+    def test_requests_feed_counters_and_histograms(self):
+        registry = MetricsRegistry()
+        for op, seconds in (("run", 0.01), ("run", 0.02), ("health", 0.001)):
+            registry.inc("serve.requests")
+            registry.inc(f"serve.requests.{op}")
+            registry.observe(f"serve.latency.{op}", seconds)
+        values = registry.as_dict()
+        assert values["serve.requests"] == 3
+        assert values["serve.requests.run"] == 2
+        assert values["serve.requests.health"] == 1
+        assert registry.histograms["serve.latency.run"].count == 2
+        assert registry.histograms["serve.latency.health"].max == 0.001
+
+    def test_error_codes_counted(self):
+        registry = MetricsRegistry()
+        registry.inc("serve.errors.queue_full")
+        registry.inc("serve.errors.queue_full")
+        assert registry.get("serve.errors.queue_full") == 2
+
+    def test_snapshot_shape(self):
+        registry = MetricsRegistry()
+        # reading an unseen histogram creates it empty
+        assert registry.histogram("serve.queue_wait").snapshot()["count"] == 0
+        registry.observe("serve.queue_wait", 0.001)
+        snapshot = registry.histogram("serve.queue_wait").snapshot()
+        assert list(snapshot) == [
+            "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms",
+        ]
+        assert snapshot["count"] == 1
+        assert snapshot["max_ms"] == 1.0
+
+    def test_histograms_kept_out_of_as_dict(self):
+        """Per-cell snapshots and the drift baseline carry counters and
+        gauges only."""
+        registry = MetricsRegistry()
+        registry.inc("serve.cache_hits")
+        registry.observe("serve.latency.run", 0.01)
+        assert registry.as_dict() == {"serve.cache_hits": 1}
+        assert len(registry) == 1
+
+
+class TestNearestRank:
+    def test_picks_the_nearest_ranked_sample(self):
+        ordered = [0.001 * (i + 1) for i in range(100)]  # 1ms .. 100ms
+        assert nearest_rank(ordered, 0.0) == 0.001
+        assert nearest_rank(ordered, 0.95) == ordered[94]
+        assert nearest_rank(ordered, 1.0) == 0.1
+
+    def test_empty_is_zero(self):
+        assert nearest_rank([], 0.5) == 0.0
 
 
 class TestPipelinePublishes:

@@ -14,7 +14,8 @@ from repro.fuzz.oracle import (
     write_divergence_artifact,
 )
 from repro.interp import Counters
-from repro.runner.scheduler import CellData, CellFailure
+from repro.pipeline import ExperimentCell
+from repro.runner.scheduler import CellFailure
 
 #: a seed whose program the unsafe_ignore_call_ambiguity miscompile
 #: visibly breaks (a loop stores a global a callee reads)
@@ -34,7 +35,7 @@ def _data(variant, output="x 1\n", exit_code=0, **counter_overrides):
     )
     for name, value in counter_overrides.items():
         setattr(counters, name, value)
-    return CellData(
+    return ExperimentCell(
         workload="p",
         variant=variant,
         counters=counters,

@@ -287,7 +287,7 @@ def _limit_states(source, options, limits):
     return states
 
 
-class TestTier2Deopt:
+class TestCompiledDeopt:
     """The compiled tier's exactness contract at its deoptimization edges:
     it must leave *identical* observables when generated code is
     interrupted (fuel exhaustion, traps) or its cache is torn down

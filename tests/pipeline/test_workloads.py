@@ -9,8 +9,9 @@ output-agreement oracle.
 import pytest
 
 from repro.frontend import compile_c
-from repro.harness import figure_rows, format_figure, run_program_matrix, summary_line
+from repro.harness import figure_rows, format_figure, summary_line
 from repro.interp import MachineOptions, run_module
+from repro.runner.report import run_suite_report
 from repro.workloads import all_workloads, get_workload, workload_names
 
 EXPECTED_NAMES = {
@@ -65,10 +66,17 @@ class TestExecution:
         assert first.counters.total_ops == second.counters.total_ops
 
 
+def program_matrix(name):
+    """All four variants of one workload; every variant printed the same."""
+    report = run_suite_report([name])
+    assert report.ok, (report.failures, report.disagreements)
+    return report.results[name]
+
+
 class TestHarness:
     @pytest.fixture(scope="class")
     def mlink_matrix(self):
-        return run_program_matrix(get_workload("mlink"))
+        return program_matrix("mlink")
 
     def test_matrix_has_four_cells(self, mlink_matrix):
         assert set(mlink_matrix.cells) == {
@@ -98,13 +106,13 @@ class TestHarness:
 
     @pytest.mark.slow
     def test_tsp_has_no_opportunities(self):
-        matrix = run_program_matrix(get_workload("tsp"))
+        matrix = program_matrix("tsp")
         for analysis in ("modref", "pointer"):
             assert matrix.row(analysis, "stores").difference == 0
             assert matrix.row(analysis, "loads").difference == 0
 
     def test_dhrystone_promotion_is_not_a_win(self):
-        matrix = run_program_matrix(get_workload("dhrystone"))
+        matrix = program_matrix("dhrystone")
         row = matrix.row("modref", "total_ops")
         # the paper: a marginal net loss (promotion in one-trip loops)
         assert row.percent_removed <= 0.5

@@ -6,9 +6,9 @@ import sys
 from dataclasses import replace
 
 from repro.interp import MachineOptions
-from repro.pipeline import Analysis, PipelineOptions
+from repro.pipeline import Analysis, ExperimentCell, PipelineOptions
 from repro.runner.cache import SCHEMA_VERSION, ResultCache, cell_key
-from repro.runner.scheduler import CellData, CellFailure, run_cells, spec_cache_key
+from repro.runner.scheduler import CellFailure, run_cells, spec_cache_key
 
 from tests.runner.helpers import CRASH_SOURCE, GOOD_SOURCE, make_spec
 
@@ -60,7 +60,7 @@ class TestResultCache:
         assert cache.misses == 1 and cache.hits == 0
 
         warm = run_cells([spec], jobs=1, cache=cache)[spec.key]
-        assert isinstance(warm, CellData)
+        assert isinstance(warm, ExperimentCell)
         assert warm.from_cache
         assert cache.hits == 1
         assert warm.counters == cold.counters

@@ -5,9 +5,15 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
-from repro.harness import figure_rows, format_figure, run_suite
-from repro.runner.report import run_suite_report, write_suite_json
+from repro.harness import figure_rows, format_figure
+from repro.interp import Counters
+from repro.pipeline import ExperimentCell
+from repro.runner.report import (
+    SuiteReport,
+    collect_results,
+    run_suite_report,
+    write_suite_json,
+)
 from repro.workloads import Workload, register
 from repro.workloads.base import _REGISTRY
 
@@ -57,6 +63,12 @@ class TestSuiteReport:
         assert "allroots" in table
         assert "crasher" not in table
 
+    def test_inline_run_keeps_compile_results(self):
+        report = run_suite_report(["allroots"])
+        cell = report.results["allroots"].cells["modref/promo"]
+        assert cell.compile_result is not None
+        assert cell.compile_result.promotion_reports
+
     def test_suite_json_shape(self, tmp_path, crashing_workload):
         report = run_suite_report(["allroots", "crasher"], jobs=1, retries=0)
         path = tmp_path / "suite.json"
@@ -100,13 +112,44 @@ class TestSuiteReport:
                        for event in events)
 
 
-class TestHarnessDelegation:
-    def test_run_suite_raises_on_failures(self, crashing_workload):
-        with pytest.raises(ReproError, match="crasher"):
-            run_suite(["crasher"], retries=0)
+class TestDisagreement:
+    @staticmethod
+    def _cell(variant, output):
+        return ExperimentCell(
+            variant=variant,
+            counters=Counters(total_ops=10, loads=2, stores=1),
+            exit_code=0,
+            output=output,
+            workload="prog",
+        )
 
-    def test_run_suite_keeps_compile_results_inline(self):
-        results = run_suite(["allroots"])
-        cell = results["allroots"].cells["modref/promo"]
-        assert cell.compile_result is not None
-        assert cell.compile_result.promotion_reports
+    def test_divergent_output_fails_the_suite(self):
+        outputs = {
+            "modref/nopromo": "x=1\n",
+            "modref/promo": "x=2\n",
+            "pointer/nopromo": "x=1\n",
+            "pointer/promo": "x=1\n",
+        }
+        outcomes = {
+            ("prog", variant): self._cell(variant, output)
+            for variant, output in outputs.items()
+        }
+        results, failures, disagreements = collect_results(outcomes)
+        assert disagreements == [
+            "prog: variant modref/promo diverged from modref/nopromo: "
+            "exit 0 vs 0"
+        ]
+        assert not failures
+        # the cells are the scheduler's own records, not copies
+        assert results["prog"].cells["modref/promo"] is outcomes[
+            ("prog", "modref/promo")
+        ]
+        report = SuiteReport(
+            results=results,
+            failures=failures,
+            disagreements=disagreements,
+            outcomes=outcomes,
+        )
+        assert report.ok is False
+        assert report.exit_code() != 0
+        assert report.to_dict()["disagreements"] == disagreements

@@ -3,8 +3,9 @@ timeouts, and exact parity with serial execution."""
 
 import pytest
 
-from repro.harness import run_suite
-from repro.runner.scheduler import CellData, CellFailure, run_cells
+from repro.pipeline import ExperimentCell
+from repro.runner.report import run_suite_report
+from repro.runner.scheduler import CellFailure, run_cells
 
 from tests.runner.helpers import CRASH_SOURCE, SPIN_SOURCE, make_spec
 
@@ -14,7 +15,7 @@ class TestInline:
         spec = make_spec()
         outcomes = run_cells([spec], jobs=1)
         data = outcomes[spec.key]
-        assert isinstance(data, CellData)
+        assert isinstance(data, ExperimentCell)
         assert data.output == "total=300\n"
         assert data.exit_code == 0
         assert data.counters.total_ops > 0
@@ -51,7 +52,7 @@ class TestInline:
     def test_metrics_survive_the_cache_round_trip(self):
         spec = make_spec()
         data = run_cells([spec], jobs=1)[spec.key]
-        clone = CellData.from_cache_payload(spec, data.cache_payload())
+        clone = ExperimentCell.from_cache_payload(spec, data.cache_payload())
         assert clone.metrics == data.metrics
         assert clone.from_cache
 
@@ -66,7 +67,7 @@ class TestPooled:
         assert failure.kind == "crash"
         assert failure.attempts == 2
         data = outcomes[good.key]
-        assert isinstance(data, CellData)
+        assert isinstance(data, ExperimentCell)
         assert data.output == "total=300\n"
         # pooled results are slim: no IR crosses the process boundary
         assert data.compile_result is None
@@ -103,8 +104,11 @@ class TestSerialParallelParity:
     @pytest.mark.slow
     def test_two_workloads_match_exactly(self):
         names = ["allroots", "dhrystone"]
-        serial = run_suite(names, jobs=1)
-        parallel = run_suite(names, jobs=2)
+        serial_report = run_suite_report(names, jobs=1)
+        parallel_report = run_suite_report(names, jobs=2)
+        assert serial_report.ok and parallel_report.ok
+        serial = serial_report.results
+        parallel = parallel_report.results
         assert set(serial) == set(parallel)
         for name in names:
             assert set(serial[name].cells) == set(parallel[name].cells)

@@ -70,7 +70,7 @@ class TestCampaign:
                         warmup=False,
                     )
                 )
-                executed = server.metrics.registry.get("serve.executed")
+                executed = server.metrics.get("serve.executed")
             finally:
                 await server.stop()
             return payload, executed
@@ -273,7 +273,7 @@ class TestFaultInjection:
                     loadgen_config(server.port, requests=24, warmup=False)
                 )
                 await asyncio.wait_for(killed.wait(), 10)
-                restarts = server.metrics.registry.get("serve.worker_restarts")
+                restarts = server.metrics.get("serve.worker_restarts")
                 health_workers = server.pool.describe()
             finally:
                 killer_task.cancel()

@@ -104,7 +104,7 @@ class TestRecycling:
                 await pool.wait_recycled(1)
                 assert pool.slots[0].recycles == 1
                 assert pool.slots[0].worker.pid != pid_before
-                assert pool.metrics.registry.get("serve.worker_recycles") == 1
+                assert pool.metrics.get("serve.worker_recycles") == 1
                 # the fresh worker serves fine
                 ticket = await submit(queue, make_cell_job())
                 ok, _ = await ticket.future
@@ -132,7 +132,7 @@ class TestCrashRecovery:
                 assert ok, payload  # retried on a fresh worker
                 assert ticket.attempts == 2
                 assert pool.slots[0].restarts == 1
-                assert pool.metrics.registry.get("serve.worker_restarts") == 1
+                assert pool.metrics.get("serve.worker_restarts") == 1
                 assert not victim.process.is_alive()
                 assert victim.process.exitcode == -signal.SIGKILL
             finally:
@@ -238,7 +238,7 @@ class TestDeadlineKill:
                 assert pool.slots[0].worker is not victim
                 assert pool.slots[0].worker.alive()
                 assert (
-                    pool.metrics.registry.get(
+                    pool.metrics.get(
                         "serve.worker_restarts.deadline_kill"
                     )
                     == 1

@@ -140,8 +140,8 @@ class TestCaching:
                 assert not first["from_cache"]
                 assert second["from_cache"]
                 assert second["counters"] == first["counters"]
-                assert server.metrics.registry.get("serve.cache_hits") == 1
-                assert server.metrics.registry.get("serve.executed") == 1
+                assert server.metrics.get("serve.cache_hits") == 1
+                assert server.metrics.get("serve.executed") == 1
 
         run_async(scenario())
 
@@ -161,7 +161,7 @@ class TestCaching:
                 assert cold["counters"] == first["counters"]
                 # ...and the follow-up hit proves the write-back stayed
                 assert warm["from_cache"]
-                assert server.metrics.registry.get("serve.executed") == 2
+                assert server.metrics.get("serve.executed") == 2
 
         run_async(scenario())
 
@@ -178,7 +178,7 @@ class TestCaching:
                 # the failed write-back cost the cache entry, not the answer
                 assert not first["from_cache"] and not second["from_cache"]
                 assert second["counters"] == first["counters"]
-                assert server.metrics.registry.get("serve.executed") == 2
+                assert server.metrics.get("serve.executed") == 2
 
         # a write-back that raises leaves the client waiting: bound it
         run_async(asyncio.wait_for(scenario(), timeout=60))
@@ -240,8 +240,8 @@ class TestCoalescing:
                     *(client.call("run", params) for _ in range(4))
                 )
                 assert all(r["exit_code"] == 0 for r in results)
-                assert server.metrics.registry.get("serve.executed") == 1
-                assert server.metrics.registry.get("serve.coalesced") == 3
+                assert server.metrics.get("serve.executed") == 1
+                assert server.metrics.get("serve.coalesced") == 3
                 assert sum(r["coalesced"] for r in results) == 3
 
         run_async(scenario())
@@ -259,8 +259,8 @@ class TestCoalescing:
                     )
                 )
                 assert len(results) == 3
-                assert server.metrics.registry.get("serve.executed") == 3
-                assert server.metrics.registry.get("serve.coalesced") == 0
+                assert server.metrics.get("serve.executed") == 3
+                assert server.metrics.get("serve.coalesced") == 0
 
         run_async(scenario())
 
@@ -322,6 +322,30 @@ class TestProtocolEdges:
 
         run_async(scenario())
 
+    def test_internal_error_answers_the_request_id(self, monkeypatch):
+        async def boom(self, *args, **kwargs):
+            raise RuntimeError("injected submit failure")
+
+        monkeypatch.setattr(ReproServer, "_submit", boom)
+
+        async def scenario():
+            async with serving() as server, connected(server) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    await client.call("run", {"source": FAST_SOURCE})
+                assert excinfo.value.code == "internal"
+                assert "injected submit failure" in str(excinfo.value)
+                assert server.metrics.get("serve.errors.internal") == 1
+                snapshot = await client.call("metrics")
+                assert list(snapshot)[:4] == [
+                    "uptime_s", "metrics", "latency", "queue_wait",
+                ]
+                assert snapshot["metrics"]["serve.requests.run"] == 1
+                assert snapshot["metrics"]["serve.errors"] == 1
+                assert snapshot["latency"]["run"]["count"] == 1
+
+        # an error frame without the id leaves the client waiting: bound it
+        run_async(asyncio.wait_for(scenario(), timeout=60))
+
 
 class TestBackpressure:
     def test_queue_full_is_an_explicit_rejection(self):
@@ -347,7 +371,7 @@ class TestBackpressure:
                 ]
                 assert "queue_full" in codes
                 assert any(r.get("ok") for r in responses)
-                rejected = server.metrics.registry.get(
+                rejected = server.metrics.get(
                     "serve.rejected_queue_full"
                 )
                 assert rejected == codes.count("queue_full")
