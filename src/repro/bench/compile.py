@@ -24,9 +24,11 @@ from __future__ import annotations
 import tempfile
 from time import perf_counter
 
+from ..inccomp import FunctionStore, mutate_function
 from ..ir.printer import format_module
-from .edits import mutate_function
-from .store import FunctionStore
+from ..pipeline import PipelineOptions, compile_source
+from ..workloads import all_workloads, get_workload
+from . import bench_payload
 
 __all__ = ["bench_compile", "check_compile_gate", "format_compile_bench"]
 
@@ -34,8 +36,6 @@ BENCH_SCHEMA = 1
 
 
 def _compile(source, options, name, defines, fn_store=None):
-    from ..pipeline import compile_source
-
     started = perf_counter()
     result = compile_source(
         source, options, name=name, defines=defines or None, fn_store=fn_store
@@ -43,33 +43,21 @@ def _compile(source, options, name, defines, fn_store=None):
     return result, perf_counter() - started
 
 
-def bench_compile(
-    names: list[str] | None = None,
-    options=None,
-    store_root: str | None = None,
-) -> dict:
+def bench_compile(names: list[str] | None = None) -> dict:
     """Run the four-scenario compile benchmark over the workload suite.
 
-    ``store_root=None`` uses a throwaway temporary directory so benching
-    never warms (or is warmed by) the real ``.repro-cache/fn``.
+    The function store lives in a throwaway temporary directory, so
+    benching never warms (or is warmed by) the real ``.repro-cache/fn``.
     """
-    from ..pipeline import PipelineOptions
-    from ..workloads import all_workloads, get_workload
-
-    options = options or PipelineOptions()
+    options = PipelineOptions()
     workloads = (
         [get_workload(name) for name in names]
         if names is not None
         else all_workloads()
     )
-    cleanup = None
-    if store_root is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-bench-fn-")
-        store_root = cleanup.name
-
     programs = []
     totals = {"scratch_s": 0.0, "cold_s": 0.0, "incremental_s": 0.0, "warm_s": 0.0}
-    try:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-fn-") as store_root:
         for wl in workloads:
             store = FunctionStore(root=store_root)
             scratch, scratch_s = _compile(wl.source, options, wl.name, wl.defines)
@@ -108,25 +96,22 @@ def bench_compile(
             totals["incremental_s"] += incremental_s
             totals["warm_s"] += warm_s
             del scratch, inc, edited_scratch
-    finally:
-        if cleanup is not None:
-            cleanup.cleanup()
 
     def ratio(num: float, den: float) -> float:
         return round(num / den, 3) if den > 0 else 0.0
 
-    return {
-        "schema": BENCH_SCHEMA,
-        "variant": options.variant_name(),
-        "programs": programs,
-        "totals": {k: round(v, 6) for k, v in totals.items()},
-        "speedup": {
+    return bench_payload(
+        BENCH_SCHEMA,
+        variant=options.variant_name(),
+        programs=programs,
+        totals={k: round(v, 6) for k, v in totals.items()},
+        speedup={
             "incremental": ratio(totals["scratch_s"], totals["incremental_s"]),
             "warm": ratio(totals["scratch_s"], totals["warm_s"]),
             "cold_overhead": ratio(totals["cold_s"], totals["scratch_s"]),
         },
-        "all_identical": all(p["identical"] for p in programs),
-    }
+        all_identical=all(p["identical"] for p in programs),
+    )
 
 
 def format_compile_bench(payload: dict) -> str:

@@ -23,19 +23,14 @@ CI can gate on them with a noise tolerance without pinning wall times.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
 
-from .diag.host import host_metadata
-from .errors import ReproError
-from .interp import Machine, MachineOptions
-from .pipeline import PipelineOptions, compile_source
-from .workloads import all_workloads, get_workload
-
-#: small-but-representative subset for CI (``repro bench --quick``)
-QUICK_PROGRAMS = ("dhrystone", "fft", "mlink", "tsp")
+from ..errors import ReproError
+from ..interp import Machine, MachineOptions
+from ..pipeline import PipelineOptions, compile_source
+from ..workloads import all_workloads, get_workload
+from . import bench_payload
 
 ENGINES = ("simple", "compiled")
 
@@ -56,7 +51,6 @@ def bench_interpreters(
     *,
     repeats: int = 2,
     max_steps: int = 500_000_000,
-    options: PipelineOptions | None = None,
 ) -> dict:
     """Benchmark every engine over ``names`` (default: all 14 workloads).
 
@@ -67,7 +61,7 @@ def bench_interpreters(
     observable — a benchmark of engines computing different things would
     be meaningless.
     """
-    options = options or PipelineOptions()
+    options = PipelineOptions()
     workloads = (
         [get_workload(name) for name in names] if names else all_workloads()
     )
@@ -137,13 +131,12 @@ def bench_interpreters(
             "max": round(max(values), 3) if values else 0.0,
         }
 
-    return {
-        "schema": BENCH_SCHEMA,
-        "host": host_metadata(),
-        "repeats": max(repeats, 1),
-        "max_steps": max_steps,
-        "programs": programs,
-        "summary": {
+    return bench_payload(
+        BENCH_SCHEMA,
+        repeats=max(repeats, 1),
+        max_steps=max_steps,
+        programs=programs,
+        summary={
             "programs": len(programs),
             "speedups": speedups_summary,
             **{
@@ -153,7 +146,21 @@ def bench_interpreters(
                 for engine in ENGINES
             },
         },
-    }
+    )
+
+
+def baseline_pairs(baseline: dict) -> dict:
+    """The ``summary.speedups`` pairs of a baseline payload.
+
+    Raises :class:`ValueError` when there are none: such a file is not an
+    interpreter bench payload (e.g. ``BENCH_compile.json``), and gating
+    against it would pass vacuously.
+    """
+    summary = baseline.get("summary") if isinstance(baseline, dict) else None
+    pairs = summary.get("speedups") if isinstance(summary, dict) else None
+    if not isinstance(pairs, dict) or not pairs:
+        raise ValueError("no summary.speedups pairs (not a BENCH_interp.json?)")
+    return pairs
 
 
 def check_regression(
@@ -164,11 +171,12 @@ def check_regression(
     Gates on the per-pair geomean speedups (host-independent ratios):
     a pair present in both summaries fails when the fresh geomean drops
     more than ``tolerance_pct`` percent below the baseline's.  Returns
-    the list of failure messages (empty = no regression).  Pairs the
-    baseline does not carry are not gated.
+    the list of failure messages (empty = no regression).  A baseline
+    pair the fresh run no longer reports is not gated; a baseline with
+    no pairs at all raises (see :func:`baseline_pairs`).
     """
     failures: list[str] = []
-    base_pairs = baseline.get("summary", {}).get("speedups") or {}
+    base_pairs = baseline_pairs(baseline)
     cur_pairs = payload.get("summary", {}).get("speedups", {})
     for pair, base_cell in sorted(base_pairs.items()):
         base_geo = float(base_cell.get("geomean", 0.0))
@@ -212,10 +220,3 @@ def format_bench(payload: dict) -> str:
         )
     return "\n".join(lines)
 
-
-def write_bench_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_bench_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

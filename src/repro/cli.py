@@ -57,6 +57,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .bench import QUICK_PROGRAMS
 from .diag.log import setup_logging
 from .errors import ReproError
 from .frontend import compile_c
@@ -233,7 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(trace.format_span_summary(trace_groups), file=sys.stderr)
     print()
     print("program output (identical across variants):")
-    sys.stdout.write(cells["modref/promo"].output)
+    sys.stdout.write(next(iter(cells.values())).output)
     return 0
 
 
@@ -270,18 +271,26 @@ def cmd_ir(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unknown_workloads(names) -> bool:
+    """Report any of ``names`` the workload registry lacks on stderr,
+    with the registry's names; True when there were some (exit 2)."""
+    from .workloads import workload_names
+
+    known = workload_names()
+    unknown = sorted(set(names or ()) - set(known))
+    if unknown:
+        print(f"unknown workloads: {unknown}", file=sys.stderr)
+        print(f"available: {known}", file=sys.stderr)
+    return bool(unknown)
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
     from .harness import METRICS, format_figure
     from .runner import ResultCache
     from .trace import format_span_summary, write_chrome_trace
     from .runner.report import run_suite_report, write_suite_json
-    from .workloads import workload_names
 
-    names = args.programs or workload_names()
-    unknown = sorted(set(names) - set(workload_names()))
-    if unknown:
-        print(f"unknown workloads: {unknown}", file=sys.stderr)
-        print(f"available: {workload_names()}", file=sys.stderr)
+    if _unknown_workloads(args.programs):
         return 2
 
     cache = fn_store = None
@@ -305,7 +314,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         print(f"  {spec.workload:<12} {spec.variant:<16} {status}", file=sys.stderr)
 
     report = run_suite_report(
-        names,
+        args.programs or None,
         pointer_promotion=args.pointer_promotion,
         max_steps=args.max_steps,
         engine=args.engine,
@@ -342,64 +351,80 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
+#: ``repro bench`` flags read only by the interpreter bench, and only by
+#: ``--compile``; each mode rejects the other's rather than ignore them
+_INTERP_BENCH_FLAGS = ("repeats", "max_steps", "baseline", "tolerance")
+_COMPILE_BENCH_FLAGS = ("min_speedup",)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        QUICK_PROGRAMS,
-        bench_interpreters,
-        check_regression,
-        format_bench,
-        load_bench_json,
-        write_bench_json,
-    )
-    from .workloads import workload_names
+    from .bench import load_bench_json, write_bench_json
 
+    foreign = _INTERP_BENCH_FLAGS if args.compile else _COMPILE_BENCH_FLAGS
+    given = [
+        "--" + dest.replace("_", "-")
+        for dest in foreign
+        if getattr(args, dest) is not None
+    ]
+    if given:
+        mode = "bench --compile" if args.compile else "bench without --compile"
+        print(f"{mode} does not use {', '.join(given)}", file=sys.stderr)
+        return 2
     names = args.programs or (list(QUICK_PROGRAMS) if args.quick else None)
-    if names:
-        unknown = sorted(set(names) - set(workload_names()))
-        if unknown:
-            print(f"unknown workloads: {unknown}", file=sys.stderr)
-            print(f"available: {workload_names()}", file=sys.stderr)
-            return 2
+    if _unknown_workloads(names):
+        return 2
     if args.compile:
-        import json as json_mod
-
-        from .inccomp.bench import (
+        from .bench.compile import (
             bench_compile,
             check_compile_gate,
             format_compile_bench,
         )
 
+        out = args.out or "BENCH_compile.json"
         payload = bench_compile(names)
         print(format_compile_bench(payload))
-        out = args.out if args.out != "BENCH_interp.json" else "BENCH_compile.json"
-        Path(out).write_text(json_mod.dumps(payload, indent=2) + "\n")
+        write_bench_json(out, payload)
         print(f"wrote {out}", file=sys.stderr)
-        problems = check_compile_gate(payload, args.min_speedup)
+        min_speedup = 2.0 if args.min_speedup is None else args.min_speedup
+        problems = check_compile_gate(payload, min_speedup)
         for problem in problems:
             print(f"compile bench gate: {problem}", file=sys.stderr)
         return 1 if problems else 0
+
+    from .bench.interp import (
+        baseline_pairs,
+        bench_interpreters,
+        check_regression,
+        format_bench,
+    )
+
+    out = args.out or "BENCH_interp.json"
+    tolerance = 25.0 if args.tolerance is None else args.tolerance
     baseline = None
     if args.baseline:
         try:
             baseline = load_bench_json(args.baseline)
+            baseline_pairs(baseline)
         except (OSError, ValueError) as exc:
             print(f"cannot read baseline {args.baseline}: {exc}", file=sys.stderr)
             return 2
     payload = bench_interpreters(
-        names, repeats=args.repeats, max_steps=args.max_steps
+        names,
+        repeats=2 if args.repeats is None else args.repeats,
+        max_steps=500_000_000 if args.max_steps is None else args.max_steps,
     )
     print(format_bench(payload))
-    write_bench_json(args.out, payload)
-    print(f"wrote {args.out}", file=sys.stderr)
+    write_bench_json(out, payload)
+    print(f"wrote {out}", file=sys.stderr)
     if baseline is not None:
-        failures = check_regression(payload, baseline, args.tolerance)
+        failures = check_regression(payload, baseline, tolerance)
         if failures:
             for failure in failures:
                 print(f"bench regression: {failure}", file=sys.stderr)
             return 1
         print(
             f"no regression vs {args.baseline} "
-            f"(tolerance {args.tolerance:g}%)",
+            f"(tolerance {tolerance:g}%)",
             file=sys.stderr,
         )
     return 0
@@ -517,30 +542,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serve.client import (
-        LoadgenConfig,
-        PAPER_VARIANTS,
-        format_loadgen,
-        run_loadgen,
-        wait_for_server,
-    )
-    from .workloads import workload_names
+    from .bench.serve import LoadgenConfig, format_loadgen, run_loadgen
+    from .serve.client import ServeError, wait_for_server
 
-    programs = tuple(args.programs) if args.programs else None
-    if programs:
-        unknown = sorted(set(programs) - set(workload_names()))
-        if unknown:
-            print(f"unknown workloads: {unknown}", file=sys.stderr)
-            print(f"available: {workload_names()}", file=sys.stderr)
-            return 2
+    if _unknown_workloads(args.programs):
+        return 2
     config = LoadgenConfig(
         host=args.host,
         port=args.port,
         concurrency=args.concurrency,
         duration_s=args.duration,
         requests=args.requests,
-        programs=programs or LoadgenConfig.programs,
-        variants=PAPER_VARIANTS,
+        programs=tuple(args.programs or LoadgenConfig.programs),
         max_steps=args.max_steps,
         deadline_s=args.deadline,
         warmup=not args.no_warmup,
@@ -562,7 +575,13 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             print(f"wrote {config.out}", file=sys.stderr)
         return 1 if payload["totals"]["errors"] else 0
 
-    return asyncio.run(main())
+    try:
+        return asyncio.run(main())
+    except (OSError, ServeError) as error:
+        # the campaign could not start (refused connection, server never
+        # healthy, failed warm-up) or its file could not be written
+        print(f"loadgen: {error}", file=sys.stderr)
+        return 2
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -663,14 +682,10 @@ def cmd_drift(args: argparse.Namespace) -> int:
     )
     from .runner import ResultCache
     from .runner.report import run_suite_report
-    from .workloads import workload_names
 
     names = args.programs or None
-    if names:
-        unknown = sorted(set(names) - set(workload_names()))
-        if unknown:
-            print(f"unknown workloads: {unknown}", file=sys.stderr)
-            return 2
+    if _unknown_workloads(names):
+        return 2
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     report = run_suite_report(
@@ -818,26 +833,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("programs", nargs="*",
                          help="workload subset (default: all 14)")
     p_bench.add_argument("--quick", action="store_true",
-                         help="CI subset: " + " ".join(
-                             ("dhrystone", "fft", "mlink", "tsp")))
+                         help="CI subset: " + " ".join(QUICK_PROGRAMS))
     p_bench.add_argument("--compile", action="store_true",
                          help="bench compilation instead of interpreters: "
                               "from-scratch vs incremental vs warm "
                               "(writes BENCH_compile.json)")
-    p_bench.add_argument("--min-speedup", type=float, default=2.0,
+    p_bench.add_argument("--min-speedup", type=float, default=None,
                          metavar="X",
                          help="with --compile: fail unless the one-function-"
                               "edit recompile beats from-scratch by this "
                               "factor (default 2.0)")
-    p_bench.add_argument("--repeats", type=int, default=2,
+    p_bench.add_argument("--repeats", type=int, default=None,
                          help="runs per engine, best wall time wins (default 2)")
-    p_bench.add_argument("--max-steps", type=int, default=500_000_000)
-    p_bench.add_argument("--out", default="BENCH_interp.json",
-                         help="output path (default: BENCH_interp.json)")
+    p_bench.add_argument("--max-steps", type=int, default=None,
+                         help="interpreter fuel per run (default 500000000)")
+    p_bench.add_argument("--out", default=None,
+                         help="output path (default: BENCH_interp.json, "
+                              "or BENCH_compile.json with --compile)")
     p_bench.add_argument("--baseline", metavar="FILE",
                          help="committed BENCH_interp.json to gate against; "
                               "exit 1 if a per-pair geomean speedup regresses")
-    p_bench.add_argument("--tolerance", type=float, default=25.0,
+    p_bench.add_argument("--tolerance", type=float, default=None,
                          metavar="PCT",
                          help="allowed geomean drop vs the baseline before "
                               "failing, in percent (default 25)")

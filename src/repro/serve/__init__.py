@@ -18,8 +18,11 @@ Modules:
 * :mod:`~repro.serve.server` — the asyncio server and endpoint logic;
 * :mod:`~repro.serve.resilience` — retry policy, circuit breaker, and
   latency tracking behind the resilient client;
-* :mod:`~repro.serve.client` — pipelining client, the self-healing
-  :class:`ResilientClient`, + the ``repro loadgen`` campaign harness.
+* :mod:`~repro.serve.client` — pipelining client and the self-healing
+  :class:`ResilientClient`.
+
+The ``repro loadgen`` campaign that benchmarks a running server lives
+with the other benches in :mod:`repro.bench.serve`.
 
 Fault injection for all of the above lives in :mod:`repro.chaos`; the
 server takes a plan via ``ServerConfig.chaos_plan``.
@@ -32,7 +35,6 @@ from __future__ import annotations
 __all__ = [
     "AdmissionQueue",
     "CircuitBreaker",
-    "LoadgenConfig",
     "ReproServer",
     "ResilientClient",
     "RetryPolicy",
@@ -41,14 +43,12 @@ __all__ = [
     "ServerConfig",
     "SingleFlight",
     "WorkerPool",
-    "run_loadgen",
     "wait_for_server",
 ]
 
 _LAZY = {
     "AdmissionQueue": "queue",
     "CircuitBreaker": "resilience",
-    "LoadgenConfig": "client",
     "ReproServer": "server",
     "ResilientClient": "client",
     "RetryPolicy": "resilience",
@@ -57,7 +57,6 @@ _LAZY = {
     "ServerConfig": "server",
     "SingleFlight": "coalesce",
     "WorkerPool": "pool",
-    "run_loadgen": "client",
     "wait_for_server": "client",
 }
 

@@ -1,23 +1,12 @@
-"""Client side of ``repro serve``: a pipelining client and the load
-generator behind ``repro loadgen``.
+"""Client side of ``repro serve``.
 
 :class:`ServeClient` speaks the NDJSON protocol over one connection,
 matching out-of-order responses to requests by ``id`` so any number of
-requests can be in flight at once.
-
-:func:`run_loadgen` drives a campaign: an optional warm-up pass primes
-the server's result cache with every distinct request in the mix, then
-``concurrency`` workers (one connection each) hammer the mix for
-``duration_s`` seconds (or exactly ``requests`` requests), recording
-client-observed latency and every error code.  ``cold_fraction`` carves
-out a deterministic slice of requests sent with ``no_cache: true`` —
-they bypass the server's cache read and exercise the full
-compile-and-execute path, so the latency breakdown attributes miss-path
-time even when the rest of the campaign is warm cache hits.  The result — throughput,
-p50/p95/p99, error breakdown, cache/coalesce hit counts, the server's
-own metrics snapshot, and host metadata — is written to
-``BENCH_serve.json`` so serving performance has an in-repo trajectory
-just like ``BENCH_interp.json``.
+requests can be in flight at once.  :class:`ResilientClient` wraps it
+with retries, idempotency keys, a circuit breaker and optional hedging;
+:func:`wait_for_server` polls ``health`` until a server is up.  The
+``repro loadgen`` campaign built on them lives in
+:mod:`repro.bench.serve`.
 """
 
 from __future__ import annotations
@@ -26,13 +15,7 @@ import asyncio
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
 
-from ..bench import QUICK_PROGRAMS
-from ..diag.host import host_metadata
-from ..diag.log import get_logger
-from ..diag.metrics import nearest_rank
 from .protocol import encode_frame
 from .resilience import (
     CircuitBreaker,
@@ -42,28 +25,12 @@ from .resilience import (
     RetryPolicy,
 )
 
-_log = get_logger(__name__)
-
 __all__ = [
-    "LoadgenConfig",
     "ResilientClient",
     "ServeClient",
     "ServeError",
-    "format_loadgen",
-    "run_loadgen",
     "wait_for_server",
-    "write_loadgen_json",
 ]
-
-LOADGEN_SCHEMA = 2  # v2: totals/resilience record retry+hedge behaviour
-
-#: error codes that indicate deliberate load shedding rather than a
-#: broken request or server — loadgen reports them separately
-SHED_CODES = frozenset({"queue_full", "deadline_exceeded", "draining"})
-
-PAPER_VARIANTS = (
-    "modref/nopromo", "modref/promo", "pointer/nopromo", "pointer/promo",
-)
 
 
 class ServeError(Exception):
@@ -75,7 +42,21 @@ class ServeError(Exception):
         self.message = message
 
 
-class ServeClient:
+class _Calls:
+    """``call``: :meth:`request` unwrapped to the result dict, or
+    :class:`ServeError` for an error response."""
+
+    async def call(self, op: str, params: dict | None = None, **kw) -> dict:
+        response = await self.request(op, params, **kw)
+        if not response.get("ok"):
+            error = response.get("error", {})
+            raise ServeError(
+                error.get("code", "internal"), error.get("message", "")
+            )
+        return response["result"]
+
+
+class ServeClient(_Calls):
     """One connection; safe for any number of concurrent ``request``s."""
 
     def __init__(
@@ -135,32 +116,6 @@ class ServeClient:
             await self._writer.drain()
         return await future
 
-    async def call(
-        self,
-        op: str,
-        params: dict | None = None,
-        *,
-        deadline_s: float | None = None,
-        priority: str | None = None,
-        trace: bool = False,
-        idempotency_key: str | None = None,
-    ) -> dict:
-        """Like :meth:`request` but unwraps: result dict or ServeError."""
-        response = await self.request(
-            op,
-            params,
-            deadline_s=deadline_s,
-            priority=priority,
-            trace=trace,
-            idempotency_key=idempotency_key,
-        )
-        if not response.get("ok"):
-            error = response.get("error", {})
-            raise ServeError(
-                error.get("code", "internal"), error.get("message", "")
-            )
-        return response["result"]
-
     async def close(self) -> None:
         self._reader_task.cancel()
         try:
@@ -203,7 +158,7 @@ def _consume_result(task: asyncio.Task) -> None:
         task.exception()
 
 
-class ResilientClient:
+class ResilientClient(_Calls):
     """A self-healing wrapper around :class:`ServeClient`.
 
     What it adds on top of the raw client, in order of engagement:
@@ -342,32 +297,6 @@ class ResilientClient:
             return response
         raise AssertionError("unreachable")  # pragma: no cover
 
-    async def call(
-        self,
-        op: str,
-        params: dict | None = None,
-        *,
-        deadline_s: float | None = None,
-        priority: str | None = None,
-        trace: bool = False,
-        idempotency_key: str | None = None,
-    ) -> dict:
-        """Like :meth:`request` but unwraps: result dict or ServeError."""
-        response = await self.request(
-            op,
-            params,
-            deadline_s=deadline_s,
-            priority=priority,
-            trace=trace,
-            idempotency_key=idempotency_key,
-        )
-        if not response.get("ok"):
-            error = response.get("error", {})
-            raise ServeError(
-                error.get("code", "internal"), error.get("message", "")
-            )
-        return response["result"]
-
     async def _send_once(
         self, op, params, deadline_s, priority, trace, key
     ) -> dict:
@@ -439,378 +368,3 @@ async def wait_for_server(
         f"server at {host}:{port} not healthy after {timeout_s:.0f}s: "
         f"{last_error}"
     )
-
-
-# --------------------------------------------------------------------------
-# load generation
-
-
-@dataclass
-class LoadgenConfig:
-    host: str = "127.0.0.1"
-    port: int = 7411
-    concurrency: int = 8
-    duration_s: float = 10.0
-    #: exact request count; overrides ``duration_s`` when set
-    requests: int | None = None
-    op: str = "suite_cell"
-    programs: tuple[str, ...] = QUICK_PROGRAMS
-    variants: tuple[str, ...] = PAPER_VARIANTS
-    max_steps: int = 50_000_000
-    deadline_s: float | None = 30.0
-    #: prime the cache with one pass over the distinct mix first
-    warmup: bool = True
-    #: send ``drain`` once the campaign finishes (CI teardown)
-    drain_on_finish: bool = False
-    #: fraction of campaign requests sent with ``trace: true``; their
-    #: returned spans feed the per-request latency breakdown
-    trace_sample: float = 0.0
-    #: fraction of campaign requests sent with ``no_cache: true`` — a
-    #: cold slice that bypasses the server's result-cache read and does
-    #: real compile+execute work even on a warm cache.  Cold requests
-    #: are always traced (when ``trace_sample`` > 0) so the breakdown's
-    #: compile/execute buckets reflect miss-path latency instead of
-    #: reading all-zero on an all-hits campaign.
-    cold_fraction: float = 0.0
-    #: interpreter engine the mix cells run under (compiled/simple)
-    engine: str = "compiled"
-    #: drive the campaign through :class:`ResilientClient` — retries,
-    #: idempotency keys, circuit breaker; the payload's ``resilience``
-    #: section records what the client layer absorbed
-    resilient: bool = False
-    #: with ``resilient``, also hedge requests past the observed p95
-    hedge: bool = False
-    out: str | None = "BENCH_serve.json"
-
-
-@dataclass
-class _Tally:
-    latencies: list[float] = field(default_factory=list)
-    ok: int = 0
-    errors: int = 0
-    shed: int = 0
-    from_cache: int = 0
-    coalesced: int = 0
-    cold: int = 0
-    by_code: dict[str, int] = field(default_factory=dict)
-    #: one attribution dict per sampled request (see repro.trace)
-    breakdowns: list[dict] = field(default_factory=list)
-    #: per-worker ResilienceStats dicts (resilient campaigns only)
-    resilience: list[dict] = field(default_factory=list)
-
-
-def _mix(config: LoadgenConfig) -> list[dict]:
-    return [
-        {
-            "workload": program,
-            "variant": variant,
-            "max_steps": config.max_steps,
-            "engine": config.engine,
-        }
-        for program in config.programs
-        for variant in config.variants
-    ]
-
-
-def _request_breakdown(span_dicts: list[dict]) -> dict:
-    """Attribution buckets for one sampled request's returned spans."""
-    from ..trace import SpanEvent, attribution
-
-    return attribution([SpanEvent.from_dict(d) for d in span_dicts])
-
-
-_BREAKDOWN_BUCKETS = ("queue", "cache", "coalesce", "compile", "execute", "other")
-
-
-def _breakdown_summary(breakdowns: list[dict]) -> dict:
-    """Percentiles over per-request attribution: where sampled requests
-    spent their time (milliseconds), plus trace-coverage health."""
-    summary: dict = {"sampled": len(breakdowns)}
-    if not breakdowns:
-        return summary
-    for bucket in _BREAKDOWN_BUCKETS:
-        ordered = sorted(b.get(bucket, 0.0) * 1000 for b in breakdowns)
-        summary[f"{bucket}_ms"] = {
-            "p50": round(nearest_rank(ordered, 0.50), 3),
-            "p95": round(nearest_rank(ordered, 0.95), 3),
-            "p99": round(nearest_rank(ordered, 0.99), 3),
-            "mean": round(sum(ordered) / len(ordered), 3),
-        }
-    coverages = [b.get("coverage", 0.0) for b in breakdowns]
-    summary["coverage"] = {
-        "min": round(min(coverages), 4),
-        "mean": round(sum(coverages) / len(coverages), 4),
-    }
-    return summary
-
-
-async def _campaign_worker(
-    config: LoadgenConfig,
-    mix: list[dict],
-    counter: itertools.count,
-    stop_at: float,
-    tally: _Tally,
-) -> None:
-    if config.resilient:
-        client = ResilientClient(
-            config.host, config.port, hedge=config.hedge
-        )
-    else:
-        client = await ServeClient.connect(config.host, config.port)
-    try:
-        while True:
-            index = next(counter)
-            if config.requests is not None:
-                if index >= config.requests:
-                    break
-            elif time.perf_counter() >= stop_at:
-                break
-            params = mix[index % len(mix)]
-            # deterministic slicing over the request index, so a campaign
-            # spreads its trace sample and cold slice evenly regardless
-            # of worker interleaving
-            want_cold = (
-                config.cold_fraction > 0
-                and (index * config.cold_fraction) % 1.0
-                < config.cold_fraction
-            )
-            if want_cold:
-                params = dict(params, no_cache=True)
-            want_trace = config.trace_sample > 0 and (
-                want_cold
-                or (index * config.trace_sample) % 1.0 < config.trace_sample
-            )
-            started = time.perf_counter()
-            try:
-                response = await client.request(
-                    config.op,
-                    params,
-                    deadline_s=config.deadline_s,
-                    trace=want_trace,
-                    idempotency_key=(
-                        f"lg-{index}" if config.resilient else None
-                    ),
-                )
-            except CircuitOpen:
-                # client-side shed: counted like the server's explicit
-                # back-pressure answers, not as an unexplained error
-                tally.shed += 1
-                tally.by_code["circuit_open"] = (
-                    tally.by_code.get("circuit_open", 0) + 1
-                )
-                continue
-            except ConnectionError:
-                tally.errors += 1
-                tally.by_code["connection_lost"] = (
-                    tally.by_code.get("connection_lost", 0) + 1
-                )
-                if config.resilient:
-                    # retries are exhausted; move on rather than give up
-                    continue
-                break
-            tally.latencies.append(time.perf_counter() - started)
-            if want_cold:
-                tally.cold += 1
-            if response.get("ok"):
-                tally.ok += 1
-                result = response["result"]
-                if result.get("from_cache"):
-                    tally.from_cache += 1
-                if result.get("coalesced"):
-                    tally.coalesced += 1
-                spans = result.get("trace", {}).get("spans")
-                if spans:
-                    tally.breakdowns.append(_request_breakdown(spans))
-            else:
-                code = response.get("error", {}).get("code", "internal")
-                tally.by_code[code] = tally.by_code.get(code, 0) + 1
-                if code in SHED_CODES:
-                    tally.shed += 1
-                else:
-                    tally.errors += 1
-    finally:
-        if config.resilient:
-            tally.resilience.append(client.stats.as_dict())
-        await client.close()
-
-
-async def run_loadgen(config: LoadgenConfig) -> dict:
-    """Run one campaign; returns (and optionally writes) the payload."""
-    mix = _mix(config)
-    warmup_s = 0.0
-    if config.warmup:
-        started = time.perf_counter()
-        client = await ServeClient.connect(config.host, config.port)
-        try:
-            responses = await asyncio.gather(
-                *(
-                    client.request(config.op, params, deadline_s=None)
-                    for params in mix
-                )
-            )
-        finally:
-            await client.close()
-        warmup_s = time.perf_counter() - started
-        failed = [r for r in responses if not r.get("ok")]
-        if failed:
-            raise ServeError(
-                failed[0]["error"].get("code", "internal"),
-                f"warm-up failed for {len(failed)}/{len(mix)} mix cells: "
-                + failed[0]["error"].get("message", ""),
-            )
-
-    tally = _Tally()
-    counter = itertools.count()
-    started = time.perf_counter()
-    stop_at = started + config.duration_s
-    await asyncio.gather(
-        *(
-            _campaign_worker(config, mix, counter, stop_at, tally)
-            for _ in range(max(1, config.concurrency))
-        )
-    )
-    measured_s = max(time.perf_counter() - started, 1e-9)
-
-    server_metrics: dict = {}
-    server_health: dict = {}
-    try:
-        client = await ServeClient.connect(config.host, config.port)
-        try:
-            server_metrics = await client.call("metrics")
-            server_health = await client.call("health")
-            if config.drain_on_finish:
-                await client.call("drain")
-        finally:
-            await client.close()
-    except (ConnectionError, OSError, ServeError) as error:
-        _log.warning("post-campaign server snapshot failed: %s", error)
-
-    ordered = sorted(tally.latencies)
-    total = tally.ok + tally.errors + tally.shed
-    resilience = _aggregate_resilience(tally.resilience)
-    payload = {
-        "schema": LOADGEN_SCHEMA,
-        "host": host_metadata(),
-        "config": {
-            "op": config.op,
-            "concurrency": config.concurrency,
-            "duration_s": config.duration_s,
-            "requests": config.requests,
-            "programs": list(config.programs),
-            "variants": list(config.variants),
-            "max_steps": config.max_steps,
-            "deadline_s": config.deadline_s,
-            "warmup": config.warmup,
-            "trace_sample": config.trace_sample,
-            "cold_fraction": config.cold_fraction,
-            "engine": config.engine,
-            "resilient": config.resilient,
-            "hedge": config.hedge,
-        },
-        "warmup": {"distinct_cells": len(mix), "seconds": round(warmup_s, 3)},
-        "totals": {
-            "requests": total,
-            "ok": tally.ok,
-            "errors": tally.errors,
-            "shed": tally.shed,
-            "from_cache": tally.from_cache,
-            "coalesced": tally.coalesced,
-            "cold": tally.cold,
-            "retried": resilience["retried"],
-            "hedged": resilience["hedged"],
-            "breaker_open": resilience["breaker_open"],
-            "duration_s": round(measured_s, 3),
-            "rps": round(tally.ok / measured_s, 1),
-        },
-        "resilience": resilience,
-        "errors_by_code": dict(sorted(tally.by_code.items())),
-        "latency_ms": {
-            "p50": round(nearest_rank(ordered, 0.50) * 1000, 3),
-            "p95": round(nearest_rank(ordered, 0.95) * 1000, 3),
-            "p99": round(nearest_rank(ordered, 0.99) * 1000, 3),
-            "mean": round(sum(ordered) / len(ordered) * 1000, 3)
-            if ordered
-            else 0.0,
-            "max": round(ordered[-1] * 1000, 3) if ordered else 0.0,
-        },
-        "per_request_breakdown": _breakdown_summary(tally.breakdowns),
-        "server": {"metrics": server_metrics, "health": server_health},
-    }
-    if config.out:
-        write_loadgen_json(config.out, payload)
-    return payload
-
-
-def _aggregate_resilience(per_worker: list[dict]) -> dict:
-    """Sum the per-connection ResilienceStats into one campaign view."""
-    totals = ResilienceStats()
-    for stats in per_worker:
-        totals.attempts += stats["attempts"]
-        totals.retried += stats["retried"]
-        totals.hedged += stats["hedged"]
-        totals.hedge_wins += stats["hedge_wins"]
-        totals.reconnects += stats["reconnects"]
-        totals.breaker_open += stats["breaker_open"]
-        for code, count in stats["retries_by_code"].items():
-            totals.retries_by_code[code] = (
-                totals.retries_by_code.get(code, 0) + count
-            )
-    return totals.as_dict()
-
-
-def write_loadgen_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def format_loadgen(payload: dict) -> str:
-    totals = payload["totals"]
-    latency = payload["latency_ms"]
-    lines = [
-        f"{totals['requests']} requests in {totals['duration_s']:.1f}s "
-        f"over {payload['config']['concurrency']} connection(s): "
-        f"{totals['rps']:.0f} req/s",
-        f"  ok {totals['ok']}  errors {totals['errors']}  "
-        f"shed {totals['shed']}  "
-        f"cache-hits {totals['from_cache']}  coalesced {totals['coalesced']}"
-        + (
-            f"  cold {totals['cold']}"
-            if totals.get("cold")
-            else ""
-        ),
-        f"  latency ms: p50 {latency['p50']:.2f}  p95 {latency['p95']:.2f}  "
-        f"p99 {latency['p99']:.2f}  max {latency['max']:.2f}",
-    ]
-    if payload["errors_by_code"]:
-        codes = "  ".join(
-            f"{code}={count}"
-            for code, count in payload["errors_by_code"].items()
-        )
-        lines.append(f"  error codes: {codes}")
-    resilience = payload.get("resilience", {})
-    if resilience.get("attempts"):
-        lines.append(
-            f"  resilience: retried {resilience['retried']}  "
-            f"hedged {resilience['hedged']} "
-            f"(won {resilience['hedge_wins']})  "
-            f"breaker-open {resilience['breaker_open']}  "
-            f"reconnects {resilience['reconnects']}"
-        )
-    warmup = payload["warmup"]
-    if warmup["seconds"]:
-        lines.append(
-            f"  warm-up: {warmup['distinct_cells']} distinct cell(s) in "
-            f"{warmup['seconds']:.2f}s"
-        )
-    breakdown = payload.get("per_request_breakdown", {})
-    if breakdown.get("sampled"):
-        parts = "  ".join(
-            f"{bucket} {breakdown[f'{bucket}_ms']['p50']:.2f}"
-            for bucket in _BREAKDOWN_BUCKETS
-            if f"{bucket}_ms" in breakdown
-        )
-        lines.append(
-            f"  traced {breakdown['sampled']} request(s), p50 ms by stage: "
-            f"{parts}  (coverage mean "
-            f"{breakdown['coverage']['mean']:.0%})"
-        )
-    return "\n".join(lines)

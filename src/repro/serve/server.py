@@ -740,7 +740,7 @@ class ReproServer:
         variants = paper_variants(
             pointer_promotion=bool(params.get("pointer_promotion", False))
         )
-        variant = params.get("variant", "modref/promo")
+        variant = params.get("variant", PipelineOptions().variant_name())
         if variant not in variants:
             raise ProtocolError(
                 "invalid_params",

@@ -17,7 +17,7 @@ from repro.inccomp import (
     module_env_digest,
     mutate_function,
 )
-from repro.inccomp.bench import (
+from repro.bench.compile import (
     bench_compile,
     check_compile_gate,
     format_compile_bench,

@@ -1,12 +1,18 @@
 """Load-generator campaigns against an in-process server, including the
-fault-injection campaign that kills a worker mid-request."""
+fault-injection campaign that kills a worker mid-request, the resilient
+(retrying, hedging) campaign, and the ``repro loadgen`` failures that
+must exit 2 with one line instead of a traceback."""
 
 import asyncio
 import json
 import os
 import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.serve.client import LoadgenConfig, format_loadgen, run_loadgen
+from repro.bench.serve import LoadgenConfig, format_loadgen, run_loadgen
 from repro.serve.server import ReproServer, ServerConfig
 from tests.serve.helpers import run_async
 
@@ -288,3 +294,111 @@ class TestFaultInjection:
         assert payload["server"]["health"]["status"] == "ok"
         # the pool replaced the killed worker and reports it alive
         assert all(worker["alive"] for worker in health_workers)
+
+
+class TestResilientCampaign:
+    def test_resilient_hedged_campaign_is_clean(self, tmp_path):
+        async def scenario():
+            server = ReproServer(
+                ServerConfig(
+                    port=0, workers=2, cache_dir=str(tmp_path / "cache")
+                )
+            )
+            await server.start()
+            try:
+                payload = await run_loadgen(
+                    loadgen_config(
+                        server.port, requests=24, resilient=True, hedge=True
+                    )
+                )
+            finally:
+                await server.stop()
+            return payload
+
+        payload = run_async(scenario())
+        assert payload["totals"]["errors"] == 0, payload["errors_by_code"]
+        assert payload["totals"]["ok"] == 24
+        resilience = payload["resilience"]
+        # one attempt per logical request at least, summed over workers
+        assert resilience["attempts"] >= 24
+        assert payload["totals"]["hedged"] == resilience["hedged"]
+        assert payload["config"]["resilient"] is True
+        assert payload["config"]["hedge"] is True
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _cli_env() -> dict:
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        ),
+    )
+
+
+def _refused_port() -> int:
+    """A port nothing listens on: bound once, then closed."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+def _assert_one_line_failure(returncode: int, stderr: str) -> None:
+    assert returncode == 2, stderr
+    assert "Traceback" not in stderr, stderr
+    lines = [line for line in stderr.splitlines() if line.startswith("loadgen: ")]
+    assert len(lines) == 1, stderr
+
+
+class TestLoadgenCliFailures:
+    def _loadgen(self, tmp_path, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "loadgen",
+             "--out", str(tmp_path / "BENCH_serve.json"), *args],
+            capture_output=True, text=True, env=_cli_env(), timeout=60,
+        )
+
+    def test_refused_connection_exits_2_without_traceback(self, tmp_path):
+        proc = self._loadgen(
+            tmp_path, "--port", str(_refused_port()),
+            "--requests", "4", "--no-warmup",
+        )
+        _assert_one_line_failure(proc.returncode, proc.stderr)
+        assert not (tmp_path / "BENCH_serve.json").exists()
+
+    def test_server_never_healthy_exits_2_without_traceback(self, tmp_path):
+        proc = self._loadgen(
+            tmp_path, "--port", str(_refused_port()),
+            "--requests", "4", "--wait", "1",
+        )
+        _assert_one_line_failure(proc.returncode, proc.stderr)
+        assert "not healthy" in proc.stderr
+
+    def test_failed_warmup_exits_2_without_traceback(self, tmp_path):
+        async def scenario():
+            server = ReproServer(
+                ServerConfig(port=0, workers=1, cache_dir=None)
+            )
+            await server.start()
+            try:
+                # ten steps of fuel: every warm-up cell fails
+                proc = await asyncio.create_subprocess_exec(
+                    sys.executable, "-m", "repro", "loadgen",
+                    "--port", str(server.port), "--requests", "4",
+                    "--programs", "dhrystone", "--max-steps", "10",
+                    "--out", str(tmp_path / "BENCH_serve.json"),
+                    env=_cli_env(),
+                    stderr=asyncio.subprocess.PIPE,
+                )
+                _, stderr = await asyncio.wait_for(proc.communicate(), 60)
+            finally:
+                await server.stop()
+            return proc.returncode, stderr.decode()
+
+        returncode, stderr = run_async(scenario())
+        _assert_one_line_failure(returncode, stderr)
+        assert "warm-up failed" in stderr
