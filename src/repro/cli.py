@@ -284,13 +284,22 @@ def _unknown_workloads(names) -> bool:
     return bool(unknown)
 
 
+def _timeout_without_jobs(command: str, args: argparse.Namespace) -> bool:
+    """True (exit 2) for ``--timeout`` without ``--jobs`` > 1: a budget
+    is enforced by killing a worker process, and inline cells have none."""
+    rejected = args.timeout is not None and args.jobs <= 1
+    if rejected:
+        print(f"{command}: --timeout needs --jobs > 1", file=sys.stderr)
+    return rejected
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
     from .harness import METRICS, format_figure
     from .runner import ResultCache
     from .trace import format_span_summary, write_chrome_trace
     from .runner.report import run_suite_report, write_suite_json
 
-    if _unknown_workloads(args.programs):
+    if _unknown_workloads(args.programs) or _timeout_without_jobs("suite", args):
         return 2
 
     cache = fn_store = None
@@ -684,7 +693,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
     from .runner.report import run_suite_report
 
     names = args.programs or None
-    if _unknown_workloads(names):
+    if _unknown_workloads(names) or _timeout_without_jobs("drift", args):
         return 2
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -813,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--pointer-promotion", action="store_true",
                          help="enable section 3.3 pointer-based promotion")
     p_suite.add_argument("--timeout", type=float, default=None,
-                         help="per-cell seconds budget (jobs > 1 only)")
+                         help="per-cell seconds budget (needs --jobs > 1)")
     p_suite.add_argument("--no-cache", action="store_true",
                          help="always recompute, don't touch the result cache")
     p_suite.add_argument("--cache-dir", default=".repro-cache",
@@ -1065,7 +1074,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument("--jobs", type=int, default=1)
     p_drift.add_argument("--max-steps", type=int, default=50_000_000)
     p_drift.add_argument("--pointer-promotion", action="store_true")
-    p_drift.add_argument("--timeout", type=float, default=None)
+    p_drift.add_argument("--timeout", type=float, default=None,
+                         help="per-cell seconds budget (needs --jobs > 1)")
     p_drift.add_argument("--no-cache", action="store_true",
                          help="always recompute, don't touch the result cache")
     p_drift.add_argument("--cache-dir", default=".repro-cache",

@@ -138,14 +138,15 @@ def run_campaign(
                 )
             ]
             # a fresh per-batch compile cache bounds memory while letting each
-            # level's engine set share one compilation (inline runs only);
+            # level's engine set share one compilation (per worker when
+            # pooled);
             # the function store persists across batches — generated
             # programs share helper shapes, and a bounded memo is cheap
             outcomes = run_cells(
                 specs,
                 jobs=options.jobs,
                 retries=0,
-                compile_cache={} if options.jobs <= 1 else None,
+                compile_cache={},
                 fn_store=fn_store,
             )
 

@@ -368,12 +368,13 @@ def run_oracle(
     """
     config = config or OracleConfig()
     specs = build_oracle_specs(program.name, program.source, config)
-    # inline runs share one compilation per level across the engine pair
+    # one compilation per level serves the whole engine set (inline, or
+    # per worker when pooled)
     outcomes = run_cells(
         specs,
         jobs=jobs,
         retries=0,
-        compile_cache={} if jobs <= 1 else None,
+        compile_cache={},
         fn_store=fn_store,
     )
     return classify_outcomes(

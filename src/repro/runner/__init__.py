@@ -1,10 +1,12 @@
 """Parallel, cached, instrumented experiment runner.
 
-Three cooperating modules (per-pass span tracing lives in
+Four cooperating modules (per-pass span tracing lives in
 :mod:`repro.trace`):
 
-* :mod:`~repro.runner.scheduler` — process-pool job scheduler with
-  per-cell timeouts, bounded retries, and graceful degradation;
+* :mod:`~repro.runner.scheduler` — job scheduler with per-cell
+  timeouts, bounded retries, and graceful degradation;
+* :mod:`~repro.runner.pool` — the worker processes, shared with
+  :mod:`repro.serve`: spawn, deadline, kill-and-reap, shutdown;
 * :mod:`~repro.runner.cache` — content-addressed on-disk result cache;
 * :mod:`~repro.runner.report` — suite orchestration, aggregation into the
   harness's figure shapes, and ``suite.json`` serialization.

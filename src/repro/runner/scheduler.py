@@ -1,60 +1,45 @@
-"""Job scheduler: fan experiment cells out over a process pool.
+"""Job scheduler: run experiment cells inline or on worker processes.
 
-Each ``(workload, variant)`` cell is an independent job — it carries its
-own source text, so injected or synthetic workloads run in worker
-processes without any registry coordination.  The scheduler provides:
+Each ``(workload, variant)`` cell is an independent job that carries its
+own source text, so injected or synthetic workloads need no registry
+coordination.  ``jobs > 1`` runs cells on :mod:`repro.runner.pool`
+workers spawned for the call; ``jobs <= 1`` runs them inline, where the
+IR-bearing ``CompileResult`` stays attached to each result.  A cell that
+raises, takes its worker down, or runs out of ``timeout`` becomes a
+:class:`CellFailure` instead of killing the suite, and a crashed cell is
+retried up to ``retries`` extra times.  With a
+:class:`~repro.runner.cache.ResultCache`, hits skip execution and
+successes are written back.  With ``collect_trace=True`` each cell's
+per-pass spans (see :mod:`repro.trace`) come back as plain dicts.
 
-* **parallelism** — ``jobs > 1`` executes cells on a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; ``jobs <= 1`` runs
-  inline in-process (no pickling, deterministic, and the full
-  ``CompileResult`` stays available to the caller via the slim result's
-  ``compile_result`` field);
-* **graceful degradation** — a cell that raises or times out yields a
-  structured :class:`CellFailure` instead of killing the suite; output
-  agreement is checked *after* the join, over succeeded cells only (see
-  :mod:`repro.runner.report`);
-* **bounded retries** — crashed cells (including a worker process dying
-  and taking the pool with it) are resubmitted to a fresh pool up to
-  ``retries`` extra times;
-* **caching** — when a :class:`~repro.runner.cache.ResultCache` is given,
-  hits skip execution entirely and successes are written back;
-* **telemetry** — with ``collect_trace=True`` every cell records per-pass
-  spans (see :mod:`repro.trace`) that travel back to the parent
-  as plain dicts for merging into one Chrome trace.
-
-Timeouts are enforced at the join: the parent waits at most ``timeout``
-seconds per cell, so a cell is guaranteed *at least* that budget (cells
-joined later get more, since all cells run concurrently).  A timed-out
-worker is abandoned, not killed — the interpreter's ``max_steps`` fuel
-bounds how long it can linger.  Inline execution cannot be preempted, so
-``timeout`` only applies when ``jobs > 1``.
+A pooled cell's ``timeout`` budget starts when a worker picks it up.
+When it runs out, that worker is killed and reaped and a fresh one takes
+the next cell, so ``timeout`` bounds wall time.  A dead worker costs
+only the cell it held.  Inline cells cannot be preempted, so the CLI
+rejects ``--timeout`` without ``--jobs`` > 1.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Union
 
 from ..diag.log import get_logger
 from ..diag.metrics import metrics_session
-from ..errors import ReproError
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
 from ..pipeline import (
     CompileResult,
     ExperimentCell,
     PipelineOptions,
-    compile_and_run,
     compile_source,
     run_compiled,
 )
-from ..trace import TraceContext, tracing
+from ..trace import TraceContext, span, tracing
 from .cache import ResultCache, cell_key
+from .pool import WorkerLost, describe_error, fan_out
 
 _log = get_logger(__name__)
 
@@ -119,22 +104,18 @@ def execute_cell(
     trace_worker: str | None = None,
     fn_store: FunctionStore | None = None,
 ) -> ExperimentCell:
-    """Compile and run one cell (runs in the worker process).
+    """Compile and run one cell, inline or in a worker process.
 
     ``keep_compile_result`` attaches the full IR-bearing
-    :class:`CompileResult`; pooled runs leave it off so only the slim
-    counters/output payload crosses the process boundary.
-
-    ``compile_cache`` (a plain dict keyed by :func:`compile_memo_key`)
-    lets sibling cells that differ only in :class:`MachineOptions` — the
-    fuzz oracle's engine pairs — share one compilation.  Running never
-    mutates the compiled module, so reuse is sound; the compile-time
+    :class:`CompileResult`.  ``compile_cache`` (keyed by
+    :func:`compile_memo_key`) lets cells that differ only in
+    :class:`MachineOptions` — the fuzz oracle's engine pairs — share one
+    compilation; running never mutates the module, and the compile-time
     metrics land only in the first sharing cell's snapshot.
 
-    ``trace_ctx`` joins this cell to a distributed trace: spans are
-    stamped with the context's trace id, parented under its
-    ``parent_id``, and returned in ``trace_events`` (with identity and
-    wall-clock fields) for the requesting process to adopt.  It implies
+    ``trace_ctx`` joins this cell to a distributed trace: spans carry its
+    trace id, are parented under its ``parent_id``, and come back in
+    ``trace_events`` for the requester to adopt.  It implies
     ``collect_trace``.
     """
     started = time.perf_counter()
@@ -182,27 +163,20 @@ def _compile_and_run(
     spec: CellSpec,
     compile_cache: dict[str, CompileResult] | None = None,
     fn_store: FunctionStore | None = None,
-):
-    if compile_cache is None:
-        return compile_and_run(
-            spec.source,
-            spec.options,
-            name=spec.workload,
-            defines=dict(spec.defines) or None,
-            machine_options=spec.machine,
-            fn_store=fn_store,
-        )
-    key = compile_memo_key(spec)
-    compiled = compile_cache.get(key)
+) -> ExperimentCell:
+    key = compile_memo_key(spec) if compile_cache is not None else None
+    compiled = compile_cache.get(key) if key is not None else None
     if compiled is None:
-        compiled = compile_source(
-            spec.source,
-            spec.options,
-            name=spec.workload,
-            defines=dict(spec.defines) or None,
-            fn_store=fn_store,
-        )
-        compile_cache[key] = compiled
+        with span("compile", variant=spec.options.variant_name()):
+            compiled = compile_source(
+                spec.source,
+                spec.options,
+                name=spec.workload,
+                defines=dict(spec.defines) or None,
+                fn_store=fn_store,
+            )
+        if key is not None:
+            compile_cache[key] = compiled
     return run_compiled(compiled, spec.machine)
 
 
@@ -233,23 +207,22 @@ def run_cells(
 ) -> dict[tuple[str, str], CellOutcome]:
     """Run every cell, returning an outcome per ``(workload, variant)``.
 
-    ``compile_cache`` enables compile sharing between cells that differ
-    only in machine options — inline (``jobs <= 1``) execution only,
-    since compiled modules do not cross process boundaries.  The caller
-    owns the dict (and its memory): pass a fresh ``{}`` per batch to keep
-    it bounded.
+    ``compile_cache`` shares one compilation between cells that differ
+    only in machine options; ``None`` turns sharing off.  Inline runs use
+    the caller's dict (pass a fresh ``{}`` per batch to keep it bounded);
+    compiled modules do not cross processes, so pooled runs leave it
+    untouched and share inside each worker instead.
 
     ``fn_store`` enables incremental per-function compilation (see
-    :mod:`repro.inccomp`): cells that miss ``cache`` still reuse every
-    optimized function body whose content key is unchanged.  Pooled runs
-    ship the store to each worker by pickle, so only a disk-backed store
-    (``root`` set) actually shares entries across processes; a
-    memory-only store degrades to per-submission scratch space.
+    :mod:`repro.inccomp`).  Pooled workers are forked with it: a
+    disk-backed store is shared across processes, while a memory-only
+    one gives each worker a private copy whose additions never come back.
     """
     outcomes: dict[tuple[str, str], CellOutcome] = {}
     by_key = {spec.key: spec for spec in specs}
     if len(by_key) != len(specs):
         raise ValueError("duplicate (workload, variant) cells in schedule")
+    attempts = dict.fromkeys(by_key, 0)
 
     def finish(spec: CellSpec, outcome: CellOutcome) -> None:
         outcomes[spec.key] = outcome
@@ -262,6 +235,29 @@ def run_cells(
         if progress is not None:
             progress(spec, outcome)
 
+    def settle(spec: CellSpec, outcome, seconds: float) -> bool:
+        """Record one attempt: a cell, or a ``(kind, message)`` failure.
+        True runs the cell again (a crash with retries left)."""
+        attempts[spec.key] += 1
+        if isinstance(outcome, ExperimentCell):
+            finish(spec, outcome)
+            return False
+        kind, message = outcome
+        if kind == "crash" and attempts[spec.key] <= retries:
+            return True
+        _log.warning(
+            "cell %s[%s] failed (%s) after %d attempt(s): %s",
+            spec.workload, spec.variant, kind, attempts[spec.key], message,
+        )
+        finish(
+            spec,
+            CellFailure(
+                spec.workload, spec.variant, kind, message, attempts[spec.key],
+                seconds,
+            ),
+        )
+        return False
+
     pending: list[CellSpec] = []
     for spec in specs:
         payload = cache.get(spec_cache_key(spec)) if cache is not None else None
@@ -272,130 +268,54 @@ def run_cells(
 
     if jobs <= 1:
         for spec in pending:
-            finish(
-                spec,
-                _run_inline(spec, retries, collect_trace, compile_cache, fn_store),
-            )
+            while True:
+                started = time.perf_counter()
+                try:
+                    outcome = execute_cell(
+                        spec,
+                        collect_trace,
+                        keep_compile_result=True,
+                        compile_cache=compile_cache,
+                        fn_store=fn_store,
+                    )
+                except Exception as error:
+                    outcome = ("crash", describe_error(error))
+                if not settle(spec, outcome, time.perf_counter() - started):
+                    break
     else:
-        _run_pooled(
-            pending, jobs, timeout, retries, collect_trace, finish, fn_store
+        fan_out(
+            [
+                {
+                    "kind": "cell",
+                    "spec": spec,
+                    "collect_trace": collect_trace,
+                    "share_compile": compile_cache is not None,
+                }
+                for spec in pending
+            ],
+            jobs,
+            settle=lambda job, reply, seconds: settle(
+                job["spec"], _pooled_outcome(job["spec"], reply, timeout), seconds
+            ),
+            timeout=timeout,
+            fn_store=fn_store,
         )
     return outcomes
 
 
-def _run_inline(
-    spec: CellSpec,
-    retries: int,
-    collect_trace: bool,
-    compile_cache: dict[str, CompileResult] | None = None,
-    fn_store: FunctionStore | None = None,
-) -> CellOutcome:
-    attempts = 0
-    started = time.perf_counter()
-    while True:
-        attempts += 1
-        try:
-            return execute_cell(
-                spec,
-                collect_trace,
-                keep_compile_result=True,
-                compile_cache=compile_cache,
-                fn_store=fn_store,
-            )
-        except ReproError as error:
-            last = f"{type(error).__name__}: {error}"
-        except Exception as error:  # genuinely unexpected: keep the trace
-            last = "".join(
-                traceback.format_exception_only(type(error), error)
-            ).strip()
-        if attempts > retries:
-            _log.warning(
-                "cell %s[%s] crashed after %d attempt(s): %s",
-                spec.workload, spec.variant, attempts, last,
-            )
-            return CellFailure(
-                workload=spec.workload,
-                variant=spec.variant,
-                kind="crash",
-                message=last,
-                attempts=attempts,
-                seconds=time.perf_counter() - started,
-            )
-
-
-def _run_pooled(
-    pending: list[CellSpec],
-    jobs: int,
-    timeout: float | None,
-    retries: int,
-    collect_trace: bool,
-    finish: Callable[[CellSpec, CellOutcome], None],
-    fn_store: FunctionStore | None = None,
-) -> None:
-    attempts: dict[tuple[str, str], int] = {spec.key: 0 for spec in pending}
-    # only a disk-backed store shares entries across process boundaries;
-    # shipping a memory-only one would just pickle dead weight per cell
-    if fn_store is not None and fn_store.root is None:
-        fn_store = None
-    round_specs = list(pending)
-    while round_specs:
-        retry_specs: list[CellSpec] = []
-        abandoned_workers = False
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(round_specs)))
-        futures = {
-            spec.key: pool.submit(
-                execute_cell, spec, collect_trace, fn_store=fn_store
-            )
-            for spec in round_specs
-        }
-        for spec in round_specs:
-            future = futures[spec.key]
-            attempts[spec.key] += 1
-            started = time.perf_counter()
-            try:
-                finish(spec, future.result(timeout=timeout))
-                continue
-            except FutureTimeoutError:
-                future.cancel()
-                abandoned_workers = True
-                finish(
-                    spec,
-                    CellFailure(
-                        workload=spec.workload,
-                        variant=spec.variant,
-                        kind="timeout",
-                        message=f"exceeded {timeout:.3g}s cell budget",
-                        attempts=attempts[spec.key],
-                        seconds=time.perf_counter() - started,
-                    ),
-                )
-                continue
-            except BrokenExecutor as error:
-                # the worker process died (segfault, OOM-kill); the whole
-                # pool is unusable, so every unfinished sibling retries in
-                # a fresh pool next round
-                message = f"worker process died: {error}"
-            except ReproError as error:
-                message = f"{type(error).__name__}: {error}"
-            except Exception as error:
-                message = "".join(
-                    traceback.format_exception_only(type(error), error)
-                ).strip()
-            if attempts[spec.key] <= retries:
-                retry_specs.append(spec)
-            else:
-                finish(
-                    spec,
-                    CellFailure(
-                        workload=spec.workload,
-                        variant=spec.variant,
-                        kind="crash",
-                        message=message,
-                        attempts=attempts[spec.key],
-                        seconds=time.perf_counter() - started,
-                    ),
-                )
-        # don't block the suite on abandoned (timed-out) workers; their
-        # max_steps fuel bounds how long they can run on
-        pool.shutdown(wait=not abandoned_workers, cancel_futures=True)
-        round_specs = retry_specs
+def _pooled_outcome(spec: CellSpec, reply, timeout: float | None):
+    """A worker's reply, or the :class:`WorkerLost` instead of one, as a
+    cell or a ``(kind, message)`` failure."""
+    if isinstance(reply, WorkerLost):
+        if reply.reason == "deadline_kill":
+            return ("timeout", f"exceeded {timeout:.3g}s cell budget")
+        return ("crash", f"worker process died: {reply}")
+    if not reply["ok"]:
+        return ("crash", reply["error"]["message"])
+    # the reply carries the cache's slim payload, but this cell was just
+    # built, not read back: it is not from_cache
+    result = reply["result"]
+    cell = ExperimentCell.from_cache_payload(spec, result["cell"])
+    cell.from_cache = False
+    cell.trace_events = result.get("trace_spans", [])
+    return cell

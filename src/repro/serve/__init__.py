@@ -12,9 +12,9 @@ Modules:
   priority lanes, per-request deadlines;
 * :mod:`~repro.serve.coalesce` — single-flight deduplication of
   identical in-flight requests (content-addressed keys);
-* :mod:`~repro.serve.pool` — persistent workers executing
-  :mod:`repro.runner.scheduler` cells; crash respawn + retry-once,
-  recycling, deadline kills;
+* :mod:`~repro.serve.pool` — drives :mod:`repro.runner.pool`'s
+  persistent workers from the admission queue; crash respawn +
+  retry-once, recycling, deadline kills;
 * :mod:`~repro.serve.server` — the asyncio server and endpoint logic;
 * :mod:`~repro.serve.resilience` — retry policy, circuit breaker, and
   latency tracking behind the resilient client;

@@ -1,36 +1,15 @@
-"""Persistent worker pool: warm processes executing scheduler cells.
+"""Serving pool: warm :mod:`repro.runner.pool` workers behind the
+admission queue.
 
-The one-shot CLI pays interpreter start-up, module imports, and compile
-time on every invocation.  Workers here are long-lived
-:mod:`multiprocessing` processes that amortize all three:
-
-* imports happen once per worker lifetime;
-* each worker keeps a ``compile_cache`` dict (keyed by
-  :func:`repro.runner.scheduler.compile_memo_key`) so repeat requests
-  for the same source/options reuse the compiled module — and with it
-  the interpreter's generated code, which lives on the
-  :class:`~repro.ir.module.Module`;
-* below that, a memory-only :class:`~repro.inccomp.FunctionStore` memo
-  makes *cold* requests incremental: a request whose source misses
-  ``compile_cache`` still reuses every per-function optimized body whose
-  content key matches an earlier request (see :mod:`repro.inccomp`);
-* the request unit is exactly the scheduler's cell
-  (:func:`repro.runner.scheduler.execute_cell`), so serving and the
-  batch runner share semantics, metrics, and cache keys.
-
-Lifecycle invariants (the parts the tests pin down):
-
-* a worker is **recycled** (graceful shutdown + fresh spawn) after
-  ``recycle_after`` requests, bounding memory growth of the warm caches;
-* a worker that **crashes** mid-request (segfault, ``kill -9``) is
-  killed/joined — never left as a zombie — and respawned; the in-flight
-  request is retried once on the fresh worker, then failed cleanly with
-  ``worker_crashed`` while the pool keeps serving;
-* when a request **deadline fires mid-cell** the worker is killed and
-  reaped immediately (the cell cannot be cancelled cooperatively —
-  unlike the batch scheduler we never abandon a hot worker to its
-  ``max_steps`` fuel) and a replacement is spawned before the next
-  ticket is picked up.
+The workers (spawn, deadlines, kill-and-reap, shutdown) are the
+runner's; this module adds what is serve-specific.  Each worker gets a
+memory-only :class:`~repro.inccomp.FunctionStore` memo, so a request
+that misses its compile cache still reuses every optimized function
+body an earlier request produced.  A worker is recycled after
+``recycle_after`` requests; a crashed one is replaced and its request
+retried once, then failed with ``worker_crashed``; a deadline firing
+mid-cell kills and replaces it.  Chaos hooks and dispatch spans live
+here too.
 
 Each pool slot runs one asyncio *driver* task: pull a ticket from the
 admission queue, ship the job over the worker's pipe, await the reply in
@@ -42,21 +21,17 @@ in-flight ticket, shut their worker down gracefully, and exit.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import multiprocessing
-import os
-import signal
-import stat
 import time
-import traceback
 
-from ..diag.log import current_verbosity, get_logger, set_log_context
+from ..diag.log import get_logger
 from ..diag.metrics import MetricsRegistry
+from ..inccomp import FunctionStore
+from ..runner.pool import Worker, WorkerLost
 from .queue import AdmissionQueue, Ticket
 
 _log = get_logger(__name__)
 
-__all__ = ["WorkerPool", "worker_main"]
+__all__ = ["WorkerPool"]
 
 #: default requests handled before a worker is recycled
 DEFAULT_RECYCLE_AFTER = 200
@@ -64,288 +39,11 @@ DEFAULT_RECYCLE_AFTER = 200
 #: crash retries per request ("retried once then failed cleanly")
 CRASH_RETRIES = 1
 
-_JOIN_TIMEOUT = 5.0
-
-
-# --------------------------------------------------------------------------
-# child side
-
-
-@contextlib.contextmanager
-def _maybe_tracing(name: str, trace_ctx, worker_label: str):
-    """Trace the job only when the requester sent a context — untraced
-    requests keep the original zero-instrumentation path."""
-    if trace_ctx is None:
-        yield None
-        return
-    from ..trace import tracing
-
-    with tracing(name, context=trace_ctx, worker=worker_label) as trace:
-        yield trace
-
-
-def _handle_job(
-    job: dict,
-    compile_cache: dict,
-    worker_index: int = 0,
-    fn_store=None,
-) -> dict:
-    """Execute one job inside the worker process.
-
-    A ``trace_ctx`` dict in the job joins this execution to the
-    requesting side's trace: spans recorded here carry its trace id, are
-    parented under the parent's dispatch span, and travel back in the
-    reply as ``trace_spans`` for the server to adopt.
-    """
-    kind = job["kind"]
-    ctx_data = job.get("trace_ctx")
-    trace_ctx = None
-    if ctx_data is not None:
-        from ..trace import TraceContext
-
-        trace_ctx = TraceContext.from_dict(ctx_data)
-    worker_label = f"w{worker_index}"
-    if kind == "cell":
-        from ..runner.scheduler import execute_cell
-
-        spec = job["spec"]
-        cell = execute_cell(
-            spec,
-            compile_cache=compile_cache,
-            trace_ctx=trace_ctx,
-            trace_worker=worker_label,
-            fn_store=fn_store,
-        )
-        result = {
-            "workload": cell.workload,
-            "variant": cell.variant,
-            "cell": cell.cache_payload(),
-        }
-        if trace_ctx is not None:
-            result["trace_spans"] = cell.trace_events
-        return result
-    if kind == "compile":
-        from ..ir.printer import format_module
-        from ..pipeline import compile_source
-
-        with _maybe_tracing("compile", trace_ctx, worker_label) as trace:
-            compiled = compile_source(
-                job["source"],
-                job["options"],
-                name=job.get("name", "request"),
-                defines=job.get("defines") or None,
-                fn_store=fn_store,
-            )
-        reports = list(compiled.promotion_reports.values())
-        tags = (
-            set().union(*(r.promoted_tags for r in reports)) if reports else set()
-        )
-        result = {
-            "variant": job["options"].variant_name(),
-            "il": format_module(compiled.module),
-            "promotion": {
-                "tags_promoted": len(tags),
-                "references_rewritten": sum(
-                    r.references_rewritten for r in reports
-                ),
-                "loads_inserted": sum(r.loads_inserted for r in reports),
-                "stores_inserted": sum(r.stores_inserted for r in reports),
-            },
-        }
-        if trace_ctx is not None:
-            result["trace_spans"] = [e.as_dict() for e in trace.events]
-        return result
-    if kind == "explain":
-        from ..diag.ledger import decision_ledger
-        from ..pipeline import compile_source
-
-        with _maybe_tracing("explain", trace_ctx, worker_label) as trace:
-            with decision_ledger() as ledger:
-                compile_source(
-                    job["source"],
-                    job["options"],
-                    name=job.get("name", "request"),
-                    defines=job.get("defines") or None,
-                    fn_store=fn_store,
-                )
-        filters = job.get("filters") or {}
-        decisions = ledger.query(**filters)
-        result = {
-            "count": len(decisions),
-            "decisions": [decision.as_dict() for decision in decisions],
-        }
-        if trace_ctx is not None:
-            result["trace_spans"] = [e.as_dict() for e in trace.events]
-        return result
-    raise ValueError(f"unknown job kind {kind!r}")
-
-
-def _close_inherited_sockets(keep_fd: int) -> None:
-    """Close every socket fd a forked child inherited except ``keep_fd``.
-
-    Only sockets: the parent's listening socket and accepted client
-    connections are the fds whose inherited dups change kernel-visible
-    behaviour (no FIN on close, port staying bound after parent death).
-    Pipes and the event loop's epoll fd are inert in the child.  The job
-    pipe itself is a Unix socketpair, hence the explicit keep.
-    """
-    try:
-        fd_names = os.listdir("/proc/self/fd")
-    except OSError:  # pragma: no cover - no procfs (non-Linux POSIX)
-        return
-    for name in fd_names:
-        fd = int(name)
-        if fd == keep_fd or fd < 3:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:  # pragma: no cover - raced with the listdir
-            continue
-
-
-def worker_main(
-    conn,
-    worker_index: int = 0,
-    verbosity: int | None = None,
-    slow_start_s: float = 0.0,
-) -> None:
-    """Child entry point: serve jobs from the pipe until told to stop.
-
-    ``verbosity`` is the parent's global ``-v/-vv/-q`` level at spawn
-    time; worker records are re-formatted with the worker id and the
-    trace id of the job in flight (``-`` when untraced).
-    ``slow_start_s`` is the chaos layer's ``pool.slow_start`` fault: the
-    worker sleeps that long before serving its first job.
-    """
-    # the server handles SIGINT/SIGTERM itself and drains; a stray
-    # terminal Ctrl-C must not take the workers down mid-cell
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # a fork-context child inherits every parent fd, including live TCP
-    # connections: while this worker is alive, a connection the server
-    # closes would never FIN (the child's dup keeps it open) and the
-    # client would wait forever.  Drop everything except the job pipe.
-    _close_inherited_sockets(keep_fd=conn.fileno())
-    from ..diag.log import setup_worker_logging
-
-    setup_worker_logging(worker_index, verbosity)
-    if slow_start_s > 0:
-        time.sleep(slow_start_s)
-    # pre-import the execution stack while the worker is still idle so
-    # the first job it handles (and its trace) doesn't pay module load
-    from ..runner import scheduler  # noqa: F401
-
-    compile_cache: dict = {}
-    # the per-function warm memo: requests that share any function body
-    # with an earlier request (same key, any module) skip re-optimizing
-    # it, which is most of a cold request's compile cost.  Memory-only
-    # and bounded; recycled with the worker like compile_cache.
-    from ..inccomp import FunctionStore
-
-    fn_store = FunctionStore(root=None)
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError):
-            break
-        if job is None:  # graceful shutdown / recycle sentinel
-            break
-        ctx = job.get("trace_ctx") if isinstance(job, dict) else None
-        set_log_context(trace_id=ctx["trace_id"] if ctx else "-")
-        try:
-            chaos = job.pop("_chaos", None) if isinstance(job, dict) else None
-            if chaos is not None:
-                from ..chaos.inject import enact_worker_fault
-
-                # crash shapes never return; hang sleeps until the
-                # parent's deadline reaper kills this process
-                enact_worker_fault(
-                    chaos,
-                    lambda: _handle_job(job, compile_cache, worker_index, fn_store),
-                )
-            result = _handle_job(job, compile_cache, worker_index, fn_store)
-            reply = {"ok": True, "result": result}
-        except Exception as error:
-            from ..errors import ReproError
-
-            code = "cell_failed" if isinstance(error, ReproError) else "internal"
-            message = "".join(
-                traceback.format_exception_only(type(error), error)
-            ).strip()
-            reply = {"ok": False, "error": {"code": code, "message": message}}
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
-
-
-# --------------------------------------------------------------------------
-# parent side
-
-
-def _default_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context("spawn")
-
-
-def _consume_exception(future) -> None:
-    """Swallow exceptions of abandoned recv futures (killed workers)."""
-    if not future.cancelled():
-        future.exception()
-
-
-class _WorkerHandle:
-    """One child process plus its parent-side pipe end."""
-
-    def __init__(self, ctx, index: int = 0, slow_start_s: float = 0.0) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.conn = parent_conn
-        # capture the parent's -v/-vv/-q level at spawn so the child
-        # re-applies it after the fork
-        self.process = ctx.Process(
-            target=worker_main,
-            args=(child_conn, index, current_verbosity(), slow_start_s),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.handled = 0
-        self.started_at = time.monotonic()
-
-    @property
-    def pid(self) -> int:
-        return self.process.pid
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL + join: the worker is dead *and reaped* on return."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(_JOIN_TIMEOUT)
-        self.conn.close()
-
-    def shutdown(self) -> None:
-        """Graceful stop: sentinel, bounded join, kill as last resort."""
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(_JOIN_TIMEOUT)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join(_JOIN_TIMEOUT)
-        self.conn.close()
-
 
 class _Slot:
     """A pool position: the current worker + driver-task bookkeeping."""
 
-    def __init__(self, index: int, worker: _WorkerHandle) -> None:
+    def __init__(self, index: int, worker: Worker) -> None:
         self.index = index
         self.worker = worker
         self.busy = False
@@ -363,7 +61,6 @@ class WorkerPool:
         size: int = 2,
         recycle_after: int = DEFAULT_RECYCLE_AFTER,
         metrics: MetricsRegistry | None = None,
-        mp_context=None,
         chaos=None,
         on_replace=None,
     ) -> None:
@@ -372,7 +69,6 @@ class WorkerPool:
         self.recycle_after = max(1, recycle_after)
         # an empty registry is falsy (``__len__``), so test identity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.ctx = mp_context or _default_context()
         self.slots: list[_Slot] = []
         self._drivers: list[asyncio.Task] = []
         self._hard_stop = False
@@ -400,7 +96,7 @@ class WorkerPool:
         ]
         self._update_gauges()
 
-    def _spawn(self, index: int) -> _WorkerHandle:
+    def _spawn(self, index: int) -> Worker:
         """Spawn one worker, applying a ``pool.slow_start`` fault if the
         plan decides one for this slot's spawn."""
         slow_start_s = 0.0
@@ -409,7 +105,7 @@ class WorkerPool:
             if fault is not None:
                 slow_start_s = fault.delay_s
                 self.metrics.inc("chaos.injected.pool.slow_start")
-        worker = _WorkerHandle(self.ctx, index, slow_start_s)
+        worker = Worker(index, FunctionStore(root=None), slow_start_s)
         self.spawned_pids.add(worker.pid)
         return worker
 
@@ -477,8 +173,6 @@ class WorkerPool:
                     self._notify_state()
                 if slot.worker.handled >= self.recycle_after:
                     self._recycle(slot)
-        except asyncio.CancelledError:
-            raise
         finally:
             # on hard stop the pool kills workers itself; a bounded join
             # here would stall the event loop during cancellation
@@ -530,33 +224,26 @@ class WorkerPool:
                     self.metrics.inc(f"chaos.injected.{fault.site}")
                     job = dict(job)
                     job["_chaos"] = fault.worker_payload()
-            try:
-                worker.conn.send(job)
-            except (BrokenPipeError, OSError):
+            if not worker.send(job):
                 # died while idle: not an execution attempt, just respawn
                 self._replace(slot, reason="idle_crash", trace=ticket.trace)
                 continue
             ticket.attempts += 1
-            recv = loop.run_in_executor(None, worker.conn.recv)
-            recv.add_done_callback(_consume_exception)
             try:
-                reply = await asyncio.wait_for(
-                    asyncio.shield(recv), ticket.remaining()
+                reply = await loop.run_in_executor(
+                    None, worker.reply, ticket.remaining()
                 )
-            except asyncio.TimeoutError:
-                # deadline fired mid-cell: kill the worker (don't leak it,
-                # don't let the cell burn CPU to its max_steps fuel)
-                self._replace(slot, reason="deadline_kill", trace=ticket.trace)
-                record_dispatch(outcome="deadline_kill")
-                ticket.fail(
-                    "deadline_exceeded",
-                    f"deadline fired mid-cell after attempt {ticket.attempts}; "
-                    "worker killed and respawned",
-                )
-                return
-            except (EOFError, OSError, BrokenPipeError):
-                self._replace(slot, reason="crash", trace=ticket.trace)
-                record_dispatch(outcome="crash")
+            except WorkerLost as lost:
+                # the worker is already killed and reaped: replace it
+                self._replace(slot, reason=lost.reason, trace=ticket.trace)
+                record_dispatch(outcome=lost.reason)
+                if lost.reason == "deadline_kill":
+                    ticket.fail(
+                        "deadline_exceeded",
+                        f"deadline fired mid-cell after attempt "
+                        f"{ticket.attempts}; worker killed and respawned",
+                    )
+                    return
                 if ticket.attempts <= CRASH_RETRIES and not ticket.expired():
                     _log.warning(
                         "worker crashed mid-request (attempt %d); retrying "
@@ -568,7 +255,6 @@ class WorkerPool:
                     f"worker died {ticket.attempts} time(s) on this request",
                 )
                 return
-            worker.handled += 1
             record_dispatch(outcome="ok" if reply.get("ok") else "error")
             if reply.get("ok"):
                 ticket.fulfil(reply["result"])
@@ -659,9 +345,6 @@ class WorkerPool:
 
     async def wait_busy(self, count: int = 1, timeout: float = 10.0) -> None:
         await self.wait_until(lambda: self.busy_count >= count, timeout)
-
-    async def wait_idle(self, timeout: float = 10.0) -> None:
-        await self.wait_until(lambda: self.busy_count == 0, timeout)
 
     async def wait_recycled(self, count: int = 1, timeout: float = 10.0) -> None:
         await self.wait_until(

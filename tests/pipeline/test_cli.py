@@ -164,6 +164,23 @@ class TestSuite:
         assert main(["suite", "nonesuch"]) == 2
         assert "unknown workloads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suite", "allroots", "--timeout", "5"],
+            ["suite", "allroots", "--timeout", "5", "--jobs", "1"],
+            ["drift", "baseline.json", "--timeout", "5"],
+        ],
+    )
+    def test_timeout_without_jobs_rejected(self, argv, tmp_path, capsys):
+        # an inline cell cannot be preempted: the budget would be ignored
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert "--timeout needs --jobs > 1" in line
+        assert not any(tmp_path.iterdir())  # rejected before any work
+
     def test_single_program(self, capsys):
         assert main(["suite", "allroots", "--no-cache"]) == 0
         out = capsys.readouterr().out

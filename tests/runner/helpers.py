@@ -3,9 +3,14 @@ milliseconds, plus deliberately broken ones."""
 
 from __future__ import annotations
 
+import os
+
 from repro.interp import MachineOptions
 from repro.pipeline import PipelineOptions
+from repro.runner import scheduler
 from repro.runner.scheduler import CellSpec
+
+_execute_cell = scheduler.execute_cell
 
 GOOD_SOURCE = r"""
 int total;
@@ -44,3 +49,23 @@ def make_spec(
         options=PipelineOptions(**options),
         machine=MachineOptions(max_steps=max_steps),
     )
+
+
+# Stand-ins for ``scheduler.execute_cell``: a test patches one over the
+# scheduler's name and the forked workers inherit it.  They are module
+# level so they also pickle by reference.
+
+
+def execute_cell_recording_pid(spec, *args, **kwargs):
+    """Write the worker's pid to ``$REPRO_TEST_PID_DIR/<workload>`` first."""
+    path = os.path.join(os.environ["REPRO_TEST_PID_DIR"], spec.workload)
+    with open(path, "w") as handle:
+        handle.write(str(os.getpid()))
+    return _execute_cell(spec, *args, **kwargs)
+
+
+def execute_cell_killing_killer(spec, *args, **kwargs):
+    """Take the worker down without a reply when the cell is ``killer``."""
+    if spec.workload == "killer":
+        os._exit(3)
+    return _execute_cell(spec, *args, **kwargs)

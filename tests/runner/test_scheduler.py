@@ -1,13 +1,32 @@
 """Scheduler behaviour: parallel fan-out, graceful degradation, retries,
-timeouts, and exact parity with serial execution."""
+timeouts, worker lifecycle, and exact parity with serial execution."""
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.pipeline import ExperimentCell
+from repro.runner import scheduler
 from repro.runner.report import run_suite_report
 from repro.runner.scheduler import CellFailure, run_cells
 
-from tests.runner.helpers import CRASH_SOURCE, SPIN_SOURCE, make_spec
+from tests.runner.helpers import (
+    CRASH_SOURCE,
+    SPIN_SOURCE,
+    execute_cell_killing_killer,
+    execute_cell_recording_pid,
+    make_spec,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: several seconds of step fuel (the compiled engine runs ~20M ops/s), so
+#: only the scheduler's timeout can stop the spinner in time
+SPIN_FUEL = 200_000_000
 
 
 class TestInline:
@@ -71,14 +90,11 @@ class TestPooled:
         assert data.output == "total=300\n"
         # pooled results are slim: no IR crosses the process boundary
         assert data.compile_result is None
+        assert not data.from_cache
 
     def test_timeout_yields_structured_failure(self):
-        # give the spinner several seconds of step fuel (the compiled
-        # engine runs ~20M ops/s); the 0.2s budget expires long before
-        # and the suite moves on without waiting
-        slow = make_spec(
-            workload="spinner", source=SPIN_SOURCE, max_steps=200_000_000
-        )
+        # the 0.2s budget expires long before the spinner's fuel does
+        slow = make_spec(workload="spinner", source=SPIN_SOURCE, max_steps=SPIN_FUEL)
         good = make_spec()
         outcomes = run_cells([slow, good], jobs=2, timeout=0.2, retries=1)
         failure = outcomes[slow.key]
@@ -98,6 +114,53 @@ class TestPooled:
             progress=lambda spec, outcome: seen.append((spec.key, outcome.ok)),
         )
         assert sorted(seen) == [(bad.key, False), (good.key, True)]
+
+
+class TestWorkerLifecycle:
+    def test_timed_out_worker_is_dead_and_reaped_on_return(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_TEST_PID_DIR", str(tmp_path))
+        monkeypatch.setattr(scheduler, "execute_cell", execute_cell_recording_pid)
+        slow = make_spec(workload="spinner", source=SPIN_SOURCE, max_steps=SPIN_FUEL)
+        outcomes = run_cells([slow, make_spec()], jobs=2, timeout=0.2)
+        assert outcomes[slow.key].kind == "timeout"
+        pid = int((tmp_path / "spinner").read_text())
+        # signal 0 reaches a live process and an unreaped zombie alike
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_timeout_bounds_process_exit(self):
+        script = (
+            "from repro.runner.scheduler import run_cells\n"
+            "from tests.runner.helpers import SPIN_SOURCE, make_spec\n"
+            "slow = make_spec(workload='spinner', source=SPIN_SOURCE,"
+            f" max_steps={SPIN_FUEL})\n"
+            "run_cells([slow, make_spec()], jobs=2, timeout=0.2)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+        ))
+        started = time.monotonic()
+        subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT, env=env, check=True, capture_output=True, timeout=60,
+        )
+        assert time.monotonic() - started < 3.0
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_dead_worker_charges_only_its_own_cell(self, monkeypatch, retries):
+        monkeypatch.setattr(scheduler, "execute_cell", execute_cell_killing_killer)
+        killer = make_spec(workload="killer")
+        good = [make_spec(workload=f"good{i}") for i in range(4)]
+        outcomes = run_cells([killer, *good], jobs=2, retries=retries)
+        failure = outcomes[killer.key]
+        assert isinstance(failure, CellFailure)
+        assert failure.kind == "crash"
+        assert "worker process died" in failure.message
+        assert failure.attempts == retries + 1
+        for spec in good:
+            assert outcomes[spec.key].ok, outcomes[spec.key]
 
 
 class TestSerialParallelParity:

@@ -77,7 +77,7 @@ class TestPipelineSpansAreAnonymousCompatible:
 
 class TestPoolJobPathUntraced:
     def test_handle_job_skips_tracing_without_context(self):
-        from repro.serve.pool import _maybe_tracing
+        from repro.runner.pool import _maybe_tracing
 
         with _maybe_tracing("compile", None, "w0") as trace:
             assert trace is None
