@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.function import Function
-from ..ir.instructions import Instr, VReg
+from ..ir.instructions import VReg
 
 
 @dataclass
@@ -47,10 +47,3 @@ def compute_def_use(func: Function) -> DefUse:
             for reg in instr.uses():
                 info.uses.setdefault(reg, []).append((label, idx))
     return info
-
-
-def defining_instr(func: Function, site: tuple[str, int]) -> Instr | None:
-    label, idx = site
-    if label == "<param>":
-        return None
-    return func.block(label).instrs[idx]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ir.cfg import postorder, predecessors
+from ..ir.cfg import postorder
 from ..ir.function import Function
 from ..ir.instructions import Phi, VReg
 

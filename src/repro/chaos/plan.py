@@ -38,7 +38,7 @@ step attached to delay-shaped faults.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["FaultPlan", "FaultSpec", "SITES", "request_token"]
 

@@ -49,6 +49,10 @@ output).
 
 Global ``-v``/``-vv`` raise log verbosity (INFO/DEBUG); ``-q`` silences
 warnings.  The flags are accepted both before and after the subcommand.
+
+An unreadable file or a :class:`~repro.errors.ReproError` (malformed C,
+a runtime fault, variants that disagree) prints one
+``repro: error: <message>`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -1089,7 +1093,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     setup_logging(-1 if args.quiet else args.verbose)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

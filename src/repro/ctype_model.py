@@ -225,11 +225,3 @@ def usual_arithmetic(lhs: CType, rhs: CType) -> CType:
     if width > INT.size:
         return LONG
     return INT
-
-
-def common_pointer_target_size(ctype: CType) -> int:
-    """Element size used to scale pointer arithmetic."""
-    if ctype.is_pointer():
-        pointee = ctype.pointee  # type: ignore[attr-defined]
-        return max(pointee.size, 1)
-    raise UnsupportedFeatureError(f"pointer arithmetic on non-pointer {ctype}")

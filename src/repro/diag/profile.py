@@ -21,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.loops import find_loops
-from ..ir.instructions import (
-    CLoad,
-    MemLoad,
-    MemStore,
-    Nop,
-    ScalarLoad,
-    ScalarStore,
-)
+from ..ir.instructions import MEMORY_LOADS, MEMORY_STORES, Nop
 from ..ir.module import Module
 
 __all__ = [
@@ -57,9 +50,9 @@ def block_mix(block) -> BlockMix:
         if isinstance(instr, Nop):
             continue  # structural; the interpreter un-counts it
         ops += 1
-        if isinstance(instr, (ScalarLoad, CLoad, MemLoad)):
+        if isinstance(instr, MEMORY_LOADS):
             loads += 1
-        elif isinstance(instr, (ScalarStore, MemStore)):
+        elif isinstance(instr, MEMORY_STORES):
             stores += 1
     return BlockMix(ops=ops, loads=loads, stores=stores)
 

@@ -25,22 +25,13 @@ from dataclasses import dataclass
 
 from pycparser import c_ast
 
-from ..errors import FrontendError, UnsupportedFeatureError
-from ..intrinsics import ALLOCATORS, INTRINSICS, is_intrinsic
-from ..ir.builder import IRBuilder
-from ..ir.function import Function
-from ..ir.instructions import Call, LoadAddr, Ret, VReg
-from ..ir.module import GlobalVar, Module
-from ..ir.opcodes import Opcode
-from ..ir.tags import Tag, TagKind, TagSet
-from .ctypes import (
+from ..ctype_model import (
     ArrayType,
     CHAR,
     CType,
     DOUBLE,
     FunctionType,
     INT,
-    IntType,
     LONG,
     PointerType,
     SHORT,
@@ -52,6 +43,14 @@ from .ctypes import (
     decay,
     usual_arithmetic,
 )
+from ..errors import FrontendError, UnsupportedFeatureError
+from ..intrinsics import ALLOCATORS, INTRINSICS, is_intrinsic
+from ..ir.builder import IRBuilder
+from ..ir.function import Function
+from ..ir.instructions import Call, VReg
+from ..ir.module import GlobalVar, Module
+from ..ir.opcodes import Opcode
+from ..ir.tags import Tag, TagKind, TagSet
 from .symbols import EnumConst, FuncSymbol, ScopeStack, VarSymbol
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ctype_model import CType, FunctionType
 from ..errors import FrontendError
 from ..ir.instructions import VReg
 from ..ir.tags import Tag
-from .ctypes import CType, FunctionType
 
 
 @dataclass
@@ -31,10 +31,6 @@ class VarSymbol:
     @property
     def in_register(self) -> bool:
         return self.reg is not None
-
-    @property
-    def in_memory(self) -> bool:
-        return self.tag is not None
 
 
 @dataclass
@@ -92,6 +88,3 @@ class ScopeStack:
 
     def depth(self) -> int:
         return len(self._scopes)
-
-    def at_global_scope(self) -> bool:
-        return len(self._scopes) == 1

@@ -33,7 +33,7 @@ from ..trace import (
     install_flight_recorder,
     uninstall_flight_recorder,
 )
-from .gen import FuzzProgram, GenOptions, generate_program
+from .gen import GenOptions, generate_program
 from .oracle import (
     OracleConfig,
     OracleReport,

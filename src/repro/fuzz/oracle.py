@@ -69,13 +69,7 @@ def o0_options() -> PipelineOptions:
         analysis=Analysis.NONE,
         promotion=False,
         pointer_promotion=False,
-        value_numbering=False,
-        constant_propagation=False,
-        licm=False,
-        pre=False,
-        dce=False,
-        clean=False,
-        run_regalloc=False,
+        optimize=False,
         verify_each_stage=True,
     )
 

@@ -31,7 +31,7 @@ Two execution engines share this measurement contract:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..diag.log import get_logger
 from ..errors import InterpError, InterpTrap, ResourceLimitError
@@ -112,8 +112,6 @@ class RunResult:
 @dataclass
 class MachineOptions:
     max_steps: int = 500_000_000
-    capture_output: bool = True
-    rand_seed: int = 1
     #: count per-block executions for per-loop attribution; the default
     #: (off) path allocates nothing and does no per-instruction work
     profile: bool = False
@@ -137,7 +135,7 @@ class Machine:
             {} if self.options.profile else None
         )
         self.output: list[str] = []
-        self._rand_state = self.options.rand_seed
+        self._rand_state = 1  # C's rand() before any srand()
         self._call_depth = 0
         self._heap_site_of_addr: dict[int, int] = {}
         # hot-path bindings: the execution engines read these every call
@@ -365,13 +363,11 @@ class Machine:
             return self._printf(args)
         if name == "putchar":
             ch = int(args[0]) & 0xFF
-            if self.options.capture_output:
-                self.output.append(chr(ch))
+            self.output.append(chr(ch))
             return int(args[0])
         if name == "puts":
             text = mem.read_c_string(int(args[0]))
-            if self.options.capture_output:
-                self.output.append(text + "\n")
+            self.output.append(text + "\n")
             return 0
         if name in ALLOCATORS:
             if name == "calloc":
@@ -487,8 +483,7 @@ class Machine:
                 raise InterpError(f"printf conversion %{conv} unsupported")
             i = j + 1
         text = "".join(out)
-        if self.options.capture_output:
-            self.output.append(text)
+        self.output.append(text)
         return len(text)
 
 

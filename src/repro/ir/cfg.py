@@ -10,9 +10,7 @@ Promotion inserts its load/store pairs into exactly those blocks.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .function import BasicBlock, Function
+from .function import Function
 
 
 def successors(func: Function, label: str) -> tuple[str, ...]:
@@ -107,24 +105,9 @@ def split_critical_edges(func: Function) -> int:
     return count
 
 
-def ensure_single_exit_return(func: Function) -> None:
-    """Nothing in the pipeline requires a unique return block, but the
-    verifier and several analyses are simpler when at least one exists;
-    this is a no-op placeholder kept for API symmetry."""
-
-
-def block_order_index(func: Function) -> dict[str, int]:
-    """Stable integer index of each block in layout order."""
-    return {label: i for i, label in enumerate(func.blocks)}
-
-
 def edge_list(func: Function) -> list[tuple[str, str]]:
     edges: list[tuple[str, str]] = []
     for label, block in func.blocks.items():
         for succ in block.successors():
             edges.append((label, succ))
     return edges
-
-
-def blocks_in_labels(func: Function, labels: Iterable[str]) -> list[BasicBlock]:
-    return [func.block(label) for label in labels]

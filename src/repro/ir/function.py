@@ -17,7 +17,6 @@ from .instructions import (
     Instr,
     Jump,
     Phi,
-    Ret,
     VReg,
     branch_targets,
 )
@@ -180,11 +179,6 @@ class Function:
             for reg in instr.uses():
                 highest = max(highest, reg.id)
         return highest
-
-    def returns_value(self) -> bool:
-        return any(
-            isinstance(i, Ret) and i.value is not None for i in self.instructions()
-        )
 
     # -- edge surgery ----------------------------------------------------------
     def split_edge(self, src_label: str, dst_label: str, hint: str = "E") -> BasicBlock:

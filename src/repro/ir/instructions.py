@@ -17,9 +17,9 @@ function and carry an optional name hint used only for printing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .opcodes import BINARY_OPS, COMPARISON_OPS, UNARY_OPS, Opcode
+from .opcodes import BINARY_OPS, UNARY_OPS, Opcode
 from .tags import Tag, TagSet
 
 
@@ -110,9 +110,6 @@ class BinOp(Instr):
     def replace_uses(self, mapping: Mapping[VReg, VReg]) -> None:
         self.lhs = _subst(mapping, self.lhs)
         self.rhs = _subst(mapping, self.rhs)
-
-    def is_comparison(self) -> bool:
-        return self.opcode in COMPARISON_OPS
 
     def copy(self) -> "BinOp":
         return BinOp(self.opcode, self.dst, self.lhs, self.rhs)
@@ -554,14 +551,20 @@ class Nop(Instr):
         return "nop"
 
 
+#: the classes :func:`is_memory_load` and :func:`is_memory_store` accept,
+#: for ``isinstance`` checks on hot paths
+MEMORY_LOADS = (CLoad, ScalarLoad, MemLoad)
+MEMORY_STORES = (ScalarStore, MemStore)
+
+
 def is_memory_load(instr: Instr) -> bool:
     """True for cload/sload/load — the operations the paper counts as loads."""
-    return isinstance(instr, (CLoad, ScalarLoad, MemLoad))
+    return isinstance(instr, MEMORY_LOADS)
 
 
 def is_memory_store(instr: Instr) -> bool:
     """True for sstore/store — the operations the paper counts as stores."""
-    return isinstance(instr, (ScalarStore, MemStore))
+    return isinstance(instr, MEMORY_STORES)
 
 
 def is_memory_op(instr: Instr) -> bool:
@@ -589,8 +592,3 @@ def retarget(instr: Instr, old: str, new: str) -> None:
             instr.if_true = new
         if instr.if_false == old:
             instr.if_false = new
-
-
-def copy_instructions(instrs: Iterable[Instr]) -> list[Instr]:
-    """Structural copies of a sequence of instructions."""
-    return [i.copy() for i in instrs]

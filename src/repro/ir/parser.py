@@ -44,7 +44,7 @@ from .instructions import (
     VReg,
 )
 from .module import GlobalVar, Module
-from .opcodes import BINARY_OPS, Opcode, UNARY_OPS
+from .opcodes import BINARY_OPS, UNARY_OPS
 from .tags import Tag, TagKind, TagSet
 
 _REG_RE = re.compile(r"%([A-Za-z_][A-Za-z_0-9]*?)?(\d+)$")

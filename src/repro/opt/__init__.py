@@ -1,15 +1,15 @@
 """The optimizer: register promotion plus the paper's baseline passes."""
 
-from .clean import CleanStats, clean_function, clean_module
+from .clean import CleanStats, clean_function
 from .constprop import SCCPStats, run_sccp, run_sccp_module
-from .dce import DCEStats, run_dce, run_dce_module
+from .dce import DCEStats, run_dce
 from .licm import LICMStats, run_licm, run_licm_module
 from .pointer_promotion import (
     PointerPromotionReport,
     promote_pointers_function,
     promote_pointers_module,
 )
-from .pre import PREStats, run_pre, run_pre_module
+from .pre import PREStats, run_pre
 from .pressure import (
     PressurePlan,
     estimate_loop_pressure,
@@ -42,7 +42,6 @@ __all__ = [
     "SCCPStats",
     "VNStats",
     "clean_function",
-    "clean_module",
     "estimate_loop_pressure",
     "gather_block_info",
     "plan_promotions",
@@ -51,11 +50,9 @@ __all__ = [
     "promote_pointers_function",
     "promote_pointers_module",
     "run_dce",
-    "run_dce_module",
     "run_licm",
     "run_licm_module",
     "run_pre",
-    "run_pre_module",
     "run_sccp",
     "run_sccp_module",
     "run_value_numbering",

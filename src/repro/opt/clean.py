@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from ..ir.cfg import predecessors, remove_unreachable_blocks
 from ..ir.function import Function
 from ..ir.instructions import Branch, Jump, Phi, retarget
-from ..ir.module import Module
 
 
 @dataclass
@@ -48,17 +47,6 @@ def clean_function(func: Function, max_rounds: int = 100) -> CleanStats:
         if not changed:
             break
     return stats
-
-
-def clean_module(module: Module) -> CleanStats:
-    total = CleanStats()
-    for func in module.functions.values():
-        stats = clean_function(func)
-        total.branches_folded += stats.branches_folded
-        total.empty_blocks_removed += stats.empty_blocks_removed
-        total.blocks_merged += stats.blocks_merged
-        total.unreachable_removed += stats.unreachable_removed
-    return total
 
 
 def _has_phis(func: Function) -> bool:

@@ -25,7 +25,6 @@ from ..ir.instructions import (
     UnOp,
     VReg,
 )
-from ..ir.module import Module
 from ..ir.opcodes import Opcode
 
 
@@ -76,10 +75,3 @@ def run_dce(func: Function) -> DCEStats:
                 kept.append(instr)
             block.instrs = kept
     return stats
-
-
-def run_dce_module(module: Module) -> DCEStats:
-    total = DCEStats()
-    for func in module.functions.values():
-        total.removed += run_dce(func).removed
-    return total

@@ -31,6 +31,7 @@ from ..analysis.loops import Loop, LoopForest, normalize_loops
 from ..diag import ledger as diag_ledger
 from ..ir.function import Function
 from ..ir.instructions import (
+    MEMORY_LOADS,
     BinOp,
     Call,
     CLoad,
@@ -157,7 +158,7 @@ def _hoist_from_loop(
                     def_blocks[dest.id].discard(label)
                     def_blocks[dest.id].add(pad_label)
                     stats.hoisted += 1
-                    if isinstance(instr, (ScalarLoad, CLoad, MemLoad)):
+                    if isinstance(instr, MEMORY_LOADS):
                         stats.loads_hoisted += 1
                     diag_ledger.record(
                         "licm", func.name, "hoisted", loop=loop.header,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from ..ir.cfg import predecessors, reverse_postorder
 from ..ir.function import Function
 from ..ir.instructions import (
+    MEMORY_LOADS,
     BinOp,
     Call,
     CLoad,
@@ -37,13 +38,11 @@ from ..ir.instructions import (
     MemLoad,
     MemStore,
     Mov,
-    Phi,
     ScalarLoad,
     ScalarStore,
     UnOp,
     VReg,
 )
-from ..ir.module import Module
 from ..ir.opcodes import COMMUTATIVE_OPS
 from ..ir.tags import Tag
 
@@ -113,16 +112,6 @@ def record_pre_decision(func_name: str, stats: PREStats) -> None:
         )
 
 
-def run_pre_module(module: Module) -> PREStats:
-    total = PREStats()
-    for func in module.functions.values():
-        stats = run_pre(func)
-        total.expressions_removed += stats.expressions_removed
-        total.loads_removed += stats.loads_removed
-        record_pre_decision(func.name, stats)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # expression table
 # ---------------------------------------------------------------------------
@@ -172,10 +161,6 @@ def _key_of(instr: Instr) -> tuple | None:
     if isinstance(instr, MemLoad):
         return ("ld", instr.addr.id)
     return None
-
-
-def _is_load(instr: Instr) -> bool:
-    return isinstance(instr, (ScalarLoad, CLoad, MemLoad))
 
 
 def _collect(func: Function, exprs: _ExprTable) -> None:
@@ -311,7 +296,7 @@ def _rewrite(func: Function, order, exprs, avail_in, redundant, stats: PREStats)
                 assert instr.dest is not None
                 new_instrs.append(Mov(instr.dest, temps[idx]))
                 stats.expressions_removed += 1
-                if _is_load(instr):
+                if isinstance(instr, MEMORY_LOADS):
                     stats.loads_removed += 1
                 kill = _kill_mask(instr, exprs)
                 cur &= ~kill

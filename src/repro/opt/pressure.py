@@ -38,6 +38,9 @@ from ..ir.function import Function
 from ..ir.instructions import CLoad, ScalarLoad, ScalarStore
 from ..ir.tags import Tag
 
+#: registers held back from the pressure budget for allocator temporaries
+RESERVE = 4
+
 
 @dataclass
 class PressurePlan:
@@ -96,12 +99,11 @@ def plan_promotions(
     forest: LoopForest,
     promotable: dict[str, frozenset[Tag]],
     num_registers: int,
-    reserve: int = 4,
 ) -> PressurePlan:
     """Budget each loop's promotions.
 
     ``promotable`` maps loop headers to the Figure 1 PROMOTABLE sets.
-    The budget for a loop is ``num_registers - reserve - MAXLIVE(loop)``
+    The budget for a loop is ``num_registers - RESERVE - MAXLIVE(loop)``
     plus the homes already paid for by enclosing loops (a tag promoted in
     the parent occupies its register either way, so it is free here).
     """
@@ -112,7 +114,7 @@ def plan_promotions(
         candidates = promotable.get(loop.header, frozenset())
         base = estimate_loop_pressure(func, loop, liveness)
         plan.base_pressure[loop.header] = base
-        headroom = num_registers - reserve - base
+        headroom = num_registers - RESERVE - base
         free = candidates & inherited
         new_candidates = sorted(
             candidates - inherited,

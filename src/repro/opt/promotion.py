@@ -78,12 +78,6 @@ class PromotionReport:
     loads_inserted: int = 0
     stores_inserted: int = 0
 
-    def promotable_in(self, header: str) -> frozenset[Tag]:
-        for loop in self.loops:
-            if loop.header == header:
-                return loop.promotable
-        return frozenset()
-
     def lifted_in(self, header: str) -> frozenset[Tag]:
         for loop in self.loops:
             if loop.header == header:
@@ -103,8 +97,6 @@ class PromotionOptions:
     #: promoted homes fits the budget — the paper's section 3.4 proposal
     #: (see :mod:`repro.opt.pressure`)
     pressure_budget: int | None = None
-    #: registers held back from the pressure budget for allocator temps
-    pressure_reserve: int = 4
     #: DELIBERATELY UNSOUND: pretend calls never reference memory when
     #: gathering B_AMBIGUOUS, so tags modified by callees still promote.
     #: Exists only so the fuzzer/reducer can be tested against a known
@@ -334,7 +326,6 @@ def _apply_pressure_plan(
         forest,
         {header: s.promotable for header, s in sets.items()},
         num_registers=options.pressure_budget,
-        reserve=options.pressure_reserve,
     )
     for loop in forest.loops_outermost_first():
         s = sets[loop.header]

@@ -87,14 +87,10 @@ class PipelineOptions:
     pointer_promotion: bool = False
     promotion_options: PromotionOptions = field(default_factory=PromotionOptions)
     regalloc: RegAllocOptions = field(default_factory=RegAllocOptions)
-    #: baseline optimizations (the paper applies these to *every* version)
-    value_numbering: bool = True
-    constant_propagation: bool = True
-    licm: bool = True
-    pre: bool = True
-    dce: bool = True
-    clean: bool = True
-    run_regalloc: bool = True
+    #: the baseline optimizer and register allocator (the paper applies
+    #: them to *every* version); False sends the lowered IR straight to
+    #: the interpreter
+    optimize: bool = True
     verify_each_stage: bool = False
 
     def variant_name(self) -> str:
@@ -122,19 +118,7 @@ class CompileResult:
 def _worth_caching(options: PipelineOptions) -> bool:
     """A store entry only pays for itself when some per-function work
     exists to skip; O0-style configs bypass the store entirely."""
-    return any(
-        (
-            options.promotion,
-            options.pointer_promotion,
-            options.value_numbering,
-            options.constant_propagation,
-            options.licm,
-            options.pre,
-            options.dce,
-            options.clean,
-            options.run_regalloc,
-        )
-    )
+    return options.optimize or options.promotion or options.pointer_promotion
 
 
 def _optimize_function(
@@ -158,13 +142,11 @@ def _optimize_function(
             verify_function(func)
 
     # -- early scalar optimizations ---------------------------------------
-    if options.clean:
+    if options.optimize:
         with _pass_span("clean", module, function=name):
             clean_function(func)
-    if options.value_numbering:
         with _pass_span("value_numbering", module, function=name):
             record_vn_decision(name, run_value_numbering(func))
-    if options.constant_propagation:
         with _pass_span("sccp", module, function=name):
             run_sccp(func)
     checkpoint()
@@ -178,7 +160,7 @@ def _optimize_function(
         checkpoint()
 
     # -- loop and straight-line redundancy removal -------------------------
-    if options.licm:
+    if options.optimize:
         with _pass_span("licm", module, function=name):
             licm_stats = run_licm(func)
         record.stats["licm.hoisted"] = licm_stats.hoisted
@@ -190,33 +172,27 @@ def _optimize_function(
                 func, universe=universe
             )
         checkpoint()
-    if options.pre:
+    if options.optimize:
         with _pass_span("pre", module, function=name):
             pre_stats = run_pre(func)
             record_pre_decision(name, pre_stats)
         record.stats["pre.expressions_removed"] = pre_stats.expressions_removed
         record.stats["pre.loads_removed"] = pre_stats.loads_removed
-    if options.value_numbering:
         with _pass_span("value_numbering", module, function=name):
             vn_stats = run_value_numbering(func)
             record_vn_decision(name, vn_stats)
         record.stats["valuenum.loads_removed"] = vn_stats.loads_removed
-    if options.dce:
         with _pass_span("dce", module, function=name):
             run_dce(func)
-    if options.clean:
         with _pass_span("clean", module, function=name):
             clean_function(func)
-    checkpoint()
+        checkpoint()
 
-    # -- register allocation -----------------------------------------------
-    if options.run_regalloc:
+        # -- register allocation -------------------------------------------
         with _pass_span("regalloc", module, function=name):
             record.regalloc = allocate_function(func, options.regalloc)
-            if options.dce:
-                run_dce(func)
-            if options.clean:
-                clean_function(func)
+            run_dce(func)
+            clean_function(func)
 
     if ledger is not None:
         record.decisions = list(ledger.decisions[decisions_before:])
@@ -256,9 +232,6 @@ def _emit_pass_metrics(
             len(promoted),
             sum(r.references_rewritten for r in result.promotion_reports.values()),
         )
-    if options.licm:
-        inc_metric("licm.hoisted", totals.get("licm.hoisted", 0))
-        inc_metric("licm.loads_hoisted", totals.get("licm.loads_hoisted", 0))
     if options.pointer_promotion:
         set_gauge(
             "pointer_promotion.promoted_bases",
@@ -267,12 +240,13 @@ def _emit_pass_metrics(
                 for r in result.pointer_promotion_reports.values()
             ),
         )
-    if options.pre:
+    if options.optimize:
+        inc_metric("licm.hoisted", totals.get("licm.hoisted", 0))
+        inc_metric("licm.loads_hoisted", totals.get("licm.loads_hoisted", 0))
         inc_metric(
             "pre.expressions_removed", totals.get("pre.expressions_removed", 0)
         )
         inc_metric("pre.loads_removed", totals.get("pre.loads_removed", 0))
-    if options.value_numbering:
         inc_metric(
             "valuenum.loads_removed", totals.get("valuenum.loads_removed", 0)
         )

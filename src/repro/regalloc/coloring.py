@@ -7,7 +7,7 @@ promotion a net loss (the paper's *water* anecdote).  We reproduce that
 machinery:
 
 * *coalescing* — copies whose source and destination do not interfere
-  are merged (Briggs-conservative test by default), which is what erases
+  are merged (Briggs-conservative test), which is what erases
   the ``mov`` operations promotion introduced;
 * *simplify/select* — Briggs optimistic coloring with K colors;
 * *spilling* — uncolored registers get a spill tag (a stack slot); every
@@ -34,13 +34,13 @@ from ..ir.tags import Tag, TagKind
 from .interference import InterferenceGraph, build_interference
 
 
+#: coalesce/color/spill rounds before the allocator gives up
+MAX_ROUNDS = 12
+
+
 @dataclass
 class RegAllocOptions:
     num_registers: int = 32
-    coalesce: bool = True
-    #: Briggs-conservative coalescing; aggressive (Chaitin) when False
-    conservative: bool = True
-    max_rounds: int = 12
 
 
 @dataclass
@@ -63,10 +63,9 @@ def allocate_function(
     forest = find_loops(func)
     depth = {label: forest.depth_of(label) for label in func.blocks}
 
-    for round_no in range(options.max_rounds):
+    for round_no in range(MAX_ROUNDS):
         report.rounds = round_no + 1
-        if options.coalesce:
-            report.copies_coalesced += _coalesce(func, options, depth)
+        report.copies_coalesced += _coalesce(func, options.num_registers, depth)
         graph = build_interference(func, compute_liveness(func), depth)
         coloring, spills = _color(graph, options.num_registers)
         if not spills:
@@ -96,7 +95,7 @@ def allocate_module(
 # coalescing
 # ---------------------------------------------------------------------------
 
-def _coalesce(func: Function, options: RegAllocOptions, depth) -> int:
+def _coalesce(func: Function, k: int, depth) -> int:
     """Merge non-interfering copy pairs until none remain.  Returns the
     number of copies removed."""
     removed = 0
@@ -124,9 +123,7 @@ def _coalesce(func: Function, options: RegAllocOptions, depth) -> int:
                     continue
                 if graph.interferes(a, b):
                     continue
-                if options.conservative and not _briggs_ok(
-                    graph, a, b, options.num_registers
-                ):
+                if not _briggs_ok(graph, a, b, k):
                     continue
                 # keep the parameter id if one side is a parameter (its
                 # identity is fixed by the calling convention)

@@ -175,16 +175,13 @@ def module_op_breakdown(module) -> dict[str, int]:
     excluded — they are dead weight the clean pass erases, not work.
     """
     from ..ir.instructions import (
+        MEMORY_LOADS,
+        MEMORY_STORES,
         Branch,
         Call,
-        CLoad,
-        MemLoad,
-        MemStore,
         Mov,
         Nop,
         Ret,
-        ScalarLoad,
-        ScalarStore,
     )
 
     counts = {
@@ -193,9 +190,9 @@ def module_op_breakdown(module) -> dict[str, int]:
     }
     for function in module.functions.values():
         for instr in function.instructions():
-            if isinstance(instr, (ScalarLoad, CLoad, MemLoad)):
+            if isinstance(instr, MEMORY_LOADS):
                 counts["loads"] += 1
-            elif isinstance(instr, (ScalarStore, MemStore)):
+            elif isinstance(instr, MEMORY_STORES):
                 counts["stores"] += 1
             elif isinstance(instr, Mov):
                 counts["copies"] += 1

@@ -160,8 +160,7 @@ class TestEndToEnd:
     def test_o0_disables_everything(self):
         options = o0_options()
         assert not options.promotion
-        assert not options.run_regalloc
-        assert not options.value_numbering
+        assert not options.optimize
         assert options.verify_each_stage
 
     def test_clean_seed_passes(self):

@@ -39,13 +39,7 @@ CONFIGS = {
         analysis=Analysis.NONE,
         promotion=False,
         pointer_promotion=False,
-        value_numbering=False,
-        constant_propagation=False,
-        licm=False,
-        pre=False,
-        dce=False,
-        clean=False,
-        run_regalloc=False,
+        optimize=False,
     ),
     "full": PipelineOptions(),
     "pointer": PipelineOptions(

@@ -31,13 +31,7 @@ O0 = PipelineOptions(
     analysis=Analysis.NONE,
     promotion=False,
     pointer_promotion=False,
-    value_numbering=False,
-    constant_propagation=False,
-    licm=False,
-    pre=False,
-    dce=False,
-    clean=False,
-    run_regalloc=False,
+    optimize=False,
 )
 FULL = PipelineOptions()
 

@@ -5,6 +5,7 @@ from repro.analysis.modref import run_modref
 from repro.frontend import compile_c
 from repro.interp import run_module
 from repro.opt.pressure import (
+    RESERVE,
     estimate_loop_pressure,
     plan_promotions,
     tag_use_frequency,
@@ -76,7 +77,7 @@ class TestPlan:
         base = plan_promotions(func, forest, promotable, 256).base_pressure[header]
         # allow exactly 2 promoted homes above the base pressure
         plan = plan_promotions(
-            func, forest, promotable, num_registers=base + 2, reserve=0
+            func, forest, promotable, num_registers=base + RESERVE + 2
         )
         kept = {t.name for t in plan.allowed[header]}
         assert len(kept) == 2

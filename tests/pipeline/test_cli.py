@@ -40,6 +40,23 @@ class TestRun:
         assert code == 0
         assert "pointer/nopromo" in capsys.readouterr().err
 
+    def test_missing_file_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "absent.c"
+        assert main(["run", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert str(missing) in err
+        assert "Traceback" not in err
+
+    def test_malformed_c_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "b.c"
+        path.write_text("int main(void){ return x; }")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "b:1:24: undeclared identifier 'x'" in err
+        assert "Traceback" not in err
+
 
 class TestCompare:
     def test_compare_prints_four_variants(self, c_file, capsys):

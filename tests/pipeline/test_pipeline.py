@@ -98,13 +98,7 @@ class TestOptimizationEffects:
 
     def test_pass_toggles(self):
         opts = PipelineOptions(
-            value_numbering=False,
-            constant_propagation=False,
-            licm=False,
-            pre=False,
-            dce=False,
-            clean=False,
-            run_regalloc=False,
+            optimize=False,
             promotion=True,
         )
         cell = compile_and_run(PROGRAM, opts)

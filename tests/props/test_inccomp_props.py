@@ -14,7 +14,8 @@ Three properties, per the key's contract (`repro.inccomp.keys`):
 
 from __future__ import annotations
 
-from dataclasses import replace
+import enum
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.inccomp import (
 )
 from repro.ir.printer import format_function, format_module
 from repro.pipeline import (
-    Analysis,
     PipelineOptions,
     compile_module,
     compile_source,
@@ -205,22 +205,39 @@ def test_incremental_behaviour_matches_key_prediction():
 # 3. options changes invalidate everything
 # ---------------------------------------------------------------------------
 
+def _other_value(value):
+    """A value of the same option that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(member for member in type(value) if member is not value)
+    if value is None:
+        return 4
+    return value + 1
+
+
+def leaf_mutations(options, path: tuple[str, ...] = ()):
+    """``(dotted field path, options with only that leaf changed)`` for
+    every leaf field of ``options`` and of the option dataclasses it
+    nests, so a field added later is covered without editing this test."""
+    for option in fields(options):
+        value = getattr(options, option.name)
+        where = path + (option.name,)
+        if is_dataclass(value):
+            for leaf, changed in leaf_mutations(value, where):
+                yield leaf, replace(options, **{option.name: changed})
+        else:
+            yield ".".join(where), replace(options, **{option.name: _other_value(value)})
+
+
+OPTION_MUTATIONS = dict(leaf_mutations(PipelineOptions()))
+
+
 @pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda o: replace(o, promotion=False),
-        lambda o: replace(o, analysis=Analysis.POINTER),
-        lambda o: replace(o, licm=False),
-        lambda o: replace(o, regalloc=replace(o.regalloc, num_registers=6)),
-        lambda o: replace(
-            o, promotion_options=replace(o.promotion_options, pressure_budget=4)
-        ),
-    ],
-    ids=["promotion", "analysis", "licm", "regalloc", "pressure"],
+    "changed_options", OPTION_MUTATIONS.values(), ids=OPTION_MUTATIONS.keys()
 )
-def test_options_change_invalidates_every_function(mutate):
+def test_options_change_invalidates_every_function(changed_options):
     base_options = PipelineOptions()
-    changed_options = mutate(base_options)
     assert options_digest(base_options) != options_digest(changed_options)
     base = post_analysis_keys(CHAIN_SOURCE, base_options)
     after = post_analysis_keys(CHAIN_SOURCE, changed_options)
