@@ -46,6 +46,14 @@ def _geomean(values: list[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def _speedups(programs: dict, num: str, den: str) -> list[float]:
+    """Per-program ``num``-over-``den`` wall-time speedups."""
+    return [
+        max(entry[den]["wall_s"], 1e-9) / max(entry[num]["wall_s"], 1e-9)
+        for entry in programs.values()
+    ]
+
+
 def bench_interpreters(
     names: list[str] | None = None,
     *,
@@ -116,15 +124,9 @@ def bench_interpreters(
         )
         programs[workload.name] = entry
 
-    def pair_speedups(num: str, den: str) -> list[float]:
-        return [
-            max(entry[den]["wall_s"], 1e-9) / max(entry[num]["wall_s"], 1e-9)
-            for entry in programs.values()
-        ]
-
     speedups_summary: dict[str, dict] = {}
     for num, den in ENGINE_PAIRS:
-        values = pair_speedups(num, den)
+        values = _speedups(programs, num, den)
         speedups_summary[f"{num}_vs_{den}"] = {
             "geomean": round(_geomean(values), 3),
             "min": round(min(values), 3) if values else 0.0,
@@ -168,27 +170,42 @@ def check_regression(
 ) -> list[str]:
     """Compare ``payload`` against a committed ``baseline`` payload.
 
-    Gates on the per-pair geomean speedups (host-independent ratios):
-    a pair present in both summaries fails when the fresh geomean drops
-    more than ``tolerance_pct`` percent below the baseline's.  Returns
-    the list of failure messages (empty = no regression).  A baseline
-    pair the fresh run no longer reports is not gated; a baseline with
-    no pairs at all raises (see :func:`baseline_pairs`).
+    Gates on per-pair geomean speedups (host-independent ratios) taken
+    over the programs *both* payloads measured, so a ``--quick`` run is
+    compared with the same four programs of a full baseline: a pair fails
+    when the fresh geomean drops more than ``tolerance_pct`` percent below
+    the baseline's.  Returns the list of failure messages (empty = no
+    regression).  A pair that some shared program was not measured
+    under is not gated.  Raises :class:`ValueError` for a baseline with no pairs at all
+    (see :func:`baseline_pairs`) or no program in common with the run.
     """
-    failures: list[str] = []
     base_pairs = baseline_pairs(baseline)
-    cur_pairs = payload.get("summary", {}).get("speedups", {})
-    for pair, base_cell in sorted(base_pairs.items()):
-        base_geo = float(base_cell.get("geomean", 0.0))
-        cur_cell = cur_pairs.get(pair)
-        if cur_cell is None or base_geo <= 0:
+    shared = sorted(
+        set(payload.get("programs", {})) & set(baseline.get("programs", {}))
+    )
+    if not shared:
+        raise ValueError("no program measured by both the run and the baseline")
+    measured = [
+        {name: p["programs"][name] for name in shared} for p in (baseline, payload)
+    ]
+    failures: list[str] = []
+    for pair in sorted(base_pairs):
+        num, _, den = pair.partition("_vs_")
+        if any(
+            num not in entry or den not in entry
+            for programs in measured
+            for entry in programs.values()
+        ):
             continue
-        cur_geo = float(cur_cell["geomean"])
+        base_geo, cur_geo = (
+            _geomean(_speedups(programs, num, den)) for programs in measured
+        )
         floor = base_geo * (1.0 - tolerance_pct / 100.0)
         if cur_geo < floor:
             failures.append(
-                f"{pair}: geomean speedup {cur_geo:.3f}x fell below "
-                f"{floor:.3f}x (baseline {base_geo:.3f}x - {tolerance_pct:g}%)"
+                f"{pair}: geomean speedup {cur_geo:.3f}x over "
+                f"{len(shared)} program(s) fell below {floor:.3f}x "
+                f"(baseline {base_geo:.3f}x - {tolerance_pct:g}%)"
             )
     return failures
 

@@ -430,7 +430,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     write_bench_json(out, payload)
     print(f"wrote {out}", file=sys.stderr)
     if baseline is not None:
-        failures = check_regression(payload, baseline, tolerance)
+        try:
+            failures = check_regression(payload, baseline, tolerance)
+        except ValueError as exc:
+            print(f"cannot gate against {args.baseline}: {exc}", file=sys.stderr)
+            return 2
         if failures:
             for failure in failures:
                 print(f"bench regression: {failure}", file=sys.stderr)

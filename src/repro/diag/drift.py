@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..errors import ReproError
 from .log import get_logger
 
 __all__ = [
@@ -159,11 +160,18 @@ def format_drift_report(drifts: list[Drift], tolerance_pct: float) -> str:
 
 
 def load_baseline(path: str | Path) -> dict[str, dict[str, float]]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"baseline {path} has schema {payload.get('schema')!r}, "
-            f"expected {BASELINE_SCHEMA}"
+    """Read a drift baseline; a file that is not one raises
+    :class:`~repro.errors.ReproError` naming it (and the line, for
+    malformed JSON)."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ReproError(f"{path}:{error.lineno}: {error.msg}") from None
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != BASELINE_SCHEMA or not isinstance(payload.get("cells"), dict):
+        raise ReproError(
+            f"{path}: not a drift baseline (schema {schema!r}, "
+            f"expected {BASELINE_SCHEMA} with a cells map)"
         )
     return payload["cells"]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.loops import find_loops
-from ..ir.instructions import MEMORY_LOADS, MEMORY_STORES, Nop
+from ..interp.counters import static_mix
 from ..ir.module import Module
 
 __all__ = [
@@ -45,16 +45,12 @@ class BlockMix:
 
 def block_mix(block) -> BlockMix:
     """Count what one pass over the block's instructions executes."""
-    ops = loads = stores = 0
-    for instr in block.instrs:
-        if isinstance(instr, Nop):
-            continue  # structural; the interpreter un-counts it
-        ops += 1
-        if isinstance(instr, MEMORY_LOADS):
-            loads += 1
-        elif isinstance(instr, MEMORY_STORES):
-            stores += 1
-    return BlockMix(ops=ops, loads=loads, stores=stores)
+    mix = static_mix(block.instrs)
+    return BlockMix(
+        ops=mix.get("total_ops", 0),
+        loads=mix.get("loads", 0),
+        stores=mix.get("stores", 0),
+    )
 
 
 @dataclass

@@ -93,20 +93,9 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.opcodes import Opcode
 from ..ir.tags import TagKind
+from .counters import static_mix
 from .machine import Machine, _binop, _unop, c_div, c_mod
 from .memory import _ALIGN, MemoryImage, frame_layout
-
-#: counter fields each instruction class bumps besides ``total_ops``
-_COUNTS = {
-    Mov: ("copies",),
-    ScalarLoad: ("loads", "scalar_loads"),
-    CLoad: ("loads", "scalar_loads"),
-    ScalarStore: ("stores", "scalar_stores"),
-    MemLoad: ("loads", "general_loads"),
-    MemStore: ("stores", "general_stores"),
-    Branch: ("branches",),
-    Call: ("calls",),
-}
 
 #: the local holding each counter's pending delta
 _DELTA = {
@@ -151,18 +140,6 @@ _WRAP_MASK = (
     "{v} = (({v} + 9223372036854775808)"
     " & 18446744073709551615) - 9223372036854775808"
 )
-
-
-def _mix(instrs) -> dict[str, int]:
-    """The counter increments the reference loop makes running ``instrs``."""
-    mix: dict[str, int] = {}
-    for instr in instrs:
-        cls = instr.__class__
-        if cls is Nop:
-            continue
-        for fld in ("total_ops",) + _COUNTS.get(cls, ()):
-            mix[fld] = mix.get(fld, 0) + 1
-    return mix
 
 
 def _body(instrs: list) -> list:
@@ -489,7 +466,7 @@ class _Gen:
                 vregs.add(i.dest.id)
         self.code.vregs = sorted(vregs)
         self.fields = [
-            fld for fld in _DELTA if any(fld in _mix([i]) for i in instrs)
+            fld for fld in _DELTA if any(fld in static_mix([i]) for i in instrs)
         ]
 
         # superblock layout: a block with exactly one predecessor falls
@@ -674,7 +651,7 @@ class _Gen:
             n + 1 for n, i in enumerate(instrs[:-1]) if i.__class__ is Call
         ]
         for start, end in zip(starts, starts[1:] + [len(instrs)]):
-            mix = _mix(instrs[start:end])
+            mix = static_mix(instrs[start:end])
             ops = mix.pop("total_ops", 0)
             if ops:
                 emit(ind, f"_t += {ops}")
@@ -687,7 +664,7 @@ class _Gen:
             for idx in range(start, end):
                 first = len(self.lines) + 1
                 self.instr(label, instrs[idx], ind)
-                rest = _mix(instrs[idx + 1 : end])
+                rest = static_mix(instrs[idx + 1 : end])
                 if rest:
                     for line in range(first, len(self.lines) + 1):
                         self.code.fixes[line] = rest

@@ -20,6 +20,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ir.instructions import (
+    Branch,
+    Call,
+    CLoad,
+    MemLoad,
+    MemStore,
+    Mov,
+    Nop,
+    ScalarLoad,
+    ScalarStore,
+)
+
+#: the counter fields each instruction class bumps besides ``total_ops``
+#: (``nop`` bumps nothing, not even that).  The compiled tier's static
+#: mixes, the loop profile and the pipeline's per-pass op breakdown all
+#: read this one table; the reference loop in :mod:`repro.interp.machine`
+#: spells the same increments out inline, and the engine-equivalence
+#: tests hold the two to each other.
+COUNTED_AS = {
+    Mov: ("copies",),
+    ScalarLoad: ("loads", "scalar_loads"),
+    CLoad: ("loads", "scalar_loads"),
+    ScalarStore: ("stores", "scalar_stores"),
+    MemLoad: ("loads", "general_loads"),
+    MemStore: ("stores", "general_stores"),
+    Branch: ("branches",),
+    Call: ("calls",),
+}
+
+
+def static_mix(instrs) -> dict[str, int]:
+    """The counter increments the reference loop makes running ``instrs``
+    once, straight through."""
+    mix: dict[str, int] = {}
+    for instr in instrs:
+        cls = instr.__class__
+        if cls is Nop:
+            continue
+        for fld in ("total_ops",) + COUNTED_AS.get(cls, ()):
+            mix[fld] = mix.get(fld, 0) + 1
+    return mix
+
 
 @dataclass(slots=True)
 class Counters:

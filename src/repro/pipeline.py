@@ -24,8 +24,10 @@ cleaning pass."
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from time import perf_counter
 
 from .analysis.modref import ModRefResult, run_modref
@@ -37,7 +39,9 @@ from .frontend import compile_c
 from .inccomp.keys import function_digest, function_key, module_env_digest, options_digest
 from .inccomp.store import FunctionRecord, FunctionStore
 from .interp import Counters, MachineOptions, RunResult, run_module
+from .interp.counters import COUNTED_AS
 from .ir.function import Function
+from .ir.instructions import Nop
 from .ir.module import Module
 from .ir.verify import verify_function, verify_module
 from .opt.clean import clean_function
@@ -50,23 +54,70 @@ from .opt.promotion import PromotionOptions, PromotionReport, promote_function
 from .opt.valuenum import record_vn_decision, run_value_numbering
 from .regalloc import RegAllocOptions, RegAllocReport, allocate_function
 from .diag.ledger import DecisionLedger, current_ledger
-from .trace import span
+from .trace import current_trace, span
 
 
 _log = get_logger(__name__)
 
 
+#: the op classes of a pass span's ``ops_by_class_delta``: an
+#: instruction's class is the first counter field it bumps, else ``other``
+_OTHER = ("other",)
+_OP_CLASSES = tuple(dict.fromkeys(f[0] for f in COUNTED_AS.values())) + _OTHER
+
+
+def _op_census(func: Function) -> tuple[int, dict[str, int]]:
+    """One walk over ``func``: its instruction count (``nop`` included,
+    as :func:`repro.trace.module_op_count` counts) and its ``nop``-free
+    count per op class."""
+    by_type = Counter(
+        map(type, chain.from_iterable(b.instrs for b in func.blocks.values()))
+    )
+    classes = dict.fromkeys(_OP_CLASSES, 0)
+    for cls, count in by_type.items():
+        if cls is not Nop:
+            classes[COUNTED_AS.get(cls, _OTHER)[0]] += count
+    return sum(by_type.values()), classes
+
+
 @contextmanager
-def _pass_span(name: str, module=None, **args: object):
-    """A pipeline-pass span, tagged with how many decision-ledger rows
-    the pass recorded (only while a ledger is active, so cached cell
-    payloads from plain suite runs are unchanged)."""
-    ledger = current_ledger()
-    before = len(ledger.decisions) if ledger is not None else None
-    with span(name, module, **args) as extra:
+def _pass_span(name: str, func: Function | None = None):
+    """A pipeline-pass span; a free no-op while no trace is active.
+
+    A per-function pass span names its function and carries the
+    function's op census around the pass (``ops_before``, ``ops_after``,
+    ``ops_delta`` and the nonzero ``ops_by_class_delta``).  The census
+    walks run outside the span's clock.  While a decision ledger is
+    active, the span also carries how many ledger rows the pass recorded.
+    """
+    trace = current_trace()
+    if trace is None:
         yield
-        if extra is not None and ledger is not None:
-            extra["decisions"] = len(ledger.decisions) - before
+        return
+    ledger = current_ledger()
+    decisions_before = len(ledger.decisions) if ledger is not None else 0
+    census = _op_census(func) if func is not None else None
+    args = {} if func is None else {"function": func.name}
+    with trace.span(name, **args) as extra:
+        yield
+        if ledger is not None:
+            extra["decisions"] = len(ledger.decisions) - decisions_before
+    if census is None:
+        return
+    ops_before, classes_before = census
+    ops_after, classes_after = _op_census(func)
+    # the span just closed is the trace's last event
+    event_args = trace.events[-1].args
+    event_args["ops_before"] = ops_before
+    event_args["ops_after"] = ops_after
+    event_args["ops_delta"] = ops_after - ops_before
+    class_delta = {
+        cls: classes_after[cls] - classes_before[cls]
+        for cls in _OP_CLASSES
+        if classes_after[cls] != classes_before[cls]
+    }
+    if class_delta:
+        event_args["ops_by_class_delta"] = class_delta
 
 
 class Analysis(enum.Enum):
@@ -123,7 +174,6 @@ def _worth_caching(options: PipelineOptions) -> bool:
 
 def _optimize_function(
     func: Function,
-    module: Module,
     options: PipelineOptions,
     universe: frozenset,
     ledger: DecisionLedger | None,
@@ -143,17 +193,17 @@ def _optimize_function(
 
     # -- early scalar optimizations ---------------------------------------
     if options.optimize:
-        with _pass_span("clean", module, function=name):
+        with _pass_span("clean", func):
             clean_function(func)
-        with _pass_span("value_numbering", module, function=name):
+        with _pass_span("value_numbering", func):
             record_vn_decision(name, run_value_numbering(func))
-        with _pass_span("sccp", module, function=name):
+        with _pass_span("sccp", func):
             run_sccp(func)
     checkpoint()
 
     # -- register promotion (early, per section 3) -------------------------
     if options.promotion:
-        with _pass_span("promotion", module, function=name):
+        with _pass_span("promotion", func):
             record.promotion = promote_function(
                 func, options=options.promotion_options, universe=universe
             )
@@ -161,35 +211,35 @@ def _optimize_function(
 
     # -- loop and straight-line redundancy removal -------------------------
     if options.optimize:
-        with _pass_span("licm", module, function=name):
+        with _pass_span("licm", func):
             licm_stats = run_licm(func)
         record.stats["licm.hoisted"] = licm_stats.hoisted
         record.stats["licm.loads_hoisted"] = licm_stats.loads_hoisted
         checkpoint()
     if options.pointer_promotion:
-        with _pass_span("pointer_promotion", module, function=name):
+        with _pass_span("pointer_promotion", func):
             record.pointer_promotion = promote_pointers_function(
                 func, universe=universe
             )
         checkpoint()
     if options.optimize:
-        with _pass_span("pre", module, function=name):
+        with _pass_span("pre", func):
             pre_stats = run_pre(func)
             record_pre_decision(name, pre_stats)
         record.stats["pre.expressions_removed"] = pre_stats.expressions_removed
         record.stats["pre.loads_removed"] = pre_stats.loads_removed
-        with _pass_span("value_numbering", module, function=name):
+        with _pass_span("value_numbering", func):
             vn_stats = run_value_numbering(func)
             record_vn_decision(name, vn_stats)
         record.stats["valuenum.loads_removed"] = vn_stats.loads_removed
-        with _pass_span("dce", module, function=name):
+        with _pass_span("dce", func):
             run_dce(func)
-        with _pass_span("clean", module, function=name):
+        with _pass_span("clean", func):
             clean_function(func)
         checkpoint()
 
         # -- register allocation -------------------------------------------
-        with _pass_span("regalloc", module, function=name):
+        with _pass_span("regalloc", func):
             record.regalloc = allocate_function(func, options.regalloc)
             run_dce(func)
             clean_function(func)
@@ -285,18 +335,18 @@ def compile_module(
         module.name, options.analysis.value, options.promotion,
     )
     if options.analysis is Analysis.MODREF:
-        with _pass_span("modref", module):
+        with _pass_span("modref"):
             result.modref = run_modref(module)
             refined = refine_memory_ops(module, result.modref.sccs)
     elif options.analysis is Analysis.POINTER:
         # the paper's sequencing: MOD/REF to seed, points-to to sharpen
         # pointer-op tag sets, MOD/REF repeated on the sharper sets
-        with _pass_span("modref", module):
+        with _pass_span("modref"):
             first = run_modref(module)
-        with _pass_span("points_to", module):
+        with _pass_span("points_to"):
             points = run_points_to(module)
             apply_points_to(module, points, first.visible)
-        with _pass_span("modref", module):
+        with _pass_span("modref"):
             result.modref = run_modref(module)
             refined = refine_memory_ops(module, result.modref.sccs)
     else:
@@ -334,13 +384,13 @@ def compile_module(
             record = fn_store.get(key)
         if record is not None:
             result.fn_cache_hits += 1
-            with span("fn_cache_hit", module, function=name):
+            with span("fn_cache_hit", function=name):
                 module.functions[name] = record.function
                 if ledger is not None:
                     for decision in record.decisions:
                         ledger.record(decision)
         else:
-            record = _optimize_function(func, module, options, universe, ledger)
+            record = _optimize_function(func, options, universe, ledger)
             if use_store:
                 result.fn_cache_misses += 1
                 fn_store.put(key, record)
@@ -354,7 +404,7 @@ def compile_module(
             totals[metric] = totals.get(metric, 0) + value
 
     _emit_pass_metrics(module, result, options, totals)
-    with _pass_span("verify", module):
+    with _pass_span("verify"):
         verify_module(module)
     if stage_hook is not None:
         stage_hook("optimized", module)
@@ -378,7 +428,7 @@ def compile_source(
         module = compile_c(source, name=name, defines=defines)
     if stage_hook is not None:
         stage_hook("frontend", module)
-    with span("optimize", module):
+    with span("optimize"):
         return compile_module(
             module, options, fn_store=fn_store, stage_hook=stage_hook
         )

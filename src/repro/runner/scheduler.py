@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from ..diag.ledger import decision_ledger
 from ..diag.log import get_logger
 from ..diag.metrics import metrics_session
 from ..inccomp.store import FunctionStore
@@ -121,26 +122,14 @@ def execute_cell(
     started = time.perf_counter()
     with metrics_session() as registry:
         if collect_trace or trace_ctx is not None:
+            # a live ledger makes _pass_span tag each pass span with
+            # its decision count
             with tracing(
                 f"{spec.workload}:{spec.variant}",
                 context=trace_ctx,
-                worker=(
-                    trace_worker or f"pid{os.getpid()}"
-                    if trace_ctx is not None
-                    else None
-                ),
-            ) as trace:
-                if trace_ctx is not None:
-                    # a live ledger is what makes _pass_span tag each
-                    # pass with its decision count in exported spans;
-                    # plain --trace runs skip it to keep that output
-                    # byte-identical with the pre-tracing format
-                    from ..diag.ledger import decision_ledger
-
-                    with decision_ledger():
-                        cell = _compile_and_run(spec, compile_cache, fn_store)
-                else:
-                    cell = _compile_and_run(spec, compile_cache, fn_store)
+                worker=trace_worker or f"pid{os.getpid()}",
+            ) as trace, decision_ledger():
+                cell = _compile_and_run(spec, compile_cache, fn_store)
             events = [event.as_dict() for event in trace.events]
         else:
             cell = _compile_and_run(spec, compile_cache, fn_store)

@@ -52,8 +52,7 @@ from ..trace import (
     FlightRecorder,
     HeadSampler,
     Trace,
-    TraceContext,
-    new_trace_id,
+    span,
     write_spans_jsonl,
 )
 from .coalesce import SingleFlight
@@ -301,11 +300,9 @@ class ReproServer:
             if self.chaos is not None and op in self._WORK_OPS:
                 chaos_token = self._chaos_token(request)
             trace = self._maybe_trace(request)
-            if trace is None:
-                result = await self._dispatch(request, None, chaos_token)
-            else:
-                with trace.span("request", op=op) as extra:
-                    result = await self._dispatch(request, trace, chaos_token)
+            with span("request", trace=trace, op=op) as extra:
+                result = await self._dispatch(request, trace, chaos_token)
+                if extra is not None:
                     # book the root's self time — op routing, event-loop
                     # hops between stages, result framing, preemption —
                     # as an explicit framing child at span close: hit
@@ -318,6 +315,7 @@ class ReproServer:
                         if result.get("from_cache")
                         else "request_framing"
                     )
+            if trace is not None:
                 self._export_trace(trace)
                 result["trace"] = {
                     "trace_id": trace.context.trace_id,
@@ -376,11 +374,7 @@ class ReproServer:
             return None
         if not (request.trace or self.sampler.sample()):
             return None
-        return Trace(
-            f"request.{request.op}",
-            context=TraceContext(new_trace_id()),
-            worker="serve",
-        )
+        return Trace(f"request.{request.op}", worker="serve")
 
     def _export_trace(self, trace: Trace) -> None:
         if self.config.trace_export is None:
@@ -512,16 +506,13 @@ class ReproServer:
             raise ProtocolError(
                 "invalid_params", "no_cache must be a boolean", request.id
             )
-        if trace is not None:
-            with trace.span("build_job", op=request.op) as extra:
-                job, key, cacheable = self._build_job(request)
-                spec = job.get("spec")
-                if spec is not None:
-                    # lets `repro trace --program` select cell traces
-                    extra["program"] = spec.workload
-                    extra["variant"] = spec.variant
-        else:
+        with span("build_job", trace=trace, op=request.op) as extra:
             job, key, cacheable = self._build_job(request)
+            spec = job.get("spec")
+            if extra is not None and spec is not None:
+                # lets `repro trace --program` select cell traces
+                extra["program"] = spec.workload
+                extra["variant"] = spec.variant
         return await self._submit(
             request,
             job,
@@ -778,28 +769,20 @@ class ReproServer:
         if cacheable and read_cache and self.cache is not None:
             if chaos_token is not None:
                 self._cache_chaos(chaos_token, key)
-            if trace is None:
+            # on a hit the whole sub-millisecond request is this span
+            # plus build_job; formatting inside it keeps the trace's
+            # coverage honest instead of leaving a tail gap
+            with span("cache_lookup", trace=trace) as extra:
                 payload = self.cache.get(key)
+                if extra is not None:
+                    extra["hit"] = payload is not None
                 if payload is not None:
                     self.metrics.inc("serve.cache_hits")
-                    return self._cell_result(
+                    result = self._cell_result(
                         job, dict(payload), from_cache=True, coalesced=False
                     )
-            else:
-                # on a hit the whole sub-millisecond request is this span
-                # plus build_job; formatting inside it keeps the trace's
-                # coverage honest instead of leaving a tail gap
-                with trace.span("cache_lookup") as extra:
-                    payload = self.cache.get(key)
-                    extra["hit"] = payload is not None
-                    if payload is not None:
-                        self.metrics.inc("serve.cache_hits")
-                        result = self._cell_result(
-                            job, dict(payload),
-                            from_cache=True, coalesced=False,
-                        )
-                if payload is not None:
-                    return result
+            if payload is not None:
+                return result
         # a client-supplied idempotency key names the *logical* request:
         # a retry coalesces onto the original computation even when the
         # original is still in flight.  Content-addressed keys keep the
@@ -812,13 +795,10 @@ class ReproServer:
         future, leader = self.flight.claim(flight_key)
         if not leader:
             self.metrics.inc("serve.coalesced")
-            if trace is None:
+            # a follower's whole wait is the leader's computation; the
+            # leader's worker spans belong to the leader's trace only
+            with span("coalesce_wait", trace=trace):
                 ok, payload = await asyncio.shield(future)
-            else:
-                # a follower's whole wait is the leader's computation; the
-                # leader's worker spans belong to the leader's trace only
-                with trace.span("coalesce_wait"):
-                    ok, payload = await asyncio.shield(future)
             if not ok:
                 raise ProtocolError(
                     self._error_code(payload), payload["message"], request.id
@@ -865,14 +845,11 @@ class ReproServer:
             if ok:
                 self.metrics.inc("serve.executed")
                 if cacheable and self.cache is not None:
-                    if trace is None:
+                    # the write-back is a real disk write — several ms
+                    # for a cell payload — so it gets its own span rather
+                    # than vanishing into the framing gap
+                    with span("cache_write", trace=trace):
                         self.cache.put(key, dict(payload["cell"]))
-                    else:
-                        # the write-back is a real disk write — several
-                        # ms for a cell payload — so it gets its own
-                        # span rather than vanishing into the framing gap
-                        with trace.span("cache_write"):
-                            self.cache.put(key, dict(payload["cell"]))
         finally:
             self.flight.resolve(flight_key, ok, payload)
         if not ok:

@@ -1,12 +1,12 @@
 """End-to-end tracing: spans, context propagation, flight recorder.
 
-This package absorbed the runner's original span telemetry.  The span
-model and in-process API live in
-:mod:`repro.trace.spans`; the always-on crash-bundle ring buffer in
-:mod:`repro.trace.flight`; exporters and the attribution/critical-path
-analysis in :mod:`repro.trace.analyze`; the ``repro trace`` CLI's
-rendering in :mod:`repro.trace.report`.
-See ``docs/OBSERVABILITY.md`` for the model.
+The span model and in-process API live in :mod:`repro.trace.spans`;
+every span carries a trace id, and none of this package knows what the
+spans measure — the pipeline and the server attach their own args.  The
+always-on crash-bundle ring buffer lives in :mod:`repro.trace.flight`;
+exporters and the attribution/critical-path analysis in
+:mod:`repro.trace.analyze`; the ``repro trace`` CLI's rendering in
+:mod:`repro.trace.report`.  See ``docs/OBSERVABILITY.md`` for the model.
 """
 
 from .analyze import (
@@ -35,10 +35,8 @@ from .spans import (
     Trace,
     TraceContext,
     current_trace,
-    module_op_breakdown,
     module_op_count,
     new_trace_id,
-    propagation_context,
     span,
     tracing,
 )
@@ -59,11 +57,9 @@ __all__ = [
     "group_traces",
     "install_flight_recorder",
     "load_spans",
-    "module_op_breakdown",
     "module_op_count",
     "new_trace_id",
     "orphan_spans",
-    "propagation_context",
     "span",
     "trace_coverage",
     "trace_root",

@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
+from ..errors import ReproError
 from .spans import SpanEvent
 
 __all__ = [
@@ -127,17 +128,28 @@ def write_spans_jsonl(
 
 
 def load_spans(path) -> list[SpanEvent]:
+    """Read a JSONL span stream.  A line that is not a span dict (a torn
+    write from a killed server, a missing key) raises
+    :class:`~repro.errors.ReproError` naming the file and the line."""
     events = []
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(SpanEvent.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as error:
+                raise ReproError(
+                    f"{path}:{lineno}: unreadable span "
+                    f"({type(error).__name__}: {error})"
+                ) from None
     return events
 
 
 def group_traces(events: Iterable[SpanEvent]) -> dict[str, list[SpanEvent]]:
-    """Bucket identified spans by trace id (anonymous spans are skipped)."""
+    """Bucket spans by trace id; spans without one (outside input) are
+    skipped."""
     traces: dict[str, list[SpanEvent]] = {}
     for event in events:
         if event.trace_id is not None:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .spans import SpanEvent, Trace
+    from .spans import SpanEvent
 
 __all__ = [
     "FlightLogHandler",
@@ -138,21 +138,6 @@ class FlightRecorder:
             wall_start=time.time() - seconds,
             args=args or None,
         )
-
-    def record_trace(self, trace: "Trace") -> None:
-        """Push every span of a finished trace into the ring."""
-        for event in trace.events:
-            self.record_span(
-                event.name,
-                seconds=event.seconds,
-                start=event.start,
-                trace_id=event.trace_id,
-                span_id=event.span_id,
-                parent_id=event.parent_id,
-                worker=event.worker,
-                wall_start=event.wall_start,
-                args=event.args or None,
-            )
 
     # -- inspection ---------------------------------------------------------
 

@@ -1,30 +1,21 @@
 """The span model: nested wall-clock spans with trace-context identity.
 
-This module is the core of :mod:`repro.trace`, the layer that absorbed
-the runner's original span telemetry.  A :class:`Trace` records
-nested :func:`span`\\ s — one per compiler pass, plus ``parse``,
-``execute``, and the serving layer's request lifecycle — together with
-the static operation count of the module before and after each pass, so
-a trace shows both where the time goes and which pass removes which
-operations.
+This module is the core of :mod:`repro.trace`.  A :class:`Trace`
+records nested :func:`span`\\ s — one per compiler pass, plus ``parse``,
+``execute``, and the serving layer's request lifecycle — and stamps
+every one with ``trace_id`` / ``span_id`` / ``parent_id`` and an
+absolute ``wall_start``.  That identity is what lets spans recorded in
+a forked worker merge with the serving parent's spans into one
+connected tree (see :meth:`Trace.adopt`).  A trace installed without a
+context mints a fresh trace id, so every span has one.
 
-Two regimes share one API:
-
-* **anonymous traces** (``tracing()`` with no context) behave exactly
-  like the old telemetry layer: spans carry no identity, only
-  name/timing/args, and serialize byte-compatibly with the pre-trace
-  format — ``repro suite --trace`` output is unchanged;
-* **identified traces** (``tracing(context=TraceContext(...))``) stamp
-  every span with ``trace_id`` / ``span_id`` / ``parent_id`` and an
-  absolute ``wall_start``, which is what lets spans recorded in a forked
-  worker merge with the serving parent's spans into one connected tree
-  (see :func:`propagation_context` and :meth:`Trace.adopt`).
-
-The layer costs nothing when disabled: :func:`span` checks a
-module-level current trace and yields immediately when none is
-installed, so the pipeline can be instrumented unconditionally.  Spans
-additionally yield a mutable dict — args discovered only at pass *exit*
-(decision counts, dynamic op totals) are merged into the event there.
+The layer knows nothing about what it measures: callers attach their
+own args (the pipeline adds per-function op counts to its pass spans).
+It costs nothing when disabled: :func:`span` checks a module-level
+current trace and yields immediately when none is installed, so the
+pipeline can be instrumented unconditionally.  Spans additionally yield
+a mutable dict — args discovered only at span *exit* (decision counts,
+dynamic op totals) are merged into the event there.
 """
 
 from __future__ import annotations
@@ -43,10 +34,8 @@ __all__ = [
     "Trace",
     "TraceContext",
     "current_trace",
-    "module_op_breakdown",
     "module_op_count",
     "new_trace_id",
-    "propagation_context",
     "span",
     "tracing",
 ]
@@ -100,10 +89,9 @@ class SpanEvent:
     ``start`` is seconds since the owning trace began; ``seconds`` is the
     inclusive duration and ``self_seconds`` excludes time spent in child
     spans, so summing ``self_seconds`` over a trace never double-counts.
-    The identity fields (``trace_id``/``span_id``/``parent_id``/``worker``
-    /``wall_start``) are ``None`` for anonymous traces and omitted from
-    the dict form, which keeps cached payloads and Chrome exports
-    byte-compatible with the pre-context format.
+    An identity field is ``None`` only when there is nothing to name: a
+    root span's ``parent_id``, a trace recorded with no ``worker``, or a
+    span read from outside input that lacks the field.
     """
 
     name: str
@@ -121,25 +109,19 @@ class SpanEvent:
     wall_start: float | None = None
 
     def as_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {
+        return {
             "name": self.name,
             "start": self.start,
             "seconds": self.seconds,
             "depth": self.depth,
             "self_seconds": self.self_seconds,
             "args": dict(self.args),
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "worker": self.worker,
+            "wall_start": self.wall_start,
         }
-        if self.trace_id is not None:
-            data["trace_id"] = self.trace_id
-        if self.span_id is not None:
-            data["span_id"] = self.span_id
-        if self.parent_id is not None:
-            data["parent_id"] = self.parent_id
-        if self.worker is not None:
-            data["worker"] = self.worker
-        if self.wall_start is not None:
-            data["wall_start"] = self.wall_start
-        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, object]) -> "SpanEvent":
@@ -160,49 +142,10 @@ class SpanEvent:
 
 
 def module_op_count(module) -> int:
-    """Static instruction count — the per-pass size metric."""
+    """Static instruction count of a whole module, ``nop`` included."""
     return sum(
         1 for function in module.functions.values() for _ in function.instructions()
     )
-
-
-def module_op_breakdown(module) -> dict[str, int]:
-    """Static instruction counts bucketed by opcode class.
-
-    Buckets: ``loads`` (sload/cload/load), ``stores`` (sstore/store),
-    ``copies`` (mov), ``calls``, ``branches`` (br/cbr/ret), ``other``
-    (arithmetic, address computation, phi...).  ``nop`` placeholders are
-    excluded — they are dead weight the clean pass erases, not work.
-    """
-    from ..ir.instructions import (
-        MEMORY_LOADS,
-        MEMORY_STORES,
-        Branch,
-        Call,
-        Mov,
-        Nop,
-        Ret,
-    )
-
-    counts = {
-        "loads": 0, "stores": 0, "copies": 0,
-        "calls": 0, "branches": 0, "other": 0,
-    }
-    for function in module.functions.values():
-        for instr in function.instructions():
-            if isinstance(instr, MEMORY_LOADS):
-                counts["loads"] += 1
-            elif isinstance(instr, MEMORY_STORES):
-                counts["stores"] += 1
-            elif isinstance(instr, Mov):
-                counts["copies"] += 1
-            elif isinstance(instr, Call):
-                counts["calls"] += 1
-            elif isinstance(instr, (Branch, Ret)):
-                counts["branches"] += 1
-            elif not isinstance(instr, Nop):
-                counts["other"] += 1
-    return counts
 
 
 class Trace:
@@ -215,7 +158,7 @@ class Trace:
         worker: str | None = None,
     ) -> None:
         self.name = name
-        self.context = context
+        self.context = context or TraceContext(new_trace_id())
         self.worker = worker
         self.epoch = time.perf_counter()
         self.wall_epoch = time.time()
@@ -233,26 +176,44 @@ class Trace:
         """The id new spans would be parented under right now."""
         if self._open_ids:
             return self._open_ids[-1]
-        return self.context.parent_id if self.context is not None else None
+        return self.context.parent_id
 
-    @contextmanager
-    def span(
+    def _event(
         self,
         name: str,
-        module=None,
-        span_id: str | None = None,
-        **args: object,
-    ) -> Iterator[dict]:
+        start: float,
+        seconds: float,
+        depth: int,
+        self_seconds: float,
+        args: dict[str, object],
+        span_id: str,
+        parent_id: str | None,
+    ) -> SpanEvent:
+        """Record one event at ``start`` (a ``perf_counter`` reading)."""
+        event = SpanEvent(
+            name=name,
+            start=start - self.epoch,
+            seconds=seconds,
+            depth=depth,
+            self_seconds=self_seconds,
+            args=args,
+            trace_id=self.context.trace_id,
+            span_id=span_id,
+            parent_id=parent_id,
+            worker=self.worker,
+            wall_start=self.wall_epoch + (start - self.epoch),
+        )
+        self.events.append(event)
+        return event
+
+    @contextmanager
+    def span(self, name: str, **args: object) -> Iterator[dict]:
         """Record one live span; yields a dict for exit-time args."""
         depth = len(self._child_time) - 1
         self._child_time.append(0.0)
-        identified = self.context is not None
-        sid = span_id or (self.new_span_id() if identified else None)
-        parent = self.open_parent_id() if identified else None
-        if sid is not None:
-            self._open_ids.append(sid)
-        ops_before = module_op_count(module) if module is not None else None
-        classes_before = module_op_breakdown(module) if module is not None else None
+        sid = self.new_span_id()
+        parent = self.open_parent_id()
+        self._open_ids.append(sid)
         extra: dict[str, object] = {}
         start = time.perf_counter()
         try:
@@ -261,8 +222,7 @@ class Trace:
             seconds = time.perf_counter() - start
             child_time = self._child_time.pop()
             self._child_time[-1] += seconds
-            if sid is not None:
-                self._open_ids.pop()
+            self._open_ids.pop()
             # a block may ask for its own self time to be booked as an
             # explicit child (``extra["frame_gap"] = name``): the gap is
             # derived from the same clock read as ``seconds``, so no
@@ -272,62 +232,15 @@ class Trace:
             # of machine load
             gap_name = extra.pop("frame_gap", None)
             if gap_name is not None and seconds > child_time:
-                self.events.append(
-                    SpanEvent(
-                        name=str(gap_name),
-                        start=start - self.epoch,
-                        seconds=seconds - child_time,
-                        depth=depth + 1,
-                        self_seconds=seconds - child_time,
-                        trace_id=(
-                            self.context.trace_id if identified else None
-                        ),
-                        span_id=self.new_span_id() if identified else None,
-                        parent_id=sid,
-                        worker=self.worker if identified else None,
-                        wall_start=(
-                            self.wall_epoch + (start - self.epoch)
-                            if identified
-                            else None
-                        ),
-                    )
+                gap = seconds - child_time
+                self._event(
+                    str(gap_name), start, gap, depth + 1, gap, {},
+                    self.new_span_id(), sid,
                 )
                 child_time = seconds
-            event_args: dict[str, object] = dict(args)
-            if ops_before is not None:
-                ops_after = module_op_count(module)
-                event_args["ops_before"] = ops_before
-                event_args["ops_after"] = ops_after
-                event_args["ops_delta"] = ops_after - ops_before
-            if classes_before is not None:
-                classes_after = module_op_breakdown(module)
-                class_delta = {
-                    cls: classes_after[cls] - classes_before[cls]
-                    for cls in classes_after
-                    if classes_after[cls] != classes_before[cls]
-                }
-                if class_delta:
-                    event_args["ops_by_class_delta"] = class_delta
-            if extra:
-                event_args.update(extra)
-            self.events.append(
-                SpanEvent(
-                    name=name,
-                    start=start - self.epoch,
-                    seconds=seconds,
-                    depth=depth,
-                    self_seconds=max(0.0, seconds - child_time),
-                    args=event_args,
-                    trace_id=self.context.trace_id if identified else None,
-                    span_id=sid,
-                    parent_id=parent,
-                    worker=self.worker if identified else None,
-                    wall_start=(
-                        self.wall_epoch + (start - self.epoch)
-                        if identified
-                        else None
-                    ),
-                )
+            self._event(
+                name, start, seconds, depth, max(0.0, seconds - child_time),
+                {**args, **extra}, sid, parent,
             )
 
     def add_event(
@@ -343,28 +256,12 @@ class Trace:
         """Record an already-elapsed span (e.g. queue wait measured at
         dequeue).  It is attributed as a child of the innermost open span
         for self-time accounting."""
-        identified = self.context is not None
         self._child_time[-1] += seconds
-        start = start_perf - self.epoch
-        event = SpanEvent(
-            name=name,
-            start=start,
-            seconds=seconds,
-            depth=len(self._child_time) - 1,
-            self_seconds=seconds,
-            args=dict(args),
-            trace_id=self.context.trace_id if identified else None,
-            span_id=(
-                (span_id or self.new_span_id()) if identified else None
-            ),
-            parent_id=(
-                parent_id or self.open_parent_id() if identified else None
-            ),
-            worker=self.worker if identified else None,
-            wall_start=self.wall_epoch + start if identified else None,
+        return self._event(
+            name, start_perf, seconds, len(self._child_time) - 1, seconds,
+            dict(args), span_id or self.new_span_id(),
+            parent_id or self.open_parent_id(),
         )
-        self.events.append(event)
-        return event
 
     def adopt(self, span_dicts: list[dict]) -> list[SpanEvent]:
         """Merge spans recorded in another process into this trace.
@@ -385,27 +282,12 @@ class Trace:
             adopted.append(event)
         return adopted
 
-    def total_seconds(self) -> float:
-        return sum(e.seconds for e in self.events if e.depth == 0)
-
 
 _CURRENT: Trace | None = None
 
 
 def current_trace() -> Trace | None:
     return _CURRENT
-
-
-def propagation_context() -> TraceContext | None:
-    """The context a child unit of work should run under: the current
-    trace's id with the innermost open span as parent.  ``None`` when no
-    identified trace is active — callers ship nothing in that case."""
-    trace = _CURRENT
-    if trace is None or trace.context is None:
-        return None
-    return TraceContext(
-        trace_id=trace.context.trace_id, parent_id=trace.open_parent_id()
-    )
 
 
 @contextmanager
@@ -425,18 +307,24 @@ def tracing(
         _CURRENT = previous
 
 
+#: ``span``'s default ``trace``: whatever trace is current when it opens
+_CURRENT_TRACE = object()
+
+
 @contextmanager
-def span(name: str, module=None, **args: object) -> Iterator[dict | None]:
-    """Record a span on the current trace; free no-op when tracing is off.
+def span(name: str, *, trace=_CURRENT_TRACE, **args: object) -> Iterator[dict | None]:
+    """Record a span on ``trace`` (default: the current trace); a free
+    no-op when that is ``None``.
 
     Yields the span's mutable exit-args dict (``None`` when tracing is
     off) so instrumentation can attach values computed inside the span.
     """
-    trace = _CURRENT
+    if trace is _CURRENT_TRACE:
+        trace = _CURRENT
     if trace is None:
         yield None
         return
-    with trace.span(name, module=module, **args) as extra:
+    with trace.span(name, **args) as extra:
         yield extra
 
 

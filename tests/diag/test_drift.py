@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ReproError
 from repro.diag.drift import (
     Drift,
     compare_cells,
@@ -95,7 +96,7 @@ class TestBaselineFile:
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"schema": 999, "cells": {}}))
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(ReproError, match="schema"):
             load_baseline(path)
 
 

@@ -7,8 +7,13 @@ from repro.diag.profile import (
     format_profile_comparison,
     profile_loops,
 )
+import pytest
+
 from repro.frontend import compile_c
 from repro.interp import MachineOptions, run_module
+from repro.interp.counters import static_mix
+from repro.pipeline import compile_source, paper_variants
+from repro.workloads import get_workload
 
 TWO_LOOPS = r"""
 int a;
@@ -53,6 +58,25 @@ class TestExactness:
         assert ops == run.counters.total_ops
         assert loads == run.counters.loads
         assert stores == run.counters.stores
+
+    @pytest.mark.parametrize("program", ["allroots", "water", "fft"])
+    def test_instruction_classes_reconstruct_every_counter(self, program):
+        """Each block's ``COUNTED_AS`` mix times its visits sums to every
+        field of the interpreter's counters, under all four variants."""
+        workload = get_workload(program)
+        for variant, options in paper_variants().items():
+            module = compile_source(
+                workload.source, options, name=program,
+                defines=workload.defines,
+            ).module
+            run = run_module(module, options=MachineOptions(profile=True))
+            totals = dict.fromkeys(run.counters.as_dict(), 0)
+            for func in module.functions.values():
+                for label, block in func.blocks.items():
+                    count = run.block_visits.get((func.name, label), 0)
+                    for field, n in static_mix(block.instrs).items():
+                        totals[field] += count * n
+            assert totals == run.counters.as_dict(), variant
 
     def test_profiling_never_changes_the_experiment(self):
         module_off = compile_c(TWO_LOOPS)

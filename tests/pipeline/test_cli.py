@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -270,6 +272,46 @@ class TestSuite:
         assert main(["suite", "allroots", "--no-cache",
                      "--pointer-promotion"]) == 0
         assert "Figure 5" in capsys.readouterr().out
+
+
+class TestUnreadableInputs:
+    """A torn span stream or a wrong-schema drift baseline is one
+    ``repro: error:`` line naming the file, and exit 2."""
+
+    def _assert_one_error_line(self, capsys, *names):
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    def test_torn_span_line(self, tmp_path, capsys):
+        stream = tmp_path / "spans.jsonl"
+        whole = json.dumps({
+            "name": "request", "start": 0.0, "seconds": 0.1, "depth": 0,
+            "self_seconds": 0.1, "args": {}, "trace_id": "t1",
+            "span_id": "a-1", "parent_id": None,
+        })
+        # a server killed mid-append leaves half a line at the end
+        stream.write_text(whole + "\n" + whole[:40] + "\n")
+        assert main(["trace", "show", str(stream)]) == 2
+        self._assert_one_error_line(capsys, f"{stream}:2:")
+
+    def test_span_missing_a_key(self, tmp_path, capsys):
+        stream = tmp_path / "spans.jsonl"
+        stream.write_text(json.dumps({"name": "request", "start": 0.0}) + "\n")
+        assert main(["trace", "show", str(stream)]) == 2
+        self._assert_one_error_line(capsys, f"{stream}:1:")
+
+    def test_wrong_schema_drift_baseline(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"schema": 999, "cells": {}}))
+        code = main([
+            "drift", str(baseline), "--programs", "allroots",
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 2
+        self._assert_one_error_line(capsys, str(baseline), "schema 999")
 
 
 class TestParser:

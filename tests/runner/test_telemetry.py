@@ -10,7 +10,6 @@ from repro.trace import (
     chrome_trace,
     current_trace,
     format_span_summary,
-    module_op_breakdown,
     module_op_count,
     span,
     tracing,
@@ -49,7 +48,6 @@ class TestSpans:
         assert inner.seconds <= outer.seconds
         # self time excludes children: outer's self is its total minus inner
         assert abs(outer.self_seconds - (outer.seconds - inner.seconds)) < 1e-6
-        assert trace.total_seconds() >= inner.seconds
 
     def test_tracing_restores_previous_trace(self):
         with tracing("a") as outer_trace:
@@ -110,25 +108,93 @@ class TestPipelineIntegration:
         assert any(delta.get("loads", 0) < 0 for delta in deltas)
 
 
+class TestPassOpDeltas:
+    TWO_FUNCTIONS = r"""
+int g;
+int h[8];
+int sum(int n) {
+    int i; int s = 0;
+    for (i = 0; i < n; i++) { s += h[i & 7]; g += i; }
+    return s;
+}
+int main(void) {
+    int i;
+    for (i = 0; i < 8; i++) { h[i] = i * 3; }
+    printf("%d %d\n", sum(20), g);
+    return 0;
+}
+"""
+
+    def test_deltas_sum_to_each_functions_change(self):
+        """A pass span counts only its own function: per function, the
+        pass deltas telescope from the post-analysis op count to the
+        final one."""
+        from repro.pipeline import compile_source
+
+        counts: dict[str, dict[str, int]] = {}
+
+        def hook(stage, module):
+            counts[stage] = {
+                name: sum(1 for _ in func.instructions())
+                for name, func in module.functions.items()
+            }
+
+        with tracing() as trace:
+            compile_source(self.TWO_FUNCTIONS, PipelineOptions(), stage_hook=hook)
+        assert set(counts["analysis"]) == {"sum", "main"}
+        for name in ("sum", "main"):
+            deltas = [
+                event.args["ops_delta"]
+                for event in trace.events
+                if event.args.get("function") == name and "ops_delta" in event.args
+            ]
+            assert len(deltas) >= 8
+            assert sum(deltas) == (
+                counts["optimized"][name] - counts["analysis"][name]
+            )
+
+    def test_module_level_spans_carry_no_op_args(self):
+        with tracing() as trace:
+            compile_and_run(GOOD_SOURCE, PipelineOptions())
+        module_level = [
+            event for event in trace.events
+            if event.name in ("modref", "verify", "optimize", "parse")
+        ]
+        assert module_level
+        for event in module_level:
+            assert not {"ops_before", "ops_after", "ops_delta"} & set(event.args)
+
+
 class TestOpBreakdown:
+    """The pass spans' per-function op census (``_op_census``)."""
+
+    def _census(self, module):
+        from repro.pipeline import _op_census
+
+        return {name: _op_census(f) for name, f in module.functions.items()}
+
     def test_breakdown_matches_op_count_minus_nops(self):
         from repro.frontend import compile_c
         from repro.ir.instructions import Nop
 
         module = compile_c(GOOD_SOURCE)
-        breakdown = module_op_breakdown(module)
-        nops = sum(
-            1
-            for func in module.functions.values()
-            for instr in func.instructions()
-            if isinstance(instr, Nop)
-        )
-        assert sum(breakdown.values()) == module_op_count(module) - nops
+        census = self._census(module)
+        for name, (ops, classes) in census.items():
+            nops = sum(
+                1
+                for instr in module.functions[name].instructions()
+                if isinstance(instr, Nop)
+            )
+            assert sum(classes.values()) == ops - nops
+        assert sum(ops for ops, _ in census.values()) == module_op_count(module)
 
     def test_loop_program_has_loads_stores_and_branches(self):
         from repro.frontend import compile_c
 
-        breakdown = module_op_breakdown(compile_c(GOOD_SOURCE))
+        breakdown: dict[str, int] = {}
+        for _, classes in self._census(compile_c(GOOD_SOURCE)).values():
+            for cls, count in classes.items():
+                breakdown[cls] = breakdown.get(cls, 0) + count
         assert breakdown["loads"] > 0
         assert breakdown["stores"] > 0
         assert breakdown["branches"] > 0

@@ -4,6 +4,7 @@ every bench shares."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,16 +76,25 @@ def test_format_bench_renders_summary():
     assert "compiled vs simple" in table
 
 
-class TestRegressionGate:
-    def _payload(self, **geomeans) -> dict:
-        return {
-            "summary": {
-                "speedups": {
-                    pair: {"geomean": value, "min": value, "max": value}
-                    for pair, value in geomeans.items()
-                }
+def _gate_payload(programs=("fft",), **geomeans) -> dict:
+    """A bench payload whose every program runs each ``X_vs_simple`` pair
+    at the given speedup (simple at 1 s, X at 1/speedup s)."""
+    entry = {"simple": {"wall_s": 1.0}}
+    for pair, value in geomeans.items():
+        entry[pair.partition("_vs_")[0]] = {"wall_s": 1.0 / value}
+    return {
+        "programs": {name: dict(entry) for name in programs},
+        "summary": {
+            "speedups": {
+                pair: {"geomean": value, "min": value, "max": value}
+                for pair, value in geomeans.items()
             }
-        }
+        },
+    }
+
+
+class TestRegressionGate:
+    _payload = staticmethod(_gate_payload)
 
     def test_no_regression_within_tolerance(self):
         baseline = self._payload(compiled_vs_simple=12.0)
@@ -103,6 +113,31 @@ class TestRegressionGate:
         current = self._payload(compiled_vs_simple=12.0)
         assert check_regression(current, baseline, tolerance_pct=25.0) == []
 
+    def test_gate_compares_the_programs_both_payloads_measured(self):
+        """A ``--quick`` run of dhrystone alone, 35% slower than the
+        committed baseline's dhrystone, is a regression — even though it
+        clears the floor of the baseline's all-programs geomean."""
+        committed = Path(__file__).resolve().parents[1] / "BENCH_interp.json"
+        baseline = json.loads(committed.read_text())
+        entry = json.loads(json.dumps(baseline["programs"]["dhrystone"]))
+        entry["compiled"]["wall_s"] *= 1.35
+        speedup = entry["simple"]["wall_s"] / entry["compiled"]["wall_s"]
+        current = {
+            "programs": {"dhrystone": entry},
+            "summary": {"speedups": {"compiled_vs_simple": {"geomean": speedup}}},
+        }
+        floor = baseline["summary"]["speedups"]["compiled_vs_simple"]["geomean"]
+        assert speedup > floor * 0.75  # the all-programs floor it clears
+        failures = check_regression(current, baseline, tolerance_pct=25.0)
+        assert len(failures) == 1
+        assert "compiled_vs_simple" in failures[0]
+
+    def test_no_shared_program_is_an_error(self):
+        baseline = self._payload(programs=("fft",), compiled_vs_simple=12.0)
+        current = self._payload(programs=("tsp",), compiled_vs_simple=12.0)
+        with pytest.raises(ValueError, match="no program"):
+            check_regression(current, baseline, tolerance_pct=25.0)
+
 
 def test_cli_bench_writes_json(tmp_path, capsys):
     out = tmp_path / "BENCH_interp.json"
@@ -117,9 +152,7 @@ def test_cli_bench_gates_against_baseline(tmp_path, capsys):
     out = tmp_path / "BENCH_interp.json"
     baseline = tmp_path / "baseline.json"
     # an impossible baseline: the compiled tier would need a 1000x geomean
-    baseline.write_text(json.dumps({
-        "summary": {"speedups": {"compiled_vs_simple": {"geomean": 1000.0}}}
-    }))
+    baseline.write_text(json.dumps(_gate_payload(compiled_vs_simple=1000.0)))
     code = main([
         "bench", "fft", "--repeats", "1", "--out", str(out),
         "--baseline", str(baseline), "--tolerance", "25",
@@ -128,9 +161,7 @@ def test_cli_bench_gates_against_baseline(tmp_path, capsys):
     assert "bench regression" in capsys.readouterr().err
 
     # a trivially satisfiable baseline passes
-    baseline.write_text(json.dumps({
-        "summary": {"speedups": {"compiled_vs_simple": {"geomean": 0.001}}}
-    }))
+    baseline.write_text(json.dumps(_gate_payload(compiled_vs_simple=0.001)))
     code = main([
         "bench", "fft", "--repeats", "1", "--out", str(out),
         "--baseline", str(baseline), "--tolerance", "25",
@@ -148,7 +179,7 @@ class TestBaselineMustBeAnInterpPayload:
     and report "no regression"; it is rejected as unreadable instead."""
 
     def test_check_regression_rejects_a_pairless_baseline(self):
-        current = {"summary": {"speedups": {"compiled_vs_simple": {"geomean": 9.0}}}}
+        current = _gate_payload(compiled_vs_simple=9.0)
         for baseline in ({}, {"summary": {}}, {"speedup": {"incremental": 3.0}}):
             with pytest.raises(ValueError, match="summary.speedups"):
                 check_regression(current, baseline, tolerance_pct=25.0)

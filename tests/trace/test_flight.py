@@ -34,20 +34,6 @@ class TestRing:
         assert recorder._slots[0] is first
         assert first["name"] == "c"
 
-    def test_record_trace_pushes_every_span(self):
-        recorder = FlightRecorder(capacity=16)
-        trace = Trace("req", context=TraceContext(new_trace_id()))
-        with trace.span("outer"):
-            with trace.span("inner"):
-                pass
-        recorder.record_trace(trace)
-        names = {slot["name"] for slot in recorder.snapshot()}
-        assert {"outer", "inner"} <= names
-        assert all(
-            slot["trace_id"] == trace.context.trace_id
-            for slot in recorder.snapshot()
-        )
-
 
 class TestDump:
     def test_bundle_contains_meta_spans_and_logs(self, tmp_path):

@@ -18,7 +18,7 @@ from repro.trace.spans import Trace
 class TestGlobalSpanIsFreeWhenOff:
     def test_span_yields_immediately_without_a_trace(self):
         assert current_trace() is None
-        with span("anything", module=None, irrelevant=1) as extra:
+        with span("anything", irrelevant=1) as extra:
             assert extra is None
 
     def test_span_source_checks_current_before_any_work(self):

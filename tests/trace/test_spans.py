@@ -1,4 +1,4 @@
-"""The span model: identity, nesting, propagation, adoption, sampling."""
+"""The span model: identity, nesting, adoption, sampling."""
 
 import pickle
 
@@ -9,7 +9,6 @@ from repro.trace import (
     TraceContext,
     current_trace,
     new_trace_id,
-    propagation_context,
     span,
     tracing,
 )
@@ -29,17 +28,24 @@ class TestIdentity:
         ids = {a.new_span_id(), b.new_span_id(), a.new_span_id()}
         assert len(ids) == 3
 
-    def test_anonymous_trace_events_omit_identity_keys(self):
-        """No-context traces keep the original telemetry dict shape, so
-        ``repro suite --trace`` output is unchanged."""
-        trace = Trace("legacy")
-        with trace.span("work"):
-            pass
-        data = trace.events[0].as_dict()
+    def test_tracing_without_a_context_mints_identity(self):
+        """There is one trace regime: a trace installed without a
+        context mints its own trace id, and every span carries it."""
+        with tracing() as trace:
+            with span("outer"):
+                with span("inner"):
+                    pass
+        outer = next(e for e in trace.events if e.name == "outer")
+        inner = next(e for e in trace.events if e.name == "inner")
+        assert len(trace.context.trace_id) == 16
+        assert outer.trace_id == inner.trace_id == trace.context.trace_id
+        assert outer.span_id and inner.span_id
+        assert inner.parent_id == outer.span_id
+        assert outer.parent_id is None
+        data = outer.as_dict()
         for key in ("trace_id", "span_id", "parent_id", "worker",
                     "wall_start"):
-            assert key not in data
-        assert data["name"] == "work"
+            assert key in data
 
     def test_identified_trace_events_carry_identity(self):
         ctx = TraceContext(new_trace_id(), parent_id="parent-1")
@@ -73,15 +79,6 @@ class TestContextPropagation:
         """The pool ships contexts over a multiprocessing pipe."""
         ctx = TraceContext(new_trace_id(), parent_id="abc-1")
         assert pickle.loads(pickle.dumps(ctx)) == ctx
-
-    def test_propagation_context_points_at_innermost_open_span(self):
-        with tracing("req", context=TraceContext(new_trace_id())) as trace:
-            with trace.span("outer"):
-                ctx = propagation_context()
-                assert ctx is not None
-                assert ctx.trace_id == trace.context.trace_id
-                assert ctx.parent_id == trace._open_ids[-1]
-        assert propagation_context() is None
 
     def test_tracing_installs_and_restores_current(self):
         assert current_trace() is None
