@@ -8,6 +8,9 @@ Standard iterative bit-set data flow over the CFG:
 Phi nodes get the usual treatment: a phi's operands are live out of the
 corresponding predecessor, not live into the phi's own block.  The register
 allocator consumes this analysis to build the interference graph.
+
+Sets hold register ids: the allocator rebuilds liveness every round, and
+ints hash far faster than ``VReg`` dataclasses.
 """
 
 from __future__ import annotations
@@ -16,84 +19,66 @@ from dataclasses import dataclass
 
 from ..ir.cfg import postorder
 from ..ir.function import Function
-from ..ir.instructions import Phi, VReg
+from ..ir.instructions import Phi
 
 
 @dataclass
 class Liveness:
-    live_in: dict[str, frozenset[VReg]]
-    live_out: dict[str, frozenset[VReg]]
+    live_in: dict[str, frozenset[int]]
+    live_out: dict[str, frozenset[int]]
 
 
 def compute_liveness(func: Function) -> Liveness:
     order = postorder(func)  # backward problems converge fastest in postorder
     labels = set(order)
 
-    uevar: dict[str, set[VReg]] = {}
-    varkill: dict[str, set[VReg]] = {}
+    uevar: dict[str, set[int]] = {}
+    varkill: dict[str, set[int]] = {}
     # registers used by phis in successor blocks, keyed by the predecessor
     # through which the value flows
-    phi_uses_out: dict[str, set[VReg]] = {label: set() for label in labels}
-    phi_defs: dict[str, set[VReg]] = {label: set() for label in labels}
+    phi_uses_out: dict[str, set[int]] = {label: set() for label in labels}
+    phi_defs: dict[str, set[int]] = {label: set() for label in labels}
+    succs: dict[str, list[str]] = {}
 
     for label in order:
         block = func.block(label)
-        upward: set[VReg] = set()
-        killed: set[VReg] = set()
+        succs[label] = [s for s in block.successors() if s in labels]
+        upward: set[int] = set()
+        killed: set[int] = set()
         for instr in block.instrs:
             if isinstance(instr, Phi):
-                phi_defs[label].add(instr.dst)
-                killed.add(instr.dst)  # defined at the top of the block
+                phi_defs[label].add(instr.dst.id)
+                killed.add(instr.dst.id)  # defined at the top of the block
                 for pred_label, reg in instr.incoming.items():
                     if pred_label in labels:
-                        phi_uses_out[pred_label].add(reg)
+                        phi_uses_out[pred_label].add(reg.id)
                 continue
             for reg in instr.uses():
-                if reg not in killed:
-                    upward.add(reg)
+                if reg.id not in killed:
+                    upward.add(reg.id)
             if instr.dest is not None:
-                killed.add(instr.dest)
+                killed.add(instr.dest.id)
         uevar[label] = upward
         varkill[label] = killed
 
-    live_in: dict[str, set[VReg]] = {label: set() for label in labels}
-    live_out: dict[str, set[VReg]] = {label: set() for label in labels}
+    # LIVEIN is recomputed only when LIVEOUT changes: start it at its
+    # value for an empty LIVEOUT (phi defs are in VARKILL)
+    live_in: dict[str, set[int]] = {label: uevar[label] for label in labels}
+    live_out: dict[str, set[int]] = {label: set() for label in labels}
 
     changed = True
     while changed:
         changed = False
         for label in order:
-            block = func.block(label)
-            out: set[VReg] = set(phi_uses_out[label])
-            for succ in block.successors():
-                if succ in labels:
-                    out |= live_in[succ] - phi_defs[succ]
-            new_in = uevar[label] | (out - varkill[label] - phi_defs[label])
-            if out != live_out[label] or new_in != live_in[label]:
+            out: set[int] = set(phi_uses_out[label])
+            for succ in succs[label]:
+                out |= live_in[succ] - phi_defs[succ]
+            if out != live_out[label]:
                 live_out[label] = out
-                live_in[label] = new_in
+                live_in[label] = uevar[label] | (out - varkill[label])
                 changed = True
 
     return Liveness(
         live_in={l: frozenset(s) for l, s in live_in.items()},
         live_out={l: frozenset(s) for l, s in live_out.items()},
     )
-
-
-def live_across_calls(func: Function, liveness: Liveness | None = None) -> set[VReg]:
-    """Registers live across at least one call site — used by spill
-    heuristics (caller-saved pressure)."""
-    from ..ir.instructions import Call
-
-    if liveness is None:
-        liveness = compute_liveness(func)
-    result: set[VReg] = set()
-    for label, block in func.blocks.items():
-        live = set(liveness.live_out[label])
-        for instr in reversed(block.instrs):
-            if instr.dest is not None:
-                live.discard(instr.dest)
-            if isinstance(instr, Call):
-                result |= live
-            live.update(instr.uses())
-    return result

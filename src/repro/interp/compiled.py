@@ -597,7 +597,7 @@ class _Gen:
         # registers read before any write start at zero, as in the
         # reference loop's register file
         live = compute_liveness(func).live_in.get(func.entry, frozenset())
-        zeros = sorted({r.id for r in live} - {p.id for p in func.params})
+        zeros = sorted(live - {p.id for p in func.params})
         for start in range(0, len(zeros), 20):
             emit(8, " = ".join(f"r{rid}" for rid in zeros[start : start + 20]) + " = 0")
         for name, var in self.slot_addr.items():

@@ -77,8 +77,8 @@ def estimate_loop_pressure(
         for instr in reversed(block.instrs):
             dest = instr.dest
             if dest is not None:
-                live.discard(dest)
-            live.update(instr.uses())
+                live.discard(dest.id)
+            live.update(reg.id for reg in instr.uses())
             peak = max(peak, len(live))
     return peak
 

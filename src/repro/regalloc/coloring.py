@@ -23,6 +23,7 @@ precisely the two quantities the evaluation measures.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..analysis.liveness import compute_liveness
@@ -65,8 +66,10 @@ def allocate_function(
 
     for round_no in range(MAX_ROUNDS):
         report.rounds = round_no + 1
-        report.copies_coalesced += _coalesce(func, options.num_registers, depth)
-        graph = build_interference(func, compute_liveness(func), depth)
+        removed, graph = _coalesce(func, options.num_registers, depth)
+        report.copies_coalesced += removed
+        if graph is None:
+            graph = build_interference(func, compute_liveness(func), depth)
         coloring, spills = _color(graph, options.num_registers)
         if not spills:
             report.coloring = coloring
@@ -95,9 +98,10 @@ def allocate_module(
 # coalescing
 # ---------------------------------------------------------------------------
 
-def _coalesce(func: Function, k: int, depth) -> int:
+def _coalesce(func: Function, k: int, depth) -> tuple[int, InterferenceGraph | None]:
     """Merge non-interfering copy pairs until none remain.  Returns the
-    number of copies removed."""
+    number of copies removed and the last round's graph when that round
+    merged nothing (it is the graph a rebuild would give), else ``None``."""
     removed = 0
     for _ in range(8):
         graph = build_interference(func, compute_liveness(func), depth)
@@ -134,14 +138,14 @@ def _coalesce(func: Function, k: int, depth) -> int:
                 parent[gone] = keep
                 merged_any = True
         if not merged_any:
-            break
+            return removed, graph
         removed += _apply_union(func, parent, find)
-    return removed
+    return removed, None
 
 
 def _briggs_ok(graph: InterferenceGraph, a: int, b: int, k: int) -> bool:
     neighbors = graph.adjacency.get(a, set()) | graph.adjacency.get(b, set())
-    significant = sum(1 for n in neighbors if graph.degree(n) >= k)
+    significant = sum(1 for n in neighbors if len(graph.adjacency[n]) >= k)
     return significant < k
 
 
@@ -225,17 +229,25 @@ def _rematerialize(func: Function, defs: dict[int, Instr]) -> None:
 def _color(
     graph: InterferenceGraph, k: int
 ) -> tuple[dict[int, int], list[int]]:
-    """Briggs optimistic coloring.  Returns (coloring, actual spills)."""
-    degrees = {n: graph.degree(n) for n in graph.nodes()}
+    """Briggs optimistic coloring.  Returns (coloring, actual spills).
+
+    Simplify pops the smallest ``(degree, id)`` off a lazy-deletion heap.
+    Invariant: every unremoved node of degree < k has an entry with its
+    current degree (pushed again on each decrement below k), so the first
+    valid entry is what a sort of the remaining nodes would pick."""
     adjacency = graph.adjacency
+    degrees = {n: len(neighbors) for n, neighbors in adjacency.items()}
+    heap = [(degree, n) for n, degree in degrees.items() if degree < k]
+    heapq.heapify(heap)
     removed: set[int] = set()
     stack: list[int] = []
 
-    nodes = set(graph.nodes())
+    nodes = set(adjacency)
     while len(removed) < len(nodes):
         candidate = None
-        for node in sorted(nodes - removed, key=lambda n: (degrees[n], n)):
-            if degrees[node] < k:
+        while heap:
+            degree, node = heapq.heappop(heap)
+            if node not in removed and degrees[node] == degree:
                 candidate = node
                 break
         if candidate is None:
@@ -247,9 +259,11 @@ def _color(
             candidate = min(nodes - removed, key=lambda n: (cost(n), n))
         removed.add(candidate)
         stack.append(candidate)
-        for neighbor in adjacency.get(candidate, ()):
+        for neighbor in adjacency[candidate]:
             if neighbor not in removed:
                 degrees[neighbor] -= 1
+                if degrees[neighbor] < k:
+                    heapq.heappush(heap, (degrees[neighbor], neighbor))
 
     coloring: dict[int, int] = {}
     spills: list[int] = []

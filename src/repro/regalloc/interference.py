@@ -5,6 +5,11 @@ defined register interferes with everything live after it — except, for a
 copy ``d = mov s``, with ``s`` itself (the exclusion that makes copies
 coalescable, exactly the property the paper's promotion-generated copies
 rely on).
+
+Nodes are register ids, and liveness hands over id sets, so the build
+never hashes a ``VReg``.  The allocator rebuilds the graph after each
+coalesce round that merged and each spill round; it colors the graph of
+the last, merge-free coalesce round, built from the unchanged function.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.liveness import Liveness, compute_liveness
 from ..ir.function import Function
-from ..ir.instructions import Mov, Phi, VReg
+from ..ir.instructions import Mov, Phi
 
 
 @dataclass
@@ -38,14 +43,9 @@ class InterferenceGraph:
     def interferes(self, a: int, b: int) -> bool:
         return b in self.adjacency.get(a, ())
 
-    def degree(self, reg_id: int) -> int:
-        return len(self.adjacency.get(reg_id, ()))
-
-    def nodes(self) -> list[int]:
-        return list(self.adjacency)
-
     def merge(self, keep: int, gone: int) -> None:
-        """Fold node ``gone`` into ``keep`` (coalescing)."""
+        """Fold node ``gone`` into ``keep`` (coalescing).  The result keeps a
+        superset of the edges a rebuild gives, so it never stands in for one."""
         self.ensure(keep)
         for neighbor in self.adjacency.pop(gone, set()):
             self.adjacency[neighbor].discard(gone)
@@ -69,36 +69,33 @@ def build_interference(
     for param in func.params:
         graph.ensure(param.id)
 
+    adjacency, occurrences = graph.adjacency, graph.occurrences
     for label, block in func.blocks.items():
         weight = 10.0 ** min(loop_depth.get(label, 0) if loop_depth else 0, 6)
-        live: set[VReg] = set(liveness.live_out.get(label, frozenset()))
+        live: set[int] = set(liveness.live_out.get(label, frozenset()))
         for instr in reversed(block.instrs):
             dest = instr.dest
             if dest is not None:
-                graph.ensure(dest.id)
-                graph.occurrences[dest.id] = (
-                    graph.occurrences.get(dest.id, 0) + weight
-                )
-                skip = (
-                    instr.src if isinstance(instr, Mov) else None
-                )
-                for other in live:
-                    if other != dest and other != skip:
-                        graph.add_edge(dest.id, other.id)
-                live.discard(dest)
+                d = dest.id
+                occurrences[d] = occurrences.get(d, 0) + weight
+                others = live - {d, instr.src.id if isinstance(instr, Mov) else d}
+                adjacency.setdefault(d, set()).update(others)
+                for other in others:
+                    adjacency.setdefault(other, set()).add(d)
+                live.discard(d)
             if isinstance(instr, Phi):
                 continue
             for reg in instr.uses():
-                graph.ensure(reg.id)
-                graph.occurrences[reg.id] = graph.occurrences.get(reg.id, 0) + weight
-                live.add(reg)
+                adjacency.setdefault(reg.id, set())
+                occurrences[reg.id] = occurrences.get(reg.id, 0) + weight
+                live.add(reg.id)
     # parameters are defined on entry and interfere with whatever is live
     # into the entry block
     entry_live = liveness.live_in.get(func.entry, frozenset())
     for i, param in enumerate(func.params):
         for other in entry_live:
-            if other != param:
-                graph.add_edge(param.id, other.id)
+            if other != param.id:
+                graph.add_edge(param.id, other)
         for other_param in func.params[i + 1:]:
             graph.add_edge(param.id, other_param.id)
     return graph
