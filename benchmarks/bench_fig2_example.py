@@ -7,20 +7,20 @@ LIFT at B3 not B5.
 """
 
 from benchmarks.conftest import write_artifact
-from repro.analysis.loops import find_loops
+from repro.analysis.loops import find_loops, normalize_loops
 from repro.opt.promotion import (
     gather_block_info,
     promote_function,
     solve_loop_equations,
 )
 
-from tests.opt.test_fig2_example import A, B, C, figure2_function
+from tests.opt.test_fig2_example import A, B, C, UNIVERSE, figure2_function
 
 
 def test_fig2_equations_and_rewrite(benchmark, out_dir):
     def run_promotion():
         func = figure2_function()
-        report = promote_function(func)
+        report = promote_function(func, normalize_loops(func), UNIVERSE)
         return func, report
 
     func, report = benchmark(run_promotion)
@@ -33,7 +33,7 @@ def test_fig2_equations_and_rewrite(benchmark, out_dir):
     # regenerate the figure's information table
     check_func = figure2_function()
     forest = find_loops(check_func)
-    explicit, ambiguous = gather_block_info(check_func)
+    explicit, ambiguous = gather_block_info(check_func, UNIVERSE)
     sets = solve_loop_equations(check_func, forest, explicit, ambiguous)
     lines = ["Figure 2: loop information sets",
              f"{'Loop':<6} {'EXPLICIT':<12} {'AMBIGUOUS':<12} "

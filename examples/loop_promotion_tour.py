@@ -55,11 +55,12 @@ def main() -> None:
     main_fn = module.functions["main"]
 
     forest = normalize_loops(main_fn)
+    universe = frozenset(module.memory_tags())
     print("=" * 70)
     print("IL before promotion (after MOD/REF analysis):")
     print(format_function(main_fn))
 
-    explicit, ambiguous = gather_block_info(main_fn)
+    explicit, ambiguous = gather_block_info(main_fn, universe)
     sets = solve_loop_equations(main_fn, forest, explicit, ambiguous)
     print()
     print("Figure 1 sets per loop:")
@@ -71,7 +72,7 @@ def main() -> None:
         print(f"    PROMOTABLE = {describe(s.promotable)}")
         print(f"    LIFT       = {describe(s.lift)}")
 
-    report = promote_function(main_fn, module, forest=forest)
+    report = promote_function(main_fn, forest, universe)
     print()
     print(f"references rewritten to copies: {report.references_rewritten}")
     print(f"promote loads inserted:        {report.loads_inserted}")

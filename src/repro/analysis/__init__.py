@@ -2,7 +2,6 @@
 interprocedural MOD/REF, and points-to."""
 
 from .callgraph import CallGraph, SCCInfo, build_call_graph, condense_sccs
-from .defuse import DefUse, compute_def_use
 from .dominators import DominatorInfo, compute_dominators, dominance_frontiers
 from .liveness import Liveness, compute_liveness
 from .loops import Loop, LoopForest, find_loops, normalize_loops
@@ -13,7 +12,6 @@ from .tagrefine import RefineStats, refine_memory_ops
 
 __all__ = [
     "CallGraph",
-    "DefUse",
     "DominatorInfo",
     "Liveness",
     "Loop",
@@ -26,7 +24,6 @@ __all__ = [
     "SSAInfo",
     "apply_points_to",
     "build_call_graph",
-    "compute_def_use",
     "compute_dominators",
     "compute_liveness",
     "condense_sccs",

@@ -50,18 +50,6 @@ class DominatorInfo:
             b = self.idom[b]
         return a == b
 
-    def strictly_dominates(self, a: str, b: str) -> bool:
-        return a != b and self.dominates(a, b)
-
-    def dom_tree_preorder(self) -> list[str]:
-        order: list[str] = []
-        stack = [self.entry]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            # reversed so children pop in their natural order
-            stack.extend(reversed(self.children[node]))
-        return order
 
 
 def compute_dominators(func: Function) -> DominatorInfo:

@@ -13,7 +13,10 @@ removed after optimization" (section 3.2).  We reproduce that contract:
 
 Register promotion inserts its promote-loads in landing pads and its
 demote-stores in dedicated exits; the ``clean`` pass later erases any that
-end up empty.
+end up empty.  The pipeline normalizes each function once, and promotion,
+LICM and pointer promotion share the resulting forest: they only insert
+non-terminator instructions into existing blocks, so its landing pads,
+exit edges, dominators and predecessor map stay exact.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from ..errors import AnalysisError
 from ..ir.cfg import predecessors
 from ..ir.function import Function
-from ..ir.instructions import Jump
+from ..ir.instructions import Jump, retarget
 from .dominators import DominatorInfo, compute_dominators
 
 
@@ -42,6 +45,13 @@ class Loop:
     depth: int = 1
     #: latch blocks: sources of back edges into the header
     latches: list[str] = field(default_factory=list)
+    #: the header's one reachable predecessor outside the loop, or None
+    #: when it has none or several (unreachable predecessors never
+    #: execute and cleaning removes them)
+    pad: str | None = None
+    #: edges ``(src, dst)`` with ``src`` inside and ``dst`` outside, over
+    #: ``sorted(blocks)``: demotion stores are inserted in this order
+    exit_edges: list[tuple[str, str]] = field(default_factory=list)
 
     def contains(self, label: str) -> bool:
         return label in self.blocks
@@ -49,43 +59,20 @@ class Loop:
     def is_outermost(self) -> bool:
         return self.parent is None
 
-    def exit_edges(self, func: Function) -> list[tuple[str, str]]:
-        """Edges ``(src, dst)`` with ``src`` inside and ``dst`` outside."""
-        edges: list[tuple[str, str]] = []
-        for label in sorted(self.blocks):
-            for succ in func.block(label).successors():
-                if succ not in self.blocks:
-                    edges.append((label, succ))
-        return edges
-
-    def exit_blocks(self, func: Function) -> list[str]:
-        """Distinct targets of exit edges, in a stable order."""
-        seen: list[str] = []
-        for _, dst in self.exit_edges(func):
-            if dst not in seen:
-                seen.append(dst)
-        return seen
-
-    def preheader(self, func: Function) -> str:
-        """The landing pad: the unique *reachable* predecessor of the
-        header from outside the loop.  Requires :func:`normalize_loops`
-        to have run.  (Unreachable predecessors are ignored — they never
-        execute and cleaning removes them.)
-        """
-        from ..ir.cfg import reachable_labels
-
-        preds = predecessors(func)
-        live = reachable_labels(func)
-        outside = [
-            p for p in preds[self.header]
-            if p not in self.blocks and p in live
-        ]
-        if len(outside) != 1:
+    @property
+    def preheader(self) -> str:
+        """The landing pad; :func:`normalize_loops` guarantees one."""
+        if self.pad is None:
             raise AnalysisError(
-                f"loop {self.header} has {len(outside)} outside predecessors; "
+                f"loop {self.header} has no single outside predecessor; "
                 "run normalize_loops first"
             )
-        return outside[0]
+        return self.pad
+
+    @property
+    def exit_blocks(self) -> list[str]:
+        """Distinct targets of exit edges, in a stable order."""
+        return list(dict.fromkeys(dst for _, dst in self.exit_edges))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Loop {self.header} depth={self.depth} |blocks|={len(self.blocks)}>"
@@ -93,11 +80,16 @@ class Loop:
 
 @dataclass
 class LoopForest:
-    """All loops of one function plus lookup structures."""
+    """All loops of one function plus lookup structures, and the CFG
+    facts they were found with.  The facts stay valid while passes only
+    insert non-terminator instructions into existing blocks."""
 
     loops: list[Loop]
     #: innermost loop containing each label (absent if not in any loop)
     innermost: dict[str, Loop]
+    dom: DominatorInfo
+    #: ``label -> [predecessor labels]``, unreachable ones included
+    preds: dict[str, list[str]]
 
     def top_level(self) -> list[Loop]:
         return [l for l in self.loops if l.parent is None]
@@ -169,26 +161,42 @@ def find_loops(func: Function, dom: DominatorInfo | None = None) -> LoopForest:
             depth += 1
             cursor = cursor.parent
         loop.depth = depth
+        outside = _outside_preds(loop, dom, preds)
+        loop.pad = outside[0] if len(outside) == 1 else None
+        loop.exit_edges = [
+            (label, succ)
+            for label in sorted(loop.blocks)
+            for succ in func.block(label).successors()
+            if succ not in loop.blocks
+        ]
 
     innermost: dict[str, Loop] = {}
     for loop in sorted(loops, key=lambda l: l.depth):
         for label in loop.blocks:
             innermost[label] = loop  # deeper loops overwrite shallower ones
 
-    return LoopForest(loops=loops, innermost=innermost)
+    return LoopForest(loops=loops, innermost=innermost, dom=dom, preds=preds)
 
 
-def normalize_loops(func: Function, max_rounds: int | None = None) -> LoopForest:
+def _outside_preds(
+    loop: Loop, dom: DominatorInfo, preds: dict[str, list[str]]
+) -> list[str]:
+    """The header's reachable predecessors outside the loop."""
+    return [
+        p for p in preds[loop.header] if p not in loop.blocks and p in dom.idom
+    ]
+
+
+def normalize_loops(func: Function) -> LoopForest:
     """Give every loop a landing pad and dedicated exit blocks.
 
     Runs to a fixpoint because inserting a block can change other loops'
     bodies.  Returns the final :class:`LoopForest` (computed on the
     normalized CFG).
     """
-    if max_rounds is None:
-        # each round performs at least one edit and each edit adds one
-        # block; the number of edits is bounded by entries + exit edges
-        max_rounds = 8 * len(func.blocks) + 64
+    # each round performs at least one edit and each edit adds one
+    # block; the number of edits is bounded by entries + exit edges
+    max_rounds = 8 * len(func.blocks) + 64
     for _ in range(max_rounds):
         forest = find_loops(func)
         if not _normalize_once(func, forest):
@@ -198,34 +206,19 @@ def normalize_loops(func: Function, max_rounds: int | None = None) -> LoopForest
 
 def _normalize_once(func: Function, forest: LoopForest) -> bool:
     """One normalization round; returns True if the CFG changed."""
-    from ..ir.cfg import reachable_labels
-
-    preds = predecessors(func)
-    live = reachable_labels(func)
-    changed = False
-
     for loop in forest.loops:
-        outside_preds = [
-            p for p in preds[loop.header]
-            if p not in loop.blocks and p in live
-        ]
-        needs_pad = len(outside_preds) != 1
-        if not needs_pad and outside_preds:
-            only = func.block(outside_preds[0])
-            # the landing pad must fall through solely into the header so
-            # promote-loads inserted there execute iff the loop is entered
-            needs_pad = only.successors() != (loop.header,)
-        if needs_pad:
-            _insert_landing_pad(func, loop, outside_preds)
+        # the landing pad must fall through solely into the header so
+        # promote-loads inserted there execute iff the loop is entered
+        if loop.pad is None or func.block(loop.pad).successors() != (loop.header,):
+            _insert_landing_pad(
+                func, loop, _outside_preds(loop, forest.dom, forest.preds)
+            )
             return True
-
-        for src, dst in loop.exit_edges(func):
-            dst_preds = preds[dst]
-            if any(p not in loop.blocks for p in dst_preds):
+        for src, dst in loop.exit_edges:
+            if any(p not in loop.blocks for p in forest.preds[dst]):
                 func.split_edge(src, dst, hint="X")
-                changed = True
                 return True
-    return changed
+    return False
 
 
 def _insert_landing_pad(func: Function, loop: Loop, outside_preds: list[str]) -> None:
@@ -234,8 +227,6 @@ def _insert_landing_pad(func: Function, loop: Loop, outside_preds: list[str]) ->
     When the loop header is the function entry (so the loop has no outside
     predecessor at all), the landing pad becomes the new entry block.
     """
-    from ..ir.instructions import retarget
-
     pad = func.new_block("P")
     pad.append(Jump(loop.header))
     header_block = func.block(loop.header)

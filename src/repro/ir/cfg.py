@@ -1,20 +1,15 @@
 """Control-flow graph utilities.
 
 Successor edges live in each block's terminator; this module derives
-everything else: predecessor maps, traversal orders, reachability, and the
-loop-shape normalizations the paper's compiler performs during CFG
-construction — every loop gets a *landing pad* (preheader) before its
-header and a dedicated *exit block* on each edge leaving the loop.
-Promotion inserts its load/store pairs into exactly those blocks.
+everything else: predecessor maps, traversal orders, reachability,
+unreachable-block removal and critical-edge splitting.  Loop-shape
+normalization (landing pads and dedicated exits) lives in
+:mod:`repro.analysis.loops`.
 """
 
 from __future__ import annotations
 
 from .function import Function
-
-
-def successors(func: Function, label: str) -> tuple[str, ...]:
-    return func.block(label).successors()
 
 
 def predecessors(func: Function) -> dict[str, list[str]]:
@@ -104,10 +99,3 @@ def split_critical_edges(func: Function) -> int:
             preds = predecessors(func)
     return count
 
-
-def edge_list(func: Function) -> list[tuple[str, str]]:
-    edges: list[tuple[str, str]] = []
-    for label, block in func.blocks.items():
-        for succ in block.successors():
-            edges.append((label, succ))
-    return edges

@@ -128,17 +128,6 @@ class Module:
         tags.extend(self.heap_tags.values())
         return tags
 
-    def addressable_tags(self) -> list[Tag]:
-        """Tags whose address can circulate in pointers.
-
-        Globals count as addressable only if their address is taken or they
-        are aggregates (arrays decay to pointers); this mirrors the paper's
-        MOD/REF analyzer, which only places address-taken tags in the tag
-        sets of pointer-based operations.  Front ends mark address-taken
-        tags by listing them in :attr:`address_taken`.
-        """
-        return [t for t in self.memory_tags() if t in self.address_taken]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Module {self.name}: {len(self.functions)} functions, "

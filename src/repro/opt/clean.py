@@ -33,9 +33,14 @@ class CleanStats:
     unreachable_removed: int = 0
 
 
-def clean_function(func: Function, max_rounds: int = 100) -> CleanStats:
+#: safety bound on clean rounds; cleaning stops at the first round that
+#: changes nothing
+MAX_ROUNDS = 100
+
+
+def clean_function(func: Function) -> CleanStats:
     stats = CleanStats()
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         changed = False
         changed |= _fold_branches(func, stats)
         stats.unreachable_removed += len(remove_unreachable_blocks(func))

@@ -78,10 +78,10 @@ class _LoopMods:
         return self.universal or tag in self.tags
 
 
-def run_licm(func: Function, forest: LoopForest | None = None) -> LICMStats:
+def run_licm(func: Function, forest: LoopForest) -> LICMStats:
+    """Hoist invariant code out of every loop of ``forest``, which is
+    ``normalize_loops(func)``."""
     stats = LICMStats()
-    if forest is None:
-        forest = normalize_loops(func)
     if not forest.loops:
         return stats
 
@@ -104,7 +104,7 @@ def run_licm(func: Function, forest: LoopForest | None = None) -> LICMStats:
 def run_licm_module(module: Module) -> LICMStats:
     total = LICMStats()
     for func in module.functions.values():
-        stats = run_licm(func)
+        stats = run_licm(func, normalize_loops(func))
         total.hoisted += stats.hoisted
         total.loads_hoisted += stats.loads_hoisted
     return total
@@ -136,7 +136,7 @@ def _hoist_from_loop(
     def_counts: dict[int, int],
     stats: LICMStats,
 ) -> None:
-    pad_label = loop.preheader(func)
+    pad_label = loop.preheader
     pad = func.block(pad_label)
     mods = _loop_mods(func, loop)
 

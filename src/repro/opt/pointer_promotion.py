@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.dominators import compute_dominators
 from ..analysis.loops import LoopForest, normalize_loops
 from ..diag import ledger as diag_ledger
 from ..ir.function import Function
@@ -59,22 +58,14 @@ class PointerPromotionReport:
 
 
 def promote_pointers_function(
-    func: Function,
-    module: Module | None = None,
-    forest: LoopForest | None = None,
-    universe: frozenset | None = None,
+    func: Function, forest: LoopForest, universe: frozenset[Tag]
 ) -> PointerPromotionReport:
+    """Promote pointer-based references in every loop of ``forest``
+    (``normalize_loops(func)``); a universal tag set stands for all of
+    ``universe``, the module's memory-tag snapshot."""
     report = PointerPromotionReport(function=func.name)
-    if forest is None:
-        forest = normalize_loops(func)
     if not forest.loops:
         return report
-    dom = compute_dominators(func)
-
-    if universe is None:
-        universe = (
-            frozenset(module.memory_tags()) if module is not None else None
-        )
 
     # definition sites per register (non-SSA: registers may have several)
     def_sites: dict[int, list[str]] = {}
@@ -88,14 +79,14 @@ def promote_pointers_function(
     # outermost-first: promoting in an outer loop rewrites the inner
     # references to copies, so inner loops naturally see nothing left to do
     for loop in forest.loops_outermost_first():
-        _promote_in_loop(func, loop, forest, dom, def_sites, universe, report)
+        _promote_in_loop(func, loop, forest.dom, def_sites, universe, report)
     return report
 
 
 def promote_pointers_module(module: Module) -> dict[str, PointerPromotionReport]:
     universe = frozenset(module.memory_tags())
     return {
-        func.name: promote_pointers_function(func, module, universe=universe)
+        func.name: promote_pointers_function(func, normalize_loops(func), universe)
         for func in module.functions.values()
     }
 
@@ -105,13 +96,12 @@ def promote_pointers_module(module: Module) -> dict[str, PointerPromotionReport]
 def _promote_in_loop(
     func: Function,
     loop,
-    forest: LoopForest,
     dom,
     def_sites: dict[int, list[str]],
-    universe,
+    universe: frozenset[Tag],
     report: PointerPromotionReport,
 ) -> None:
-    pad_label = loop.preheader(func)
+    pad_label = loop.preheader
 
     # gather every memory access and call effect inside the loop
     mem_ops: list[tuple[str, int, Instr]] = []
@@ -159,11 +149,7 @@ def _promote_in_loop(
         for _, _, instr in sites:
             tags = tags.union(instr.tags)  # type: ignore[union-attr]
         if tags.universal:
-            materialized = universe
-            if materialized is None:
-                decide(base_reg, "blocked", "universal-tags")
-                continue
-            tags = TagSet.from_iterable(materialized)
+            tags = TagSet.from_iterable(universe)
         if tags.is_empty():
             decide(base_reg, "blocked", "empty-tags")
             continue
@@ -239,7 +225,7 @@ def _rewrite_group(
     report.loads_inserted += 1
 
     if has_store:
-        for exit_label in loop.exit_blocks(func):
+        for exit_label in loop.exit_blocks:
             func.block(exit_label).instrs.insert(
                 0, MemStore(home, base_reg, tags)
             )

@@ -106,14 +106,14 @@ class PromotionOptions:
 
 def gather_block_info(
     func: Function,
-    universe: frozenset[Tag] | None = None,
+    universe: frozenset[Tag],
     ignore_calls: bool = False,
 ) -> tuple[dict[str, set[Tag]], dict[str, set[Tag]]]:
     """Compute ``B_EXPLICIT`` and ``B_AMBIGUOUS`` for every block.
 
-    ``universe`` materializes universal tag sets (pre-analysis IR); by
-    default every tag the module knows about is assumed.  ``ignore_calls``
-    is the deliberate miscompile behind
+    ``universe`` is every tag the module knows about: a universal tag set
+    (pre-analysis IR, or a call nothing summarized) references all of
+    it.  ``ignore_calls`` is the deliberate miscompile behind
     :attr:`PromotionOptions.unsafe_ignore_call_ambiguity`.
     """
     explicit: dict[str, set[Tag]] = {}
@@ -134,10 +134,8 @@ def gather_block_info(
     return explicit, ambiguous
 
 
-def _materialize(tags, universe: frozenset[Tag] | None):
-    if tags.universal:
-        return universe if universe is not None else frozenset()
-    return tags
+def _materialize(tags, universe: frozenset[Tag]):
+    return universe if tags.universal else tags
 
 
 @dataclass
@@ -192,33 +190,24 @@ def solve_loop_equations(
 
 def promote_function(
     func: Function,
-    module: Module | None = None,
+    forest: LoopForest,
+    universe: frozenset[Tag],
     options: PromotionOptions | None = None,
-    forest: LoopForest | None = None,
-    universe: frozenset | None = None,
 ) -> PromotionReport:
     """Run register promotion on one function, in place.
 
-    ``universe`` is the module's addressable-memory snapshot that
-    ambiguous references are materialized against.  Incremental
-    compilation passes it explicitly, snapshotted once post-analysis, so
+    ``forest`` is ``normalize_loops(func)``.  ``universe`` is the
+    module's memory-tag snapshot that universal tag sets are
+    materialized against; the pipeline takes it once post-analysis, so
     the answer cannot depend on mid-pipeline mutations of other
     functions (register allocation appends spill tags to
-    ``local_tags``); when omitted it is computed from ``module`` as
-    before.
+    ``local_tags``).
     """
     options = options or PromotionOptions()
     report = PromotionReport(function=func.name)
-
-    if forest is None:
-        forest = normalize_loops(func)
     if not forest.loops:
         return report
 
-    if universe is None:
-        universe = (
-            frozenset(module.memory_tags()) if module is not None else None
-        )
     explicit, ambiguous = gather_block_info(
         func, universe, ignore_calls=options.unsafe_ignore_call_ambiguity
     )
@@ -276,7 +265,7 @@ def promote_function(
         lift = sets[loop.header].lift
         if not lift:
             continue
-        pad = func.block(loop.preheader(func))
+        pad = func.block(loop.preheader)
         for tag in sorted(lift, key=lambda t: t.name):
             pad.instrs.insert(
                 len(pad.instrs) - 1, ScalarLoad(home[tag], tag)
@@ -288,7 +277,7 @@ def promote_function(
             or tag in stored_in_loop[loop.header]
         ]
         if needs_store:
-            for exit_label in loop.exit_blocks(func):
+            for exit_label in loop.exit_blocks:
                 exit_block = func.block(exit_label)
                 for tag in needs_store:
                     exit_block.instrs.insert(0, ScalarStore(home[tag], tag))
@@ -301,7 +290,9 @@ def promote_module(
 ) -> dict[str, PromotionReport]:
     universe = frozenset(module.memory_tags())
     return {
-        func.name: promote_function(func, module, options, universe=universe)
+        func.name: promote_function(
+            func, normalize_loops(func), universe, options
+        )
         for func in module.functions.values()
     }
 
@@ -348,7 +339,7 @@ def _record_decisions(
     func: Function,
     forest: LoopForest,
     sets: dict[str, LoopSets],
-    universe: frozenset[Tag] | None,
+    universe: frozenset[Tag],
 ) -> None:
     """Emit one ledger decision per (loop, tag) pair.
 
@@ -404,7 +395,7 @@ def _record_decisions(
 
 
 def _ambiguity_blockers(
-    func: Function, loop: Loop, universe: frozenset[Tag] | None
+    func: Function, loop: Loop, universe: frozenset[Tag]
 ) -> dict[Tag, tuple[list[dict], list[dict]]]:
     """Per ambiguous tag, the (calls, pointer ops) inside ``loop`` that
     reference it — the provenance behind an ``ambiguous-via-*`` decision."""

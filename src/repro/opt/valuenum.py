@@ -130,13 +130,13 @@ class _BlockNumbering:
             self.mem_epoch += 1
 
 
-def run_value_numbering(func: Function, fold_constants: bool = True) -> VNStats:
+def run_value_numbering(func: Function) -> VNStats:
     stats = VNStats()
     for block in func.blocks.values():
         state = _BlockNumbering(func)
         new_instrs: list[Instr] = []
         for instr in block.instrs:
-            replacement = _number_instr(instr, state, stats, fold_constants)
+            replacement = _number_instr(instr, state, stats)
             if replacement is not None:
                 new_instrs.append(replacement)
         block.instrs = new_instrs
@@ -189,7 +189,6 @@ def _number_instr(
     instr: Instr,
     state: _BlockNumbering,
     stats: VNStats,
-    fold_constants: bool,
 ) -> Instr | None:
     if isinstance(instr, Phi):
         state.define(instr.dst, state.new_vn())
@@ -231,15 +230,13 @@ def _number_instr(
     if isinstance(instr, BinOp):
         lhs_vn = state.use_vn(instr.lhs)
         rhs_vn = state.use_vn(instr.rhs)
-        if fold_constants and lhs_vn in state.vn_const and rhs_vn in state.vn_const:
+        if lhs_vn in state.vn_const and rhs_vn in state.vn_const:
             folded = _try_fold_binop(
                 instr.opcode, state.vn_const[lhs_vn], state.vn_const[rhs_vn]
             )
             if folded is not None:
                 stats.constants_folded += 1
-                return _number_instr(
-                    LoadI(instr.dst, folded), state, stats, fold_constants
-                )
+                return _number_instr(LoadI(instr.dst, folded), state, stats)
         a, b = lhs_vn, rhs_vn
         if instr.opcode in COMMUTATIVE_OPS and b < a:
             a, b = b, a
@@ -260,13 +257,11 @@ def _number_instr(
 
     if isinstance(instr, UnOp):
         src_vn = state.use_vn(instr.src)
-        if fold_constants and src_vn in state.vn_const:
+        if src_vn in state.vn_const:
             folded = _try_fold_unop(instr.opcode, state.vn_const[src_vn])
             if folded is not None:
                 stats.constants_folded += 1
-                return _number_instr(
-                    LoadI(instr.dst, folded), state, stats, fold_constants
-                )
+                return _number_instr(LoadI(instr.dst, folded), state, stats)
         key = ("un", instr.opcode, src_vn)
         vn = state.expr_vn.get(key)
         hit = vn is not None and state.home_valid(vn)

@@ -13,10 +13,11 @@ cleaning pass."
 2. interprocedural analysis — ``modref`` or ``pointer`` (points-to
    followed by a MOD/REF re-run, as in the paper) or ``none``;
 3. tag refinement (opcode strengthening for singleton scalar tag sets);
-4. the optimizer: value numbering, SCCP, **register promotion** (early,
-   as section 3 specifies), LICM, pointer-based promotion (section 3.3,
-   which depends on LICM having exposed invariant base registers), PRE,
-   value numbering again, DCE, clean;
+4. the optimizer: value numbering, SCCP, loop normalization (landing
+   pads and dedicated exits, once per function), **register
+   promotion** (early, as section 3 specifies), LICM, pointer-based
+   promotion (section 3.3, which depends on LICM having exposed
+   invariant base registers), PRE, value numbering again, DCE, clean;
 5. graph-coloring register allocation with coalescing and spilling;
 6. the instrumented interpreter.
 """
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from time import perf_counter
 
+from .analysis.loops import normalize_loops
 from .analysis.modref import ModRefResult, run_modref
 from .analysis.pointsto import apply_points_to, run_points_to
 from .analysis.tagrefine import refine_memory_ops
@@ -168,7 +170,9 @@ class CompileResult:
 
 def _worth_caching(options: PipelineOptions) -> bool:
     """A store entry only pays for itself when some per-function work
-    exists to skip; O0-style configs bypass the store entirely."""
+    exists to skip; O0-style configs bypass the store entirely.  The
+    same predicate says whether a loop pass (promotion, LICM, pointer
+    promotion) runs, and so whether loops get normalized."""
     return options.optimize or options.promotion or options.pointer_promotion
 
 
@@ -201,25 +205,33 @@ def _optimize_function(
             run_sccp(func)
     checkpoint()
 
+    # -- loop shape: landing pads and dedicated exits --------------------
+    # The loop passes below only insert non-terminator instructions into
+    # existing blocks, so the one forest stays exact for all of them.
+    if _worth_caching(options):
+        with _pass_span("loops", func):
+            forest = normalize_loops(func)
+        checkpoint()
+
     # -- register promotion (early, per section 3) -------------------------
     if options.promotion:
         with _pass_span("promotion", func):
             record.promotion = promote_function(
-                func, options=options.promotion_options, universe=universe
+                func, forest, universe, options.promotion_options
             )
         checkpoint()
 
     # -- loop and straight-line redundancy removal -------------------------
     if options.optimize:
         with _pass_span("licm", func):
-            licm_stats = run_licm(func)
+            licm_stats = run_licm(func, forest)
         record.stats["licm.hoisted"] = licm_stats.hoisted
         record.stats["licm.loads_hoisted"] = licm_stats.loads_hoisted
         checkpoint()
     if options.pointer_promotion:
         with _pass_span("pointer_promotion", func):
             record.pointer_promotion = promote_pointers_function(
-                func, universe=universe
+                func, forest, universe
             )
         checkpoint()
     if options.optimize:

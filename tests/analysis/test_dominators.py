@@ -103,18 +103,7 @@ class TestClassicShapes:
         func = build_cfg({"A": ("B",), "B": ("C",), "C": ()}, "A")
         dom = compute_dominators(func)
         assert dom.depth == {"A": 0, "B": 1, "C": 2}
-        assert dom.strictly_dominates("A", "C")
-        assert not dom.strictly_dominates("C", "C")
         assert dom.dominates("C", "C")
-
-    def test_dom_tree_preorder_starts_at_entry(self):
-        func = build_cfg(
-            {"A": ("B", "C"), "B": ("D",), "C": ("D",), "D": ()}, "A"
-        )
-        dom = compute_dominators(func)
-        order = dom.dom_tree_preorder()
-        assert order[0] == "A"
-        assert set(order) == {"A", "B", "C", "D"}
 
 
 class TestDominanceFrontiers:

@@ -1,6 +1,5 @@
-"""Tests for liveness analysis and def-use chains."""
+"""Tests for liveness analysis."""
 
-from repro.analysis.defuse import compute_def_use
 from repro.analysis.liveness import compute_liveness
 from repro.ir import (
     BinOp,
@@ -109,45 +108,3 @@ class TestLiveness:
         # phi defs are not live-in to their own block
         assert phi_dst.id not in live.live_in["J"]
 
-
-class TestDefUse:
-    def test_counts(self):
-        func = Function("f")
-        b = IRBuilder(func)
-        b.start_block()
-        x = b.loadi(1)
-        y = b.add(x, x)
-        b.ret(y)
-        info = compute_def_use(func)
-        assert info.use_count(x) == 2
-        assert info.use_count(y) == 1
-        assert info.single_def(x) is not None
-        assert not info.is_dead(x)
-
-    def test_dead_register(self):
-        func = Function("f")
-        b = IRBuilder(func)
-        b.start_block()
-        x = b.loadi(1)
-        b.ret()
-        info = compute_def_use(func)
-        assert info.is_dead(x)
-
-    def test_multiple_defs(self):
-        func = Function("f")
-        b = IRBuilder(func)
-        b.start_block()
-        x = b.loadi(1)
-        b.mov(x, dst=x)
-        b.ret(x)
-        info = compute_def_use(func)
-        assert info.single_def(x) is None
-        assert len(info.defs[x]) == 2
-
-    def test_params_count_as_defs(self):
-        func = Function("f", params=[VReg(0)])
-        b = IRBuilder(func)
-        b.start_block()
-        b.ret(func.params[0])
-        info = compute_def_use(func)
-        assert info.defs[func.params[0]] == [("<param>", -1)]

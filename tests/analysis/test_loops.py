@@ -75,8 +75,8 @@ class TestFindLoops:
         )
         forest = find_loops(func)
         loop = forest.loops[0]
-        assert set(loop.exit_edges(func)) == {("H", "X"), ("B", "Y")}
-        assert set(loop.exit_blocks(func)) == {"X", "Y"}
+        assert set(loop.exit_edges) == {("H", "X"), ("B", "Y")}
+        assert set(loop.exit_blocks) == {"X", "Y"}
 
     def test_orders(self):
         func = build_cfg(
@@ -106,7 +106,7 @@ class TestNormalizeLoops:
         )
         forest = normalize_loops(func)
         loop = forest.loop_with_header("H")
-        pad = loop.preheader(func)
+        pad = loop.preheader
         preds = predecessors(func)
         outside = [p for p in preds["H"] if p not in loop.blocks]
         assert outside == [pad]
@@ -127,7 +127,7 @@ class TestNormalizeLoops:
         forest = normalize_loops(func)
         loop = forest.loop_with_header("H")
         preds = predecessors(func)
-        for exit_block in loop.exit_blocks(func):
+        for exit_block in loop.exit_blocks:
             assert all(p in loop.blocks for p in preds[exit_block])
         verify_function(func)
 
@@ -137,7 +137,7 @@ class TestNormalizeLoops:
         forest = normalize_loops(func)
         assert func.entry != "H"
         loop = forest.loop_with_header("H")
-        assert loop.preheader(func) == func.entry
+        assert loop.preheader == func.entry
         verify_function(func)
 
     def test_idempotent(self):
@@ -168,7 +168,7 @@ class TestNormalizeLoops:
         outer = forest.loop_with_header("H1")
         preds = predecessors(func)
         for loop in (inner, outer):
-            for exit_block in loop.exit_blocks(func):
+            for exit_block in loop.exit_blocks:
                 assert all(p in loop.blocks for p in preds[exit_block]), (
                     loop.header,
                     exit_block,
@@ -184,4 +184,4 @@ class TestNormalizeLoops:
         from repro.errors import AnalysisError
 
         with pytest.raises(AnalysisError):
-            forest.loop_with_header("H").preheader(func)
+            forest.loop_with_header("H").preheader

@@ -186,10 +186,3 @@ class TestModule:
         tags = set(module.memory_tags())
         assert {gvar.tag, local, heap} <= tags
 
-    def test_addressable_respects_address_taken(self):
-        module = Module()
-        gvar = GlobalVar(Tag("g", TagKind.GLOBAL), size=4, elem_size=4)
-        module.add_global(gvar)
-        assert gvar.tag not in module.addressable_tags()
-        module.address_taken.add(gvar.tag)
-        assert gvar.tag in module.addressable_tags()

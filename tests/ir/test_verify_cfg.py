@@ -16,7 +16,6 @@ from repro.ir import (
     verify_function,
 )
 from repro.ir.cfg import (
-    edge_list,
     postorder,
     predecessors,
     remove_unreachable_blocks,
@@ -124,12 +123,6 @@ class TestCFG:
         # join must come after both left and right
         assert order.index("join") > order.index("left")
         assert order.index("join") > order.index("right")
-
-    def test_edge_list(self):
-        func = diamond()
-        edges = set(edge_list(func))
-        assert ("left", "join") in edges
-        assert ("right", "join") in edges
 
     def test_remove_unreachable(self):
         func = diamond()

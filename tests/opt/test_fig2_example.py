@@ -33,7 +33,7 @@ copies.
 
 import pytest
 
-from repro.analysis.loops import find_loops
+from repro.analysis.loops import find_loops, normalize_loops
 from repro.opt.promotion import (
     gather_block_info,
     promote_function,
@@ -57,6 +57,8 @@ A = Tag("A", TagKind.GLOBAL)
 B = Tag("B", TagKind.GLOBAL)
 C = Tag("C", TagKind.GLOBAL)
 TWO = Tag("2", TagKind.GLOBAL)  # the figure's second ambiguous tag
+#: every tag of the figure (it has no universal tag set to materialize)
+UNIVERSE = frozenset({A, B, C, TWO})
 
 
 def figure2_function() -> Function:
@@ -139,7 +141,7 @@ class TestFigure2Information:
 
     def test_block_information(self):
         func = figure2_function()
-        explicit, ambiguous = gather_block_info(func)
+        explicit, ambiguous = gather_block_info(func, UNIVERSE)
         assert explicit["B1"] == {C}
         assert ambiguous["B1"] == {A}
         assert ambiguous["B2"] == {B, TWO}
@@ -151,7 +153,7 @@ class TestFigure2Information:
     def test_loop_equations_match_paper_table(self):
         func = figure2_function()
         forest = find_loops(func)
-        explicit, ambiguous = gather_block_info(func)
+        explicit, ambiguous = gather_block_info(func, UNIVERSE)
         sets = solve_loop_equations(func, forest, explicit, ambiguous)
 
         assert sets["B1"].explicit == {A, B, C}
@@ -175,7 +177,7 @@ class TestFigure2Information:
 class TestFigure2Rewrite:
     def test_rewrite_matches_figure(self):
         func = figure2_function()
-        report = promote_function(func)
+        report = promote_function(func, normalize_loops(func), UNIVERSE)
         verify_function(func)
 
         assert report.promoted_tags == {A, C}
@@ -194,14 +196,14 @@ class TestFigure2Rewrite:
 
         # SLD [C] appears in loop B1's landing pad (the figure's B0)
         forest = find_loops(func)
-        pad_b1 = forest.loop_with_header("B1").preheader(func)
+        pad_b1 = forest.loop_with_header("B1").preheader
         pad_loads = [
             i for i in func.block(pad_b1).instrs if isinstance(i, ScalarLoad)
         ]
         assert [i.tag for i in pad_loads] == [C]
 
         # SLD [A] appears in loop B3's landing pad (the figure's B2 side)
-        pad_b3 = forest.loop_with_header("B3").preheader(func)
+        pad_b3 = forest.loop_with_header("B3").preheader
         pad_loads = [
             i for i in func.block(pad_b3).instrs if isinstance(i, ScalarLoad)
         ]
@@ -214,11 +216,11 @@ class TestFigure2Rewrite:
         exit_stores = [
             (label, i.tag)
             for loop in forest.loops
-            for label in loop.exit_blocks(func)
+            for label in loop.exit_blocks
             for i in func.block(label).instrs
             if isinstance(i, ScalarStore)
         ]
-        assert (next(iter(forest.loop_with_header("B1").exit_blocks(func))), C) in exit_stores
+        assert (next(iter(forest.loop_with_header("B1").exit_blocks)), C) in exit_stores
 
     def test_paper_exact_mode_stores_read_only_tags_too(self):
         """Without the store-back refinement, A is also stored at B3's
@@ -227,10 +229,13 @@ class TestFigure2Rewrite:
 
         func = figure2_function()
         report = promote_function(
-            func, options=PromotionOptions(store_only_if_stored=False)
+            func,
+            normalize_loops(func),
+            UNIVERSE,
+            PromotionOptions(store_only_if_stored=False),
         )
         forest = find_loops(func)
-        b3_exits = forest.loop_with_header("B3").exit_blocks(func)
+        b3_exits = forest.loop_with_header("B3").exit_blocks
         stored = {
             i.tag
             for label in b3_exits

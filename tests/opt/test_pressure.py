@@ -60,7 +60,9 @@ class TestPlan:
         module, func, forest = analyzed_main(MANY_GLOBALS)
         from repro.opt.promotion import gather_block_info, solve_loop_equations
 
-        explicit, ambiguous = gather_block_info(func)
+        explicit, ambiguous = gather_block_info(
+            func, frozenset(module.memory_tags())
+        )
         sets = solve_loop_equations(func, forest, explicit, ambiguous)
         promotable = {h: s.promotable for h, s in sets.items()}
         plan = plan_promotions(func, forest, promotable, num_registers=256)
@@ -70,7 +72,9 @@ class TestPlan:
         module, func, forest = analyzed_main(MANY_GLOBALS)
         from repro.opt.promotion import gather_block_info, solve_loop_equations
 
-        explicit, ambiguous = gather_block_info(func)
+        explicit, ambiguous = gather_block_info(
+            func, frozenset(module.memory_tags())
+        )
         sets = solve_loop_equations(func, forest, explicit, ambiguous)
         promotable = {h: s.promotable for h, s in sets.items()}
         header = forest.loops[0].header

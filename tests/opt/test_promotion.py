@@ -1,9 +1,14 @@
 """Behavioural tests for scalar register promotion on real C programs."""
 
+from repro.analysis.loops import normalize_loops
 from repro.analysis.modref import run_modref
 from repro.frontend import compile_c
 from repro.interp import run_module
-from repro.opt.promotion import PromotionOptions, promote_module
+from repro.opt.promotion import (
+    PromotionOptions,
+    promote_function,
+    promote_module,
+)
 from repro.pipeline import Analysis, PipelineOptions
 from tests.helpers import run_all_variants, run_optimized
 
@@ -61,6 +66,27 @@ class TestWhatPromotes:
         # but inside touch there is no loop at all, so nothing promotes
         assert reports["touch"].promoted_tags == set()
         assert run_module(module).exit_code == 15
+
+    def test_unanalyzed_call_blocks_promotion(self):
+        src = r"""
+        int g;
+        void bump(void) { g = g + 1; }
+        int main(void) {
+            int i;
+            for (i = 0; i < 10; i++) { g = g + 1; bump(); }
+            printf("%d\n", g);
+            return 0;
+        }
+        """
+        # no analysis ran: the call's MOD/REF sets are universal, so they
+        # reference every tag of the module, g included
+        module = compile_c(src)
+        func = module.functions["main"]
+        report = promote_function(
+            func, normalize_loops(func), frozenset(module.memory_tags())
+        )
+        assert "g" not in {t.name for t in report.promoted_tags}
+        assert run_module(module).output == "20\n"
 
     def test_pure_call_does_not_block(self):
         src = r"""

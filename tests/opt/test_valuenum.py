@@ -14,6 +14,7 @@ from repro.ir import (
     Tag,
     TagKind,
     TagSet,
+    VReg,
 )
 from repro.opt.valuenum import run_value_numbering
 from tests.helpers import run_c
@@ -26,55 +27,54 @@ def count(func, cls):
     return sum(1 for i in func.instructions() if isinstance(i, cls))
 
 
+def _two_param_function():
+    """A function whose two parameters are unknown values, so value
+    numbering can reuse expressions over them but never fold them."""
+    x, y = VReg(0, "x"), VReg(1, "y")
+    return Function("f", params=[x, y]), x, y
+
+
 class TestExpressionReuse:
     def test_redundant_binop_becomes_copy(self):
-        func = Function("f")
+        func, x, y = _two_param_function()
         b = IRBuilder(func)
         b.start_block()
-        x = b.loadi(3)
-        y = b.loadi(4)
         first = b.add(x, y)
         second = b.add(x, y)
         b.ret(second)
-        stats = run_value_numbering(func, fold_constants=False)
+        stats = run_value_numbering(func)
         assert stats.expressions_reused == 1
         assert count(func, Mov) == 1
 
     def test_commutative_canonicalization(self):
-        func = Function("f")
+        func, x, y = _two_param_function()
         b = IRBuilder(func)
         b.start_block()
-        x = b.loadi(3)
-        y = b.loadi(4)
         b.add(x, y)
         flipped = b.add(y, x)
         b.ret(flipped)
-        stats = run_value_numbering(func, fold_constants=False)
+        stats = run_value_numbering(func)
         assert stats.expressions_reused == 1
 
     def test_non_commutative_not_flipped(self):
-        func = Function("f")
+        func, x, y = _two_param_function()
         b = IRBuilder(func)
         b.start_block()
-        x = b.loadi(3)
-        y = b.loadi(4)
         b.sub(x, y)
         other = b.sub(y, x)
         b.ret(other)
-        stats = run_value_numbering(func, fold_constants=False)
+        stats = run_value_numbering(func)
         assert stats.expressions_reused == 0
 
     def test_redefined_operand_kills_reuse(self):
-        func = Function("f")
+        func, x, y = _two_param_function()
         b = IRBuilder(func)
         b.start_block()
-        x = b.loadi(3)
-        y = b.loadi(4)
         b.add(x, y)
         b.emit(LoadI(x, 99))      # x redefined
         again = b.add(x, y)        # different value now
         b.ret(again)
-        stats = run_value_numbering(func, fold_constants=False)
+        stats = run_value_numbering(func)
         assert stats.expressions_reused == 0
 
 

@@ -51,6 +51,26 @@ def test_loop_bodies_are_sane(edges):
             assert loop.depth == loop.parent.depth + 1
 
 
+def loop_shape(forest):
+    """Everything a loop pass reads off a forest, comparable with ``==``."""
+    return [
+        (
+            loop.header,
+            sorted(loop.blocks),
+            loop.pad,
+            loop.exit_edges,
+            loop.depth,
+            loop.latches,
+            loop.parent.header if loop.parent is not None else None,
+        )
+        for loop in forest.loops
+    ]
+
+
+def successor_map(func):
+    return {label: block.successors() for label, block in func.blocks.items()}
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(random_cfgs())
@@ -62,16 +82,30 @@ def test_normalization_establishes_contract(edges):
     reachable = reachable_labels(func)
     for loop in forest.loops:
         # exactly one outside predecessor whose only successor is the
-        # header (the landing pad)
+        # header (the landing pad), and the forest recorded it
         outside = [
             p for p in preds[loop.header]
             if p not in loop.blocks and p in reachable
         ]
         assert len(outside) == 1
+        assert loop.pad == loop.preheader == outside[0]
         assert func.block(outside[0]).successors() == (loop.header,)
+        # the recorded exit edges are every edge leaving the loop, in
+        # sorted-source order
+        assert loop.exit_edges == [
+            (label, succ)
+            for label in sorted(loop.blocks)
+            for succ in func.block(label).successors()
+            if succ not in loop.blocks
+        ]
         # every exit block is dedicated: all its predecessors in the loop
-        for exit_label in loop.exit_blocks(func):
+        for exit_label in loop.exit_blocks:
             assert all(p in loop.blocks for p in preds[exit_label])
+    # normalizing a normalized CFG edits nothing and finds the same loops
+    cfg_before = successor_map(func)
+    again = normalize_loops(func)
+    assert successor_map(func) == cfg_before
+    assert loop_shape(again) == loop_shape(forest)
 
 
 @settings(max_examples=30, deadline=None,
