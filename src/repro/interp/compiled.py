@@ -19,16 +19,27 @@ Python function in which
   nest.  Inside a tile the global is unambiguous, so it is loaded on the
   tile's entry edges and stored on its exit edges.  This is register
   promotion with loop nests as the tiles of register reuse;
-* control flow is a ``while`` loop dispatching on an integer ``_pc``, with
-  the most deeply nested blocks tested first.  A block with a single
-  predecessor is emitted inline after it (superblock fallthrough), so most
-  edges cost nothing;
-* counters accumulate in local deltas (``_t``, ``_ld``, ...), added once
-  per *segment* (a block's instructions up to and including each call)
-  and flushed to :class:`~repro.interp.counters.Counters` at returns, on
-  every exit, and, for ``total_ops`` only, before calls that read or spend
-  the operation budget: ``clock()`` reads ``total_ops``, and a callee's
-  budget starts from it.
+* control flow is straight-line Python wherever the graph is acyclic.
+  Every block is emitted inline at each edge into it, on both arms of a
+  branch.  A join, a block with two or more predecessors, is copied into
+  each of them when it and the blocks inlined after it total at most
+  ``_JOIN_LIMIT`` IR instructions.  A ``while`` loop dispatching on an
+  integer ``_pc`` remains only for the entry, the targets of retreating
+  edges (loop headers) and the joins too big to copy, most deeply nested
+  first.  Of a branch's two arms, the one with less inlined code nests
+  under the ``if`` and the other follows it unindented, so each level of
+  nesting holds at most half the code of the level around it: an arm
+  inlining N IR instructions nests at most log2(N) + 9 levels deep,
+  far below the 100 at which CPython's tokenizer stops;
+* counters are batched per *segment* (a block's instructions up to and
+  including each call).  ``_t`` accumulates operation counts, which the
+  fuel guard reads; each distinct mix of the other fields has one visit
+  counter (``_m0``, ...) bumped once per segment executed.  They are
+  flushed to :class:`~repro.interp.counters.Counters`, each field a linear
+  combination of visit counters, at returns and on every exit, and, for
+  ``total_ops`` only, before calls that read or spend the operation
+  budget: ``clock()`` reads ``total_ops``, and a callee's budget starts
+  from it.
 
 Promoted accesses still count as loads and stores: the tier changes how
 the program executes, never what the experiment measures.
@@ -51,8 +62,10 @@ memory state left behind by traps and ``max_steps`` exhaustion.
   raises exactly where the reference loop would have.
 * An exception inside a segment (a trap, ``exit()``, an error raised by a
   callee) crosses one handler.  It stores promoted values, flushes the
-  deltas, and takes back the counts of the segment's instructions that
+  counters, and takes back the counts of the segment's instructions that
   never ran, found from the generated line the exception passed through.
+  Every copy of a block has its own lines, so each copy carries its own
+  take-backs; the copies share the block's deopt points.
 
 The generated code lives in one cache on the module, ``module._compiled``.
 It is checked on every run against an identity signature of the module's
@@ -65,6 +78,7 @@ in that case.  ``Module`` drops the cache when pickled or deep-copied.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Callable
 
 from ..analysis.liveness import compute_liveness
@@ -93,23 +107,19 @@ from ..ir.instructions import (
 from ..ir.module import Module
 from ..ir.opcodes import Opcode
 from ..ir.tags import TagKind
-from .counters import static_mix
+from ..trace import current_trace, span
+from .counters import Counters, counted_fields
 from .machine import Machine, _binop, _unop, c_div, c_mod
 from .memory import _ALIGN, MemoryImage, frame_layout
 
-#: the local holding each counter's pending delta
-_DELTA = {
-    "total_ops": "_t",
-    "loads": "_ld",
-    "stores": "_st",
-    "scalar_loads": "_sl",
-    "scalar_stores": "_ss",
-    "general_loads": "_gl",
-    "general_stores": "_gs",
-    "copies": "_cp",
-    "calls": "_ca",
-    "branches": "_br",
-}
+#: every counter field, ``total_ops`` first; a trap fix is a vector over them
+_FIELDS = tuple(f.name for f in fields(Counters))
+_FIELD_INDEX = {fld: n for n, fld in enumerate(_FIELDS)}
+
+#: a join (a block with two or more predecessors) is copied into each
+#: predecessor when it and every block inlined after it total at most this
+#: many IR instructions
+_JOIN_LIMIT = 24
 
 _SCALAR_OPS = (ScalarLoad, CLoad, ScalarStore)
 
@@ -162,6 +172,31 @@ def _successors(instrs: list) -> tuple[str, ...]:
     return ()
 
 
+def _dfs(entry: str, succs: dict[str, list[str]]) -> tuple[list[str], set[str]]:
+    """The blocks reachable from ``entry`` in DFS postorder, and the targets
+    of the retreating edges: every cycle passes through one of them."""
+    post: list[str] = []
+    retreating: set[str] = set()
+    on_stack = {entry}
+    done: set[str] = set()
+    stack = [(entry, iter(succs[entry]))]
+    while stack:
+        lbl, rest = stack[-1]
+        for succ in rest:
+            if succ in on_stack:
+                retreating.add(succ)
+            elif succ not in done:
+                on_stack.add(succ)
+                stack.append((succ, iter(succs[succ])))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(lbl)
+            done.add(lbl)
+            post.append(lbl)
+    return post, retreating
+
+
 # -- runtime helpers the generated code calls --------------------------------
 def _raiser(message: str) -> Callable:
     """A callable raising ``InterpError(message)``, for errors the reference
@@ -181,13 +216,14 @@ def _trap_store(addr) -> None:
     raise InterpTrap(f"store through non-integer address {addr!r}")
 
 
-def _untrap(c, fixes: dict[int, dict[str, int]], exc: BaseException) -> None:
+def _untrap(c, fixes: dict[int, tuple[int, ...]], exc: BaseException) -> None:
     """Take back the counts of the instructions that follow, in the same
     segment, the one ``exc`` was raised by."""
     mix = fixes.get(exc.__traceback__.tb_lineno)
     if mix:
-        for fld, n in mix.items():
-            setattr(c, fld, getattr(c, fld) - n)
+        for fld, n in zip(_FIELDS, mix):
+            if n:
+                setattr(c, fld, getattr(c, fld) - n)
 
 
 def _deopt(m: Machine, code: "FunctionCode", point: int, names: dict, sp: int):
@@ -251,8 +287,9 @@ class FunctionCode:
         self.offsets: dict[str, int] = {}
         #: deopt point -> (block label, instruction index) to resume at
         self.points: list[tuple[str, int]] = []
-        #: generated line -> counts to take back when an exception leaves it
-        self.fixes: dict[int, dict[str, int]] = {}
+        #: generated line -> counts to take back when an exception leaves
+        #: it, one per ``_FIELDS`` entry
+        self.fixes: dict[int, tuple[int, ...]] = {}
         self.source = ""
 
 
@@ -292,7 +329,11 @@ class CompiledModule:
     def _stub(self, name: str, profiled: bool, ns: dict) -> Callable:
         def first_call(m, *args):
             func = self.module.functions[name]
-            self.code[(name, profiled)] = _Gen(self, func, profiled, ns).build()
+            with span("interp.codegen", function=name) as extra:
+                code = _Gen(self, func, profiled, ns).build()
+                if extra is not None:
+                    extra["lines"] = code.source.count("\n") + 1
+            self.code[(name, profiled)] = code
             return ns[f"_F_{name}"](m, *args)
 
         return first_call
@@ -326,12 +367,11 @@ def exec_entry(machine: Machine, func: Function) -> int | float | None:
     """Run ``func`` on ``machine`` under the compiled tier.
 
     When a trace is active, building the cache and running get their own
-    spans (``interp.decode`` notes whether the cache hit).  When tracing is
-    off this calls straight into the generated code, which is never
-    instrumented.
+    spans (``interp.decode`` notes whether the cache hit); code generation,
+    which a function's first call does, gets an ``interp.codegen`` span
+    inside ``interp.run``.  When tracing is off this calls straight into
+    the generated code, which is never instrumented.
     """
-    from ..trace import current_trace
-
     trace = current_trace()
     if trace is None:
         return _call_entry(machine, get_compiled(machine.module, machine.mem), func)
@@ -465,41 +505,76 @@ class _Gen:
             if i.dest is not None:
                 vregs.add(i.dest.id)
         self.code.vregs = sorted(vregs)
-        self.fields = [
-            fld for fld in _DELTA if any(fld in static_mix([i]) for i in instrs)
-        ]
 
-        # superblock layout: a block with exactly one predecessor falls
-        # through from it; for a branch whose targets both qualify, the
-        # hotter one does.  Every other block is an arm of the dispatch
-        # loop, hottest first.
+        # straight-line layout: every block reachable from the entry is
+        # emitted inline at each edge into it, except the arms of the
+        # dispatch loop, hottest first: the entry, the targets of
+        # retreating edges (loop headers), and joins whose copies would be
+        # too big.  Without the arms the graph is acyclic, so inlining ends
+        succs = {
+            lbl: [s for s in _successors(body) if s in self.bodies]
+            for lbl, body in self.bodies.items()
+        }
+        post, headers = _dfs(func.entry, succs)
+        preds = dict.fromkeys(post, 0)
+        for lbl in post:
+            for succ in succs[lbl]:
+                preds[succ] += 1
+        arms = {func.entry} | headers
+        #: non-arm block -> IR instructions emitted where it is inlined
+        self.size: dict[str, int] = {}
+        for lbl in post:  # successors first, retreating edges aside
+            if lbl in arms:
+                continue
+            size = len(self.bodies[lbl]) + sum(
+                self.size.get(succ, 0) for succ in succs[lbl]
+            )
+            if preds[lbl] > 1 and size > _JOIN_LIMIT:
+                arms.add(lbl)
+            else:
+                self.size[lbl] = size
         order = {lbl: n for n, lbl in enumerate(self.bodies)}
-
-        def heat(lbl: str) -> tuple[int, int]:
-            return (-forest.depth_of(lbl), order[lbl])
-
-        preds = dict.fromkeys(order, 0)
-        for body in self.bodies.values():
-            for succ in _successors(body):
-                if succ in preds:
-                    preds[succ] += 1
-        self.fallthrough: dict[str, str] = {}
-        inlined: set[str] = set()
-        for lbl, body in self.bodies.items():
-            for succ in sorted(
-                (s for s in _successors(body) if s in order), key=heat
-            ):
-                if (
-                    succ != func.entry
-                    and succ != lbl
-                    and preds[succ] == 1
-                    and succ not in inlined
-                ):
-                    self.fallthrough[lbl] = succ
-                    inlined.add(succ)
-                    break
-        self.arms = sorted((lbl for lbl in order if lbl not in inlined), key=heat)
+        self.arms = sorted(arms, key=lambda lbl: (-forest.depth_of(lbl), order[lbl]))
         self.pc_of = {lbl: n for n, lbl in enumerate(self.arms)}
+
+        # counters: a block's segments end at each call and at the
+        # terminator.  Each segment adds its op count to ``_t`` and bumps
+        # the visit counter of its mix of the other fields; ``flush`` turns
+        # visit counters back into fields
+        self.segments: dict[str, list] = {}
+        self.visit_var: dict[tuple[int, ...], str] = {}
+        for lbl in post:
+            self.segments[lbl] = self._segments(self.bodies[lbl])
+        self.flush_lines = ["c.total_ops += _t"]
+        for n, fld in enumerate(_FIELDS[1:]):
+            terms = [
+                var if mix[n] == 1 else f"{mix[n]} * {var}"
+                for mix, var in self.visit_var.items()
+                if mix[n]
+            ]
+            if terms:
+                self.flush_lines.append(f"c.{fld} += {' + '.join(terms)}")
+
+    def _segments(self, instrs: list) -> list:
+        """Per segment of a block: its bounds, its op count, its visit
+        counter (None if it bumps only ``total_ops``) and, per instruction,
+        the counts of the instructions after it, which a trap takes back."""
+        cuts = [0] + [n + 1 for n, i in enumerate(instrs[:-1]) if i.__class__ is Call]
+        segments = []
+        for start, end in zip(cuts, cuts[1:] + [len(instrs)]):
+            mix = [0] * len(_FIELDS)
+            rests: list[tuple[int, ...] | None] = []
+            for instr in reversed(instrs[start:end]):
+                rests.append(tuple(mix) if any(mix) else None)
+                for fld in counted_fields(instr.__class__):
+                    mix[_FIELD_INDEX[fld]] += 1
+            rests.reverse()
+            key = tuple(mix[1:])
+            var = None
+            if any(key):
+                var = self.visit_var.setdefault(key, f"_m{len(self.visit_var)}")
+            segments.append((start, end, mix[0], var, rests))
+        return segments
 
     def _promotable_global(self, tag) -> bool:
         if tag.kind is TagKind.LOCAL or tag.name in self.cm.global_addressed:
@@ -533,8 +608,8 @@ class _Gen:
         return pid
 
     def flush(self, ind: int) -> None:
-        for fld in self.fields:
-            self.emit(ind, f"c.{fld} += {_DELTA[fld]}")
+        for line in self.flush_lines:
+            self.emit(ind, line)
 
     def slot_addr_src(self, name: str) -> str:
         off = self.code.offsets[name]
@@ -592,8 +667,7 @@ class _Gen:
         emit(8, "c = m.counters")
         emit(8, "_m = m._max_steps")
         emit(8, "_lim = _m - c.total_ops")
-        for fld in self.fields:
-            emit(8, f"{_DELTA[fld]} = 0")
+        emit(8, " = ".join(["_t", *self.visit_var.values()]) + " = 0")
         # registers read before any write start at zero, as in the
         # reference loop's register file
         live = compute_liveness(func).live_in.get(func.entry, frozenset())
@@ -614,12 +688,12 @@ class _Gen:
         emit(8, f"_pc = {self.pc_of[func.entry]}")
         emit(8, "try:")
         emit(12, "while True:")
-        if len(self.arms) == 1:
-            self.block(self.arms[0], 16)
-        else:
-            for pc, lbl in enumerate(self.arms):
+        for pc, lbl in enumerate(self.arms):
+            if len(self.arms) == 1:
+                emit(16, "if True:")  # a lone arm needs no test
+            else:
                 emit(16, f"{'if' if pc == 0 else 'elif'} _pc == {pc}:")
-                self.block(lbl, 20)
+            self.block(lbl, 20)
         emit(8, "except BaseException as _e:")
         self.writeback(12)
         self.flush(12)
@@ -641,33 +715,30 @@ class _Gen:
         return self.code
 
     def block(self, label: str, ind: int) -> None:
-        """Emit one block (and, through its edges, its fallthrough chain)."""
+        """Emit one block and, through its edges, every block inlined after
+        it."""
         emit = self.emit
         instrs = self.bodies[label]
+        fixes = self.code.fixes
         if self.profiled:
             key = repr((self.name, label))
             emit(ind, f"_vb[{key}] = _vb.get({key}, 0) + 1")
-        starts = [0] + [
-            n + 1 for n, i in enumerate(instrs[:-1]) if i.__class__ is Call
-        ]
-        for start, end in zip(starts, starts[1:] + [len(instrs)]):
-            mix = static_mix(instrs[start:end])
-            ops = mix.pop("total_ops", 0)
+        for start, end, ops, var, rests in self.segments[label]:
             if ops:
                 emit(ind, f"_t += {ops}")
                 emit(ind, "if _t > _lim:")
                 emit(ind + 4, f"_t -= {ops}")
                 emit(ind + 4, f"_d = {self.point(label, start)}")
                 emit(ind + 4, "break")
-            for fld, n in mix.items():
-                emit(ind, f"{_DELTA[fld]} += {n}")
+            if var is not None:
+                emit(ind, f"{var} += 1")
             for idx in range(start, end):
                 first = len(self.lines) + 1
                 self.instr(label, instrs[idx], ind)
-                rest = static_mix(instrs[idx + 1 : end])
-                if rest:
+                rest = rests[idx - start]
+                if rest is not None:
                     for line in range(first, len(self.lines) + 1):
-                        self.code.fixes[line] = rest
+                        fixes[line] = rest
         if not instrs or not instrs[-1].is_terminator():
             emit(
                 ind,
@@ -678,7 +749,7 @@ class _Gen:
 
     def edge(self, src: str, dst: str, ind: int) -> None:
         """Control transfer along ``src -> dst``, crossing loop-tile
-        boundaries."""
+        boundaries: ``dst`` inline, or a jump to its dispatch arm."""
         before, after = self.tile_of.get(src), self.tile_of.get(dst)
         if before is not after:
             if before is not None and before.flag is not None:
@@ -686,15 +757,16 @@ class _Gen:
                 self.emit(ind, f"{before.flag} = 0")
             if after is not None and after.flag is not None:
                 self.load_tile(after, ind)
-        if self.fallthrough.get(src) == dst:
-            self.block(dst, ind)
-        elif dst in self.pc_of:
-            self.emit(ind, f"_pc = {self.pc_of[dst]}")
-            self.emit(ind, "continue")
-        else:
+        if dst not in self.bodies:
             # no such block: the reference loop raises its lookup error
             self.emit(ind, f"_d = {self.point(dst, 0)}")
             self.emit(ind, "break")
+            return
+        if dst in self.pc_of:
+            self.emit(ind, f"_pc = {self.pc_of[dst]}")
+            self.emit(ind, "continue")
+        else:
+            self.block(dst, ind)
 
     def tag_ref(self, label: str, tag) -> tuple[str, Any]:
         """``("var", local)`` for a promoted tag, ``("addr", expr)`` for a
@@ -775,8 +847,10 @@ class _Gen:
             if taken == other:
                 self.edge(label, taken, ind)
                 return
+            # the smaller side nests, which keeps nesting logarithmic in
+            # the size of the code (see the module docstring)
             test = f"r{instr.cond.id}"
-            if self.fallthrough.get(label) == taken:
+            if self.size.get(other, 0) < self.size.get(taken, 0):
                 taken, other, test = other, taken, f"not {test}"
             emit(ind, f"if {test}:")
             self.edge(label, taken, ind + 4)
@@ -860,7 +934,7 @@ class _Gen:
 
     def call(self, instr: Call, ind: int) -> None:
         """A call ends its segment.  Only ``total_ops`` must be exact at the
-        boundary; the other deltas commute with the callee's own counts.
+        boundary; the visit counters commute with the callee's own counts.
         Intrinsics other than ``clock()`` neither read nor spend the budget,
         so they skip the flush."""
         emit = self.emit

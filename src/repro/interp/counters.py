@@ -8,8 +8,8 @@ reference and is not counted as a load (it still counts as an operation).
 Both execution engines mutate one ``Counters`` instance: the reference
 (``simple``) engine increments per executed instruction, while the
 compiled tier adds each segment's static mix (a block's instructions up
-to and including each call) as a batch, through local deltas flushed at
-calls, returns and exits (see :mod:`repro.interp.compiled`).  The two
+to and including each call) as a batch, through local visit counters
+flushed at returns and exits (see :mod:`repro.interp.compiled`).  The two
 disciplines produce bit-identical totals because a basic block always
 executes all of its instructions once entered.  The dataclass is slotted
 so the per-op increments of the reference engine stay as cheap as
@@ -50,15 +50,19 @@ COUNTED_AS = {
 }
 
 
+def counted_fields(cls) -> tuple[str, ...]:
+    """The counter fields one executed instruction of class ``cls`` bumps."""
+    if cls is Nop:
+        return ()
+    return ("total_ops",) + COUNTED_AS.get(cls, ())
+
+
 def static_mix(instrs) -> dict[str, int]:
     """The counter increments the reference loop makes running ``instrs``
     once, straight through."""
     mix: dict[str, int] = {}
     for instr in instrs:
-        cls = instr.__class__
-        if cls is Nop:
-            continue
-        for fld in ("total_ops",) + COUNTED_AS.get(cls, ()):
+        for fld in counted_fields(instr.__class__):
             mix[fld] = mix.get(fld, 0) + 1
     return mix
 

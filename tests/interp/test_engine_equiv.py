@@ -6,25 +6,32 @@ values, traps, and the exact operation count and counter state at which
 ``max_steps`` exhaustion fires.  The compiled tier must satisfy it through
 batching and exact deoptimization to the reference loop.  These tests
 enforce the contract over the whole 14-program benchmark suite at -O0 and
-through the full pipeline, plus targeted boundary cases the suite cannot
-hit (the deopt edges: ``max_steps`` expiring inside compiled code, also in
-the segment after a call; traps inside code with promoted slots; and
-cache invalidation between runs).
+through the full pipeline, profiled and unprofiled, plus targeted
+boundary cases the suite cannot hit (the deopt edges: ``max_steps``
+expiring inside compiled code, also in the segment after a call; traps
+inside code with promoted slots and inside copied joins; cache
+invalidation between runs; and deeply nested branches).
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import re
 import sys
+from collections import Counter
 
 import pytest
 
+from repro.analysis.loops import find_loops
 from repro.errors import InterpError, InterpTrap, ResourceLimitError
-from repro.interp import Machine, MachineOptions, invalidate_decoded
-from repro.ir.instructions import LoadI
+from repro.interp import Machine, MachineOptions, compiled, invalidate_decoded
+from repro.ir.cfg import predecessors, reachable_labels
+from repro.ir.instructions import BinOp, LoadI
+from repro.ir.opcodes import Opcode
 from repro.pipeline import Analysis, PipelineOptions, compile_source
+from repro.trace import tracing
 from repro.workloads import get_workload, workload_names
 
 O0 = PipelineOptions(
@@ -52,12 +59,13 @@ def _run(module, engine, **kwargs):
     return Machine(module, options).run()
 
 
-def _assert_identical(simple, compiled, context):
+def _assert_identical(simple, compiled, context, visits=True):
     assert simple.counters.as_dict() == compiled.counters.as_dict(), context
     assert simple.output == compiled.output, context
     assert simple.exit_code == compiled.exit_code, context
     assert simple.returned == compiled.returned, context
-    assert simple.block_visits == compiled.block_visits, context
+    if visits:
+        assert simple.block_visits == compiled.block_visits, context
 
 
 def _compiled(module) -> bool:
@@ -104,6 +112,10 @@ def test_workload_observables_identical(name, pipeline):
     # a second run on the same module exercises the warm cache
     rerun = _run(module, "compiled")
     _assert_identical(run, rerun, f"{name}/{pipeline} warm")
+    # the unprofiled code is what the suite, serve and perfbench execute
+    plain = Machine(module, MachineOptions(engine="compiled")).run()
+    assert plain.block_visits is None
+    _assert_identical(simple, plain, f"{name}/{pipeline} unprofiled", visits=False)
 
 
 class TestMaxStepsExhaustion:
@@ -390,6 +402,202 @@ class TestCompiledDeopt:
         deep = copy.deepcopy(module)
         assert not hasattr(deep, "_compiled")
         _assert_identical(reference, _run(deep, "compiled"), "deepcopy clone")
+
+
+def _nested_ifs_source(depth: int) -> str:
+    nest = "".join(f"if (x > {k}) {{ s = s + {k}; " for k in range(depth))
+    return f"""
+    int f(int x) {{ int s = 0; {nest}s = s * 2; {"} " * depth}return s; }}
+    int main(void) {{
+        int x; int t = 0;
+        for (x = 0; x < 130; x = x + 3) {{ t = t + f(x); }}
+        printf("%d\\n", t);
+        return t & 255;
+    }}
+    """
+
+
+#: a loop whose body branches into a small join; the join divides by zero
+#: on iteration TRAP
+DIAMOND_SOURCE = r"""
+int g;
+int main(void) {
+    int i; int s = 0;
+    for (i = 0; i < 40; i = i + 1) {
+        if (i & 1) { s = s + i; } else { g = g + 2; }
+        s = s + 1000 / (TRAP - i) + g;
+    }
+    printf("%d %d\n", s, g);
+    return 0;
+}
+"""
+
+_VISIT = re.compile(r"_vb\[\('[^']*', '([^']*)'\)\]")
+_ARM = re.compile(r" *(?:if|elif) (?:_pc == \d+|True):")
+
+
+def _layout(module, name):
+    """The labels ``name``'s profiled code dispatches to on ``_pc``, and
+    how many copies of each label's code it holds."""
+    source = module._compiled.code[(name, True)].source
+    lines = source.splitlines()
+    arms = [
+        _VISIT.match(lines[n + 1].strip()).group(1)
+        for n, line in enumerate(lines)
+        if _ARM.fullmatch(line)
+    ]
+    return arms, Counter(_VISIT.findall(source))
+
+
+def _division_block(func) -> str:
+    for label, block in func.blocks.items():
+        if any(
+            isinstance(i, BinOp) and i.opcode is Opcode.DIV for i in block.instrs
+        ):
+            return label
+    raise AssertionError("no division")
+
+
+class TestStraightLineShapes:
+    """The code shapes of straight-line generation: both branch arms
+    inlined, small joins copied into each predecessor, and the dispatch
+    loop kept for the entry, loop headers and oversized joins."""
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_deeply_nested_ifs(self, pipeline):
+        source = _nested_ifs_source(120)
+        runs = [
+            _run(compile_source(source, PIPELINES[pipeline]).module, engine)
+            for engine in ENGINES
+        ]
+        _assert_identical(*runs, pipeline)
+        assert runs[0].output == "148380\n"
+        # the smaller arm nests, so depth grows with log2 of the code size
+        module = compile_source(source, PIPELINES[pipeline]).module
+        _run(module, "compiled")
+        size = sum(1 for _ in module.functions["f"].instructions())
+        generated = module._compiled.code[("f", True)].source.splitlines()
+        depth = max(len(line) - len(line.lstrip()) for line in generated) // 4
+        assert depth <= math.log2(size) + 9
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_limit_sweep_over_duplicated_join(self, pipeline):
+        # limits swept over one iteration stop runs in every segment of
+        # the loop body, both copies of the join included
+        options = PIPELINES[pipeline]
+        source = DIAMOND_SOURCE.replace("TRAP", "30")
+        machine = Machine(
+            compile_source(source, options).module, MachineOptions(engine="simple")
+        )
+        with pytest.raises(InterpTrap):
+            machine.run()
+        middle = machine.counters.total_ops // 2
+        for limit, (reference, generated) in _limit_states(
+            source, options, range(middle, middle + 30)
+        ).items():
+            assert generated == reference, limit
+
+    @pytest.mark.parametrize("trap", [30, 31])  # one copy each
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_trap_inside_duplicated_join(self, pipeline, trap):
+        source = DIAMOND_SOURCE.replace("TRAP", str(trap))
+        states = []
+        for engine in ENGINES:
+            module = compile_source(source, PIPELINES[pipeline]).module
+            machine = Machine(module, MachineOptions(engine=engine, profile=True))
+            with pytest.raises(InterpTrap) as exc:
+                machine.run()
+            assert str(exc.value) == "integer division by zero"
+            cells = {a: v for a, v in machine.mem.cells.items() if v != 0}
+            states.append((machine.counters.as_dict(), machine.block_visits, cells))
+        assert states[0] == states[1]
+        # the trapping join really is copied into both of its predecessors
+        _, copies = _layout(module, "main")
+        assert copies[_division_block(module.functions["main"])] == 2
+
+    @pytest.mark.parametrize(
+        "name", [n for n in workload_names() if n not in SLOW_WORKLOADS]
+    )
+    def test_arms_are_entry_headers_and_oversized_joins(self, name):
+        module = _module(get_workload(name), FULL)
+        _run(module, "compiled")
+        for fname, profiled in module._compiled.code:
+            if not profiled:
+                continue
+            func = module.functions[fname]
+            arms, copies = _layout(module, fname)
+            headers = {loop.header for loop in find_loops(func).loops}
+            assert len(set(arms)) == len(arms), fname
+            assert arms and {func.entry} | headers <= set(arms), fname
+            reach = reachable_labels(func)
+            preds = {
+                label: set(p for p in ps if p in reach)
+                for label, ps in predecessors(func).items()
+            }
+            assert set(copies) == reach, fname
+
+            def inlined_size(label: str) -> int:
+                # IR instructions emitted where ``label`` is inlined
+                if label in arms:
+                    return 0
+                block = func.blocks[label]
+                return len(block.instrs) + sum(
+                    map(inlined_size, set(block.successors()))
+                )
+
+            for label in reach - set(arms):
+                if len(preds[label]) > 1:
+                    assert inlined_size(label) <= compiled._JOIN_LIMIT, label
+            for label in set(arms) - {func.entry} - headers:
+                assert len(preds[label]) > 1, label
+                assert (
+                    len(func.blocks[label].instrs)
+                    + sum(map(inlined_size, set(func.blocks[label].successors())))
+                    > compiled._JOIN_LIMIT
+                ), label
+
+    def test_small_join_is_copied_and_big_join_dispatched(self):
+        tail = "".join(f"s = s * 3 + {k}; " for k in range(20))
+        source = f"""
+        int main(void) {{
+            int i; int s = 0;
+            for (i = 0; i < 10; i = i + 1) {{
+                if (i & 1) {{ s = s + i; }} else {{ s = s - 1; }}
+                s = s + 2;
+            }}
+            if (s > 5) {{ s = s + 1; }} else {{ s = s - 1; }}
+            {tail}
+            printf("%d\\n", s);
+            return 0;
+        }}
+        """
+        module = compile_source(source, O0).module
+        runs = [_run(module, engine) for engine in ENGINES]
+        _assert_identical(*runs, "joins")
+        func = module.functions["main"]
+        arms, copies = _layout(module, "main")
+        headers = {loop.header for loop in find_loops(func).loops}
+        joins = set(arms) - {func.entry} - headers
+        assert len(headers) == 1 and len(joins) == 1, arms
+        assert max(copies.values()) == 2
+
+
+def test_codegen_spans_on_first_run_only():
+    module = compile_source(HOT_SOURCE, FULL).module
+    with tracing() as first:
+        Machine(module, MachineOptions()).run()
+    codegen = [e for e in first.events if e.name == "interp.codegen"]
+    assert sorted(e.args["function"] for e in codegen) == ["main", "work"]
+    run_ids = {e.span_id for e in first.events if e.name == "interp.run"}
+    for event in codegen:
+        assert event.parent_id in run_ids
+        assert event.args["lines"] == len(
+            module._compiled.code[(event.args["function"], False)].source.splitlines()
+        )
+    with tracing() as warm:
+        Machine(module, MachineOptions()).run()
+    names = [e.name for e in warm.events]
+    assert "interp.run" in names and "interp.codegen" not in names
 
 
 def test_recursion_limit_restored_after_run():
