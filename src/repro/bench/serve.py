@@ -31,7 +31,7 @@ _log = get_logger(__name__)
 
 __all__ = ["LoadgenConfig", "format_loadgen", "run_loadgen"]
 
-LOADGEN_SCHEMA = 2  # v2: totals/resilience record retry+hedge behaviour
+LOADGEN_SCHEMA = 3  # v3: totals/resilience record retries and breaker sheds
 
 #: the one op a campaign sends: a workload x variant cell
 OP = "suite_cell"
@@ -72,8 +72,6 @@ class LoadgenConfig:
     #: idempotency keys, circuit breaker; the payload's ``resilience``
     #: section records what the client layer absorbed
     resilient: bool = False
-    #: with ``resilient``, also hedge requests past the observed p95
-    hedge: bool = False
     out: str | None = "BENCH_serve.json"
 
 
@@ -141,9 +139,7 @@ async def _campaign_worker(
     tally: _Tally,
 ) -> None:
     if config.resilient:
-        client = ResilientClient(
-            config.host, config.port, hedge=config.hedge
-        )
+        client = ResilientClient(config.host, config.port)
         client.stats = tally.resilience
     else:
         client = await ServeClient.connect(config.host, config.port)
@@ -291,7 +287,6 @@ async def run_loadgen(config: LoadgenConfig) -> dict:
             "cold_fraction": config.cold_fraction,
             "engine": config.engine,
             "resilient": config.resilient,
-            "hedge": config.hedge,
         },
         warmup={"distinct_cells": len(mix), "seconds": round(warmup_s, 3)},
         totals={
@@ -303,7 +298,6 @@ async def run_loadgen(config: LoadgenConfig) -> dict:
             "coalesced": tally.coalesced,
             "cold": tally.cold,
             "retried": resilience["retried"],
-            "hedged": resilience["hedged"],
             "breaker_open": resilience["breaker_open"],
             "duration_s": round(measured_s, 3),
             "rps": round(tally.ok / measured_s, 1),
@@ -346,8 +340,6 @@ def format_loadgen(payload: dict) -> str:
     if resilience.get("attempts"):
         lines.append(
             f"  resilience: retried {resilience['retried']}  "
-            f"hedged {resilience['hedged']} "
-            f"(won {resilience['hedge_wins']})  "
             f"breaker-open {resilience['breaker_open']}  "
             f"reconnects {resilience['reconnects']}"
         )

@@ -580,7 +580,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         cold_fraction=args.cold_fraction,
         engine=args.engine,
         resilient=args.resilient,
-        hedge=args.hedge,
     )
 
     async def main() -> int:
@@ -1004,9 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "with backoff, per-host circuit breaker, "
                            "idempotency keys; adds a resilience section "
                            "to BENCH_serve.json")
-    p_lg.add_argument("--hedge", action="store_true",
-                      help="with --resilient: fire a backup request "
-                           "once the primary exceeds the rolling p95")
     p_lg.set_defaults(func=cmd_loadgen)
 
     p_chaos = add_command(

@@ -16,8 +16,8 @@ Modules:
   persistent workers from the admission queue; crash respawn +
   retry-once, recycling, deadline kills;
 * :mod:`~repro.serve.server` — the asyncio server and endpoint logic;
-* :mod:`~repro.serve.resilience` — retry policy, circuit breaker, and
-  latency tracking behind the resilient client;
+* :mod:`~repro.serve.resilience` — retry policy and circuit breaker
+  behind the resilient client;
 * :mod:`~repro.serve.client` — pipelining client and the self-healing
   :class:`ResilientClient`.
 

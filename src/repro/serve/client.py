@@ -3,7 +3,7 @@
 :class:`ServeClient` speaks the NDJSON protocol over one connection,
 matching out-of-order responses to requests by ``id`` so any number of
 requests can be in flight at once.  :class:`ResilientClient` wraps it
-with retries, idempotency keys, a circuit breaker and optional hedging;
+with retries, idempotency keys and a circuit breaker;
 :func:`wait_for_server` polls ``health`` until a server is up.  The
 ``repro loadgen`` campaign built on them lives in
 :mod:`repro.bench.serve`.
@@ -20,7 +20,6 @@ from .protocol import encode_frame
 from .resilience import (
     CircuitBreaker,
     CircuitOpen,
-    LatencyTracker,
     ResilienceStats,
     RetryPolicy,
 )
@@ -69,7 +68,7 @@ class ServeClient(_Calls):
         self._write_lock = asyncio.Lock()
         #: frames the server sent without a matchable id (e.g. the
         #: payload_too_large notice before closing the connection)
-        self.unmatched: list[dict] = []
+        self.unmatched: list = []
         self._reader_task = asyncio.create_task(self._read_loop())
 
     @classmethod
@@ -95,8 +94,11 @@ class ServeClient(_Calls):
         carries ``trace.trace_id`` and ``trace.spans`` (see
         :mod:`repro.trace`).  ``idempotency_key`` names the logical
         request so a retry single-flights onto the original computation
-        server-side instead of queueing duplicate work.
+        server-side instead of queueing duplicate work.  Raises
+        :class:`ConnectionError` at once when the connection has ended.
         """
+        if self._reader_task.done():
+            raise ConnectionError("connection to the server has ended")
         request_id = next(self._ids)
         frame: dict = {"id": request_id, "op": op}
         if params:
@@ -138,7 +140,14 @@ class ServeClient(_Calls):
                     frame = json.loads(line)
                 except ValueError:
                     continue
-                future = self._pending.pop(frame.get("id"), None)
+                # our ids are ints; a frame that is not an object, or
+                # whose id is anything else, cannot answer a request
+                request_id = frame.get("id") if type(frame) is dict else None
+                future = (
+                    self._pending.pop(request_id, None)
+                    if type(request_id) is int
+                    else None
+                )
                 if future is not None and not future.done():
                     future.set_result(frame)
                 else:
@@ -150,12 +159,6 @@ class ServeClient(_Calls):
                         ConnectionError("server closed the connection")
                     )
             self._pending.clear()
-
-
-def _consume_result(task: asyncio.Task) -> None:
-    """Swallow results/exceptions of abandoned hedge tasks."""
-    if not task.cancelled():
-        task.exception()
 
 
 class ResilientClient(_Calls):
@@ -174,15 +177,11 @@ class ResilientClient(_Calls):
     * **circuit breaker** — consecutive failures trip it; while open,
       :meth:`request` sheds immediately with :class:`CircuitOpen`
       (a *client-side* explicit shed) instead of piling onto a sick
-      server; a half-open probe re-closes it;
-    * **hedging** (opt-in) — once the latency tracker has samples, a
-      request that outlives the observed p95 fires one backup carrying
-      the same idempotency key; first response wins, the loser is
-      cancelled.  Coalescing makes the backup nearly free when the
-      primary is merely slow rather than lost.
+      server; a half-open probe re-closes it.
 
-    ``clock``, ``sleep`` and ``connect`` are injectable so the whole
-    state machine runs under a fake clock in tests — zero real sleeps.
+    ``sleep`` and ``connect`` are injectable (and the breaker takes a
+    clock) so the whole state machine runs under a fake clock in tests
+    — zero real sleeps.
     """
 
     def __init__(
@@ -192,10 +191,6 @@ class ResilientClient(_Calls):
         *,
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge: bool = False,
-        hedge_min_delay_s: float = 0.01,
-        latency: LatencyTracker | None = None,
-        clock=time.perf_counter,
         sleep=None,
         connect=None,
         key_prefix: str | None = None,
@@ -204,11 +199,7 @@ class ResilientClient(_Calls):
         self.port = port
         self.retry = retry or RetryPolicy()
         self.breaker = breaker or CircuitBreaker()
-        self.hedge = hedge
-        self.hedge_min_delay_s = hedge_min_delay_s
-        self.latency = latency or LatencyTracker()
         self.stats = ResilienceStats()
-        self._clock = clock
         self._sleep = sleep or asyncio.sleep
         self._connect = connect or ServeClient.connect
         self._client = None
@@ -249,9 +240,9 @@ class ResilientClient(_Calls):
         trace: bool = False,
         idempotency_key: str | None = None,
     ) -> dict:
-        """One *logical* request: retried, hedged, breaker-gated.
+        """One *logical* request: retried and breaker-gated.
 
-        Returns the winning response frame.  Raises :class:`CircuitOpen`
+        Returns the final response frame.  Raises :class:`CircuitOpen`
         when the breaker sheds the request client-side, or the final
         transport error when every attempt lost its connection.
         """
@@ -266,10 +257,15 @@ class ResilientClient(_Calls):
                     f"circuit breaker open for {self.host}:{self.port}"
                 )
             self.stats.attempts += 1
-            started = self._clock()
             try:
-                response = await self._send_once(
-                    op, params, deadline_s, priority, trace, key
+                client = await self._ensure_client()
+                response = await client.request(
+                    op,
+                    params,
+                    deadline_s=deadline_s,
+                    priority=priority,
+                    trace=trace,
+                    idempotency_key=key,
                 )
             except (ConnectionError, OSError):
                 self.breaker.record_failure()
@@ -281,7 +277,6 @@ class ResilientClient(_Calls):
                 continue
             if response.get("ok"):
                 self.breaker.record_success()
-                self.latency.record(self._clock() - started)
                 return response
             code = response.get("error", {}).get("code", "internal")
             if self.retry.retryable(code):
@@ -296,56 +291,6 @@ class ResilientClient(_Calls):
             self.breaker.record_success()
             return response
         raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _send_once(
-        self, op, params, deadline_s, priority, trace, key
-    ) -> dict:
-        """One attempt, hedged when enabled and a p95 exists."""
-        client = await self._ensure_client()
-
-        def send() -> asyncio.Task:
-            return asyncio.ensure_future(
-                client.request(
-                    op,
-                    params,
-                    deadline_s=deadline_s,
-                    priority=priority,
-                    trace=trace,
-                    idempotency_key=key,
-                )
-            )
-
-        if not self.hedge:
-            return await send()
-        p95 = self.latency.p95()
-        if p95 is None:
-            return await send()
-        primary = send()
-        # never wait_for: the delay must run through the injected sleep
-        # so fake-clock tests control it
-        timer = asyncio.ensure_future(
-            self._sleep(max(p95, self.hedge_min_delay_s))
-        )
-        done, _ = await asyncio.wait(
-            {primary, timer}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if primary in done:
-            timer.cancel()
-            return primary.result()
-        self.stats.hedged += 1
-        # same idempotency key: the backup coalesces onto the primary's
-        # computation server-side instead of doubling the work
-        backup = send()
-        done, pending = await asyncio.wait(
-            {primary, backup}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if backup in done and primary not in done:
-            self.stats.hedge_wins += 1
-        winner = backup if backup in done else primary
-        for task in pending:
-            task.cancel()
-            task.add_done_callback(_consume_result)
-        return winner.result()
 
 
 async def wait_for_server(

@@ -32,6 +32,7 @@ the connection is closed (the stream can no longer be framed reliably).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -127,10 +128,17 @@ def parse_request(line: bytes) -> Request:
         )
     deadline_s = payload.get("deadline_s")
     if deadline_s is not None:
-        if not isinstance(deadline_s, (int, float)) or deadline_s <= 0:
+        # bool is an int, and json reads NaN and Infinity, which RFC
+        # 8259 does not allow (a NaN deadline would fail the worker's
+        # poll); an int past the float range could not be converted
+        if (
+            isinstance(deadline_s, bool)
+            or not isinstance(deadline_s, (int, float))
+            or not 0 < deadline_s <= sys.float_info.max
+        ):
             raise ProtocolError(
                 "invalid_params",
-                "deadline_s must be a positive number",
+                "deadline_s must be a finite positive number",
                 request_id=request_id,
             )
         deadline_s = float(deadline_s)

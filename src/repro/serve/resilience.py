@@ -1,4 +1,4 @@
-"""Client-side resilience primitives: retry, breaker, latency tracking.
+"""Client-side resilience primitives: retry policy and circuit breaker.
 
 These are the building blocks :class:`~repro.serve.client.ResilientClient`
 composes.  Each one takes its clock / randomness as an injectable so the
@@ -15,9 +15,6 @@ real sleeps.
   one half-open probe through, the probe's outcome closes or re-opens
   it.  While open, requests fail fast with a *client-side* shed
   (``circuit_open``) instead of hammering a sick server;
-* :class:`LatencyTracker` — a bounded sample of recent latencies whose
-  p95 derives the hedging delay (fire a backup request only once the
-  primary is slower than 95% of its peers);
 * :class:`ResilienceStats` — the counters ``repro loadgen`` folds into
   ``BENCH_serve.json`` so resilience behaviour is benchmarked alongside
   latency.
@@ -29,12 +26,9 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from ..diag.metrics import nearest_rank
-
 __all__ = [
     "CircuitBreaker",
     "CircuitOpen",
-    "LatencyTracker",
     "ResilienceStats",
     "RetryPolicy",
     "RETRYABLE_CODES",
@@ -175,39 +169,12 @@ class CircuitBreaker:
         self.trips += 1
 
 
-class LatencyTracker:
-    """Bounded window of recent request latencies; p95 drives hedging."""
-
-    def __init__(self, window: int = 256) -> None:
-        self.window = window
-        self._samples: list[float] = []
-        self._cursor = 0
-
-    def record(self, latency_s: float) -> None:
-        if len(self._samples) < self.window:
-            self._samples.append(latency_s)
-        else:
-            self._samples[self._cursor] = latency_s
-            self._cursor = (self._cursor + 1) % self.window
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def p95(self) -> float | None:
-        """The 95th-percentile latency, or None with no samples yet."""
-        if not self._samples:
-            return None
-        return nearest_rank(sorted(self._samples), 0.95)
-
-
 @dataclass
 class ResilienceStats:
     """What the resilient client did on the caller's behalf."""
 
     attempts: int = 0
     retried: int = 0
-    hedged: int = 0
-    hedge_wins: int = 0
     reconnects: int = 0
     #: requests shed client-side because the breaker was open
     breaker_open: int = 0
@@ -221,8 +188,6 @@ class ResilienceStats:
         return {
             "attempts": self.attempts,
             "retried": self.retried,
-            "hedged": self.hedged,
-            "hedge_wins": self.hedge_wins,
             "reconnects": self.reconnects,
             "breaker_open": self.breaker_open,
             "retries_by_code": dict(sorted(self.retries_by_code.items())),

@@ -1,7 +1,8 @@
 """Load-generator campaigns against an in-process server, including the
 fault-injection campaign that kills a worker mid-request, the resilient
-(retrying, hedging) campaign, and the ``repro loadgen`` failures that
-must exit 2 with one line instead of a traceback."""
+(retrying) campaign and the committed ``BENCH_serve.json`` it must
+match, and the ``repro loadgen`` failures that must exit 2 with one line
+instead of a traceback."""
 
 import asyncio
 import json
@@ -12,9 +13,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.bench.serve import LoadgenConfig, format_loadgen, run_loadgen
+import pytest
+
+from repro.bench.serve import (
+    LOADGEN_SCHEMA,
+    LoadgenConfig,
+    format_loadgen,
+    run_loadgen,
+)
+from repro.serve.client import ServeClient
 from repro.serve.server import ReproServer, ServerConfig
-from tests.serve.helpers import run_async
+from tests.serve.helpers import FAST_SOURCE, run_async
+
+#: the serve benchmark committed at the repo root
+COMMITTED_BENCH = Path(__file__).resolve().parents[2] / "BENCH_serve.json"
 
 
 def loadgen_config(port: int, **kw) -> LoadgenConfig:
@@ -297,33 +309,60 @@ class TestFaultInjection:
 
 
 class TestResilientCampaign:
-    def test_resilient_hedged_campaign_is_clean(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory):
+        cache_dir = tmp_path_factory.mktemp("cache")
+
         async def scenario():
             server = ReproServer(
-                ServerConfig(
-                    port=0, workers=2, cache_dir=str(tmp_path / "cache")
-                )
+                ServerConfig(port=0, workers=2, cache_dir=str(cache_dir))
             )
             await server.start()
             try:
-                payload = await run_loadgen(
-                    loadgen_config(
-                        server.port, requests=24, resilient=True, hedge=True
-                    )
+                return await run_loadgen(
+                    loadgen_config(server.port, requests=24, resilient=True)
                 )
             finally:
                 await server.stop()
-            return payload
 
-        payload = run_async(scenario())
+        return run_async(scenario())
+
+    def test_resilient_campaign_is_clean(self, payload):
         assert payload["totals"]["errors"] == 0, payload["errors_by_code"]
         assert payload["totals"]["ok"] == 24
         resilience = payload["resilience"]
         # one attempt per logical request at least, summed over workers
         assert resilience["attempts"] >= 24
-        assert payload["totals"]["hedged"] == resilience["hedged"]
+        assert payload["totals"]["retried"] == resilience["retried"]
         assert payload["config"]["resilient"] is True
-        assert payload["config"]["hedge"] is True
+
+    def test_committed_bench_serve_is_current(self, payload):
+        committed = json.loads(COMMITTED_BENCH.read_text())
+        assert committed["schema"] == LOADGEN_SCHEMA
+        for section in ("config", "totals", "resilience"):
+            assert set(committed[section]) == set(payload[section]), section
+        assert set(committed) == set(payload)
+
+        async def run_under_committed_engine():
+            server = ReproServer(ServerConfig(port=0, workers=1))
+            await server.start()
+            try:
+                client = await ServeClient.connect("127.0.0.1", server.port)
+                try:
+                    return await client.request(
+                        "run",
+                        {
+                            "source": FAST_SOURCE,
+                            "engine": committed["config"]["engine"],
+                        },
+                    )
+                finally:
+                    await client.close()
+            finally:
+                await server.stop()
+
+        response = run_async(run_under_committed_engine())
+        assert response["ok"], response["error"]
 
 
 SRC = Path(__file__).resolve().parents[2] / "src"

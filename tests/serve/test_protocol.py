@@ -74,7 +74,11 @@ class TestParseRequest:
             parse_request(frame({"id": 1}))
         assert excinfo.value.code == "unknown_op"
 
-    @pytest.mark.parametrize("deadline", [0, -1, "soon"])
+    @pytest.mark.parametrize(
+        "deadline",
+        [0, -1, "soon", float("nan"), float("inf"), -float("inf"), True,
+         pytest.param(10**400, id="past-float-range")],
+    )
     def test_bad_deadline(self, deadline):
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(frame({"op": "run", "deadline_s": deadline}))

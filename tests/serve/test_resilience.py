@@ -1,12 +1,11 @@
 """Client-side resilience state machines under a fake clock.
 
 Every test here is pure: the breaker's clock, the retry policy's rng,
-and the resilient client's sleep/connect/clock are all injected, so the
-whole retry/breaker/hedge behaviour runs in microseconds with zero real
+and the resilient client's sleep/connect are all injected, so the
+whole retry/breaker behaviour runs in microseconds with zero real
 sleeps and no server.
 """
 
-import asyncio
 import random
 
 import pytest
@@ -15,7 +14,6 @@ from repro.serve.resilience import (
     RETRYABLE_CODES,
     CircuitBreaker,
     CircuitOpen,
-    LatencyTracker,
     ResilienceStats,
     RetryPolicy,
 )
@@ -40,7 +38,7 @@ class FakeServeClient:
     """Scripted stand-in for ServeClient: one behaviour per attempt.
 
     Behaviours: ``("ok", payload)``, ``("error", code)``, ``"crash"``
-    (transport failure), ``"hang"`` (never responds — for hedging).
+    (transport failure).
     """
 
     def __init__(self, script) -> None:
@@ -53,8 +51,6 @@ class FakeServeClient:
         action = self.script.pop(0)
         if action == "crash":
             raise ConnectionError("scripted transport failure")
-        if action == "hang":
-            await asyncio.get_running_loop().create_future()
         kind, value = action
         if kind == "ok":
             return {"ok": True, "result": value}
@@ -64,7 +60,7 @@ class FakeServeClient:
         self.closed = True
 
 
-def make_client(script, *, hedge=False, **kw):
+def make_client(script, **kw):
     """A ResilientClient wired to a scripted fake: no sockets, no time.
 
     Returns ``(client, sleeps)`` where ``sleeps`` records every backoff
@@ -84,8 +80,7 @@ def make_client(script, *, hedge=False, **kw):
     )
     kw.setdefault("breaker", CircuitBreaker(failure_threshold=3))
     client = ResilientClient(
-        "fake", 0, hedge=hedge, connect=connect, sleep=sleep,
-        key_prefix="t", **kw,
+        "fake", 0, connect=connect, sleep=sleep, key_prefix="t", **kw
     )
     return client, sleeps
 
@@ -165,24 +160,6 @@ class TestCircuitBreaker:
         assert not breaker.allow()  # full recovery window again
         clock.advance(0.2)
         assert breaker.allow()
-
-
-class TestLatencyTracker:
-    def test_empty_has_no_p95(self):
-        assert LatencyTracker().p95() is None
-
-    def test_p95_of_uniform_samples(self):
-        tracker = LatencyTracker()
-        for ms in range(1, 101):
-            tracker.record(ms / 1000)
-        assert tracker.p95() == pytest.approx(0.095)
-
-    def test_window_evicts_oldest(self):
-        tracker = LatencyTracker(window=4)
-        for value in (1.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1):
-            tracker.record(value)
-        assert len(tracker) == 4
-        assert tracker.p95() == pytest.approx(0.1)
 
 
 class TestResilientClientRetries:
@@ -310,52 +287,6 @@ class TestResilientClientBreaker:
         run_async(scenario())
 
 
-class TestHedging:
-    def test_slow_primary_fires_backup_and_backup_wins(self):
-        # primary hangs forever; the hedge timer (fake sleep = instant)
-        # fires, the backup answers, the primary is cancelled
-        client, _ = make_client(
-            [[  # one connection, two in-flight requests
-                "hang",
-                ("ok", {"winner": "backup"}),
-            ]],
-            hedge=True,
-        )
-        client.latency.record(0.05)  # a p95 exists → hedging is armed
-
-        async def scenario():
-            response = await client.request("run", {}, idempotency_key="h-1")
-            assert response["result"] == {"winner": "backup"}
-            assert client.stats.hedged == 1
-            assert client.stats.hedge_wins == 1
-            fake = client._client
-            # both carried the same key: the backup coalesced server-side
-            assert [key for _, key in fake.requests] == ["h-1", "h-1"]
-
-        run_async(scenario())
-
-    def test_fast_primary_never_hedges(self):
-        client, _ = make_client([[("ok", {"winner": "primary"})]], hedge=True)
-        client.latency.record(0.05)
-
-        async def scenario():
-            response = await client.request("run", {})
-            assert response["result"] == {"winner": "primary"}
-            assert client.stats.hedged == 0
-
-        run_async(scenario())
-
-    def test_no_hedge_without_latency_samples(self):
-        client, _ = make_client([[("ok", {})]], hedge=True)
-
-        async def scenario():
-            assert client.latency.p95() is None
-            await client.request("run", {})
-            assert client.stats.hedged == 0
-
-        run_async(scenario())
-
-
 class TestStats:
     def test_as_dict_is_sorted_and_complete(self):
         stats = ResilienceStats()
@@ -369,6 +300,6 @@ class TestStats:
             "queue_full", "worker_crashed",
         ]
         assert set(payload) == {
-            "attempts", "retried", "hedged", "hedge_wins",
-            "reconnects", "breaker_open", "retries_by_code",
+            "attempts", "retried", "reconnects", "breaker_open",
+            "retries_by_code",
         }

@@ -346,6 +346,22 @@ class TestProtocolEdges:
         # an error frame without the id leaves the client waiting: bound it
         run_async(asyncio.wait_for(scenario(), timeout=60))
 
+    def test_nan_deadline_is_refused_and_the_worker_keeps_serving(self):
+        async def scenario():
+            async with serving() as server, connected(server) as client:
+                response = await client.request(
+                    "run", {"source": FAST_SOURCE}, deadline_s=float("nan")
+                )
+                assert response["error"]["code"] == "invalid_params"
+                # the only worker slot still takes the next miss
+                result = await client.call("run", {"source": FAST_SOURCE})
+                assert result["exit_code"] == 0
+                health = await client.call("health")
+                assert health["workers"][0]["alive"]
+
+        # a NaN that reached the worker left both requests unanswered
+        run_async(asyncio.wait_for(scenario(), timeout=60))
+
 
 class TestBackpressure:
     def test_queue_full_is_an_explicit_rejection(self):
