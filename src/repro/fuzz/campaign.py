@@ -38,6 +38,7 @@ from .oracle import (
     OracleConfig,
     OracleReport,
     build_oracle_specs,
+    check_fuel_limits,
     classify_outcomes,
     make_divergence_predicate,
     write_divergence_artifact,
@@ -157,6 +158,7 @@ def run_campaign(
                     if workload == program.name
                 }
                 report = classify_outcomes(program, cell_outcomes)
+                check_fuel_limits(report, options.oracle, fn_store)
                 recorder.record_event(
                     "fuzz.program",
                     program=program.name,

@@ -26,7 +26,11 @@ verdict is built from four invariant families:
 * **engine equivalence** — for each level, both engines must produce
   bit-identical counters (the compiled tier's batching and
   exact-deoptimization contract); a violation names the engine pair
-  that split;
+  that split.  At the ``full`` level both engines also run out of fuel,
+  at ``max_steps`` ⌊total/2⌋ and total−1, and must stop with the same
+  message and counters; a program that traps there must trap with the
+  same counters too.  These runs reach the compiled tier's conservative
+  deopts and its mid-path trap fixes;
 * **counter consistency** — loads/stores breakdowns must sum, and
   disjoint instruction classes cannot exceed ``total_ops``.
 
@@ -50,10 +54,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..diag.ledger import Decision
+from ..errors import ReproError
 from ..inccomp.store import FunctionStore
-from ..interp import MachineOptions
+from ..interp import Machine, MachineOptions
 from ..opt.promotion import PromotionOptions
-from ..pipeline import Analysis, ExperimentCell, PipelineOptions
+from ..pipeline import Analysis, ExperimentCell, PipelineOptions, compile_source
 from ..runner.scheduler import CellFailure, CellSpec, run_cells
 from .gen import FuzzProgram
 
@@ -61,6 +66,9 @@ ENGINES = ("compiled", "simple")
 
 #: levels whose dynamic memory traffic the advisory check compares
 _TRAFFIC_PAIR = ("full-nopromo", "full")
+
+#: the level whose engines are also run out of fuel
+_FUEL_LEVEL = "full"
 
 
 def o0_options() -> PipelineOptions:
@@ -347,6 +355,93 @@ def classify_outcomes(
     return report
 
 
+def check_fuel_limits(
+    report: OracleReport,
+    config: OracleConfig,
+    fn_store: "FunctionStore | None" = None,
+) -> None:
+    """Engine equivalence where the fuel runs out: run every engine of the
+    ``full`` level at ``max_steps`` ⌊total/2⌋ and total−1, where total is
+    the level's op count, and add an engine divergence to ``report`` when
+    one stops with another message or other counters than the first.
+
+    A program that traps at the level is first run to its trap, whose
+    counters must agree too, and total is the count it trapped at.  A
+    level whose cells disagree, failed to compile or ran out of the
+    configured fuel is left to the other checks.
+    """
+    engines = config.engines
+    if (
+        report.status == "divergent"
+        or _FUEL_LEVEL not in config.levels
+        or len(engines) < 2
+    ):
+        return
+    # the level's cells agree: all ran, with equal counters, or all
+    # failed with one message
+    first = report.cells[f"{_FUEL_LEVEL}+{engines[0]}"]
+    if "executed operations" in first.get("message", ""):
+        return
+    try:
+        module = compile_source(
+            report.program.source,
+            config.pipeline_for(_FUEL_LEVEL),
+            name=report.program.name,
+            fn_store=fn_store,
+        ).module
+    except ReproError:  # the cells' crash checks cover it
+        return
+    runs = []
+    if "counters" in first:
+        total = first["counters"]["total_ops"]
+    else:
+        # run to the trap: its counters must agree, and give the total
+        stops = {e: _fuel_stop(module, e, config.max_steps) for e in engines}
+        runs.append((config.max_steps, stops))
+        total = stops[engines[0]][1]["total_ops"]
+    for limit in sorted({total // 2, total - 1}):
+        runs.append((limit, {e: _fuel_stop(module, e, limit) for e in engines}))
+    for limit, stops in runs:
+        (first_engine, reference), *rest = stops.items()
+        for engine, stop in rest:
+            if stop == reference:
+                continue
+            counters = reference[1]
+            report.divergences.append(
+                Divergence(
+                    kind="engine-divergence",
+                    message=(
+                        f"level {_FUEL_LEVEL} at max_steps={limit}: "
+                        f"{engine} stops differently from {first_engine}"
+                    ),
+                    detail={
+                        "level": _FUEL_LEVEL,
+                        "max_steps": limit,
+                        "engines": [first_engine, engine],
+                        "fields": sorted(
+                            k for k in counters if counters[k] != stop[1][k]
+                        ),
+                        "stops": {
+                            e: {"end": end, "counters": c}
+                            for e, (end, c) in stops.items()
+                        },
+                    },
+                )
+            )
+            report.status = "divergent"
+            return
+
+
+def _fuel_stop(module, engine: str, limit: int) -> tuple[str, dict]:
+    """How a run of ``module`` with ``limit`` steps ends, and its counters."""
+    machine = Machine(module, MachineOptions(max_steps=limit, engine=engine))
+    try:
+        end = f"exit {machine.run().exit_code}"
+    except Exception as exc:  # noqa: BLE001 - how the run ends is compared
+        end = f"{type(exc).__name__}: {exc}"
+    return end, machine.counters.as_dict()
+
+
 def run_oracle(
     program: FuzzProgram,
     config: OracleConfig | None = None,
@@ -371,9 +466,11 @@ def run_oracle(
         compile_cache={},
         fn_store=fn_store,
     )
-    return classify_outcomes(
+    report = classify_outcomes(
         program, {variant: o for (_, variant), o in outcomes.items()}
     )
+    check_fuel_limits(report, config, fn_store)
+    return report
 
 
 def make_divergence_predicate(

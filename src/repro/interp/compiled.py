@@ -31,15 +31,26 @@ Python function in which
   nesting holds at most half the code of the level around it: an arm
   inlining N IR instructions nests at most log2(N) + 9 levels deep,
   far below the 100 at which CPython's tokenizer stops;
-* counters are batched per *segment* (a block's instructions up to and
-  including each call).  ``_t`` accumulates operation counts, which the
-  fuel guard reads; each distinct mix of the other fields has one visit
-  counter (``_m0``, ...) bumped once per segment executed.  They are
-  flushed to :class:`~repro.interp.counters.Counters`, each field a linear
+* counters are batched per *path*.  A path is the code from a dispatch
+  arm's head, or from just after a call, to its leaf: the next arm jump,
+  return, call (counted) or jump to a missing block.  Every copy of a
+  block lies on exactly one path, so at each leaf the path's whole count
+  is static: ``_t`` accumulates operation counts, which the fuel check
+  reads, and each distinct mix of the other fields has one visit counter
+  (``_m0``, ...) bumped once per path executed.  They are flushed to
+  :class:`~repro.interp.counters.Counters`, each field a linear
   combination of visit counters, at returns and on every exit, and, for
   ``total_ops`` only, before calls that read or spend the operation
   budget: ``clock()`` reads ``total_ops``, and a callee's budget starts
-  from it.
+  from it;
+* a compare whose only reader is the branch right after it is folded
+  into that branch's ``if``;
+* a greatest fixpoint over each function's definitions finds the
+  registers that only ever hold an ``int`` (:func:`_int_registers`).
+  Arithmetic on them skips the class tests the reference loop's generic
+  helpers make: the wrap check of ADD/SUB/MUL/NEG tests only the range,
+  DIV/MOD and the bitwise ops take their int path unconditionally, and a
+  load or store through such an address needs no trap test.
 
 Promoted accesses still count as loads and stores: the tier changes how
 the program executes, never what the experiment measures.
@@ -50,22 +61,25 @@ Every observable is bit-identical to the reference loop: output, exit
 code, counters, ``block_visits``, ``clock()`` values, and the counter and
 memory state left behind by traps and ``max_steps`` exhaustion.
 
-* Each segment's guard adds the segment's operation count and compares it
-  with the remaining budget.  Within a segment the reference loop's
-  running count peaks at the last instruction, which is a call or the
-  terminator; a ``nop``'s +1/-1 never exceeds that peak.  So the guard
-  trips iff the reference loop would stop somewhere in the segment.  It
-  then deoptimizes to the one deopt target, the reference loop: the
-  segment's count is taken back, promoted values are stored, counters are
-  flushed, and :meth:`Machine._exec_blocks` resumes at (block, first
-  instruction of the segment) with the live register file and frame.  It
-  raises exactly where the reference loop would have.
-* An exception inside a segment (a trap, ``exit()``, an error raised by a
+* Each arm head (after its ``_vb`` bump, when profiled) and each point
+  just after a call does one fuel check, ``if _t > _lim - M:``, where
+  ``M`` is the largest peak of the reference loop's running count on any
+  path from that point (a ``nop``'s +1/-1 peaks one above the count
+  before it).  The check trips iff some path from there could exhaust the
+  budget.  It then deoptimizes to the one deopt target, the reference
+  loop: nothing has run or been counted since the check, so promoted
+  values are stored, counters are flushed, and
+  :meth:`Machine._exec_blocks` resumes at that (block, instruction) with
+  the live register file and frame.  The reference loop then either
+  raises exactly where it must, or finishes the run when the path taken
+  was short enough.
+* An exception inside a path (a trap, ``exit()``, an error raised by a
   callee) crosses one handler.  It stores promoted values, flushes the
-  counters, and takes back the counts of the segment's instructions that
-  never ran, found from the generated line the exception passed through.
-  Every copy of a block has its own lines, so each copy carries its own
-  take-backs; the copies share the block's deopt points.
+  counters, and adds the counts of the path's instructions that ran up
+  to and including the raising one: its leaf never ran.  ``fixes`` maps
+  each generated line to minus that prefix, found from the line the
+  exception passed through.  A call's count is bumped before the call,
+  so an exception leaving a callee needs no fix.
 
 The generated code lives in one cache on the module, ``module._compiled``.
 It is checked on every run against an identity signature of the module's
@@ -79,6 +93,8 @@ in that case.  ``Module`` drops the cache when pickled or deep-copied.
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import cache
+from operator import neg
 from typing import Any, Callable
 
 from ..analysis.liveness import compute_liveness
@@ -123,6 +139,15 @@ _JOIN_LIMIT = 24
 
 _SCALAR_OPS = (ScalarLoad, CLoad, ScalarStore)
 
+#: the counts of an empty path, one per ``_FIELDS`` entry
+_NO_COUNTS = (0,) * len(_FIELDS)
+
+
+@cache
+def _counted_at(cls) -> tuple[int, ...]:
+    """The ``_FIELDS`` indices one executed instruction of ``cls`` bumps."""
+    return tuple(_FIELD_INDEX[fld] for fld in counted_fields(cls))
+
 #: compares need no wrap: the result is always 0 or 1
 _CMP_SRC = {
     Opcode.CMP_LT: "<",
@@ -140,6 +165,13 @@ _WRAP_SRC = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 #: bitwise ops; their results wrap only when an operand is out of range
 #: (the front end keeps literals such as ``0xFFFFFFFFFFFFFFFF`` unwrapped)
 _BIT_SRC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+
+#: ops whose result is an int whatever their operands are (or which raise)
+_ALWAYS_INT = frozenset(_CMP_SRC) | frozenset(_BIT_SRC) | {
+    Opcode.SHL, Opcode.SHR, Opcode.NOT, Opcode.LNOT, Opcode.F2I
+}
+#: ops whose result is an int when their operands are
+_INT_IF_INT = frozenset(_WRAP_SRC) | {Opcode.DIV, Opcode.MOD, Opcode.NEG}
 
 _RANGE = "-9223372036854775808 <= {v} <= 9223372036854775807"
 #: guards a mask for a result that may be a float
@@ -197,6 +229,53 @@ def _dfs(entry: str, succs: dict[str, list[str]]) -> tuple[list[str], set[str]]:
     return post, retreating
 
 
+def _yields_int(instr, ints: set[int]) -> bool:
+    """Does ``instr`` always write an ``int``, given that the registers in
+    ``ints`` always hold one?"""
+    cls = instr.__class__
+    if cls is LoadI:
+        return type(instr.value) is int
+    if cls is LoadAddr:
+        return type(instr.offset) is int
+    if cls is Mov:
+        return instr.src.id in ints
+    if cls is BinOp or cls is UnOp:
+        op = instr.opcode
+        if op in _ALWAYS_INT:
+            return True
+        return op in _INT_IF_INT and all(u.id in ints for u in instr.uses())
+    # loads, call results and phis may hold anything
+    return False
+
+
+def _int_registers(func: Function) -> frozenset[int]:
+    """The registers of ``func`` that only ever hold an ``int``.
+
+    The greatest fixpoint over their definitions: start from every
+    register some instruction defines, and drop one while any of its
+    definitions may write something else.  Parameters are never claimed
+    (a caller may pass a float); a register no instruction defines is
+    never claimed either.
+    """
+    defs: dict[int, list] = {}
+    #: register -> the registers defined from it
+    readers: dict[int, list[int]] = {}
+    for instr in func.instructions():
+        dst = instr.dest
+        if dst is not None:
+            defs.setdefault(dst.id, []).append(instr)
+            for use in instr.uses():
+                readers.setdefault(use.id, []).append(dst.id)
+    ints = set(defs) - {p.id for p in func.params}
+    work = list(ints)
+    while work:
+        rid = work.pop()
+        if rid in ints and not all(_yields_int(i, ints) for i in defs[rid]):
+            ints.discard(rid)
+            work.extend(readers.get(rid, ()))
+    return frozenset(ints)
+
+
 # -- runtime helpers the generated code calls --------------------------------
 def _raiser(message: str) -> Callable:
     """A callable raising ``InterpError(message)``, for errors the reference
@@ -217,8 +296,9 @@ def _trap_store(addr) -> None:
 
 
 def _untrap(c, fixes: dict[int, tuple[int, ...]], exc: BaseException) -> None:
-    """Take back the counts of the instructions that follow, in the same
-    segment, the one ``exc`` was raised by."""
+    """Take back ``fixes`` at the generated line ``exc`` passed through:
+    minus the counts of its path up to and including the instruction that
+    raised, which the path's leaf never bumped."""
     mix = fixes.get(exc.__traceback__.tb_lineno)
     if mix:
         for fld, n in zip(_FIELDS, mix):
@@ -288,7 +368,7 @@ class FunctionCode:
         #: deopt point -> (block label, instruction index) to resume at
         self.points: list[tuple[str, int]] = []
         #: generated line -> counts to take back when an exception leaves
-        #: it, one per ``_FIELDS`` entry
+        #: it (minus its path's prefix), one per ``_FIELDS`` entry
         self.fixes: dict[int, tuple[int, ...]] = {}
         self.source = ""
 
@@ -515,6 +595,7 @@ class _Gen:
             lbl: [s for s in _successors(body) if s in self.bodies]
             for lbl, body in self.bodies.items()
         }
+        self.succs = succs
         post, headers = _dfs(func.entry, succs)
         preds = dict.fromkeys(post, 0)
         for lbl in post:
@@ -537,44 +618,55 @@ class _Gen:
         self.arms = sorted(arms, key=lambda lbl: (-forest.depth_of(lbl), order[lbl]))
         self.pc_of = {lbl: n for n, lbl in enumerate(self.arms)}
 
-        # counters: a block's segments end at each call and at the
-        # terminator.  Each segment adds its op count to ``_t`` and bumps
-        # the visit counter of its mix of the other fields; ``flush`` turns
-        # visit counters back into fields
-        self.segments: dict[str, list] = {}
-        self.visit_var: dict[tuple[int, ...], str] = {}
+        # fuel: per inlined block, the largest peak count of any path from
+        # its head
+        self.reach: dict[str, int] = {}
         for lbl in post:
-            self.segments[lbl] = self._segments(self.bodies[lbl])
-        self.flush_lines = ["c.total_ops += _t"]
-        for n, fld in enumerate(_FIELDS[1:]):
-            terms = [
-                var if mix[n] == 1 else f"{mix[n]} * {var}"
-                for mix, var in self.visit_var.items()
-                if mix[n]
-            ]
-            if terms:
-                self.flush_lines.append(f"c.{fld} += {' + '.join(terms)}")
+            if lbl not in arms:
+                self.reach[lbl] = self.fuel(lbl, 0)
 
-    def _segments(self, instrs: list) -> list:
-        """Per segment of a block: its bounds, its op count, its visit
-        counter (None if it bumps only ``total_ops``) and, per instruction,
-        the counts of the instructions after it, which a trap takes back."""
-        cuts = [0] + [n + 1 for n, i in enumerate(instrs[:-1]) if i.__class__ is Call]
-        segments = []
-        for start, end in zip(cuts, cuts[1:] + [len(instrs)]):
-            mix = [0] * len(_FIELDS)
-            rests: list[tuple[int, ...] | None] = []
-            for instr in reversed(instrs[start:end]):
-                rests.append(tuple(mix) if any(mix) else None)
-                for fld in counted_fields(instr.__class__):
-                    mix[_FIELD_INDEX[fld]] += 1
-            rests.reverse()
-            key = tuple(mix[1:])
-            var = None
-            if any(key):
-                var = self.visit_var.setdefault(key, f"_m{len(self.visit_var)}")
-            segments.append((start, end, mix[0], var, rests))
-        return segments
+        # a compare read only by the branch right after it folds into the
+        # branch's test
+        self.live = compute_liveness(func)
+        self.fused: dict[str, BinOp] = {}
+        for lbl in post:
+            body = self.bodies[lbl]
+            if len(body) < 2:
+                continue
+            cmp, term = body[-2], body[-1]
+            if (
+                term.__class__ is Branch
+                and term.if_true != term.if_false
+                and cmp.__class__ is BinOp
+                and cmp.opcode in _CMP_SRC
+                and cmp.dst.id == term.cond.id
+                and cmp.dst.id not in self.live.live_out.get(lbl, ())
+            ):
+                self.fused[lbl] = cmp
+        self.ints = _int_registers(func)
+
+        # counters: each distinct mix of the fields other than total_ops
+        # gets a visit counter as emission meets it at a path's leaf; the
+        # counter-init line and the flushes are filled in after emission
+        self.visit_var: dict[tuple[int, ...], str] = {}
+        self.flush_at: list[int] = []
+
+    def fuel(self, label: str, start: int) -> int:
+        """The largest peak of the reference loop's running count on any
+        path from instruction ``start`` of ``label`` to its leaf."""
+        run = peak = 0
+        for instr in self.bodies[label][start:]:
+            if instr.__class__ is Nop:
+                # counted, checked, then taken back
+                peak = max(peak, run + 1)
+                continue
+            run += 1
+            if instr.__class__ is Call:
+                return max(peak, run)
+        tail = max(
+            (self.reach.get(succ, 0) for succ in self.succs[label]), default=0
+        )
+        return max(peak, run + tail)
 
     def _promotable_global(self, tag) -> bool:
         if tag.kind is TagKind.LOCAL or tag.name in self.cm.global_addressed:
@@ -608,8 +700,27 @@ class _Gen:
         return pid
 
     def flush(self, ind: int) -> None:
-        for line in self.flush_lines:
-            self.emit(ind, line)
+        """Add ``_t`` and the visit counters to the counters: one line,
+        written once every visit counter is known."""
+        self.flush_at.append(len(self.lines))
+        self.emit(ind, "")
+
+    def leaf(self, mix: list[int], ind: int) -> None:
+        """Count a whole path, whose counts are ``mix``, at its leaf."""
+        if mix[0]:
+            self.emit(ind, f"_t += {mix[0]}")
+        key = tuple(mix[1:])
+        if any(key):
+            var = self.visit_var.setdefault(key, f"_m{len(self.visit_var)}")
+            self.emit(ind, f"{var} += 1")
+
+    def check(self, label: str, start: int, ind: int) -> None:
+        """The fuel check of the paths from instruction ``start`` of
+        ``label``: deoptimize there if the longest could exhaust the
+        budget."""
+        self.emit(ind, f"if _t > _lim - {self.fuel(label, start)}:")
+        self.emit(ind + 4, f"_d = {self.point(label, start)}")
+        self.emit(ind + 4, "break")
 
     def slot_addr_src(self, name: str) -> str:
         off = self.code.offsets[name]
@@ -667,10 +778,11 @@ class _Gen:
         emit(8, "c = m.counters")
         emit(8, "_m = m._max_steps")
         emit(8, "_lim = _m - c.total_ops")
-        emit(8, " = ".join(["_t", *self.visit_var.values()]) + " = 0")
+        init = len(self.lines)
+        emit(8, "")
         # registers read before any write start at zero, as in the
         # reference loop's register file
-        live = compute_liveness(func).live_in.get(func.entry, frozenset())
+        live = self.live.live_in.get(func.entry, frozenset())
         zeros = sorted(live - {p.id for p in func.params})
         for start in range(0, len(zeros), 20):
             emit(8, " = ".join(f"r{rid}" for rid in zeros[start : start + 20]) + " = 0")
@@ -693,13 +805,14 @@ class _Gen:
                 emit(16, "if True:")  # a lone arm needs no test
             else:
                 emit(16, f"{'if' if pc == 0 else 'elif'} _pc == {pc}:")
-            self.block(lbl, 20)
+            self.block(lbl, 20, _NO_COUNTS)
         emit(8, "except BaseException as _e:")
         self.writeback(12)
         self.flush(12)
         emit(12, f"_untrap(c, {self.bind(self.code.fixes)}, _e)")
         emit(12, "raise")
-        # reached only through a guard's ``break``
+        # reached only through a ``break``: a fuel check's or a missing
+        # block's
         self.writeback(8)
         self.flush(8)
         sp = "_sp" if size else "0"
@@ -709,36 +822,57 @@ class _Gen:
             emit(8, "mem.stack_ptr = _sp")
         emit(8, "m._call_depth -= 1")
 
+        # the visit counters are known now
+        self.lines[init] += " = ".join(["_t", *self.visit_var.values()]) + " = 0"
+        flush = ["c.total_ops += _t"]
+        for n, fld in enumerate(_FIELDS[1:]):
+            terms = [
+                var if mix[n] == 1 else f"{mix[n]} * {var}"
+                for mix, var in self.visit_var.items()
+                if mix[n]
+            ]
+            if terms:
+                flush.append(f"c.{fld} += {' + '.join(terms)}")
+        for line in self.flush_at:
+            self.lines[line] += "; ".join(flush)
+
         source = self.code.source = "\n".join(self.lines)
         flavour = "+profile" if self.profiled else ""
         exec(compile(source, f"<compiled {self.name}{flavour}>", "exec"), self.ns)
         return self.code
 
-    def block(self, label: str, ind: int) -> None:
+    def block(self, label: str, ind: int, prefix: tuple[int, ...]) -> None:
         """Emit one block and, through its edges, every block inlined after
-        it."""
+        it.  ``prefix`` holds the counts of the path up to the block."""
         emit = self.emit
         instrs = self.bodies[label]
         fixes = self.code.fixes
+        fused = self.fused.get(label)
         if self.profiled:
             key = repr((self.name, label))
             emit(ind, f"_vb[{key}] = _vb.get({key}, 0) + 1")
-        for start, end, ops, var, rests in self.segments[label]:
-            if ops:
-                emit(ind, f"_t += {ops}")
-                emit(ind, "if _t > _lim:")
-                emit(ind + 4, f"_t -= {ops}")
-                emit(ind + 4, f"_d = {self.point(label, start)}")
-                emit(ind + 4, "break")
-            if var is not None:
-                emit(ind, f"{var} += 1")
-            for idx in range(start, end):
+        if label in self.pc_of:
+            self.check(label, 0, ind)
+        mix = list(prefix)
+        for idx, instr in enumerate(instrs):
+            cls = instr.__class__
+            for n in _counted_at(cls):
+                mix[n] += 1
+            if instr is fused:
+                continue
+            if cls is Call:
+                self.leaf(mix, ind)
+                self.call(instr, ind)
+                self.check(label, idx + 1, ind)
+                mix = list(_NO_COUNTS)
+            elif cls is Jump or cls is Branch or cls is Ret:
+                self.instr(label, instr, ind, mix)
+            else:
                 first = len(self.lines) + 1
-                self.instr(label, instrs[idx], ind)
-                rest = rests[idx - start]
-                if rest is not None:
-                    for line in range(first, len(self.lines) + 1):
-                        fixes[line] = rest
+                self.instr(label, instr, ind, mix)
+                fix = tuple(map(neg, mix))
+                for line in range(first, len(self.lines) + 1):
+                    fixes[line] = fix
         if not instrs or not instrs[-1].is_terminator():
             emit(
                 ind,
@@ -746,10 +880,12 @@ class _Gen:
                     f"block {label} in {self.name} fell through without terminator"
                 ),
             )
+            fixes[len(self.lines)] = tuple(map(neg, mix))
 
-    def edge(self, src: str, dst: str, ind: int) -> None:
+    def edge(self, src: str, dst: str, ind: int, mix: list[int]) -> None:
         """Control transfer along ``src -> dst``, crossing loop-tile
-        boundaries: ``dst`` inline, or a jump to its dispatch arm."""
+        boundaries: ``dst`` inline, or, at the path's leaf, a jump to its
+        dispatch arm."""
         before, after = self.tile_of.get(src), self.tile_of.get(dst)
         if before is not after:
             if before is not None and before.flag is not None:
@@ -759,14 +895,15 @@ class _Gen:
                 self.load_tile(after, ind)
         if dst not in self.bodies:
             # no such block: the reference loop raises its lookup error
+            self.leaf(mix, ind)
             self.emit(ind, f"_d = {self.point(dst, 0)}")
             self.emit(ind, "break")
-            return
-        if dst in self.pc_of:
+        elif dst in self.pc_of:
+            self.leaf(mix, ind)
             self.emit(ind, f"_pc = {self.pc_of[dst]}")
             self.emit(ind, "continue")
         else:
-            self.block(dst, ind)
+            self.block(dst, ind, tuple(mix))
 
     def tag_ref(self, label: str, tag) -> tuple[str, Any]:
         """``("var", local)`` for a promoted tag, ``("addr", expr)`` for a
@@ -789,7 +926,7 @@ class _Gen:
             return "err", self.raiser(f"tag {name} has no address")
         return "const", addr
 
-    def instr(self, label: str, instr, ind: int) -> None:
+    def instr(self, label: str, instr, ind: int, mix: list[int]) -> None:
         emit = self.emit
         cls = instr.__class__
         if cls is BinOp:
@@ -820,12 +957,13 @@ class _Gen:
                 emit(ind, f"cells[{ref}] = r{instr.src.id}")
         elif cls is MemLoad or cls is MemStore:
             addr = f"r{instr.addr.id}"
-            emit(ind, f"if {addr}.__class__ is not int:")
+            if instr.addr.id not in self.ints:
+                emit(ind, f"if {addr}.__class__ is not int:")
+                trap = "_trap_load" if cls is MemLoad else "_trap_store"
+                emit(ind + 4, f"{trap}({addr})")
             if cls is MemLoad:
-                emit(ind + 4, f"_trap_load({addr})")
                 emit(ind, f"r{instr.dst.id} = _g({addr}, 0)")
             else:
-                emit(ind + 4, f"_trap_store({addr})")
                 emit(ind, f"cells[{addr}] = r{instr.src.id}")
         elif cls is LoadAddr:
             kind, ref = self.tag_ref(label, instr.tag)
@@ -841,21 +979,26 @@ class _Gen:
         elif cls is Call:
             self.call(instr, ind)
         elif cls is Jump:
-            self.edge(label, instr.target, ind)
+            self.edge(label, instr.target, ind, mix)
         elif cls is Branch:
             taken, other = instr.if_true, instr.if_false
             if taken == other:
-                self.edge(label, taken, ind)
+                self.edge(label, taken, ind, mix)
                 return
             # the smaller side nests, which keeps nesting logarithmic in
             # the size of the code (see the module docstring)
             test = f"r{instr.cond.id}"
+            cmp = self.fused.get(label)
+            if cmp is not None:
+                test = f"r{cmp.lhs.id} {_CMP_SRC[cmp.opcode]} r{cmp.rhs.id}"
             if self.size.get(other, 0) < self.size.get(taken, 0):
-                taken, other, test = other, taken, f"not {test}"
+                taken, other = other, taken
+                test = f"not ({test})" if cmp is not None else f"not {test}"
             emit(ind, f"if {test}:")
-            self.edge(label, taken, ind + 4)
-            self.edge(label, other, ind)
+            self.edge(label, taken, ind + 4, mix)
+            self.edge(label, other, ind, mix)
         elif cls is Ret:
+            self.leaf(mix, ind)
             self.writeback(ind, at_return=True)
             self.flush(ind)
             value = "None" if instr.value is None else f"r{instr.value.id}"
@@ -873,9 +1016,12 @@ class _Gen:
         dst, lhs, rhs = f"r{instr.dst.id}", f"r{instr.lhs.id}", f"r{instr.rhs.id}"
         generic = f"{dst} = _binop(_Op.{op.name}, {lhs}, {rhs})"
         both_int = f"{lhs}.__class__ is int and {rhs}.__class__ is int"
+        # operands proven ints need no class test: only their int path runs
+        proven = instr.lhs.id in self.ints and instr.rhs.id in self.ints
+        fast = ind if proven else ind + 4
         if op in _WRAP_SRC:
             emit(ind, f"{dst} = {lhs} {_WRAP_SRC[op]} {rhs}")
-            emit(ind, _WRAP_CHECK.format(v=dst))
+            emit(ind, (_RANGE_CHECK if proven else _WRAP_CHECK).format(v=dst))
             emit(ind + 4, _WRAP_MASK.format(v=dst))
         elif op in _CMP_SRC:
             emit(ind, f"{dst} = 1 if {lhs} {_CMP_SRC[op]} {rhs} else 0")
@@ -883,30 +1029,34 @@ class _Gen:
             # for non-negative operands C truncation is floor division; the
             # result needs a wrap only for an out-of-range operand
             sym, slow = ("//", "_div") if op is Opcode.DIV else ("%", "_mod")
-            emit(ind, f"if {both_int}:")
-            emit(ind + 4, f"if {lhs} >= 0 and {rhs} > 0:")
-            emit(ind + 8, f"{dst} = {lhs} {sym} {rhs}")
-            emit(ind + 8, _RANGE_CHECK.format(v=dst))
-            emit(ind + 12, _WRAP_MASK.format(v=dst))
-            emit(ind + 4, "else:")
-            emit(ind + 8, f"{dst} = {slow}({lhs}, {rhs})")
-            if op is Opcode.DIV:
-                emit(ind, f"elif {rhs}.__class__ is float and {rhs} != 0.0:")
-                emit(ind + 4, f"{dst} = {lhs} / {rhs}")
-            emit(ind, "else:")
-            emit(ind + 4, generic)
+            if not proven:
+                emit(ind, f"if {both_int}:")
+            emit(fast, f"if {lhs} >= 0 and {rhs} > 0:")
+            emit(fast + 4, f"{dst} = {lhs} {sym} {rhs}")
+            emit(fast + 4, _RANGE_CHECK.format(v=dst))
+            emit(fast + 8, _WRAP_MASK.format(v=dst))
+            emit(fast, "else:")
+            emit(fast + 4, f"{dst} = {slow}({lhs}, {rhs})")
+            if not proven:
+                if op is Opcode.DIV:
+                    emit(ind, f"elif {rhs}.__class__ is float and {rhs} != 0.0:")
+                    emit(ind + 4, f"{dst} = {lhs} / {rhs}")
+                emit(ind, "else:")
+                emit(ind + 4, generic)
         elif op in _BIT_SRC or op is Opcode.SHL or op is Opcode.SHR:
-            emit(ind, f"if {both_int}:")
+            if not proven:
+                emit(ind, f"if {both_int}:")
             if op in _BIT_SRC:
-                emit(ind + 4, f"{dst} = {lhs} {_BIT_SRC[op]} {rhs}")
+                emit(fast, f"{dst} = {lhs} {_BIT_SRC[op]} {rhs}")
             elif op is Opcode.SHR:
-                emit(ind + 4, f"{dst} = {lhs} >> ({rhs} & 63)")
+                emit(fast, f"{dst} = {lhs} >> ({rhs} & 63)")
             else:
-                emit(ind + 4, f"{dst} = {lhs} << ({rhs} & 63)")
-            emit(ind + 4, _RANGE_CHECK.format(v=dst))
-            emit(ind + 8, _WRAP_MASK.format(v=dst))
-            emit(ind, "else:")
-            emit(ind + 4, generic)
+                emit(fast, f"{dst} = {lhs} << ({rhs} & 63)")
+            emit(fast, _RANGE_CHECK.format(v=dst))
+            emit(fast + 4, _WRAP_MASK.format(v=dst))
+            if not proven:
+                emit(ind, "else:")
+                emit(ind + 4, generic)
         else:
             emit(ind, generic)
 
@@ -914,26 +1064,32 @@ class _Gen:
         emit = self.emit
         op = instr.opcode
         dst, src = f"r{instr.dst.id}", f"r{instr.src.id}"
+        proven = instr.src.id in self.ints
         if op is Opcode.NEG or op is Opcode.F2I:
             emit(ind, f"{dst} = -{src}" if op is Opcode.NEG else f"{dst} = int({src})")
-            emit(ind, _WRAP_CHECK.format(v=dst))
+            # int() always makes an int
+            check = _RANGE_CHECK if proven or op is Opcode.F2I else _WRAP_CHECK
+            emit(ind, check.format(v=dst))
             emit(ind + 4, _WRAP_MASK.format(v=dst))
         elif op is Opcode.LNOT:
             emit(ind, f"{dst} = 1 if {src} == 0 else 0")
         elif op is Opcode.I2F:
             emit(ind, f"{dst} = float({src})")
         elif op is Opcode.NOT:
-            emit(ind, f"if {src}.__class__ is int:")
-            emit(ind + 4, f"{dst} = ~{src}")
-            emit(ind + 4, _RANGE_CHECK.format(v=dst))
-            emit(ind + 8, _WRAP_MASK.format(v=dst))
-            emit(ind, "else:")
-            emit(ind + 4, f"{dst} = _unop(_Op.{op.name}, {src})")
+            fast = ind if proven else ind + 4
+            if not proven:
+                emit(ind, f"if {src}.__class__ is int:")
+            emit(fast, f"{dst} = ~{src}")
+            emit(fast, _RANGE_CHECK.format(v=dst))
+            emit(fast + 4, _WRAP_MASK.format(v=dst))
+            if not proven:
+                emit(ind, "else:")
+                emit(ind + 4, f"{dst} = _unop(_Op.{op.name}, {src})")
         else:
             emit(ind, f"{dst} = _unop(_Op.{op.name}, {src})")
 
     def call(self, instr: Call, ind: int) -> None:
-        """A call ends its segment.  Only ``total_ops`` must be exact at the
+        """A call ends its path.  Only ``total_ops`` must be exact at the
         boundary; the visit counters commute with the callee's own counts.
         Intrinsics other than ``clock()`` neither read nor spend the budget,
         so they skip the flush."""

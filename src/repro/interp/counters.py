@@ -7,13 +7,16 @@ reference and is not counted as a load (it still counts as an operation).
 
 Both execution engines mutate one ``Counters`` instance: the reference
 (``simple``) engine increments per executed instruction, while the
-compiled tier adds each segment's static mix (a block's instructions up
-to and including each call) as a batch, through local visit counters
-flushed at returns and exits (see :mod:`repro.interp.compiled`).  The two
-disciplines produce bit-identical totals because a basic block always
-executes all of its instructions once entered.  The dataclass is slotted
-so the per-op increments of the reference engine stay as cheap as
-possible.
+compiled tier adds each path's static mix as a batch at the path's leaf.
+A path runs from a dispatch arm's head, or from just after a call,
+through the blocks inlined after it to the next arm jump, return or call
+(see :mod:`repro.interp.compiled`); the batches go through local visit
+counters, one per distinct mix, flushed at returns and exits.  The two
+disciplines produce bit-identical totals because a path, once entered,
+always runs to its leaf unless an exception leaves it, and the
+exception's handler adds the counts of the instructions that ran.  The
+dataclass is slotted so the per-op increments of the reference engine
+stay as cheap as possible.
 """
 
 from __future__ import annotations

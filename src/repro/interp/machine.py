@@ -15,12 +15,15 @@ Two execution engines share this measurement contract:
     The compiled tier in :mod:`repro.interp.compiled`: on its first call
     each IR function becomes one generated Python function, with virtual
     registers and never-address-taken scalars held in Python locals and
-    counters batched per segment.  Observable behavior — counters,
+    counters batched per path.  Observable behavior — counters,
     output, exit code, ``clock()`` values, traps, ``max_steps``
     exhaustion, and ``block_visits`` under profiling — is bit-identical
     to the reference loop (enforced by the differential oracle in
     ``tests/interp/test_engine_equiv.py``).  Its one deopt target is the
-    reference loop, resumed mid-block through :meth:`Machine._exec_blocks`.
+    reference loop, resumed through :meth:`Machine._exec_blocks` at a
+    dispatch arm's head or just after a call whenever the fuel left may
+    not cover every path from there; the reference loop then stops
+    exactly where it must, or finishes the run.
 
 ``simple``
     The reference semantics: the per-instruction dispatch loop in

@@ -13,7 +13,7 @@ from repro.fuzz.oracle import (
     o0_options,
     write_divergence_artifact,
 )
-from repro.interp import Counters
+from repro.interp import Counters, compiled
 from repro.pipeline import ExperimentCell
 from repro.runner.scheduler import CellFailure
 
@@ -194,6 +194,52 @@ class TestEndToEnd:
         assert (target / "program.c").read_text() == program.source
         assert (target / "reduced.c").exists()
         assert '"status": "divergent"' in (target / "report.json").read_text()
+
+
+#: the division traps inside a path of the loop body, on iteration 30
+TRAP_SOURCE = r"""
+int g;
+int main(void) {
+    int i; int s = 0;
+    for (i = 0; i < 40; i = i + 1) {
+        g = g + i;
+        s = s + 1000 / (30 - i) + g;
+    }
+    printf("%d\n", s);
+    return 0;
+}
+"""
+
+
+class TestFuelLimits:
+    """At the ``full`` level both engines also run out of fuel, and a
+    trapping program is run to its trap, comparing message and counters:
+    a compiled tier that miscounts there is caught."""
+
+    def test_undercounting_fuel_check_diverges(self, monkeypatch):
+        # a check that covers no path lets generated code overrun the budget
+        monkeypatch.setattr(compiled._Gen, "fuel", lambda self, label, start: 0)
+        report = run_oracle(generate_program(0))
+        assert report.status == "divergent"
+        [divergence] = report.divergences
+        assert divergence.kind == "engine-divergence"
+        assert divergence.detail["level"] == "full"
+        assert divergence.detail["max_steps"] > 0
+        assert "total_ops" in divergence.detail["fields"]
+
+    def test_trap_counters_are_compared(self, monkeypatch):
+        program = FuzzProgram(seed=-1, source=TRAP_SOURCE)
+        assert run_oracle(program).status == "trap"
+        # without the fix, a trap loses the counts of its path so far
+        monkeypatch.setitem(compiled._HELPERS, "_untrap", lambda c, fixes, exc: None)
+        report = run_oracle(program)
+        assert report.status == "divergent"
+        [divergence] = report.divergences
+        assert divergence.kind == "engine-divergence"
+        stops = divergence.detail["stops"]
+        assert {stop["end"] for stop in stops.values()} == {
+            "InterpTrap: integer division by zero"
+        }
 
 
 class TestPredicate:

@@ -8,9 +8,11 @@ batching and exact deoptimization to the reference loop.  These tests
 enforce the contract over the whole 14-program benchmark suite at -O0 and
 through the full pipeline, profiled and unprofiled, plus targeted
 boundary cases the suite cannot hit (the deopt edges: ``max_steps``
-expiring inside compiled code, also in the segment after a call; traps
+expiring inside compiled code, also in the path after a call and near
+the end of a run, where a fuel check deoptimizes conservatively; traps
 inside code with promoted slots and inside copied joins; cache
-invalidation between runs; and deeply nested branches).
+invalidation between runs; and deeply nested branches), and the
+soundness of the registers the tier proves to hold ints.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from repro.interp import Machine, MachineOptions, compiled, invalidate_decoded
 from repro.ir.cfg import predecessors, reachable_labels
 from repro.ir.instructions import BinOp, LoadI
 from repro.ir.opcodes import Opcode
-from repro.pipeline import Analysis, PipelineOptions, compile_source
+from repro.ir.parser import parse_module
+from repro.pipeline import Analysis, PipelineOptions, compile_source, paper_variants
 from repro.trace import tracing
 from repro.workloads import get_workload, workload_names
 
@@ -311,8 +314,8 @@ class TestCompiledDeopt:
 
     def test_max_steps_expires_in_segment_after_call(self, monkeypatch):
         # the loop body calls bump() mid-block, so a limit swept over one
-        # iteration must stop some runs inside the segment that follows
-        # the call; the reference loop then resumes mid-block
+        # iteration must stop some runs inside the path that follows the
+        # call; the reference loop then resumes mid-block
         source = r"""
         int g;
         int bump(int x) { g = g + x; return x + 1; }
@@ -344,8 +347,8 @@ class TestCompiledDeopt:
         # with promotion off, the loop loads and stores the frame slot of
         # `x` every iteration; its address never survives optimization, so
         # the compiled tier keeps it in a Python local.  The division traps
-        # on iteration 50: the handler must store the slot back and take
-        # back the trapping segment's unexecuted counts, leaving memory
+        # on iteration 50: the handler must store the slot back and add
+        # the counts of the trapping path up to the division, leaving memory
         # and counters exactly as the reference loop leaves them
         source = r"""
         int main(void) {
@@ -482,8 +485,8 @@ class TestStraightLineShapes:
 
     @pytest.mark.parametrize("pipeline", list(PIPELINES))
     def test_limit_sweep_over_duplicated_join(self, pipeline):
-        # limits swept over one iteration stop runs in every segment of
-        # the loop body, both copies of the join included
+        # limits swept over one iteration stop runs at every point of the
+        # loop body, both copies of the join included
         options = PIPELINES[pipeline]
         source = DIAMOND_SOURCE.replace("TRAP", "30")
         machine = Machine(
@@ -580,6 +583,306 @@ class TestStraightLineShapes:
         joins = set(arms) - {func.entry} - headers
         assert len(headers) == 1 and len(joins) == 1, arms
         assert max(copies.values()) == 2
+
+
+#: a loop whose body is a diamond: a 3-op arm on seven iterations of eight,
+#: a 40-op arm on the eighth, joined by a 2-op block that the tier copies
+#: into both arms.  The header's fuel check covers the longest path, so
+#: with too little fuel left for the long arm it trips even on iterations
+#: that take the short one
+_LONG_ARM = "\n".join("    %r1 = add %r1, %r4" for _ in range(39))
+DIAMOND_IR = f"""func main() {{
+B0: ; entry
+    %r0 = loadi 0
+    %r1 = loadi 0
+    %r2 = loadi 1
+    %r3 = loadi 8
+    %r4 = loadi 7
+    %r5 = loadi 30
+    jmp H1
+H1:
+    %r6 = cmp_lt %r0, %r5
+    cbr %r6 ? B2 : X5
+B2:
+    %r7 = mod %r0, %r3
+    %r8 = cmp_eq %r7, %r4
+    cbr %r8 ? L3 : S4
+S4:
+    %r1 = add %r1, %r0
+    %r1 = xor %r1, %r2
+    jmp J6
+L3:
+{_LONG_ARM}
+    jmp J6
+J6:
+    %r0 = add %r0, %r2
+    jmp H1
+X5:
+    ret %r1
+}}
+"""
+
+_FUEL_CHECK = re.compile(r" *if _t > _lim - (\d+):")
+#: a generated call: to a generated function or to an intrinsic
+_CALL = re.compile(r"(?! *def ).*\b(?:_F_\w+|m\._exec_intrinsic)\(")
+#: what a call's code may hold between the call and its path's check
+_AFTER_CALL = re.compile(r" *(?:r\d+ = 0 if v is None else v|_lim = _m - c\.total_ops)")
+
+
+def _spy_deopts(monkeypatch):
+    """Record every resume of the reference loop: the function, block and
+    instruction it resumes at, and the fuel left at that moment."""
+    deopts = []
+    exec_blocks = Machine._exec_blocks
+
+    def spy(self, func, regs, frame, label, start=None):
+        if start is not None:
+            left = self.options.max_steps - self.counters.total_ops
+            deopts.append((func.name, label, start, left))
+        return exec_blocks(self, func, regs, frame, label, start)
+
+    monkeypatch.setattr(Machine, "_exec_blocks", spy)
+    return deopts
+
+
+def _stop_state(module, engine, limit, profile=True):
+    """``(how the run ended, counters, output, block visits)`` of a run
+    with ``limit`` steps (None: the default budget)."""
+    options = MachineOptions(engine=engine, profile=profile)
+    if limit is not None:
+        options.max_steps = limit
+    machine = Machine(module, options)
+    try:
+        run = machine.run()
+        how = f"exit {run.exit_code} returned {run.returned!r}"
+    except ResourceLimitError as exc:
+        how = f"ResourceLimitError: {exc}"
+    return how, machine.counters.as_dict(), "".join(machine.output), machine.block_visits
+
+
+class TestPathAccounting:
+    """Per-path accounting at its edges: a fuel check covers every path
+    from an arm head or a call, so near the end of the budget it trips on
+    paths that would still fit, and the reference loop it deoptimizes to
+    must then finish or stop exactly as it would have on its own."""
+
+    def test_fuel_sweep_near_end_of_run(self, monkeypatch):
+        deopts = _spy_deopts(monkeypatch)
+        finished_after_deopt = []
+        for name in ("allroots", "water", "fft", "mlink"):
+            workload = get_workload(name)
+            module = _module(workload, paper_variants()["modref/promo"])
+            finished = _stop_state(module, "simple", None)
+            total = finished[1]["total_ops"]
+            for limit in range(total - 5, total + 61):
+                # the reference loop never looks at a budget it does not
+                # exhaust, so every limit from the total up finishes its run
+                reference = finished
+                if limit < total:
+                    reference = _stop_state(module, "simple", limit)
+                    assert reference[0] == (
+                        f"ResourceLimitError: exceeded {limit} executed operations"
+                    )
+                for profile in (True, False):
+                    del deopts[:]
+                    state = _stop_state(module, "compiled", limit, profile)
+                    if profile:
+                        assert state == reference, (name, limit)
+                    else:
+                        assert state[:3] == reference[:3], (name, limit)
+                    if limit >= total and deopts:
+                        finished_after_deopt.append((name, limit, deopts[0]))
+        # some check tripped with fuel left for the path actually taken:
+        # the reference loop took over and finished the run
+        assert finished_after_deopt
+
+    def test_check_trips_while_short_arm_runs(self, monkeypatch):
+        module = parse_module(DIAMOND_IR)
+        finished = _stop_state(module, "simple", None)
+        assert finished[0] == "exit 184 returned 1208"
+        assert _stop_state(module, "compiled", None) == finished
+        # the header's check covers the 47-op path through the long arm
+        source = module._compiled.code[("main", True)].source
+        assert "if _t > _lim - 47:" in source
+        # the entry runs 7 ops, a short-arm iteration 10 from the header;
+        # sweep the limit across iterations 8 to 10 (the long arm is
+        # iteration 7)
+        deopts = _spy_deopts(monkeypatch)
+        start = 7 + 7 * 10 + 47
+        conservative = []
+        for limit in range(start, start + 3 * 10 + 1):
+            reference = _stop_state(module, "simple", limit)
+            del deopts[:]
+            assert _stop_state(module, "compiled", limit) == reference, limit
+            assert [d[:3] for d in deopts] == [("main", "H1", 0)], limit
+            if deopts[0][3] >= 10:
+                # fuel was left for the short arm: the check tripped
+                # although this iteration could not exhaust it
+                conservative.append(limit)
+        assert conservative
+
+    @pytest.mark.parametrize(
+        "name", [n for n in workload_names() if n not in SLOW_WORKLOADS]
+    )
+    def test_one_fuel_compare_per_arm_head_and_post_call_point(self, name):
+        module = _module(get_workload(name), FULL)
+        Machine(module, MachineOptions(engine="compiled", profile=True)).run()
+        Machine(module, MachineOptions(engine="compiled")).run()
+        for (fname, profiled), code in module._compiled.code.items():
+            lines = code.source.splitlines()
+            checks = [n for n, line in enumerate(lines) if _FUEL_CHECK.fullmatch(line)]
+            expected = []
+            for n, line in enumerate(lines):
+                if _ARM.fullmatch(line):
+                    n += 1 + profiled  # a profiled arm counts its visit first
+                elif _CALL.match(line):
+                    n += 1
+                    while _AFTER_CALL.fullmatch(lines[n]):
+                        n += 1
+                else:
+                    continue
+                assert _FUEL_CHECK.fullmatch(lines[n]), (fname, n)
+                expected.append(n)
+            assert checks == expected, (fname, profiled)
+            # no other fuel test, and nothing taken back
+            assert code.source.count("_lim") == len(checks) + code.source.count(
+                "_lim = _m - c.total_ops"
+            ), fname
+            assert "_t -=" not in code.source, fname
+
+
+#: the compare feeds its branch and is read again after it
+LIVE_COMPARE_IR = """func main() {
+B0: ; entry
+    %r0 = loadi 3
+    %r1 = loadi 5
+    %r2 = cmp_lt %r0, %r1
+    cbr %r2 ? T1 : F2
+T1:
+    %r3 = add %r2, %r1
+    ret %r3
+F2:
+    %r4 = cmp_gt %r0, %r1
+    cbr %r4 ? T1 : X3
+X3:
+    ret %r0
+}
+"""
+
+
+def test_only_a_compare_read_by_its_branch_alone_is_folded():
+    module = parse_module(LIVE_COMPARE_IR)
+    runs = [Machine(module, MachineOptions(engine=e)).run() for e in ENGINES]
+    _assert_identical(*runs, "live compare", visits=False)
+    assert runs[0].exit_code == 6
+    source = module._compiled.code[("main", False)].source
+    # r2 is read in T1, so it stays; r4 only feeds its branch
+    assert "r2 = 1 if r0 < r1 else 0" in source
+    assert "r4 =" not in source and "r0 > r1" in source
+
+
+#: claimed negative cases: registers an int proof must not claim
+NOT_INT_IR = """global g size=8
+
+func h() {
+B0: ; entry
+    %r0 = loadi 2.5
+    ret %r0
+}
+
+func main(%p0) {
+B0: ; entry
+    %r1 = loadi 1
+    %r2 = loadi 2.5
+    cbr %p0 ? T1 : F2
+T1:
+    %r3 = mov %r1
+    jmp J3
+F2:
+    %r3 = mov %r2
+    jmp J3
+J3:
+    %r4 = sload [g]
+    %r5 = call h() mod=[*] ref=[*]
+    %r6 = mov %r4
+    %r7 = div %r1, %r2
+    %r8 = add %r3, %r1
+    %r9 = mov %p0
+    %r10 = add %r1, %r1
+    %r11 = cmp_lt %r2, %r2
+    %r12 = f2i %r2
+    %r13 = div %r10, %r1
+    %r14 = and %r4, %r5
+    ret %r10
+}
+"""
+
+
+class _CheckedRegs(list):
+    """A register file that records every non-int written to a register
+    the int proof claims."""
+
+    def __init__(self, values, claimed, bad):
+        super().__init__(values)
+        self.claimed = claimed
+        self.bad = bad
+
+    def __setitem__(self, index, value):
+        if index in self.claimed and value.__class__ is not int:
+            self.bad.append((index, value))
+        super().__setitem__(index, value)
+
+
+class TestIntRegisters:
+    """``_int_registers`` claims only registers that hold nothing but
+    ints: the compiled tier drops class tests on them."""
+
+    @pytest.mark.parametrize("variant", list(paper_variants()))
+    @pytest.mark.parametrize("name", ["allroots", "dhrystone", "fft", "mlink"])
+    def test_claimed_registers_only_ever_hold_ints(self, name, variant, monkeypatch):
+        module = _module(get_workload(name), paper_variants()[variant])
+        claims = {
+            fname: compiled._int_registers(func)
+            for fname, func in module.functions.items()
+        }
+        assert any(claims.values())
+        bad: list = []
+        exec_blocks = Machine._exec_blocks
+
+        def spy(self, func, regs, frame, label, start=None):
+            claimed = claims[func.name]
+            bad.extend((func.name, r) for r in claimed if regs[r].__class__ is not int)
+            checked = _CheckedRegs(regs, claimed, bad)
+            return exec_blocks(self, func, checked, frame, label, start)
+
+        monkeypatch.setattr(Machine, "_exec_blocks", spy)
+        _run(module, "simple")
+        assert bad == []
+
+    def test_unknown_values_are_not_claimed(self):
+        module = parse_module(NOT_INT_IR)
+        claimed = compiled._int_registers(module.functions["main"])
+        # r3 joins an int and a float, p0 is a parameter, r4 a load, r5 a
+        # call result, r6 a copy of an unknown value, r7 a DIV with a
+        # float operand, r8 and r9 derive from them, r14's operands are
+        # unknown but AND always makes an int
+        assert claimed == {1, 10, 11, 12, 13, 14}
+        assert compiled._int_registers(module.functions["h"]) == frozenset()
+        runs = [
+            Machine(parse_module(NOT_INT_IR), MachineOptions(engine=e)).run()
+            for e in ENGINES
+        ]
+        _assert_identical(*runs, "not int", visits=False)
+
+    def test_proven_ints_drop_class_tests(self):
+        module = parse_module(DIAMOND_IR)
+        Machine(module, MachineOptions(engine="compiled")).run()
+        source = module._compiled.code[("main", False)].source
+        # every register is an int: no class test is left, and each
+        # compare that only feeds its branch is folded into the branch
+        assert ".__class__" not in source
+        assert "if not (r0 < r5):" in source
+        assert "r6 =" not in source and "r8 =" not in source
 
 
 def test_codegen_spans_on_first_run_only():
