@@ -12,9 +12,11 @@ Public API, top to bottom:
 * :func:`repro.runner.run_suite_report` / :func:`repro.harness.format_figure`
   — run the matrix over the 14-program suite (parallel, cached,
   instrumented; see docs/RUNNER.md) and regenerate the paper's tables;
-* :class:`repro.diag.metrics.MetricsRegistry` — the one counter, gauge
-  and latency-histogram registry the passes, suite cells and server
-  publish into;
+* ``ExperimentCell.metrics`` — a cell's metrics as a plain dict:
+  ``CompileResult.metrics`` (promotion yields, pass statistics) plus
+  the interpreter's ``interp.*`` counts, what ``repro drift`` gates;
+* :class:`repro.diag.metrics.MetricsRegistry` — the server's counter,
+  gauge and latency-histogram registry;
 * :mod:`repro.opt.promotion` — the promotion algorithm itself, usable on
   hand-built IL (see the Figure 2 tests).
 """

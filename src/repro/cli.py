@@ -687,6 +687,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _split_programs(cells: dict, names: list[str]) -> tuple[dict, dict]:
+    """``workload/variant`` cells split into those of the ``names``
+    programs and the rest."""
+    prefixes = tuple(f"{name}/" for name in names)
+    ours = {cell: m for cell, m in cells.items() if cell.startswith(prefixes)}
+    rest = {cell: m for cell, m in cells.items() if cell not in ours}
+    return ours, rest
+
+
 def cmd_drift(args: argparse.Namespace) -> int:
     from .diag.drift import (
         compare_cells,
@@ -726,8 +735,19 @@ def cmd_drift(args: argparse.Namespace) -> int:
 
     current = suite_cell_metrics(report)
     if args.update:
-        write_baseline(args.baseline, current)
-        print(f"baseline updated: {args.baseline} ({len(current)} cells)")
+        cells = current
+        if names:
+            # a partial run re-baselines its own programs' cells only
+            try:
+                _, kept = _split_programs(load_baseline(args.baseline), names)
+            except FileNotFoundError:
+                kept = {}
+            cells = {**kept, **current}
+        write_baseline(args.baseline, cells)
+        print(
+            f"baseline updated: {args.baseline} "
+            f"({len(current)} of {len(cells)} cells)"
+        )
         return 0
     try:
         baseline = load_baseline(args.baseline)
@@ -740,12 +760,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
         return 2
     if names:
         # a partial run can only be judged against the matching subset
-        prefixes = tuple(f"{name}/" for name in names)
-        baseline = {
-            cell: metrics
-            for cell, metrics in baseline.items()
-            if cell.startswith(prefixes)
-        }
+        baseline, _ = _split_programs(baseline, names)
     drifts = compare_cells(baseline, current, tolerance_pct=args.tolerance)
     print(format_drift_report(drifts, args.tolerance))
     return 1 if regressions(drifts) else 0
@@ -1070,11 +1085,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_drift.add_argument("baseline",
                          help="baseline JSON (e.g. benchmarks/baseline.json)")
     p_drift.add_argument("--update", action="store_true",
-                         help="rewrite the baseline from this run and exit 0")
+                         help="rewrite the baseline's cells from this run "
+                              "and exit 0")
     p_drift.add_argument("--tolerance", type=float, default=0.0, metavar="PCT",
                          help="ignore gated drift within this percent (default 0)")
     p_drift.add_argument("--programs", nargs="*", default=None,
-                         help="workload subset (baseline is filtered to match)")
+                         help="workload subset (baseline is filtered to "
+                              "match; --update keeps the other cells)")
     p_drift.add_argument("--jobs", type=int, default=1)
     p_drift.add_argument("--max-steps", type=int, default=50_000_000)
     p_drift.add_argument("--pointer-promotion", action="store_true")

@@ -12,12 +12,12 @@ about our own pipeline:
 * :mod:`repro.diag.profile` — fold the interpreter's per-block execution
   counts up through the loop forest into a hot-loop table
   (``repro run --profile`` / ``repro compare --profile``);
-* :mod:`repro.diag.metrics` — a lightweight counter/gauge registry that
-  passes and the interpreter publish into, serialized per cell into
-  ``suite.json``;
-* :mod:`repro.diag.drift` — diff a fresh suite run against a checked-in
-  ``benchmarks/baseline.json`` and fail on metric regressions
-  (``repro drift``);
+* :mod:`repro.diag.metrics` — the server's counter/gauge registry and
+  latency histograms;
+* :mod:`repro.diag.drift` — diff the per-cell metrics of a fresh suite
+  run (the ``metrics`` dict :mod:`repro.pipeline` returns with each
+  cell) against a checked-in ``benchmarks/baseline.json`` and fail on
+  metric regressions (``repro drift``);
 * :mod:`repro.diag.log` — stdlib :mod:`logging` setup shared by the CLI's
   ``-v/-vv/-q`` flags and the module loggers.
 """
@@ -32,13 +32,7 @@ from .ledger import (
     record,
 )
 from .log import get_logger, setup_logging
-from .metrics import (
-    MetricsRegistry,
-    current_registry,
-    inc_metric,
-    metrics_session,
-    set_gauge,
-)
+from .metrics import MetricsRegistry
 from .profile import LoopProfileRow, format_profile, profile_loops
 
 __all__ = [
@@ -47,16 +41,12 @@ __all__ = [
     "LoopProfileRow",
     "MetricsRegistry",
     "current_ledger",
-    "current_registry",
     "decision_ledger",
     "format_decision_table",
     "format_profile",
     "get_logger",
     "host_metadata",
-    "inc_metric",
-    "metrics_session",
     "profile_loops",
     "record",
-    "set_gauge",
     "setup_logging",
 ]

@@ -12,10 +12,11 @@ Gated metrics per ``workload/variant`` cell:
 * ``promotion.tags_promoted`` / ``pointer_promotion.promoted_bases`` —
   optimization yield where a *decrease* beyond tolerance is a regression.
 
-Every other published metric is compared informationally: changes are
-reported but do not fail the gate (so e.g. LICM hoisting more after a
-refactor does not break CI).  A baseline cell missing from the current
-run fails the gate (lost coverage); a new cell is reported and ignored
+Every other metric is compared informationally: changes are reported
+but do not fail the gate (so e.g. LICM hoisting more after a refactor
+does not break CI).  A baseline cell missing from the current run fails
+the gate (lost coverage), and so does a gated metric that the baseline
+cell has and the current cell lacks; a new cell is reported and ignored
 until ``--update`` re-baselines.
 """
 
@@ -49,6 +50,9 @@ GATE_LOWER_IS_WORSE = (
     "promotion.tags_promoted",
     "pointer_promotion.promoted_bases",
 )
+_GATED = GATE_HIGHER_IS_WORSE + GATE_LOWER_IS_WORSE
+#: the drift kinds that fail the gate
+_FAILING = ("regression", "missing-cell", "missing-metric")
 
 
 @dataclass
@@ -59,7 +63,9 @@ class Drift:
     metric: str
     baseline: float | None
     current: float | None
-    kind: str  # "regression" | "improvement" | "info" | "missing-cell" | "new-cell"
+    #: "regression" | "improvement" | "info" | "missing-cell" |
+    #: "missing-metric" | "new-cell"
+    kind: str
 
     @property
     def percent(self) -> float:
@@ -70,6 +76,11 @@ class Drift:
     def __str__(self) -> str:
         if self.kind == "missing-cell":
             return f"{self.cell}: present in baseline, missing from this run"
+        if self.kind == "missing-metric":
+            return (
+                f"{self.cell} {self.metric}: present in baseline, "
+                "missing from this run"
+            )
         if self.kind == "new-cell":
             return f"{self.cell}: not in baseline (use --update to adopt)"
         arrow = f"{self.baseline:g} -> {self.current:g}"
@@ -78,8 +89,8 @@ class Drift:
 
 def suite_cell_metrics(report) -> dict[str, dict[str, float]]:
     """Flatten a :class:`~repro.runner.report.SuiteReport` into
-    ``{"workload/variant": {metric: value}}`` — counters plus everything
-    the passes published into the cell's metrics registry."""
+    ``{"workload/variant": {metric: value}}`` — counters plus the
+    cell's ``metrics`` dict."""
     cells: dict[str, dict[str, float]] = {}
     for (workload, variant), outcome in sorted(report.outcomes.items()):
         if not outcome.ok:
@@ -116,6 +127,9 @@ def compare_cells(
         for metric in sorted(set(base) | set(cur)):
             b = base.get(metric)
             c = cur.get(metric)
+            if c is None and b is not None and metric in _GATED:
+                drifts.append(Drift(cell, metric, b, None, "missing-metric"))
+                continue
             if b is None or c is None or b == c:
                 continue
             if metric in GATE_HIGHER_IS_WORSE:
@@ -133,7 +147,7 @@ def compare_cells(
 
 
 def regressions(drifts: list[Drift]) -> list[Drift]:
-    return [d for d in drifts if d.kind in ("regression", "missing-cell")]
+    return [d for d in drifts if d.kind in _FAILING]
 
 
 def format_drift_report(drifts: list[Drift], tolerance_pct: float) -> str:
@@ -162,7 +176,7 @@ def format_drift_report(drifts: list[Drift], tolerance_pct: float) -> str:
 def load_baseline(path: str | Path) -> dict[str, dict[str, float]]:
     """Read a drift baseline; a file that is not one raises
     :class:`~repro.errors.ReproError` naming it (and the line, for
-    malformed JSON)."""
+    malformed JSON, or the cell, for one that is not a metrics map)."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as error:
@@ -173,6 +187,14 @@ def load_baseline(path: str | Path) -> dict[str, dict[str, float]]:
             f"{path}: not a drift baseline (schema {schema!r}, "
             f"expected {BASELINE_SCHEMA} with a cells map)"
         )
+    for cell, metrics in payload["cells"].items():
+        if not isinstance(metrics, dict) or not all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in metrics.values()
+        ):
+            raise ReproError(
+                f"{path}: cell {cell!r} does not map metric names to numbers"
+            )
     return payload["cells"]
 
 

@@ -1,34 +1,23 @@
 """A lightweight counter/gauge registry with latency histograms.
 
-Passes and the interpreter publish named values (``promotion.tags_promoted``,
-``interp.total_ops``) into the active registry; the runner serializes the
-snapshot into ``suite.json`` per experiment cell, and :mod:`repro.diag.drift`
-compares snapshots across suite runs.  The server holds one long-lived
-registry: serving counters (``serve.requests``, ``serve.cache_hits``, ...)
-plus per-op latency histograms that the ``metrics`` endpoint reports as
-p50/p95/p99.  Histograms are kept apart from counters and gauges, so
-:meth:`MetricsRegistry.as_dict` — the per-cell snapshot — never carries
-them.
+The server holds one long-lived registry: serving counters
+(``serve.requests``, ``serve.cache_hits``, ...) plus per-op latency
+histograms that the ``metrics`` endpoint reports as p50/p95/p99.
+Histograms are kept apart from counters and gauges, so
+:meth:`MetricsRegistry.as_dict` never carries them.
 
-Same zero-cost-when-off contract as the ledger and telemetry: the module
-helpers :func:`inc_metric`/:func:`set_gauge` no-op unless a
-:func:`metrics_session` is active, so instrumentation stays unconditional.
+An experiment cell's metrics are not kept here: :mod:`repro.pipeline`
+returns them as plain dicts on ``CompileResult.metrics`` and
+``ExperimentCell.metrics``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 __all__ = [
     "BUCKET_BOUNDS",
     "LatencyHistogram",
     "MetricsRegistry",
-    "current_registry",
-    "inc_metric",
-    "metrics_session",
     "nearest_rank",
-    "set_gauge",
 ]
 
 #: upper bounds (seconds) of the histogram buckets, log-spaced so one
@@ -139,37 +128,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-_CURRENT: MetricsRegistry | None = None
-
-
-def current_registry() -> MetricsRegistry | None:
-    return _CURRENT
-
-
-@contextmanager
-def metrics_session() -> Iterator[MetricsRegistry]:
-    """Install a fresh registry as the current one for the duration."""
-    global _CURRENT
-    previous = _CURRENT
-    registry = MetricsRegistry()
-    _CURRENT = registry
-    try:
-        yield registry
-    finally:
-        _CURRENT = previous
-
-
-def inc_metric(name: str, delta: int | float = 1) -> None:
-    """Add to a counter on the active registry; no-op when none is."""
-    registry = _CURRENT
-    if registry is not None:
-        registry.inc(name, delta)
-
-
-def set_gauge(name: str, value: int | float) -> None:
-    """Set a gauge on the active registry; no-op when none is."""
-    registry = _CURRENT
-    if registry is not None:
-        registry.set_gauge(name, value)

@@ -34,9 +34,8 @@ from time import perf_counter
 from .analysis.loops import normalize_loops
 from .analysis.modref import ModRefResult, run_modref
 from .analysis.pointsto import apply_points_to, run_points_to
-from .analysis.tagrefine import refine_memory_ops
+from .analysis.tagrefine import RefineStats, refine_memory_ops
 from .diag.log import get_logger
-from .diag.metrics import inc_metric, set_gauge
 from .frontend import compile_c
 from .inccomp.keys import function_digest, function_key, module_env_digest, options_digest
 from .inccomp.store import FunctionRecord, FunctionStore
@@ -166,6 +165,9 @@ class CompileResult:
     #: per-function cache traffic of this compile (0/0 without a store)
     fn_cache_hits: int = 0
     fn_cache_misses: int = 0
+    #: the compile's share of every cell run from it: promotion yields,
+    #: pass statistics and tag refinement, by metric name
+    metrics: dict[str, int] = field(default_factory=dict)
 
 
 def _worth_caching(options: PipelineOptions) -> bool:
@@ -262,56 +264,43 @@ def _optimize_function(
     return record
 
 
-def _emit_pass_metrics(
+def _compile_metrics(
     module: Module,
     result: CompileResult,
-    options: PipelineOptions,
+    refined: RefineStats | None,
     totals: dict[str, int],
-) -> None:
-    """Publish the same gauges/metrics the module-at-a-time pipeline did,
-    from per-function records — identical whether each record came from a
-    fresh optimization or a cache hit."""
+) -> dict[str, int]:
+    """The compile's share of a cell's metrics, from the tag refinement
+    and the per-function records — identical whether each record came
+    from a fresh optimization or a cache hit."""
+    options = result.options
+    metrics: dict[str, int] = {}
+    if refined is not None:
+        metrics["tagrefine.strengthened"] = (
+            refined.loads_strengthened + refined.stores_strengthened
+        )
     if options.promotion:
-        promoted = set().union(
-            *(r.promoted_tags for r in result.promotion_reports.values())
-        )
-        set_gauge("promotion.tags_promoted", len(promoted))
-        set_gauge(
-            "promotion.refs_rewritten",
-            sum(r.references_rewritten for r in result.promotion_reports.values()),
-        )
-        set_gauge(
-            "promotion.loads_inserted",
-            sum(r.loads_inserted for r in result.promotion_reports.values()),
-        )
-        set_gauge(
-            "promotion.stores_inserted",
-            sum(r.stores_inserted for r in result.promotion_reports.values()),
+        reports = result.promotion_reports.values()
+        promoted = set().union(*(r.promoted_tags for r in reports))
+        rewritten = sum(r.references_rewritten for r in reports)
+        metrics["promotion.tags_promoted"] = len(promoted)
+        metrics["promotion.refs_rewritten"] = rewritten
+        metrics["promotion.loads_inserted"] = sum(r.loads_inserted for r in reports)
+        metrics["promotion.stores_inserted"] = sum(
+            r.stores_inserted for r in reports
         )
         _log.info(
             "%s: promoted %d tag(s), rewrote %d reference(s)",
-            module.name,
-            len(promoted),
-            sum(r.references_rewritten for r in result.promotion_reports.values()),
+            module.name, len(promoted), rewritten,
         )
     if options.pointer_promotion:
-        set_gauge(
-            "pointer_promotion.promoted_bases",
-            sum(
-                r.promoted_bases
-                for r in result.pointer_promotion_reports.values()
-            ),
+        metrics["pointer_promotion.promoted_bases"] = sum(
+            r.promoted_bases for r in result.pointer_promotion_reports.values()
         )
-    if options.optimize:
-        inc_metric("licm.hoisted", totals.get("licm.hoisted", 0))
-        inc_metric("licm.loads_hoisted", totals.get("licm.loads_hoisted", 0))
-        inc_metric(
-            "pre.expressions_removed", totals.get("pre.expressions_removed", 0)
-        )
-        inc_metric("pre.loads_removed", totals.get("pre.loads_removed", 0))
-        inc_metric(
-            "valuenum.loads_removed", totals.get("valuenum.loads_removed", 0)
-        )
+    # the summed licm/pre/valuenum statistics, recorded only under
+    # ``optimize``
+    metrics.update(totals)
+    return metrics
 
 
 def compile_module(
@@ -363,11 +352,6 @@ def compile_module(
             refined = refine_memory_ops(module, result.modref.sccs)
     else:
         refined = None
-    if refined is not None:
-        set_gauge(
-            "tagrefine.strengthened",
-            refined.loads_strengthened + refined.stores_strengthened,
-        )
     if options.verify_each_stage:
         verify_module(module)
     if stage_hook is not None:
@@ -415,7 +399,7 @@ def compile_module(
         for metric, value in record.stats.items():
             totals[metric] = totals.get(metric, 0) + value
 
-    _emit_pass_metrics(module, result, options, totals)
+    result.metrics = _compile_metrics(module, result, refined, totals)
     with _pass_span("verify"):
         verify_module(module)
     if stage_hook is not None:
@@ -463,8 +447,8 @@ class ExperimentCell:
     seconds: float = 0.0
     from_cache: bool = False
     trace_events: list[dict] = field(default_factory=list)
-    #: metrics the passes and interpreter published while this cell ran
-    #: (see :mod:`repro.diag.metrics`) — the drift gate's raw material
+    #: the compile's metrics plus the interpreter's ``interp.*`` counts,
+    #: sorted by name — the drift gate's raw material
     metrics: dict[str, float] = field(default_factory=dict)
 
     ok = True
@@ -511,16 +495,19 @@ def run_compiled(
         "execute", variant=options.variant_name(), engine=machine_options.engine
     ):
         run: RunResult = run_module(compiled.module, options=machine_options)
-    # the interpreter's contribution to the cell's metrics snapshot
-    set_gauge("interp.total_ops", run.counters.total_ops)
-    set_gauge("interp.loads", run.counters.loads)
-    set_gauge("interp.stores", run.counters.stores)
+    metrics = {
+        **compiled.metrics,
+        "interp.total_ops": run.counters.total_ops,
+        "interp.loads": run.counters.loads,
+        "interp.stores": run.counters.stores,
+    }
     return ExperimentCell(
         variant=options.variant_name(),
         counters=run.counters,
         exit_code=run.exit_code,
         output=run.output,
         compile_result=compiled,
+        metrics=dict(sorted(metrics.items())),
     )
 
 

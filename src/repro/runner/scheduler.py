@@ -28,7 +28,6 @@ from typing import Callable, Union
 
 from ..diag.ledger import decision_ledger
 from ..diag.log import get_logger
-from ..diag.metrics import metrics_session
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
 from ..pipeline import (
@@ -111,8 +110,8 @@ def execute_cell(
     :class:`CompileResult`.  ``compile_cache`` (keyed by
     :func:`compile_memo_key`) lets cells that differ only in
     :class:`MachineOptions` — the fuzz oracle's engine pairs — share one
-    compilation; running never mutates the module, and the compile-time
-    metrics land only in the first sharing cell's snapshot.
+    compilation; running never mutates the module, and every sharing
+    cell carries the compile's metrics.
 
     ``trace_ctx`` joins this cell to a distributed trace: spans carry its
     trace id, are parented under its ``parent_id``, and come back in
@@ -120,20 +119,19 @@ def execute_cell(
     ``collect_trace``.
     """
     started = time.perf_counter()
-    with metrics_session() as registry:
-        if collect_trace or trace_ctx is not None:
-            # a live ledger makes _pass_span tag each pass span with
-            # its decision count
-            with tracing(
-                f"{spec.workload}:{spec.variant}",
-                context=trace_ctx,
-                worker=trace_worker or f"pid{os.getpid()}",
-            ) as trace, decision_ledger():
-                cell = _compile_and_run(spec, compile_cache, fn_store)
-            events = [event.as_dict() for event in trace.events]
-        else:
+    if collect_trace or trace_ctx is not None:
+        # a live ledger makes _pass_span tag each pass span with its
+        # decision count
+        with tracing(
+            f"{spec.workload}:{spec.variant}",
+            context=trace_ctx,
+            worker=trace_worker or f"pid{os.getpid()}",
+        ) as trace, decision_ledger():
             cell = _compile_and_run(spec, compile_cache, fn_store)
-            events = []
+        events = [event.as_dict() for event in trace.events]
+    else:
+        cell = _compile_and_run(spec, compile_cache, fn_store)
+        events = []
     _log.debug(
         "cell %s[%s] done in %.3fs", spec.workload, spec.variant,
         time.perf_counter() - started,
@@ -142,7 +140,6 @@ def execute_cell(
     cell.variant = spec.variant
     cell.seconds = time.perf_counter() - started
     cell.trace_events = events
-    cell.metrics = registry.as_dict()
     if not keep_compile_result:
         cell.compile_result = None
     return cell

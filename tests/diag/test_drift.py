@@ -75,6 +75,24 @@ class TestCompareCells:
         assert drift.kind == "missing-cell"
         assert regressions(drifts) == drifts
 
+    @pytest.mark.parametrize(
+        "metric", ["total_ops", "promotion.tags_promoted"]
+    )
+    def test_missing_gated_metric_fails_the_gate(self, metric):
+        current = snapshot()
+        del current[CELL][metric]
+        drifts = compare_cells(snapshot(), current)
+        [drift] = drifts
+        assert drift.kind == "missing-metric"
+        assert drift.metric == metric
+        assert regressions(drifts) == drifts
+        assert "missing from this run" in format_drift_report(drifts, 0.0)
+
+    def test_missing_ungated_metric_is_not_gated(self):
+        current = snapshot()
+        del current[CELL]["licm.hoisted"]
+        assert compare_cells(snapshot(), current) == []
+
     def test_new_cell_is_reported_but_not_gated(self):
         current = dict(snapshot(), **{"other/modref/promo": {"total_ops": 1.0}})
         kinds = {d.kind for d in compare_cells(snapshot(), current)}
@@ -98,6 +116,19 @@ class TestBaselineFile:
         path.write_text(json.dumps({"schema": 999, "cells": {}}))
         with pytest.raises(ReproError, match="schema"):
             load_baseline(path)
+
+    @pytest.mark.parametrize(
+        "metrics", [5, ["total_ops"], {"total_ops": "5"}, {"loads": None}]
+    )
+    def test_cell_that_is_not_a_metrics_map_rejected(self, tmp_path, metrics):
+        path = tmp_path / "baseline.json"
+        cells = {"dhrystone/modref/nopromo": {"total_ops": 1},
+                 "dhrystone/modref/promo": metrics}
+        path.write_text(json.dumps({"schema": 1, "cells": cells}))
+        with pytest.raises(ReproError) as error:
+            load_baseline(path)
+        assert str(path) in str(error.value)
+        assert "dhrystone/modref/promo" in str(error.value)
 
 
 class TestFormatting:
@@ -138,6 +169,23 @@ class TestDriftCommand:
         for metrics in cells.values():
             assert metrics["total_ops"] > 0
             assert "interp.loads" in metrics
+
+    def test_partial_update_keeps_other_programs(self, baselined, capsys):
+        baseline, flags = baselined
+        payload = json.loads(baseline.read_text())
+        other = {"total_ops": 1.0, "loads": 1.0, "stores": 1.0}
+        payload["cells"]["elsewhere/modref/promo"] = other
+        payload["cells"]["allroots/modref/promo"]["total_ops"] -= 10
+        payload["cells"]["allroots/gone/promo"] = other
+        baseline.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["drift", str(baseline), "--update"] + flags) == 0
+        assert "(4 of 5 cells)" in capsys.readouterr().out
+        cells = load_baseline(baseline)
+        assert cells["elsewhere/modref/promo"] == other
+        assert "allroots/gone/promo" not in cells
+        assert len(cells) == 5
+        assert main(["drift", str(baseline)] + flags) == 0
 
     def test_clean_rerun_passes(self, baselined, capsys):
         baseline, flags = baselined

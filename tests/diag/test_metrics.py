@@ -1,5 +1,5 @@
-"""The metrics registry, its latency histograms, its pipeline
-integration, and logging setup."""
+"""The metrics registry, its latency histograms, the metrics the pipeline
+returns with each cell, and logging setup."""
 
 import logging
 
@@ -8,11 +8,7 @@ from repro.diag.metrics import (
     BUCKET_BOUNDS,
     LatencyHistogram,
     MetricsRegistry,
-    current_registry,
-    inc_metric,
-    metrics_session,
     nearest_rank,
-    set_gauge,
 )
 from repro.pipeline import PipelineOptions, compile_and_run
 
@@ -36,22 +32,6 @@ class TestRegistry:
         registry.inc("b")
         registry.inc("a")
         assert list(registry.as_dict()) == ["a", "b"]
-
-    def test_helpers_are_noops_without_session(self):
-        assert current_registry() is None
-        inc_metric("x")
-        set_gauge("y", 1)
-        assert current_registry() is None
-
-    def test_sessions_nest_and_restore(self):
-        with metrics_session() as outer:
-            inc_metric("n")
-            with metrics_session() as inner:
-                inc_metric("n", 10)
-            assert current_registry() is outer
-            assert inner.get("n") == 10
-        assert current_registry() is None
-        assert outer.get("n") == 1
 
 
 class TestLatencyHistogram:
@@ -151,18 +131,28 @@ class TestNearestRank:
 
 class TestPipelinePublishes:
     def test_compile_and_run_publishes_cell_metrics(self):
-        with metrics_session() as registry:
-            compile_and_run(GOOD_SOURCE, PipelineOptions())
-        values = registry.as_dict()
+        values = compile_and_run(GOOD_SOURCE, PipelineOptions()).metrics
         assert values["interp.total_ops"] > 0
         assert values["interp.loads"] >= 0
         assert values["promotion.tags_promoted"] >= 1  # `total` promotes
         assert "licm.hoisted" in values
+        assert list(values) == sorted(values)
 
     def test_promotion_disabled_publishes_no_promotion_gauges(self):
-        with metrics_session() as registry:
-            compile_and_run(GOOD_SOURCE, PipelineOptions(promotion=False))
-        assert "promotion.tags_promoted" not in registry.as_dict()
+        cell = compile_and_run(GOOD_SOURCE, PipelineOptions(promotion=False))
+        assert "promotion.tags_promoted" not in cell.metrics
+        assert "promotion.tags_promoted" not in cell.compile_result.metrics
+
+    def test_compile_metrics_exclude_the_interpreter(self):
+        cell = compile_and_run(GOOD_SOURCE, PipelineOptions())
+        compiled = cell.compile_result.metrics
+        assert not any(name.startswith("interp.") for name in compiled)
+        assert cell.metrics == {
+            **compiled,
+            "interp.total_ops": cell.counters.total_ops,
+            "interp.loads": cell.counters.loads,
+            "interp.stores": cell.counters.stores,
+        }
 
 
 class TestLogging:

@@ -5,14 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro.inccomp.store import FunctionStore
 from repro.pipeline import ExperimentCell
 from repro.runner import scheduler
-from repro.runner.report import run_suite_report
-from repro.runner.scheduler import CellFailure, run_cells
+from repro.runner.report import build_suite_specs, run_suite_report
+from repro.runner.scheduler import CellFailure, execute_cell, run_cells
+from repro.workloads import get_workload
 
 from tests.runner.helpers import (
     CRASH_SOURCE,
@@ -74,6 +77,59 @@ class TestInline:
         clone = ExperimentCell.from_cache_payload(spec, data.cache_payload())
         assert clone.metrics == data.metrics
         assert clone.from_cache
+
+
+class TestCellMetrics:
+    """A cell's metrics are equal however its module was compiled."""
+
+    #: what a fresh dhrystone ``modref/promo`` cell carries
+    NAMES = {
+        "interp.loads", "interp.stores", "interp.total_ops",
+        "licm.hoisted", "licm.loads_hoisted",
+        "pre.expressions_removed", "pre.loads_removed",
+        "promotion.loads_inserted", "promotion.refs_rewritten",
+        "promotion.stores_inserted", "promotion.tags_promoted",
+        "tagrefine.strengthened", "valuenum.loads_removed",
+    }
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        [spec] = [
+            spec
+            for spec in build_suite_specs([get_workload("dhrystone")])
+            if spec.variant == "modref/promo"
+        ]
+        return spec
+
+    @pytest.fixture(scope="class")
+    def fresh(self, spec):
+        return execute_cell(spec).metrics
+
+    def test_fresh_cell_carries_every_metric(self, fresh):
+        assert set(fresh) == self.NAMES
+        assert list(fresh) == sorted(fresh)
+
+    def test_shared_compile(self, spec, fresh):
+        memo = {}
+        first = execute_cell(spec, compile_cache=memo)
+        profiled = replace(spec, machine=replace(spec.machine, profile=True))
+        second = execute_cell(profiled, compile_cache=memo)
+        assert len(memo) == 1
+        assert first.metrics == second.metrics == fresh
+
+    def test_warm_function_store(self, spec, fresh):
+        store = FunctionStore(None)
+        execute_cell(spec, fn_store=store)
+        warm = execute_cell(spec, fn_store=store, keep_compile_result=True)
+        assert warm.compile_result.fn_cache_misses == 0
+        assert warm.compile_result.fn_cache_hits > 0
+        assert warm.metrics == fresh
+
+    def test_pooled(self, spec, fresh):
+        # three cells on two workers: one worker shares its compile
+        specs = [replace(spec, variant=f"copy{index}") for index in range(3)]
+        outcomes = run_cells(specs, jobs=2, compile_cache={})
+        assert [outcomes[s.key].metrics for s in specs] == [fresh] * 3
 
 
 class TestPooled:
