@@ -12,9 +12,12 @@ Public API, top to bottom:
 * :func:`repro.runner.run_suite_report` / :func:`repro.harness.format_figure`
   — run the matrix over the 14-program suite (parallel, cached,
   instrumented; see docs/RUNNER.md) and regenerate the paper's tables;
-* ``ExperimentCell.metrics`` — a cell's metrics as a plain dict:
-  ``CompileResult.metrics`` (promotion yields, pass statistics) plus
-  the interpreter's ``interp.*`` counts, what ``repro drift`` gates;
+* ``ExperimentCell.metrics`` — a cell's metrics as a plain dict,
+  ``CompileResult.metrics`` (promotion yields, pass statistics); with
+  the cell's ``counters`` it is what ``repro drift`` gates;
+* ``CompileResult.decisions`` — every pass's decision rows (why a tag
+  was promoted or blocked, what LICM hoisted), what ``repro explain``
+  filters;
 * :class:`repro.diag.metrics.MetricsRegistry` — the server's counter,
   gauge and latency-histogram registry;
 * :mod:`repro.opt.promotion` — the promotion algorithm itself, usable on

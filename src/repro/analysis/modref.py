@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..diag import ledger as diag_ledger
+from ..diag.ledger import Decision, trim_tag_names
 from ..intrinsics import is_intrinsic
 from ..ir.instructions import Call, CLoad, MemLoad, MemStore, ScalarLoad, ScalarStore
 from ..ir.module import Module
@@ -51,6 +51,9 @@ class ModRefResult:
     visible: dict[str, frozenset[Tag]] = field(default_factory=dict)
     call_graph: CallGraph | None = None
     sccs: SCCInfo | None = None
+    #: one ``summarized`` row per function: the MOD/REF provenance every
+    #: caller's ``ambiguous-via-call`` promotion decision traces back to
+    decisions: list[Decision] = field(default_factory=list)
 
 
 def run_modref(module: Module, apply_to_ir: bool = True) -> ModRefResult:
@@ -68,25 +71,23 @@ def run_modref(module: Module, apply_to_ir: bool = True) -> ModRefResult:
     if apply_to_ir:
         _limit_calls(module, graph, summaries, visible)
 
-    if diag_ledger.current_ledger() is not None:
-        # summary provenance: the MOD/REF sets every caller's ledger
-        # decisions (ambiguous-via-call) trace back to
-        for name in sorted(summaries):
-            summary = summaries[name]
-            diag_ledger.record(
-                "modref", name, "summarized",
-                detail={
-                    "mod": diag_ledger.trim_tag_names(summary.mod),
-                    "ref": diag_ledger.trim_tag_names(summary.ref),
-                    "recursive": sccs.is_recursive(name),
-                },
-            )
-
+    decisions = [
+        Decision(
+            "modref", name, "summarized",
+            detail={
+                "mod": trim_tag_names(summaries[name].mod),
+                "ref": trim_tag_names(summaries[name].ref),
+                "recursive": sccs.is_recursive(name),
+            },
+        )
+        for name in sorted(summaries)
+    ]
     return ModRefResult(
         summaries=summaries,
         visible=visible,
         call_graph=graph,
         sccs=sccs,
+        decisions=decisions,
     )
 
 

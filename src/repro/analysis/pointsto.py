@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from ..diag.ledger import Decision
 from ..intrinsics import ALLOCATORS, is_intrinsic
 from ..ir.instructions import (
     BinOp,
@@ -242,16 +243,19 @@ def apply_points_to(
     module: Module,
     result: PointsToResult,
     fallback_visible: dict[str, frozenset[Tag]],
-) -> None:
+) -> list[Decision]:
     """Rewrite pointer-based operations' tag sets from the solution.
 
     An empty points-to set means the analysis saw no address flow to the
     register (e.g. an integer reinterpreted as a pointer would); we fall
     back to the MOD/REF visible universe rather than claim the operation
     touches nothing.
-    """
-    from ..diag import ledger as diag_ledger
 
+    Returns one ``refined`` row per function whose operations changed:
+    provenance for the sharper tag sets the promotion decisions cite
+    under the pointer analysis.
+    """
+    decisions: list[Decision] = []
     for func in module.functions.values():
         universe = fallback_visible.get(func.name, frozenset())
         refined = fell_back = 0
@@ -268,10 +272,11 @@ def apply_points_to(
                     elif instr.tags.universal:
                         instr.tags = TagSet.from_iterable(universe)
                         fell_back = fell_back + 1
-        if (refined or fell_back) and diag_ledger.current_ledger() is not None:
-            # provenance for the sharper tag sets the promotion ledger
-            # decisions will cite under the pointer analysis
-            diag_ledger.record(
-                "points_to", func.name, "refined",
-                detail={"ops_refined": refined, "ops_fallback": fell_back},
+        if refined or fell_back:
+            decisions.append(
+                Decision(
+                    "points_to", func.name, "refined",
+                    detail={"ops_refined": refined, "ops_fallback": fell_back},
+                )
             )
+    return decisions

@@ -21,9 +21,9 @@ cell:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..diag import ledger as diag_ledger
+from ..diag.ledger import Decision
 from ..ir.instructions import MemLoad, MemStore, ScalarLoad, ScalarStore
 from ..ir.module import Module
 from ..ir.tags import TagKind
@@ -34,6 +34,8 @@ from .callgraph import SCCInfo
 class RefineStats:
     loads_strengthened: int = 0
     stores_strengthened: int = 0
+    #: one ``strengthened`` row per rewritten operation
+    decisions: list[Decision] = field(default_factory=list)
 
 
 def refine_memory_ops(module: Module, sccs: SCCInfo) -> RefineStats:
@@ -63,8 +65,10 @@ def refine_memory_ops(module: Module, sccs: SCCInfo) -> RefineStats:
                         block.instrs[idx] = ScalarStore(instr.src, tag)
                         stats.stores_strengthened += 1
                         op = "store"
-                    diag_ledger.record(
-                        "tagrefine", func.name, "strengthened",
-                        tag=tag.name, detail={"op": op},
+                    stats.decisions.append(
+                        Decision(
+                            "tagrefine", func.name, "strengthened",
+                            tag=tag.name, detail={"op": op},
+                        )
                     )
     return stats

@@ -11,7 +11,7 @@ Commands
     the comparison table plus a per-variant promotion summary
     (``--profile`` adds per-loop before/after memory-traffic tables).
 ``explain FILE.c``
-    Compile once under the decision ledger and print why each pass did or
+    Compile once and print its decision rows: why each pass did or
     refused to do something — e.g. which call or pointer operation blocked
     a tag's promotion (filter with ``--tag``/``--loop``/``--pass``).
 ``ir FILE.c``
@@ -243,12 +243,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from .diag.ledger import decision_ledger, format_decision_table
+    from .diag.ledger import decisions_jsonl, filter_decisions, format_decision_table
 
     source = Path(args.file).read_text()
-    with decision_ledger() as ledger:
-        compile_source(source, _pipeline_options(args), name=Path(args.file).stem)
-    decisions = ledger.query(
+    compiled = compile_source(
+        source, _pipeline_options(args), name=Path(args.file).stem
+    )
+    decisions = filter_decisions(
+        compiled.decisions,
         pass_name=args.pass_name,
         function=args.function,
         loop=args.loop,
@@ -257,7 +259,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     if args.json:
         if decisions:
-            print(ledger.jsonl(decisions))
+            print(decisions_jsonl(decisions))
     else:
         print(format_decision_table(decisions))
     return 0

@@ -1,4 +1,4 @@
-"""Observability for the compiler: decision ledger, per-loop dynamic
+"""Observability for the compiler: decision rows, per-loop dynamic
 profiling, metrics registry, and the cross-PR drift gate.
 
 The paper's evaluation (section 5) is an observability story — dynamic
@@ -6,9 +6,10 @@ operation/load/store counts explain *where* promotion pays off and *why*
 points-to beats MOD/REF.  This package makes the same questions answerable
 about our own pipeline:
 
-* :mod:`repro.diag.ledger` — every optimization pass emits structured
-  :class:`Decision` records ("tag ``x`` was blocked in loop ``L2`` by the
-  MOD set of callee ``f``"), queryable via ``repro explain``;
+* :mod:`repro.diag.ledger` — every optimization pass returns structured
+  :class:`Decision` rows ("tag ``x`` was blocked in loop ``L2`` by the
+  MOD set of callee ``f``"), which every compile gathers into
+  ``CompileResult.decisions``, queryable via ``repro explain``;
 * :mod:`repro.diag.profile` — fold the interpreter's per-block execution
   counts up through the loop forest into a hot-loop table
   (``repro run --profile`` / ``repro compare --profile``);
@@ -25,11 +26,9 @@ about our own pipeline:
 from .host import host_metadata
 from .ledger import (
     Decision,
-    DecisionLedger,
-    current_ledger,
-    decision_ledger,
+    decisions_jsonl,
+    filter_decisions,
     format_decision_table,
-    record,
 )
 from .log import get_logger, setup_logging
 from .metrics import MetricsRegistry
@@ -37,16 +36,14 @@ from .profile import LoopProfileRow, format_profile, profile_loops
 
 __all__ = [
     "Decision",
-    "DecisionLedger",
     "LoopProfileRow",
     "MetricsRegistry",
-    "current_ledger",
-    "decision_ledger",
+    "decisions_jsonl",
+    "filter_decisions",
     "format_decision_table",
     "format_profile",
     "get_logger",
     "host_metadata",
     "profile_loops",
-    "record",
     "setup_logging",
 ]

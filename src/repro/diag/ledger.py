@@ -10,27 +10,26 @@ the memory operation's tag set, ``not-scalar``, ``not-referenced``, or
 the paper's section 5 question "why does points-to promote tags MOD/REF
 cannot?" about a concrete program.
 
-The ledger follows the same zero-cost-when-off pattern as
-:mod:`repro.trace`: passes call :func:`record`, which is a
-no-op unless a :func:`decision_ledger` context is active.  ``repro
-explain FILE`` installs a ledger around one compilation and renders the
-result as a table or JSONL.
+Decisions are values: each pass returns its rows on the report or
+stats object it already hands back, and
+:func:`repro.pipeline.compile_module` gathers them, in pass order, into
+``CompileResult.decisions`` — the same rows whether a function was
+optimized fresh or replayed from a ``FunctionStore``.  ``repro explain
+FILE`` filters one compilation's rows (:func:`filter_decisions`) and
+renders them as a table or JSONL.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = [
     "Decision",
-    "DecisionLedger",
-    "current_ledger",
-    "decision_ledger",
+    "decisions_jsonl",
+    "filter_decisions",
     "format_decision_table",
-    "record",
+    "trim_tag_names",
 ]
 
 #: cap on how many tag names a decision detail spells out verbatim
@@ -54,6 +53,18 @@ class Decision:
     tag: str | None = None
     reason: str | None = None
     detail: dict = field(default_factory=dict)
+
+    def __reduce__(self):
+        # every FunctionRecord pickles its function's rows: positional
+        # fields make a pickle about 30% smaller, and about twice as fast
+        # to load, than the default instance-dict state
+        return (
+            Decision,
+            (
+                self.pass_name, self.function, self.action,
+                self.loop, self.tag, self.reason, self.detail,
+            ),
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -88,88 +99,32 @@ class Decision:
         return "; ".join(parts)
 
 
-class DecisionLedger:
-    """An append-only collection of decisions with simple querying."""
-
-    def __init__(self) -> None:
-        self.decisions: list[Decision] = []
-
-    def record(self, decision: Decision) -> None:
-        self.decisions.append(decision)
-
-    def query(
-        self,
-        pass_name: str | None = None,
-        function: str | None = None,
-        loop: str | None = None,
-        tag: str | None = None,
-        action: str | None = None,
-    ) -> list[Decision]:
-        out = self.decisions
-        if pass_name is not None:
-            out = [d for d in out if d.pass_name == pass_name]
-        if function is not None:
-            out = [d for d in out if d.function == function]
-        if loop is not None:
-            out = [d for d in out if d.loop == loop]
-        if tag is not None:
-            out = [d for d in out if d.tag == tag]
-        if action is not None:
-            out = [d for d in out if d.action == action]
-        return list(out)
-
-    def jsonl(self, decisions: list[Decision] | None = None) -> str:
-        rows = self.decisions if decisions is None else decisions
-        return "\n".join(json.dumps(d.as_dict(), sort_keys=True) for d in rows)
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-
-_CURRENT: DecisionLedger | None = None
-
-
-def current_ledger() -> DecisionLedger | None:
-    return _CURRENT
-
-
-@contextmanager
-def decision_ledger() -> Iterator[DecisionLedger]:
-    """Install a fresh ledger as the current one for the duration."""
-    global _CURRENT
-    previous = _CURRENT
-    ledger = DecisionLedger()
-    _CURRENT = ledger
-    try:
-        yield ledger
-    finally:
-        _CURRENT = previous
-
-
-def record(
-    pass_name: str,
-    function: str,
-    action: str,
+def filter_decisions(
+    decisions: list[Decision],
+    pass_name: str | None = None,
+    function: str | None = None,
     loop: str | None = None,
     tag: str | None = None,
-    reason: str | None = None,
-    detail: dict | None = None,
-) -> None:
-    """Record a decision on the active ledger; free no-op when none is."""
-    ledger = _CURRENT
-    if ledger is None:
-        return
-    ledger.record(
-        Decision(
-            pass_name=pass_name,
-            function=function,
-            action=action,
-            loop=loop,
-            tag=tag,
-            reason=reason,
-            detail=detail or {},
-        )
-    )
+    action: str | None = None,
+) -> list[Decision]:
+    """The rows of ``decisions`` matching every given field, in order."""
+    wanted = {
+        "pass_name": pass_name,
+        "function": function,
+        "loop": loop,
+        "tag": tag,
+        "action": action,
+    }
+    wanted = {name: value for name, value in wanted.items() if value is not None}
+    return [
+        d for d in decisions
+        if all(getattr(d, name) == value for name, value in wanted.items())
+    ]
+
+
+def decisions_jsonl(decisions: list[Decision]) -> str:
+    """One sorted-key JSON object per row (``repro explain --json``)."""
+    return "\n".join(json.dumps(d.as_dict(), sort_keys=True) for d in decisions)
 
 
 def trim_tag_names(tags, limit: int = MAX_DETAIL_TAGS) -> list[str]:

@@ -23,9 +23,8 @@ key is a SHA-256 over all of them:
 4. **The compiler's own source fingerprint**, so editing any pass
    invalidates every cached body.
 
-Compilations running under a decision ledger additionally key on
-``ledgered=True``: they observe (and must replay) per-pass decisions, so
-they get their own namespace rather than polluting plain compiles.
+Every record carries its function's decision rows, so one key serves
+every compile, ``repro explain`` included.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ __all__ = [
 
 #: bump when the stored :class:`~repro.inccomp.store.FunctionRecord`
 #: payload or the meaning of any key component changes
-FN_SCHEMA_VERSION = 1
+FN_SCHEMA_VERSION = 2
 
 
 def _tag_attrs(tag) -> list:
@@ -121,7 +120,6 @@ def function_key(
     fn_digest: str,
     env_digest: str,
     opts_digest: str,
-    ledgered: bool,
 ) -> str:
     """The content address of one function's optimized body."""
     return canonical_digest(
@@ -131,6 +129,5 @@ def function_key(
             "fn": fn_digest,
             "env": env_digest,
             "options": opts_digest,
-            "ledgered": ledgered,
         }
     )

@@ -4,7 +4,7 @@ of :class:`FunctionRecord` pickles (``<root>/<2 hex>/<key>.pkl``).
 A record is the optimized :class:`~repro.ir.function.Function` plus
 everything the pipeline must replay to stay observably identical to a
 from-scratch compile: pass reports, additive pass-stat contributions,
-and the decision-ledger rows the function's passes recorded.  The
+and the decision rows the function's passes returned.  The
 memory layer unpickles on every hit, so a spliced function is never
 shared between two modules.  ``root=None`` is memory-only.
 """
@@ -37,8 +37,7 @@ class FunctionRecord:
     regalloc: object | None = None
     #: additive metric contributions (``licm.hoisted`` etc.)
     stats: dict[str, float] = field(default_factory=dict)
-    #: ledger rows recorded while this function's passes ran (only
-    #: populated for ``ledgered=True`` keys)
+    #: the decision rows this function's passes returned, in pass order
     decisions: list["Decision"] = field(default_factory=list)
     #: wall seconds the original optimization took (reporting only)
     seconds: float = 0.0

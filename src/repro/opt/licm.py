@@ -25,10 +25,10 @@ registers in the landing pad, where the promoter can find them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..analysis.loops import Loop, LoopForest, normalize_loops
-from ..diag import ledger as diag_ledger
+from ..diag.ledger import Decision
 from ..ir.function import Function
 from ..ir.instructions import (
     MEMORY_LOADS,
@@ -54,6 +54,8 @@ from ..ir.tags import Tag, TagSet
 class LICMStats:
     hoisted: int = 0
     loads_hoisted: int = 0
+    #: one ``hoisted`` row per moved instruction
+    decisions: list[Decision] = field(default_factory=list)
 
 
 @dataclass
@@ -107,6 +109,7 @@ def run_licm_module(module: Module) -> LICMStats:
         stats = run_licm(func, normalize_loops(func))
         total.hoisted += stats.hoisted
         total.loads_hoisted += stats.loads_hoisted
+        total.decisions += stats.decisions
     return total
 
 
@@ -160,11 +163,13 @@ def _hoist_from_loop(
                     stats.hoisted += 1
                     if isinstance(instr, MEMORY_LOADS):
                         stats.loads_hoisted += 1
-                    diag_ledger.record(
-                        "licm", func.name, "hoisted", loop=loop.header,
-                        tag=getattr(instr, "tag", None)
-                        and str(instr.tag),  # type: ignore[attr-defined]
-                        detail={"opcode": instr.opcode.value, "from": label},
+                    stats.decisions.append(
+                        Decision(
+                            "licm", func.name, "hoisted", loop=loop.header,
+                            tag=getattr(instr, "tag", None)
+                            and str(instr.tag),  # type: ignore[attr-defined]
+                            detail={"opcode": instr.opcode.value, "from": label},
+                        )
                     )
                     changed = True
                 else:

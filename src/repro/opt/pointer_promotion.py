@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.loops import LoopForest, normalize_loops
-from ..diag import ledger as diag_ledger
+from ..diag.ledger import Decision, trim_tag_names
 from ..ir.function import Function
 from ..ir.instructions import (
     Call,
@@ -55,6 +55,9 @@ class PointerPromotionReport:
     stores_inserted: int = 0
     #: (loop header, base register) pairs that were promoted
     sites: list[tuple[str, VReg]] = field(default_factory=list)
+    #: one row per (loop, base register) group: ``promoted``, or
+    #: ``blocked`` with the reason
+    decisions: list[Decision] = field(default_factory=list)
 
 
 def promote_pointers_function(
@@ -130,14 +133,14 @@ def _promote_in_loop(
 
     def decide(base_reg: VReg, action: str, reason: str | None = None,
                tags: TagSet | None = None) -> None:
-        if diag_ledger.current_ledger() is None:
-            return
         detail = {"base": str(base_reg)}
         if tags is not None and not tags.universal:
-            detail["tags"] = ",".join(diag_ledger.trim_tag_names(tags))
-        diag_ledger.record(
-            "pointer_promotion", func.name, action,
-            loop=loop.header, reason=reason, detail=detail,
+            detail["tags"] = ",".join(trim_tag_names(tags))
+        report.decisions.append(
+            Decision(
+                "pointer_promotion", func.name, action,
+                loop=loop.header, reason=reason, detail=detail,
+            )
         )
 
     for base_id, sites in sorted(groups.items()):

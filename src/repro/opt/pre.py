@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..diag.ledger import Decision
 from ..ir.cfg import predecessors, reverse_postorder
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -97,19 +98,18 @@ def run_pre(func: Function) -> PREStats:
     return stats
 
 
-def record_pre_decision(func_name: str, stats: PREStats) -> None:
-    """Ledger one function's PRE outcome (no-op if nothing happened or
-    no ledger is active)."""
-    from ..diag import ledger as diag_ledger
-
-    if stats.expressions_removed:
-        diag_ledger.record(
-            "pre", func_name, "applied",
-            detail={
-                "expressions_removed": stats.expressions_removed,
-                "loads_removed": stats.loads_removed,
-            },
-        )
+def pre_decision(func_name: str, stats: PREStats) -> Decision | None:
+    """One function's PRE outcome as a decision row; ``None`` when
+    nothing was removed."""
+    if not stats.expressions_removed:
+        return None
+    return Decision(
+        "pre", func_name, "applied",
+        detail={
+            "expressions_removed": stats.expressions_removed,
+            "loads_removed": stats.loads_removed,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

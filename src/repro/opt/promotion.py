@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..analysis.loops import Loop, LoopForest, normalize_loops
-from ..diag import ledger as diag_ledger
+from ..diag.ledger import Decision, trim_tag_names
 from ..ir.function import Function
 from ..ir.instructions import (
     Call,
@@ -77,6 +77,9 @@ class PromotionReport:
     references_rewritten: int = 0
     loads_inserted: int = 0
     stores_inserted: int = 0
+    #: one row per (loop, tag) pair: ``promoted``, or ``blocked`` with
+    #: the reason
+    decisions: list[Decision] = field(default_factory=list)
 
     def lifted_in(self, header: str) -> frozenset[Tag]:
         for loop in self.loops:
@@ -216,8 +219,7 @@ def promote_function(
     if options.pressure_budget is not None:
         _apply_pressure_plan(func, forest, sets, options)
 
-    if diag_ledger.current_ledger() is not None:
-        _record_decisions(func, forest, sets, universe)
+    report.decisions = _decisions(func, forest, sets, universe)
 
     for loop in forest.loops:
         report.loops.append(
@@ -335,63 +337,52 @@ def _apply_pressure_plan(
         )
 
 
-def _record_decisions(
+def _decisions(
     func: Function,
     forest: LoopForest,
     sets: dict[str, LoopSets],
     universe: frozenset[Tag],
-) -> None:
-    """Emit one ledger decision per (loop, tag) pair.
+) -> list[Decision]:
+    """One decision per (loop, tag) pair.
 
     A tag that is explicitly referenced in the loop is either ``promoted``
     or ``blocked`` with the precise reason; a tag only touched ambiguously
     has nothing to rewrite and is recorded as ``not-referenced``.  Blocker
-    provenance (which call, which pointer operation) is gathered lazily —
-    only when a ledger is active — so the promotion hot path never pays
-    for it.
+    provenance (which call, which pointer operation) is gathered once per
+    loop, and only for a loop where something is blocked by ambiguity.
     """
+    decisions: list[Decision] = []
     for loop in forest.loops_outermost_first():
         loop_sets = sets[loop.header]
         blockers = None  # computed once per loop, only if something is blocked
         for tag in sorted(
             loop_sets.explicit | loop_sets.ambiguous, key=lambda t: t.name
         ):
+            action, reason, detail = "blocked", None, {}
             if tag in loop_sets.promotable:
-                diag_ledger.record(
-                    "promotion", func.name, "promoted",
-                    loop=loop.header, tag=tag.name,
-                    detail={"lifted_here": tag in loop_sets.lift},
-                )
-                continue
-            if tag not in loop_sets.explicit:
-                diag_ledger.record(
-                    "promotion", func.name, "blocked",
-                    loop=loop.header, tag=tag.name, reason="not-referenced",
-                )
-                continue
-            if not tag.is_scalar:
-                diag_ledger.record(
-                    "promotion", func.name, "blocked",
-                    loop=loop.header, tag=tag.name, reason="not-scalar",
-                )
-                continue
-            if tag in loop_sets.ambiguous:
+                action = "promoted"
+                detail = {"lifted_here": tag in loop_sets.lift}
+            elif tag not in loop_sets.explicit:
+                reason = "not-referenced"
+            elif not tag.is_scalar:
+                reason = "not-scalar"
+            elif tag in loop_sets.ambiguous:
                 if blockers is None:
                     blockers = _ambiguity_blockers(func, loop, universe)
                 calls, pointer_ops = blockers.get(tag, ((), ()))
                 reason = "ambiguous-via-call" if calls else "ambiguous-via-pointer"
-                diag_ledger.record(
-                    "promotion", func.name, "blocked",
-                    loop=loop.header, tag=tag.name, reason=reason,
-                    detail={"calls": list(calls), "pointer_ops": list(pointer_ops)},
+                detail = {"calls": list(calls), "pointer_ops": list(pointer_ops)}
+            else:
+                # explicit, scalar, unambiguous, yet not promotable: the
+                # pressure throttle dropped it
+                reason = "pressure-throttled"
+            decisions.append(
+                Decision(
+                    "promotion", func.name, action,
+                    loop=loop.header, tag=tag.name, reason=reason, detail=detail,
                 )
-                continue
-            # explicit, scalar, unambiguous, yet not promotable: the
-            # pressure throttle dropped it
-            diag_ledger.record(
-                "promotion", func.name, "blocked",
-                loop=loop.header, tag=tag.name, reason="pressure-throttled",
             )
+    return decisions
 
 
 def _ambiguity_blockers(
@@ -410,26 +401,29 @@ def _ambiguity_blockers(
                 mod = _materialize(instr.mod, universe)
                 ref = _materialize(instr.ref, universe)
                 callee = instr.callee if instr.callee is not None else "<indirect>"
+                mod_names = trim_tag_names(mod)
+                ref_names = trim_tag_names(ref)
                 for tag in set(mod) | set(ref):
                     slot(tag)[0].append(
                         {
                             "callee": callee,
                             "in_mod": tag in mod,
                             "in_ref": tag in ref,
-                            "mod": diag_ledger.trim_tag_names(mod),
-                            "ref": diag_ledger.trim_tag_names(ref),
+                            "mod": mod_names,
+                            "ref": ref_names,
                             "block": label,
                         }
                     )
             elif isinstance(instr, (MemLoad, MemStore)):
                 tags = _materialize(instr.tags, universe)
                 op = "store" if isinstance(instr, MemStore) else "load"
+                names = trim_tag_names(tags)
                 for tag in tags:
                     slot(tag)[1].append(
                         {
                             "op": op,
                             "universal": bool(instr.tags.universal),
-                            "tags": diag_ledger.trim_tag_names(tags),
+                            "tags": names,
                             "block": label,
                         }
                     )

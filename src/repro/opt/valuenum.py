@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..diag.ledger import Decision
 from ..ir.function import Function
 from ..ir.instructions import (
     BinOp,
@@ -143,21 +144,20 @@ def run_value_numbering(func: Function) -> VNStats:
     return stats
 
 
-def record_vn_decision(func_name: str, stats: VNStats) -> None:
-    """Ledger one function's value-numbering outcome (no-op if nothing
-    happened or no ledger is active)."""
-    from ..diag import ledger as diag_ledger
-
-    if stats.constants_folded or stats.expressions_reused or stats.loads_removed:
-        diag_ledger.record(
-            "valuenum", func_name, "applied",
-            detail={
-                "constants_folded": stats.constants_folded,
-                "expressions_reused": stats.expressions_reused,
-                "loads_removed": stats.loads_removed,
-                "copies_propagated": stats.copies_propagated,
-            },
-        )
+def vn_decision(func_name: str, stats: VNStats) -> Decision | None:
+    """One function's value-numbering outcome as a decision row;
+    ``None`` when nothing was folded, reused or removed."""
+    if not (stats.constants_folded or stats.expressions_reused or stats.loads_removed):
+        return None
+    return Decision(
+        "valuenum", func_name, "applied",
+        detail={
+            "constants_folded": stats.constants_folded,
+            "expressions_reused": stats.expressions_reused,
+            "loads_removed": stats.loads_removed,
+            "copies_propagated": stats.copies_propagated,
+        },
+    )
 
 
 def run_value_numbering_module(module: Module) -> VNStats:
@@ -168,7 +168,6 @@ def run_value_numbering_module(module: Module) -> VNStats:
         total.expressions_reused += stats.expressions_reused
         total.loads_removed += stats.loads_removed
         total.copies_propagated += stats.copies_propagated
-        record_vn_decision(func.name, stats)
     return total
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
@@ -50,11 +51,11 @@ from .opt.constprop import run_sccp
 from .opt.dce import run_dce
 from .opt.licm import run_licm
 from .opt.pointer_promotion import PointerPromotionReport, promote_pointers_function
-from .opt.pre import record_pre_decision, run_pre
+from .opt.pre import pre_decision, run_pre
 from .opt.promotion import PromotionOptions, PromotionReport, promote_function
-from .opt.valuenum import record_vn_decision, run_value_numbering
+from .opt.valuenum import run_value_numbering, vn_decision
 from .regalloc import RegAllocOptions, RegAllocReport, allocate_function
-from .diag.ledger import DecisionLedger, current_ledger
+from .diag.ledger import Decision
 from .trace import current_trace, span
 
 
@@ -82,27 +83,28 @@ def _op_census(func: Function) -> tuple[int, dict[str, int]]:
 
 
 @contextmanager
-def _pass_span(name: str, func: Function | None = None):
+def _pass_span(
+    name: str, func: Function | None = None, rows: Sequence[Decision] = ()
+):
     """A pipeline-pass span; a free no-op while no trace is active.
 
-    A per-function pass span names its function and carries the
-    function's op census around the pass (``ops_before``, ``ops_after``,
-    ``ops_delta`` and the nonzero ``ops_by_class_delta``).  The census
-    walks run outside the span's clock.  While a decision ledger is
-    active, the span also carries how many ledger rows the pass recorded.
+    The pass appends its decision rows to ``rows``, and the span
+    carries how many it added (``decisions``).  A per-function pass span
+    also names its function and carries the function's op census around
+    the pass (``ops_before``, ``ops_after``, ``ops_delta`` and the
+    nonzero ``ops_by_class_delta``).  The census walks run outside the
+    span's clock.
     """
     trace = current_trace()
     if trace is None:
         yield
         return
-    ledger = current_ledger()
-    decisions_before = len(ledger.decisions) if ledger is not None else 0
+    decisions_before = len(rows)
     census = _op_census(func) if func is not None else None
     args = {} if func is None else {"function": func.name}
     with trace.span(name, **args) as extra:
         yield
-        if ledger is not None:
-            extra["decisions"] = len(ledger.decisions) - decisions_before
+        extra["decisions"] = len(rows) - decisions_before
     if census is None:
         return
     ops_before, classes_before = census
@@ -168,6 +170,9 @@ class CompileResult:
     #: the compile's share of every cell run from it: promotion yields,
     #: pass statistics and tag refinement, by metric name
     metrics: dict[str, int] = field(default_factory=dict)
+    #: every pass's decision rows, in pass order: the analyses', then
+    #: each function's, replayed from the store on a hit
+    decisions: list[Decision] = field(default_factory=list)
 
 
 def _worth_caching(options: PipelineOptions) -> bool:
@@ -178,20 +183,25 @@ def _worth_caching(options: PipelineOptions) -> bool:
     return options.optimize or options.promotion or options.pointer_promotion
 
 
+def _keep(rows: list[Decision], row: Decision | None) -> None:
+    if row is not None:
+        rows.append(row)
+
+
 def _optimize_function(
     func: Function,
     options: PipelineOptions,
     universe: frozenset,
-    ledger: DecisionLedger | None,
 ) -> FunctionRecord:
     """The per-function half of the pipeline: scalar optimizations,
     promotion, redundancy removal, and register allocation, mutating
     ``func`` in place.  Returns the :class:`FunctionRecord` capturing
-    everything a later cache hit must replay."""
+    everything a later cache hit must replay, its decision rows
+    included."""
     start = perf_counter()
-    decisions_before = len(ledger.decisions) if ledger is not None else 0
     name = func.name
     record = FunctionRecord(function=func)
+    rows = record.decisions
 
     def checkpoint() -> None:
         if options.verify_each_stage:
@@ -199,11 +209,11 @@ def _optimize_function(
 
     # -- early scalar optimizations ---------------------------------------
     if options.optimize:
-        with _pass_span("clean", func):
+        with _pass_span("clean", func, rows):
             clean_function(func)
-        with _pass_span("value_numbering", func):
-            record_vn_decision(name, run_value_numbering(func))
-        with _pass_span("sccp", func):
+        with _pass_span("value_numbering", func, rows):
+            _keep(rows, vn_decision(name, run_value_numbering(func)))
+        with _pass_span("sccp", func, rows):
             run_sccp(func)
     checkpoint()
 
@@ -211,55 +221,56 @@ def _optimize_function(
     # The loop passes below only insert non-terminator instructions into
     # existing blocks, so the one forest stays exact for all of them.
     if _worth_caching(options):
-        with _pass_span("loops", func):
+        with _pass_span("loops", func, rows):
             forest = normalize_loops(func)
         checkpoint()
 
     # -- register promotion (early, per section 3) -------------------------
     if options.promotion:
-        with _pass_span("promotion", func):
+        with _pass_span("promotion", func, rows):
             record.promotion = promote_function(
                 func, forest, universe, options.promotion_options
             )
+            rows += record.promotion.decisions
         checkpoint()
 
     # -- loop and straight-line redundancy removal -------------------------
     if options.optimize:
-        with _pass_span("licm", func):
+        with _pass_span("licm", func, rows):
             licm_stats = run_licm(func, forest)
+            rows += licm_stats.decisions
         record.stats["licm.hoisted"] = licm_stats.hoisted
         record.stats["licm.loads_hoisted"] = licm_stats.loads_hoisted
         checkpoint()
     if options.pointer_promotion:
-        with _pass_span("pointer_promotion", func):
+        with _pass_span("pointer_promotion", func, rows):
             record.pointer_promotion = promote_pointers_function(
                 func, forest, universe
             )
+            rows += record.pointer_promotion.decisions
         checkpoint()
     if options.optimize:
-        with _pass_span("pre", func):
+        with _pass_span("pre", func, rows):
             pre_stats = run_pre(func)
-            record_pre_decision(name, pre_stats)
+            _keep(rows, pre_decision(name, pre_stats))
         record.stats["pre.expressions_removed"] = pre_stats.expressions_removed
         record.stats["pre.loads_removed"] = pre_stats.loads_removed
-        with _pass_span("value_numbering", func):
+        with _pass_span("value_numbering", func, rows):
             vn_stats = run_value_numbering(func)
-            record_vn_decision(name, vn_stats)
+            _keep(rows, vn_decision(name, vn_stats))
         record.stats["valuenum.loads_removed"] = vn_stats.loads_removed
-        with _pass_span("dce", func):
+        with _pass_span("dce", func, rows):
             run_dce(func)
-        with _pass_span("clean", func):
+        with _pass_span("clean", func, rows):
             clean_function(func)
         checkpoint()
 
         # -- register allocation -------------------------------------------
-        with _pass_span("regalloc", func):
+        with _pass_span("regalloc", func, rows):
             record.regalloc = allocate_function(func, options.regalloc)
             run_dce(func)
             clean_function(func)
 
-    if ledger is not None:
-        record.decisions = list(ledger.decisions[decisions_before:])
     record.seconds = perf_counter() - start
     return record
 
@@ -319,7 +330,7 @@ def compile_module(
     whose key is already in the store is spliced in from cache instead of
     re-optimized.  Cached and fresh compilations are observably
     identical: byte-identical printed IR, equal pass reports, metrics,
-    and decision-ledger rows.
+    and decision rows.
 
     ``stage_hook(stage_name, module)`` is called at the whole-module
     stage boundaries — ``"analysis"`` (interprocedural facts applied,
@@ -329,29 +340,30 @@ def compile_module(
     """
     options = options or PipelineOptions()
     result = CompileResult(module=module, options=options)
+    decisions = result.decisions
 
     # -- interprocedural analysis -----------------------------------------
     _log.debug(
         "compiling %s with analysis=%s promotion=%s",
         module.name, options.analysis.value, options.promotion,
     )
-    if options.analysis is Analysis.MODREF:
-        with _pass_span("modref"):
-            result.modref = run_modref(module)
-            refined = refine_memory_ops(module, result.modref.sccs)
-    elif options.analysis is Analysis.POINTER:
+    refined = None
+    if options.analysis is Analysis.POINTER:
         # the paper's sequencing: MOD/REF to seed, points-to to sharpen
-        # pointer-op tag sets, MOD/REF repeated on the sharper sets
-        with _pass_span("modref"):
-            first = run_modref(module)
-        with _pass_span("points_to"):
+        # pointer-op tag sets, MOD/REF repeated (below) on the sharper
+        # sets.  Only the repeat's summaries reach the call sites, so the
+        # seeding run's rows are dropped.
+        with _pass_span("modref", rows=decisions):
+            seed = run_modref(module)
+        with _pass_span("points_to", rows=decisions):
             points = run_points_to(module)
-            apply_points_to(module, points, first.visible)
-        with _pass_span("modref"):
+            decisions += apply_points_to(module, points, seed.visible)
+    if options.analysis is not Analysis.NONE:
+        with _pass_span("modref", rows=decisions):
             result.modref = run_modref(module)
             refined = refine_memory_ops(module, result.modref.sccs)
-    else:
-        refined = None
+            decisions += result.modref.decisions
+            decisions += refined.decisions
     if options.verify_each_stage:
         verify_module(module)
     if stage_hook is not None:
@@ -363,7 +375,6 @@ def compile_module(
     # and promotion of a later function must not observe them (the
     # module-at-a-time pipeline never did).
     universe = frozenset(module.memory_tags())
-    ledger = current_ledger()
     use_store = fn_store is not None and _worth_caching(options)
     if use_store:
         env_digest = module_env_digest(module)
@@ -374,22 +385,18 @@ def compile_module(
         key = None
         record = None
         if use_store:
-            key = function_key(
-                function_digest(func), env_digest, opts_digest, ledger is not None
-            )
+            key = function_key(function_digest(func), env_digest, opts_digest)
             record = fn_store.get(key)
         if record is not None:
             result.fn_cache_hits += 1
             with span("fn_cache_hit", function=name):
                 module.functions[name] = record.function
-                if ledger is not None:
-                    for decision in record.decisions:
-                        ledger.record(decision)
         else:
-            record = _optimize_function(func, options, universe, ledger)
+            record = _optimize_function(func, options, universe)
             if use_store:
                 result.fn_cache_misses += 1
                 fn_store.put(key, record)
+        decisions += record.decisions
         if record.promotion is not None:
             result.promotion_reports[name] = record.promotion
         if record.pointer_promotion is not None:
@@ -447,8 +454,8 @@ class ExperimentCell:
     seconds: float = 0.0
     from_cache: bool = False
     trace_events: list[dict] = field(default_factory=list)
-    #: the compile's metrics plus the interpreter's ``interp.*`` counts,
-    #: sorted by name — the drift gate's raw material
+    #: the compile's metrics, sorted by name; with ``counters`` the
+    #: drift gate's raw material
     metrics: dict[str, float] = field(default_factory=dict)
 
     ok = True
@@ -495,19 +502,13 @@ def run_compiled(
         "execute", variant=options.variant_name(), engine=machine_options.engine
     ):
         run: RunResult = run_module(compiled.module, options=machine_options)
-    metrics = {
-        **compiled.metrics,
-        "interp.total_ops": run.counters.total_ops,
-        "interp.loads": run.counters.loads,
-        "interp.stores": run.counters.stores,
-    }
     return ExperimentCell(
         variant=options.variant_name(),
         counters=run.counters,
         exit_code=run.exit_code,
         output=run.output,
         compile_result=compiled,
-        metrics=dict(sorted(metrics.items())),
+        metrics=dict(sorted(compiled.metrics.items())),
     )
 
 

@@ -30,7 +30,7 @@ from collections import deque
 from multiprocessing.connection import wait
 from typing import Callable
 
-from ..diag.ledger import decision_ledger
+from ..diag.ledger import filter_decisions
 from ..diag.log import current_verbosity, set_log_context
 from ..errors import ReproError
 from ..ir.printer import format_module
@@ -106,8 +106,7 @@ def _handle_job(
         return result
     if kind not in ("compile", "explain"):
         raise ValueError(f"unknown job kind {kind!r}")
-    scope = decision_ledger() if kind == "explain" else contextlib.nullcontext()
-    with _maybe_tracing(kind, trace_ctx, worker_label) as trace, scope as ledger:
+    with _maybe_tracing(kind, trace_ctx, worker_label) as trace:
         compiled = compile_source(
             job["source"],
             job["options"],
@@ -116,7 +115,9 @@ def _handle_job(
             fn_store=fn_store,
         )
     if kind == "explain":
-        decisions = ledger.query(**(job.get("filters") or {}))
+        decisions = filter_decisions(
+            compiled.decisions, **(job.get("filters") or {})
+        )
         result = {
             "count": len(decisions),
             "decisions": [decision.as_dict() for decision in decisions],

@@ -154,7 +154,6 @@ def build_suite_specs(
 
 def collect_results(
     outcomes: dict[tuple[str, str], CellOutcome],
-    check_agreement: bool = True,
 ) -> tuple[dict[str, ProgramResult], list[CellFailure], list[str]]:
     """Fold cell outcomes into per-program results plus failure lists.
 
@@ -179,7 +178,7 @@ def collect_results(
             for outcome in cells.values()
             if isinstance(outcome, CellFailure)
         )
-        if check_agreement and len(succeeded) > 1:
+        if len(succeeded) > 1:
             disagreements.extend(
                 f"{workload}: {problem}"
                 for problem in check_outputs_agree(succeeded)
@@ -201,7 +200,6 @@ def run_suite_report(
     timeout: float | None = None,
     retries: int = 1,
     collect_trace: bool = False,
-    check_agreement: bool = True,
     progress: ProgressFn | None = None,
     fn_store: "FunctionStore | None" = None,
 ) -> SuiteReport:
@@ -229,9 +227,7 @@ def run_suite_report(
         progress=progress,
         fn_store=fn_store,
     )
-    results, failures, disagreements = collect_results(
-        outcomes, check_agreement=check_agreement
-    )
+    results, failures, disagreements = collect_results(outcomes)
     # preserve the requested workload ordering in the figure tables
     ordered = {w.name: results[w.name] for w in workloads if w.name in results}
     return SuiteReport(

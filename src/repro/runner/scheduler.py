@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from ..diag.ledger import decision_ledger
 from ..diag.log import get_logger
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
@@ -120,13 +119,11 @@ def execute_cell(
     """
     started = time.perf_counter()
     if collect_trace or trace_ctx is not None:
-        # a live ledger makes _pass_span tag each pass span with its
-        # decision count
         with tracing(
             f"{spec.workload}:{spec.variant}",
             context=trace_ctx,
             worker=trace_worker or f"pid{os.getpid()}",
-        ) as trace, decision_ledger():
+        ) as trace:
             cell = _compile_and_run(spec, compile_cache, fn_store)
         events = [event.as_dict() for event in trace.events]
     else:

@@ -168,7 +168,8 @@ class TestDriftCommand:
         }
         for metrics in cells.values():
             assert metrics["total_ops"] > 0
-            assert "interp.loads" in metrics
+            assert "licm.hoisted" in metrics
+            assert not any(name.startswith("interp.") for name in metrics)
 
     def test_partial_update_keeps_other_programs(self, baselined, capsys):
         baseline, flags = baselined

@@ -3,7 +3,7 @@
 The headline scenario is the paper's section 5 question made concrete:
 under MOD/REF a store through ``p`` carries the tag set ``{a, b}`` and
 blocks promoting ``a``; points-to narrows the store to ``{b}`` and the
-same tag promotes.  The ledger must name the exact blocker either way.
+same tag promotes.  The rows must name the exact blocker either way.
 """
 
 import json
@@ -12,14 +12,13 @@ import pytest
 
 from repro.diag.ledger import (
     Decision,
-    DecisionLedger,
-    current_ledger,
-    decision_ledger,
+    decisions_jsonl,
+    filter_decisions,
     format_decision_table,
-    record,
     trim_tag_names,
 )
 from repro.pipeline import Analysis, PipelineOptions, compile_source
+from repro.workloads import get_workload
 
 #: `*p` really points only at `b`, but MOD/REF sees `{a, b}`
 POINTER_BLOCKED = r"""
@@ -64,32 +63,40 @@ int main(void) {
 """
 
 
-def explain(source: str, analysis: Analysis) -> DecisionLedger:
-    with decision_ledger() as ledger:
-        compile_source(source, PipelineOptions(analysis=analysis))
-    return ledger
+def explain(source: str, analysis: Analysis) -> list[Decision]:
+    return compile_source(source, PipelineOptions(analysis=analysis)).decisions
 
 
 class TestPromotionProvenance:
     def test_pointer_op_blocks_tag_under_modref(self):
-        ledger = explain(POINTER_BLOCKED, Analysis.MODREF)
-        [blocked] = ledger.query(pass_name="promotion", tag="a", action="blocked")
+        rows = explain(POINTER_BLOCKED, Analysis.MODREF)
+        [blocked] = filter_decisions(
+            rows, pass_name="promotion", tag="a", action="blocked"
+        )
         assert blocked.reason == "ambiguous-via-pointer"
         [op] = blocked.detail["pointer_ops"]
         assert set(op["tags"]) == {"a", "b"}
         assert op["op"] == "store"
         # nothing was promoted in that loop
-        assert not ledger.query(pass_name="promotion", tag="a", action="promoted")
+        assert not filter_decisions(
+            rows, pass_name="promotion", tag="a", action="promoted"
+        )
 
     def test_points_to_unblocks_the_same_tag(self):
-        ledger = explain(POINTER_BLOCKED, Analysis.POINTER)
-        [promoted] = ledger.query(pass_name="promotion", tag="a", action="promoted")
+        rows = explain(POINTER_BLOCKED, Analysis.POINTER)
+        [promoted] = filter_decisions(
+            rows, pass_name="promotion", tag="a", action="promoted"
+        )
         assert promoted.detail["lifted_here"] is True
-        assert not ledger.query(pass_name="promotion", tag="a", action="blocked")
+        assert not filter_decisions(
+            rows, pass_name="promotion", tag="a", action="blocked"
+        )
 
     def test_call_blocker_names_the_callee(self):
-        ledger = explain(CALL_BLOCKED, Analysis.MODREF)
-        [blocked] = ledger.query(pass_name="promotion", tag="g", action="blocked")
+        rows = explain(CALL_BLOCKED, Analysis.MODREF)
+        [blocked] = filter_decisions(
+            rows, pass_name="promotion", tag="g", action="blocked"
+        )
         assert blocked.reason == "ambiguous-via-call"
         [call] = blocked.detail["calls"]
         assert call["callee"] == "bump"
@@ -97,54 +104,59 @@ class TestPromotionProvenance:
         assert "g" in call["mod"]
 
     def test_other_passes_record_too(self):
-        ledger = explain(POINTER_BLOCKED, Analysis.MODREF)
-        passes = {d.pass_name for d in ledger.decisions}
+        rows = explain(POINTER_BLOCKED, Analysis.MODREF)
+        passes = {d.pass_name for d in rows}
         assert "modref" in passes  # per-function summaries
 
     def test_points_to_records_refinement(self):
-        ledger = explain(POINTER_BLOCKED, Analysis.POINTER)
-        refined = ledger.query(pass_name="points_to", action="refined")
+        rows = explain(POINTER_BLOCKED, Analysis.POINTER)
+        refined = filter_decisions(rows, pass_name="points_to", action="refined")
         assert refined
         assert any(d.detail["ops_refined"] > 0 for d in refined)
 
 
+class TestModRefRows:
+    @pytest.mark.parametrize("analysis", [Analysis.MODREF, Analysis.POINTER])
+    def test_one_summary_row_per_function(self, analysis):
+        """Under the pointer analysis MOD/REF runs twice; only the final
+        run's summaries reach call sites, and only they are listed."""
+        wl = get_workload("fft")
+        compiled = compile_source(
+            wl.source, PipelineOptions(analysis=analysis), name=wl.name,
+            defines=dict(wl.defines) or None,
+        )
+        rows = filter_decisions(compiled.decisions, pass_name="modref")
+        assert sorted(d.function for d in rows) == sorted(compiled.module.functions)
+        summaries = compiled.modref.summaries
+        for row in rows:
+            assert row.detail["mod"] == trim_tag_names(summaries[row.function].mod)
+            assert row.detail["ref"] == trim_tag_names(summaries[row.function].ref)
+
+
 class TestLedgerMechanics:
-    def test_record_is_noop_without_ledger(self):
-        assert current_ledger() is None
-        record("promotion", "f", "blocked", tag="x")  # must not raise
-        assert current_ledger() is None
-
-    def test_nested_ledgers_restore(self):
-        with decision_ledger() as outer:
-            record("p", "f", "a")
-            with decision_ledger() as inner:
-                record("p", "f", "b")
-            assert current_ledger() is outer
-            assert [d.action for d in inner.decisions] == ["b"]
-        assert current_ledger() is None
-        assert [d.action for d in outer.decisions] == ["a"]
-
     def test_query_filters_compose(self):
-        ledger = DecisionLedger()
-        ledger.record(Decision("promotion", "f", "blocked", loop="L1", tag="x"))
-        ledger.record(Decision("promotion", "f", "promoted", loop="L1", tag="y"))
-        ledger.record(Decision("licm", "g", "hoisted", loop="L2"))
-        assert len(ledger.query(pass_name="promotion")) == 2
-        assert len(ledger.query(loop="L1", action="promoted")) == 1
-        assert ledger.query(function="g")[0].pass_name == "licm"
-        assert ledger.query(tag="nope") == []
+        rows = [
+            Decision("promotion", "f", "blocked", loop="L1", tag="x"),
+            Decision("promotion", "f", "promoted", loop="L1", tag="y"),
+            Decision("licm", "g", "hoisted", loop="L2"),
+        ]
+        assert len(filter_decisions(rows, pass_name="promotion")) == 2
+        assert len(filter_decisions(rows, loop="L1", action="promoted")) == 1
+        assert filter_decisions(rows, function="g")[0].pass_name == "licm"
+        assert filter_decisions(rows, tag="nope") == []
+        assert filter_decisions(rows) == rows
 
     def test_jsonl_is_one_valid_object_per_line(self):
-        ledger = explain(CALL_BLOCKED, Analysis.MODREF)
-        lines = ledger.jsonl().splitlines()
-        assert len(lines) == len(ledger)
+        rows = explain(CALL_BLOCKED, Analysis.MODREF)
+        lines = decisions_jsonl(rows).splitlines()
+        assert len(lines) == len(rows)
         for line in lines:
             payload = json.loads(line)
             assert {"pass", "function", "action"} <= set(payload)
 
     def test_table_renders_every_decision(self):
-        ledger = explain(CALL_BLOCKED, Analysis.MODREF)
-        table = format_decision_table(ledger.decisions)
+        rows = explain(CALL_BLOCKED, Analysis.MODREF)
+        table = format_decision_table(rows)
         assert "ambiguous-via-call" in table
         assert "bump" in table
         assert format_decision_table([]) == "(no decisions recorded)"
@@ -155,8 +167,13 @@ class TestLedgerMechanics:
         assert names[-1] == "... +45 more"
 
 
-class TestZeroCostWhenOff:
+class TestDecisionsAreValues:
     @pytest.mark.parametrize("analysis", [Analysis.MODREF, Analysis.POINTER])
-    def test_compile_without_ledger_records_nothing(self, analysis):
-        compile_source(POINTER_BLOCKED, PipelineOptions(analysis=analysis))
-        assert current_ledger() is None
+    def test_every_compile_returns_its_rows(self, analysis):
+        """Two compiles of one program return equal, separate rows: no
+        state is shared between compiles."""
+        first = explain(POINTER_BLOCKED, analysis)
+        second = explain(POINTER_BLOCKED, analysis)
+        assert filter_decisions(first, pass_name="promotion", tag="a")
+        assert [d.as_dict() for d in first] == [d.as_dict() for d in second]
+        assert not any(a is b for a, b in zip(first, second))

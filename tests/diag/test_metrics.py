@@ -132,8 +132,6 @@ class TestNearestRank:
 class TestPipelinePublishes:
     def test_compile_and_run_publishes_cell_metrics(self):
         values = compile_and_run(GOOD_SOURCE, PipelineOptions()).metrics
-        assert values["interp.total_ops"] > 0
-        assert values["interp.loads"] >= 0
         assert values["promotion.tags_promoted"] >= 1  # `total` promotes
         assert "licm.hoisted" in values
         assert list(values) == sorted(values)
@@ -147,12 +145,8 @@ class TestPipelinePublishes:
         cell = compile_and_run(GOOD_SOURCE, PipelineOptions())
         compiled = cell.compile_result.metrics
         assert not any(name.startswith("interp.") for name in compiled)
-        assert cell.metrics == {
-            **compiled,
-            "interp.total_ops": cell.counters.total_ops,
-            "interp.loads": cell.counters.loads,
-            "interp.stores": cell.counters.stores,
-        }
+        # the dynamic counts are the cell's ``counters``, not metrics
+        assert cell.metrics == compiled
 
 
 class TestLogging:

@@ -6,18 +6,17 @@ store by compiling the pristine source, mutate exactly one function
 (dead-local edit — IR-changing but summary-neutral), then recompile
 incrementally and from scratch.  The two compiles must be *observably
 indistinguishable*: byte-identical printed IR, byte-identical
-decision-ledger rows, equal pass-report aggregates — and the
-incremental one must have re-optimized only the edited function.
+decision rows, equal pass-report aggregates — and the incremental one
+must have re-optimized only the edited function.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.diag.ledger import decision_ledger
 from repro.inccomp import FunctionStore, mutate_function
 from repro.ir.printer import format_module
-from repro.pipeline import Analysis, PipelineOptions, compile_source
+from repro.pipeline import Analysis, PipelineOptions, compile_source, paper_variants
 from repro.workloads import get_workload, workload_names
 
 CONFIGS = {
@@ -27,11 +26,10 @@ CONFIGS = {
 
 
 def _compile_with_ledger(source, options, name, defines, fn_store=None):
-    with decision_ledger() as ledger:
-        result = compile_source(
-            source, options, name=name, defines=defines or None, fn_store=fn_store
-        )
-    return result, [d.as_dict() for d in ledger.decisions]
+    result = compile_source(
+        source, options, name=name, defines=defines or None, fn_store=fn_store
+    )
+    return result, [d.as_dict() for d in result.decisions]
 
 
 @pytest.mark.slow  # full 14x2 matrix; the quick lane keeps the warm and
@@ -96,20 +94,49 @@ def test_warm_recompile_hits_every_function(workload_name):
     assert format_module(warm.module) == format_module(first.module)
 
 
-def test_ledgered_and_plain_compiles_do_not_share_entries():
-    """A record made without a ledger has no decisions to replay, so it
-    must not satisfy a ledgered compile (and vice versa)."""
+def test_warm_compile_replays_the_fresh_rows():
+    """One key namespace serves every compile: a second compile of the
+    same program hits every function and replays the first's rows."""
     wl = get_workload("dhrystone")
     store = FunctionStore(root=None)
-    compile_source(
-        wl.source, PipelineOptions(), name=wl.name, fn_store=store
-    )  # no ledger
-    ledgered, rows = _compile_with_ledger(
+    fresh, rows = _compile_with_ledger(
         wl.source, PipelineOptions(), wl.name, wl.defines, fn_store=store
     )
-    assert ledgered.fn_cache_hits == 0  # separate key namespace
-    assert rows  # and the ledger actually saw decisions
-    _, replayed_rows = _compile_with_ledger(
+    assert fresh.fn_cache_hits == 0
+    assert rows  # the passes actually returned decisions
+    warm, replayed_rows = _compile_with_ledger(
         wl.source, PipelineOptions(), wl.name, wl.defines, fn_store=store
     )
+    assert warm.fn_cache_misses == 0
+    assert warm.fn_cache_hits == len(warm.module.functions)
     assert replayed_rows == rows
+
+
+VARIANTS = paper_variants(pointer_promotion=True)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("workload_name", workload_names())
+def test_decisions_survive_every_store_path(workload_name, variant, tmp_path):
+    """A fresh compile, a memory-layer hit and a disk hit (a new store
+    on the same directory) return equal decision rows."""
+    wl = get_workload(workload_name)
+    options = VARIANTS[variant]
+    store = FunctionStore(root=tmp_path)
+    fresh, rows = _compile_with_ledger(
+        wl.source, options, wl.name, wl.defines, fn_store=store
+    )
+    memory_hit, memory_rows = _compile_with_ledger(
+        wl.source, options, wl.name, wl.defines, fn_store=store
+    )
+    disk_hit, disk_rows = _compile_with_ledger(
+        wl.source, options, wl.name, wl.defines,
+        fn_store=FunctionStore(root=tmp_path),
+    )
+    assert fresh.fn_cache_hits == 0
+    for warm in (memory_hit, disk_hit):
+        assert warm.fn_cache_misses == 0
+        assert warm.fn_cache_hits == len(warm.module.functions)
+    assert rows
+    assert memory_rows == rows
+    assert disk_rows == rows

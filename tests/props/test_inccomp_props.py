@@ -86,9 +86,7 @@ def post_analysis_keys(
         env = module_env_digest(mod)
         opts = options_digest(options)
         for name, func in mod.functions.items():
-            captured[name] = function_key(
-                function_digest(func), env, opts, False
-            )
+            captured[name] = function_key(function_digest(func), env, opts)
 
     compile_module(module, options, stage_hook=hook)
     return captured
