@@ -6,7 +6,10 @@ Figures 5, 6, and 7 — is computed once per session through the
 benchmark regenerates its figure from the matrix, prints it, and writes it
 under ``benchmarks/out/`` so EXPERIMENTS.md can reference the latest
 numbers; the runner additionally drops a machine-readable ``suite.json``
-next to the ``.txt`` artifacts.
+next to the ``.txt`` artifacts.  That ``suite.json`` is the committed
+record ``repro drift`` compares fresh runs against; it holds no host,
+timing or job count, so a session writes the same bytes at any
+``REPRO_BENCH_JOBS``.
 
 Environment knobs: ``REPRO_BENCH_JOBS`` sets the worker-process count
 (default: up to 4, bounded by the CPU count).  Caching is deliberately off

@@ -14,7 +14,8 @@ Public API, top to bottom:
   instrumented; see docs/RUNNER.md) and regenerate the paper's tables;
 * ``ExperimentCell.metrics`` — a cell's metrics as a plain dict,
   ``CompileResult.metrics`` (promotion yields, pass statistics); with
-  the cell's ``counters`` it is what ``repro drift`` gates;
+  the cell's ``counters`` it is what ``suite.json`` records and
+  ``repro drift`` gates;
 * ``CompileResult.decisions`` — every pass's decision rows (why a tag
   was promoted or blocked, what LICM hoisted), what ``repro explain``
   filters;

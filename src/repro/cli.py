@@ -19,9 +19,10 @@ Commands
 ``suite [PROGRAM ...]``
     Regenerate the paper's Figure 5/6/7 rows for the named workloads
     (default: the whole 14-program suite).
-``drift BASELINE.json``
-    Run the suite and diff its metrics against a checked-in baseline;
-    non-zero exit on gated regressions.  ``--update`` re-baselines.
+``drift BASELINE CURRENT``
+    Diff two ``suite.json`` files (the committed
+    ``benchmarks/out/suite.json`` and a fresh ``suite --json`` run);
+    non-zero exit on gated regressions.
 ``bench [PROGRAM ...]``
     Time the benchmark programs under both interpreter engines and
     write ``BENCH_interp.json`` with the compiled-vs-simple geomean speedup
@@ -290,22 +291,18 @@ def _unknown_workloads(names) -> bool:
     return bool(unknown)
 
 
-def _timeout_without_jobs(command: str, args: argparse.Namespace) -> bool:
-    """True (exit 2) for ``--timeout`` without ``--jobs`` > 1: a budget
-    is enforced by killing a worker process, and inline cells have none."""
-    rejected = args.timeout is not None and args.jobs <= 1
-    if rejected:
-        print(f"{command}: --timeout needs --jobs > 1", file=sys.stderr)
-    return rejected
-
-
 def cmd_suite(args: argparse.Namespace) -> int:
     from .harness import METRICS, format_figure
     from .runner import ResultCache
     from .trace import format_span_summary, write_chrome_trace
     from .runner.report import run_suite_report, write_suite_json
 
-    if _unknown_workloads(args.programs) or _timeout_without_jobs("suite", args):
+    if _unknown_workloads(args.programs):
+        return 2
+    if args.timeout is not None and args.jobs <= 1:
+        # a budget is enforced by killing a worker process; inline cells
+        # have none
+        print("suite: --timeout needs --jobs > 1", file=sys.stderr)
         return 2
 
     cache = fn_store = None
@@ -689,82 +686,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_programs(cells: dict, names: list[str]) -> tuple[dict, dict]:
-    """``workload/variant`` cells split into those of the ``names``
-    programs and the rest."""
-    prefixes = tuple(f"{name}/" for name in names)
-    ours = {cell: m for cell, m in cells.items() if cell.startswith(prefixes)}
-    rest = {cell: m for cell, m in cells.items() if cell not in ours}
-    return ours, rest
-
-
 def cmd_drift(args: argparse.Namespace) -> int:
     from .diag.drift import (
-        compare_cells,
+        compare_suites,
         format_drift_report,
-        load_baseline,
+        load_suite,
         regressions,
-        suite_cell_metrics,
-        write_baseline,
     )
-    from .runner import ResultCache
-    from .runner.report import run_suite_report
 
-    names = args.programs or None
-    if _unknown_workloads(names) or _timeout_without_jobs("drift", args):
-        return 2
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    report = run_suite_report(
-        names,
-        pointer_promotion=args.pointer_promotion,
-        max_steps=args.max_steps,
-        engine=args.engine,
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.timeout,
-    )
-    for failure in report.failures:
-        print(
-            f"FAILED {failure.workload}[{failure.variant}]: {failure.message}",
-            file=sys.stderr,
-        )
-    for problem in report.disagreements:
-        print(f"DISAGREEMENT {problem}", file=sys.stderr)
-    if not report.ok:
-        print("drift: suite itself failed; no comparison done", file=sys.stderr)
+    current = load_suite(args.current)
+    drifts = compare_suites(load_suite(args.baseline), current)
+    print(format_drift_report(drifts))
+    if not current.ok:
+        # failed cells show above as missing-cell lines
+        print(f"drift: {args.current}: suite itself failed", file=sys.stderr)
         return 1
-
-    current = suite_cell_metrics(report)
-    if args.update:
-        cells = current
-        if names:
-            # a partial run re-baselines its own programs' cells only
-            try:
-                _, kept = _split_programs(load_baseline(args.baseline), names)
-            except FileNotFoundError:
-                kept = {}
-            cells = {**kept, **current}
-        write_baseline(args.baseline, cells)
-        print(
-            f"baseline updated: {args.baseline} "
-            f"({len(current)} of {len(cells)} cells)"
-        )
-        return 0
-    try:
-        baseline = load_baseline(args.baseline)
-    except FileNotFoundError:
-        print(
-            f"no baseline at {args.baseline}; create one with "
-            f"`repro drift {args.baseline} --update`",
-            file=sys.stderr,
-        )
-        return 2
-    if names:
-        # a partial run can only be judged against the matching subset
-        baseline, _ = _split_programs(baseline, names)
-    drifts = compare_cells(baseline, current, tolerance_pct=args.tolerance)
-    print(format_drift_report(drifts, args.tolerance))
     return 1 if regressions(drifts) else 0
 
 
@@ -1083,27 +1019,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="rows / traces to show (default 10)")
     p_tr.set_defaults(func=cmd_trace)
 
-    p_drift = add_command("drift", "gate suite metrics against a baseline")
+    p_drift = add_command("drift", "gate one suite.json against another")
     p_drift.add_argument("baseline",
-                         help="baseline JSON (e.g. benchmarks/baseline.json)")
-    p_drift.add_argument("--update", action="store_true",
-                         help="rewrite the baseline's cells from this run "
-                              "and exit 0")
-    p_drift.add_argument("--tolerance", type=float, default=0.0, metavar="PCT",
-                         help="ignore gated drift within this percent (default 0)")
-    p_drift.add_argument("--programs", nargs="*", default=None,
-                         help="workload subset (baseline is filtered to "
-                              "match; --update keeps the other cells)")
-    p_drift.add_argument("--jobs", type=int, default=1)
-    p_drift.add_argument("--max-steps", type=int, default=50_000_000)
-    p_drift.add_argument("--pointer-promotion", action="store_true")
-    p_drift.add_argument("--timeout", type=float, default=None,
-                         help="per-cell seconds budget (needs --jobs > 1)")
-    p_drift.add_argument("--no-cache", action="store_true",
-                         help="always recompute, don't touch the result cache")
-    p_drift.add_argument("--cache-dir", default=".repro-cache",
-                         help="result cache location (default: .repro-cache)")
-    _add_engine_flag(p_drift)
+                         help="committed suite.json "
+                              "(e.g. benchmarks/out/suite.json)")
+    p_drift.add_argument("current",
+                         help="fresh suite.json (repro suite --json); only "
+                              "the programs it lists are compared")
     p_drift.set_defaults(func=cmd_drift)
 
     return parser

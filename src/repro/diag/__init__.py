@@ -15,10 +15,11 @@ about our own pipeline:
   (``repro run --profile`` / ``repro compare --profile``);
 * :mod:`repro.diag.metrics` — the server's counter/gauge registry and
   latency histograms;
-* :mod:`repro.diag.drift` — diff the per-cell metrics of a fresh suite
-  run (the ``metrics`` dict :mod:`repro.pipeline` returns with each
-  cell) against a checked-in ``benchmarks/baseline.json`` and fail on
-  metric regressions (``repro drift``);
+* :mod:`repro.diag.drift` — diff two ``suite.json`` files, each cell's
+  ``counters`` merged with the ``metrics`` dict :mod:`repro.pipeline`
+  returns with it (normally a fresh run against the committed
+  ``benchmarks/out/suite.json``), and fail on metric regressions
+  (``repro drift``);
 * :mod:`repro.diag.log` — stdlib :mod:`logging` setup shared by the CLI's
   ``-v/-vv/-q`` flags and the module loggers.
 """

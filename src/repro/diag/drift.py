@@ -1,23 +1,24 @@
-"""The metrics drift gate (``repro drift``).
+"""The metrics drift gate (``repro drift BASELINE CURRENT``).
 
-Compares a fresh suite run against a checked-in baseline
-(``benchmarks/baseline.json``) and fails on regressions — the repo's
-cross-PR, machine-checkable guarantee that the numbers behind Figures 5-7
-only move on purpose.
+Compares two ``suite.json`` files — normally the committed
+``benchmarks/out/suite.json`` and a fresh ``repro suite --json`` run —
+and fails on regressions: the repo's machine-checkable guarantee that
+the numbers behind Figures 5-7 only move on purpose.
 
+A cell's snapshot is its ``counters`` merged with its ``metrics``.
 Gated metrics per ``workload/variant`` cell:
 
-* ``total_ops`` / ``loads`` / ``stores`` — dynamic counters where an
-  *increase* beyond tolerance is a regression;
+* ``total_ops`` / ``loads`` / ``stores`` — dynamic counters where any
+  *increase* is a regression;
 * ``promotion.tags_promoted`` / ``pointer_promotion.promoted_bases`` —
-  optimization yield where a *decrease* beyond tolerance is a regression.
+  optimization yield where any *decrease* is a regression.
 
-Every other metric is compared informationally: changes are reported
-but do not fail the gate (so e.g. LICM hoisting more after a refactor
-does not break CI).  A baseline cell missing from the current run fails
-the gate (lost coverage), and so does a gated metric that the baseline
-cell has and the current cell lacks; a new cell is reported and ignored
-until ``--update`` re-baselines.
+Every other name (``copies``, ``licm.hoisted``, …) is compared
+informationally: changes are reported but do not fail the gate.  Only
+the programs CURRENT lists are compared.  A baseline cell of such a
+program that CURRENT lacks (a failed cell) fails the gate, and so does
+a gated metric that the baseline cell has and the current cell lacks; a
+new cell is reported and not gated.
 """
 
 from __future__ import annotations
@@ -27,21 +28,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ReproError
-from .log import get_logger
+from ..runner.cache import SCHEMA_VERSION
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "Drift",
+    "SuiteFile",
     "compare_cells",
+    "compare_suites",
     "format_drift_report",
-    "load_baseline",
-    "suite_cell_metrics",
-    "write_baseline",
+    "load_suite",
+    "regressions",
 ]
-
-log = get_logger(__name__)
-
-BASELINE_SCHEMA = 1
 
 #: regression when the metric goes up
 GATE_HIGHER_IS_WORSE = ("total_ops", "loads", "stores")
@@ -68,9 +65,10 @@ class Drift:
     kind: str
 
     @property
-    def percent(self) -> float:
-        if self.baseline in (None, 0) or self.current is None:
-            return 0.0
+    def percent(self) -> float | None:
+        """Relative change; None when there is no baseline to divide by."""
+        if not self.baseline or self.current is None:
+            return None
         return 100.0 * (self.current - self.baseline) / self.baseline
 
     def __str__(self) -> str:
@@ -82,39 +80,68 @@ class Drift:
                 "missing from this run"
             )
         if self.kind == "new-cell":
-            return f"{self.cell}: not in baseline (use --update to adopt)"
-        arrow = f"{self.baseline:g} -> {self.current:g}"
-        return f"{self.cell} {self.metric}: {arrow} ({self.percent:+.2f}%)"
+            return f"{self.cell}: not in baseline"
+        line = f"{self.cell} {self.metric}: {self.baseline:g} -> {self.current:g}"
+        percent = self.percent
+        return line if percent is None else f"{line} ({percent:+.2f}%)"
 
 
-def suite_cell_metrics(report) -> dict[str, dict[str, float]]:
-    """Flatten a :class:`~repro.runner.report.SuiteReport` into
-    ``{"workload/variant": {metric: value}}`` — counters plus the
-    cell's ``metrics`` dict."""
+@dataclass
+class SuiteFile:
+    """The parts of one ``suite.json`` the gate reads."""
+
+    ok: bool
+    #: the programs the run covered, failed ones included
+    programs: list[str]
+    #: ``{"workload/variant": counters | metrics}`` for succeeded cells
+    cells: dict[str, dict[str, float]]
+
+
+def load_suite(path: str | Path) -> SuiteFile:
+    """Read a ``suite.json``; a file that is not one raises
+    :class:`~repro.errors.ReproError` naming it (and the line, for
+    malformed JSON, or the cell, for one without numeric counters and
+    metrics)."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ReproError(f"{path}:{error.lineno}: {error.msg}") from None
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != SCHEMA_VERSION or not isinstance(payload.get("programs"), dict):
+        raise ReproError(
+            f"{path}: not a suite.json (schema {schema!r}, "
+            f"expected {SCHEMA_VERSION} with a programs map)"
+        )
     cells: dict[str, dict[str, float]] = {}
-    for (workload, variant), outcome in sorted(report.outcomes.items()):
-        if not outcome.ok:
-            continue
-        metrics: dict[str, float] = {
-            "total_ops": outcome.counters.total_ops,
-            "loads": outcome.counters.loads,
-            "stores": outcome.counters.stores,
-        }
-        metrics.update(getattr(outcome, "metrics", {}) or {})
-        cells[f"{workload}/{variant}"] = metrics
-    return cells
-
-
-def _exceeds(baseline: float, current: float, tolerance_pct: float) -> bool:
-    if baseline == 0:
-        return current != 0
-    return abs(current - baseline) > abs(baseline) * tolerance_pct / 100.0
+    for program, entry in sorted(payload["programs"].items()):
+        program_cells = entry.get("cells", {}) if isinstance(entry, dict) else None
+        if not isinstance(program_cells, dict):
+            raise ReproError(f"{path}: program {program!r} has no cells map")
+        for variant, cell in sorted(program_cells.items()):
+            name = f"{program}/{variant}"
+            try:
+                snapshot = {**cell["counters"], **cell["metrics"]}
+            except (KeyError, TypeError):
+                snapshot = None
+            if snapshot is None or not all(
+                isinstance(value, (int, float)) and not isinstance(value, bool)
+                for value in snapshot.values()
+            ):
+                raise ReproError(
+                    f"{path}: cell {name!r} does not map counter and "
+                    "metric names to numbers"
+                )
+            cells[name] = snapshot
+    return SuiteFile(
+        ok=payload.get("ok") is True,
+        programs=sorted(payload["programs"]),
+        cells=cells,
+    )
 
 
 def compare_cells(
     baseline_cells: dict[str, dict[str, float]],
     current_cells: dict[str, dict[str, float]],
-    tolerance_pct: float = 0.0,
 ) -> list[Drift]:
     """Diff two metric snapshots; regressions carry ``kind="regression"``."""
     drifts: list[Drift] = []
@@ -133,11 +160,9 @@ def compare_cells(
             if b is None or c is None or b == c:
                 continue
             if metric in GATE_HIGHER_IS_WORSE:
-                bad = c > b and _exceeds(b, c, tolerance_pct)
-                kind = "regression" if bad else "improvement" if c < b else "info"
+                kind = "regression" if c > b else "improvement"
             elif metric in GATE_LOWER_IS_WORSE:
-                bad = c < b and _exceeds(b, c, tolerance_pct)
-                kind = "regression" if bad else "improvement" if c > b else "info"
+                kind = "regression" if c < b else "improvement"
             else:
                 kind = "info"
             drifts.append(Drift(cell, metric, b, c, kind))
@@ -146,17 +171,28 @@ def compare_cells(
     return drifts
 
 
+def compare_suites(baseline: SuiteFile, current: SuiteFile) -> list[Drift]:
+    """:func:`compare_cells` over the programs ``current`` lists."""
+    listed = tuple(f"{program}/" for program in current.programs)
+    judged = {
+        cell: snapshot
+        for cell, snapshot in baseline.cells.items()
+        if cell.startswith(listed)
+    }
+    return compare_cells(judged, current.cells)
+
+
 def regressions(drifts: list[Drift]) -> list[Drift]:
     return [d for d in drifts if d.kind in _FAILING]
 
 
-def format_drift_report(drifts: list[Drift], tolerance_pct: float) -> str:
+def format_drift_report(drifts: list[Drift]) -> str:
     failed = regressions(drifts)
     improved = [d for d in drifts if d.kind == "improvement"]
     info = [d for d in drifts if d.kind in ("info", "new-cell")]
     lines: list[str] = []
     if failed:
-        lines.append(f"REGRESSIONS (tolerance {tolerance_pct:g}%):")
+        lines.append("REGRESSIONS:")
         lines.extend(f"  {d}" for d in failed)
     if improved:
         lines.append("improvements:")
@@ -171,34 +207,3 @@ def format_drift_report(drifts: list[Drift], tolerance_pct: float) -> str:
         f"{len(info)} informational"
     )
     return "\n".join(lines)
-
-
-def load_baseline(path: str | Path) -> dict[str, dict[str, float]]:
-    """Read a drift baseline; a file that is not one raises
-    :class:`~repro.errors.ReproError` naming it (and the line, for
-    malformed JSON, or the cell, for one that is not a metrics map)."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ReproError(f"{path}:{error.lineno}: {error.msg}") from None
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema != BASELINE_SCHEMA or not isinstance(payload.get("cells"), dict):
-        raise ReproError(
-            f"{path}: not a drift baseline (schema {schema!r}, "
-            f"expected {BASELINE_SCHEMA} with a cells map)"
-        )
-    for cell, metrics in payload["cells"].items():
-        if not isinstance(metrics, dict) or not all(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            for value in metrics.values()
-        ):
-            raise ReproError(
-                f"{path}: cell {cell!r} does not map metric names to numbers"
-            )
-    return payload["cells"]
-
-
-def write_baseline(path: str | Path, cells: dict[str, dict[str, float]]) -> None:
-    payload = {"schema": BASELINE_SCHEMA, "cells": cells}
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    log.info("baseline written: %s (%d cells)", path, len(cells))

@@ -43,7 +43,6 @@ def clean_function(func: Function) -> CleanStats:
     for _ in range(MAX_ROUNDS):
         changed = False
         changed |= _fold_branches(func, stats)
-        stats.unreachable_removed += len(remove_unreachable_blocks(func))
         changed |= _skip_empty_blocks(func, stats)
         changed |= _merge_chains(func, stats)
         removed = remove_unreachable_blocks(func)

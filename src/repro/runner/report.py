@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..diag.host import host_metadata
 from ..harness.experiments import METRICS, ProgramResult, figure_rows
 from ..inccomp.store import FunctionStore
 from ..interp import MachineOptions
@@ -88,7 +87,6 @@ class SuiteReport:
                 entry["cells"][variant] = {
                     "counters": outcome.counters.as_dict(),
                     "exit_code": outcome.exit_code,
-                    "seconds": round(outcome.seconds, 6),
                     "from_cache": outcome.from_cache,
                     "metrics": dict(outcome.metrics),
                 }
@@ -110,11 +108,8 @@ class SuiteReport:
         }
         return {
             "schema": SCHEMA_VERSION,
-            "host": host_metadata(),
             "ok": self.ok,
-            "jobs": self.jobs,
             "engine": self.engine,
-            "seconds": round(self.seconds, 6),
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "programs": programs,
             "figures": figures,

@@ -87,7 +87,6 @@ class CellFailure:
             "kind": self.kind,
             "message": self.message,
             "attempts": self.attempts,
-            "seconds": round(self.seconds, 6),
         }
 
 

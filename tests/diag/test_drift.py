@@ -10,12 +10,15 @@ from repro.diag.drift import (
     Drift,
     compare_cells,
     format_drift_report,
-    load_baseline,
+    load_suite,
     regressions,
-    write_baseline,
 )
+from repro.runner.report import run_suite_report, write_suite_json
 
 CELL = "prog/modref/promo"
+VARIANTS = (
+    "modref/nopromo", "modref/promo", "pointer/nopromo", "pointer/promo",
+)
 
 
 def snapshot(**overrides):
@@ -28,6 +31,18 @@ def snapshot(**overrides):
     }
     base.update(overrides)
     return {CELL: base}
+
+
+@pytest.fixture(scope="module")
+def allroots_report():
+    return run_suite_report(["allroots"])
+
+
+@pytest.fixture()
+def suite_path(tmp_path, allroots_report):
+    path = tmp_path / "suite.json"
+    write_suite_json(path, allroots_report)
+    return path
 
 
 class TestCompareCells:
@@ -63,12 +78,6 @@ class TestCompareCells:
         assert drift.kind == "info"
         assert not regressions([drift])
 
-    def test_tolerance_absorbs_small_regressions(self):
-        worse = snapshot(total_ops=1009.0)
-        assert regressions(compare_cells(snapshot(), worse, tolerance_pct=1.0)) == []
-        much_worse = snapshot(total_ops=1011.0)
-        assert regressions(compare_cells(snapshot(), much_worse, tolerance_pct=1.0))
-
     def test_missing_cell_fails_the_gate(self):
         drifts = compare_cells(snapshot(), {})
         [drift] = drifts
@@ -86,7 +95,7 @@ class TestCompareCells:
         assert drift.kind == "missing-metric"
         assert drift.metric == metric
         assert regressions(drifts) == drifts
-        assert "missing from this run" in format_drift_report(drifts, 0.0)
+        assert "missing from this run" in format_drift_report(drifts)
 
     def test_missing_ungated_metric_is_not_gated(self):
         current = snapshot()
@@ -102,33 +111,38 @@ class TestCompareCells:
     def test_zero_baseline_only_matches_zero(self):
         base = {CELL: {"total_ops": 0.0}}
         cur = {CELL: {"total_ops": 1.0}}
-        assert regressions(compare_cells(base, cur, tolerance_pct=50.0))
+        assert regressions(compare_cells(base, cur))
 
 
 class TestBaselineFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, snapshot())
-        assert load_baseline(path) == snapshot()
+    """A baseline is a ``suite.json``: a cell's snapshot is its
+    ``counters`` merged with its ``metrics``."""
+
+    def test_round_trip(self, suite_path, allroots_report):
+        loaded = load_suite(suite_path)
+        assert loaded.ok and loaded.programs == ["allroots"]
+        assert loaded.cells == {
+            f"allroots/{variant}": {**cell.counters.as_dict(), **cell.metrics}
+            for (_, variant), cell in allroots_report.outcomes.items()
+        }
 
     def test_schema_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": 999, "cells": {}}))
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"schema": 999, "programs": {}}))
         with pytest.raises(ReproError, match="schema"):
-            load_baseline(path)
+            load_suite(path)
 
     @pytest.mark.parametrize(
         "metrics", [5, ["total_ops"], {"total_ops": "5"}, {"loads": None}]
     )
-    def test_cell_that_is_not_a_metrics_map_rejected(self, tmp_path, metrics):
-        path = tmp_path / "baseline.json"
-        cells = {"dhrystone/modref/nopromo": {"total_ops": 1},
-                 "dhrystone/modref/promo": metrics}
-        path.write_text(json.dumps({"schema": 1, "cells": cells}))
+    def test_cell_that_is_not_a_metrics_map_rejected(self, suite_path, metrics):
+        payload = json.loads(suite_path.read_text())
+        payload["programs"]["allroots"]["cells"]["modref/promo"]["counters"] = metrics
+        suite_path.write_text(json.dumps(payload))
         with pytest.raises(ReproError) as error:
-            load_baseline(path)
-        assert str(path) in str(error.value)
-        assert "dhrystone/modref/promo" in str(error.value)
+            load_suite(suite_path)
+        assert str(suite_path) in str(error.value)
+        assert "allroots/modref/promo" in str(error.value)
 
 
 class TestFormatting:
@@ -138,85 +152,117 @@ class TestFormatting:
             Drift(CELL, "loads", 10.0, 5.0, "improvement"),
             Drift(CELL, "licm.hoisted", 1.0, 2.0, "info"),
         ]
-        text = format_drift_report(drifts, 0.0)
+        text = format_drift_report(drifts)
         assert "REGRESSIONS" in text
         assert "improvements:" in text
         assert "informational" in text
         assert "+100.00%" in text
 
     def test_empty_report(self):
-        assert "no drift" in format_drift_report([], 0.0)
+        assert "no drift" in format_drift_report([])
+
+    def test_zero_baseline_prints_no_percentage(self):
+        # a change from 0 has no relative size: "0 -> 1 (+0.00%)" misled
+        drift = Drift(CELL, "promotion.tags_promoted", 0, 1, "improvement")
+        assert str(drift) == f"{CELL} promotion.tags_promoted: 0 -> 1"
+        assert drift.percent is None
 
 
 class TestDriftCommand:
-    """End-to-end CLI workflow on the cheapest workload."""
+    """``repro drift BASELINE CURRENT`` on the cheapest workload's suite."""
 
     @pytest.fixture()
-    def baselined(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        flags = ["--programs", "allroots",
-                 "--cache-dir", str(tmp_path / "cache")]
-        assert main(["drift", str(baseline), "--update"] + flags) == 0
-        return baseline, flags
+    def pair(self, suite_path, tmp_path):
+        current = tmp_path / "current.json"
+        current.write_text(suite_path.read_text())
+        return suite_path, current
 
-    def test_update_writes_all_cells(self, baselined, capsys):
-        baseline, _ = baselined
-        cells = load_baseline(baseline)
-        assert set(cells) == {
-            "allroots/modref/nopromo", "allroots/modref/promo",
-            "allroots/pointer/nopromo", "allroots/pointer/promo",
-        }
-        for metrics in cells.values():
-            assert metrics["total_ops"] > 0
-            assert "licm.hoisted" in metrics
-            assert not any(name.startswith("interp.") for name in metrics)
+    @staticmethod
+    def edit(path, change):
+        payload = json.loads(path.read_text())
+        change(payload)
+        path.write_text(json.dumps(payload))
 
-    def test_partial_update_keeps_other_programs(self, baselined, capsys):
-        baseline, flags = baselined
-        payload = json.loads(baseline.read_text())
-        other = {"total_ops": 1.0, "loads": 1.0, "stores": 1.0}
-        payload["cells"]["elsewhere/modref/promo"] = other
-        payload["cells"]["allroots/modref/promo"]["total_ops"] -= 10
-        payload["cells"]["allroots/gone/promo"] = other
-        baseline.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["drift", str(baseline), "--update"] + flags) == 0
-        assert "(4 of 5 cells)" in capsys.readouterr().out
-        cells = load_baseline(baseline)
-        assert cells["elsewhere/modref/promo"] == other
-        assert "allroots/gone/promo" not in cells
-        assert len(cells) == 5
-        assert main(["drift", str(baseline)] + flags) == 0
-
-    def test_clean_rerun_passes(self, baselined, capsys):
-        baseline, flags = baselined
-        capsys.readouterr()
-        assert main(["drift", str(baseline)] + flags) == 0
+    def test_clean_rerun_passes(self, pair, capsys):
+        assert main(["drift", *map(str, pair)]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
 
-    def test_regression_fails_the_gate(self, baselined, capsys):
-        baseline, flags = baselined
-        payload = json.loads(baseline.read_text())
-        payload["cells"]["allroots/modref/promo"]["total_ops"] -= 10
-        baseline.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["drift", str(baseline)] + flags) == 1
-        assert "REGRESSIONS" in capsys.readouterr().out
+    def test_regression_fails_the_gate(self, pair, capsys):
+        baseline, current = pair
 
-    def test_tolerance_flag_reaches_the_gate(self, baselined, capsys):
-        baseline, flags = baselined
-        payload = json.loads(baseline.read_text())
-        payload["cells"]["allroots/modref/promo"]["total_ops"] -= 1
-        baseline.write_text(json.dumps(payload))
-        assert main(["drift", str(baseline), "--tolerance", "50"] + flags) == 0
+        def one_more_load(payload):
+            cell = payload["programs"]["allroots"]["cells"]["modref/promo"]
+            cell["counters"]["loads"] += 1
 
-    def test_missing_baseline_hints_at_update(self, tmp_path, capsys):
-        code = main(["drift", str(tmp_path / "nope.json"),
-                     "--programs", "allroots",
-                     "--cache-dir", str(tmp_path / "cache")])
-        assert code == 2
-        assert "--update" in capsys.readouterr().err
+        self.edit(current, one_more_load)
+        assert main(["drift", str(baseline), str(current)]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSIONS" in out
+        assert "allroots/modref/promo loads:" in out
 
-    def test_unknown_program_rejected(self, tmp_path, capsys):
-        assert main(["drift", str(tmp_path / "b.json"),
-                     "--programs", "nonesuch"]) == 2
+    def test_snapshot_holds_every_counter_and_metric(self, suite_path):
+        cells = load_suite(suite_path).cells
+        assert set(cells) == {f"allroots/{variant}" for variant in VARIANTS}
+        for metrics in cells.values():
+            assert metrics["total_ops"] > 0
+            assert "copies" in metrics and "licm.hoisted" in metrics
+            assert not any(name.startswith("interp.") for name in metrics)
+
+    def test_copies_drift_is_informational(self, pair, capsys):
+        baseline, current = pair
+
+        def more_copies(payload):
+            cell = payload["programs"]["allroots"]["cells"]["pointer/promo"]
+            cell["counters"]["copies"] += 1
+
+        self.edit(current, more_copies)
+        assert main(["drift", str(baseline), str(current)]) == 0
+        out = capsys.readouterr().out
+        assert "informational drift" in out
+        assert "allroots/pointer/promo copies:" in out
+
+    def test_current_listing_one_program_compares_only_it(self, pair, capsys):
+        baseline, current = pair
+
+        def add_program(payload):
+            entry = payload["programs"]["allroots"]
+            payload["programs"]["elsewhere"] = json.loads(json.dumps(entry))
+
+        self.edit(baseline, add_program)
+        assert main(["drift", str(baseline), str(current)]) == 0
+        assert "elsewhere" not in capsys.readouterr().out
+        # the other way round, the extra program's cells are new, not gated
+        assert main(["drift", str(current), str(baseline)]) == 0
+        assert "elsewhere/modref/promo: not in baseline" in capsys.readouterr().out
+
+    def test_failed_program_reports_missing_cell(self, pair, capsys):
+        baseline, current = pair
+
+        def crash(payload):
+            payload["ok"] = False
+            entry = payload["programs"]["allroots"]
+            del entry["cells"]["modref/promo"]
+            entry["failures"]["modref/promo"] = {
+                "kind": "crash", "message": "boom", "attempts": 1,
+            }
+
+        self.edit(current, crash)
+        assert main(["drift", str(baseline), str(current)]) == 1
+        captured = capsys.readouterr()
+        assert (
+            "allroots/modref/promo: present in baseline, missing from this run"
+            in captured.out
+        )
+        assert "suite itself failed" in captured.err
+
+    def test_missing_baseline_is_one_error_line(self, pair, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["drift", str(missing), str(pair[1])]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro: error:") and str(missing) in line
+
+    def test_help_lists_the_two_files_and_logging_flags_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["drift", "--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: repro drift [-h] [-v] [-q] baseline current"

@@ -188,7 +188,6 @@ class TestSuite:
         [
             ["suite", "allroots", "--timeout", "5"],
             ["suite", "allroots", "--timeout", "5", "--jobs", "1"],
-            ["drift", "baseline.json", "--timeout", "5"],
         ],
     )
     def test_timeout_without_jobs_rejected(self, argv, tmp_path, capsys):
@@ -217,7 +216,7 @@ class TestSuite:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
-        assert payload["jobs"] == 2
+        assert not {"host", "seconds", "jobs"} & set(payload)
         assert set(payload["programs"]) == {"allroots", "tsp"}
         assert "Figure 7: Loads" in capsys.readouterr().out
 
@@ -305,11 +304,8 @@ class TestUnreadableInputs:
 
     def test_wrong_schema_drift_baseline(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"schema": 999, "cells": {}}))
-        code = main([
-            "drift", str(baseline), "--programs", "allroots",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
+        baseline.write_text(json.dumps({"schema": 999, "programs": {}}))
+        code = main(["drift", str(baseline), str(baseline)])
         assert code == 2
         self._assert_one_error_line(capsys, str(baseline), "schema 999")
 
