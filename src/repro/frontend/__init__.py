@@ -1,22 +1,30 @@
-"""C front end: preprocess, parse (pycparser), and lower to tagged IL."""
+"""C front end: preprocess, parse (pycparser), and lower to tagged IL.
+
+Parsing goes one top-level declaration at a time through a
+:class:`~repro.frontend.decls.DeclMemo`, which a ``FunctionStore``
+carries across compiles: an edit re-parses only the declarations whose
+text changed.  The whole-file parse survives as the error path.
+"""
 
 from __future__ import annotations
 
-from pycparser import CParser
+from pycparser import CParser, c_ast
 from pycparser.c_parser import ParseError
 
-from ..errors import FrontendError
+from ..errors import FrontendError, ReproError
 from ..ir.module import Module
+from .decls import DeclMemo
 from .lower import ModuleLowerer
 from .preprocess import preprocess
 
-__all__ = ["compile_c", "preprocess", "ModuleLowerer"]
+__all__ = ["DeclMemo", "ModuleLowerer", "compile_c", "preprocess"]
 
 
 def compile_c(
     source: str,
     name: str = "module",
     defines: dict[str, str] | None = None,
+    decls: DeclMemo | None = None,
 ) -> Module:
     """Compile C source text to an (unoptimized) IL module.
 
@@ -24,11 +32,35 @@ def compile_c(
     function.  The produced module is verifiable but unanalyzed: pointer
     operations carry universal tag sets and calls carry universal MOD/REF
     summaries.
+
+    Each top-level declaration is parsed on its own, through ``decls``
+    (a :class:`DeclMemo`; a throwaway one when ``None``), so a
+    declaration whose text is unchanged since ``name``'s last compile is
+    not parsed again.  On any error, or text that does not split, the
+    whole file is parsed and lowered as one, and what that raises is
+    raised: messages and coordinates never depend on the memo.
     """
     text = preprocess(source, defines)
+    if decls is None:
+        decls = DeclMemo()
+    try:
+        ast = decls.parse(text, name)
+        module = None if ast is None else ModuleLowerer(name).lower(ast)
+    except (ParseError, AssertionError, ReproError):
+        module = None
+    if module is None:
+        module = ModuleLowerer(name).lower(_parse_whole(text, name))
+    from ..ir.verify import verify_module
+
+    verify_module(module)
+    return module
+
+
+def _parse_whole(text: str, name: str) -> c_ast.FileAST:
+    """Parse the whole translation unit at once, with file coordinates."""
     parser = CParser()
     try:
-        ast = parser.parse(text, filename=name)
+        return parser.parse(text, filename=name)
     except ParseError as exc:
         raise FrontendError(f"parse error: {exc}") from exc
     except AssertionError as exc:
@@ -39,9 +71,3 @@ def compile_c(
         raise FrontendError(
             f"parse error: malformed input{detail}", f"{name}:{line}"
         ) from exc
-    lowerer = ModuleLowerer(name)
-    module = lowerer.lower(ast)
-    from ..ir.verify import verify_module
-
-    verify_module(module)
-    return module

@@ -1,11 +1,12 @@
 """Incremental per-function compilation.
 
 ``repro.inccomp`` gives the pipeline a content-addressed memory of
-optimized function bodies.  A module compile still parses and runs the
-interprocedural analyses from scratch (they are a few percent of the
-cost and establish the facts the keys are built from); the per-function
-optimize-and-allocate phase — the other ~95% — is then served from the
-store for every function whose key is unchanged.
+optimized function bodies.  A module compile still lowers and runs the
+interprocedural analyses from scratch (they establish the facts the keys
+are built from); the per-function optimize-and-allocate phase is then
+served from the store for every function whose key is unchanged.  The
+store also carries the front end's memo of parsed top-level
+declarations, so only the declarations an edit changed are parsed again.
 
 * :mod:`~repro.inccomp.keys` — what a function's content address covers
   and why that makes invalidation propagate along call edges.

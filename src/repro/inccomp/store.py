@@ -7,6 +7,14 @@ from-scratch compile: pass reports, additive pass-stat contributions,
 and the decision rows the function's passes returned.  The
 memory layer unpickles on every hit, so a spliced function is never
 shared between two modules.  ``root=None`` is memory-only.
+
+The store also carries the front end's memo of parsed top-level
+declarations (:attr:`FunctionStore.decls`, a
+:class:`~repro.frontend.decls.DeclMemo`), so a compile that passes a
+store re-parses only the declarations an edit changed.  The memo is
+memory-only and never goes through :meth:`get`/:meth:`put`, so the
+hit/miss counters count function records alone.  Like the memory layer
+it does not travel by pickle, and :meth:`clear` empties it.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..frontend.decls import DeclMemo
 from ..store import Store
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,6 +62,17 @@ class FunctionStore(Store):
 
     def __init__(self, root: str | Path | None = DEFAULT_FN_CACHE_DIR) -> None:
         super().__init__(root)
+        #: parsed top-level declarations, for ``compile_c``
+        self.decls = DeclMemo()
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        state["decls"] = DeclMemo()
+        return state
+
+    def clear(self) -> int:
+        self.decls.clear()
+        return super().clear()
 
     def accepts(self, record) -> bool:
         return isinstance(record, FunctionRecord)

@@ -424,11 +424,20 @@ def compile_source(
 ) -> CompileResult:
     """Front end + :func:`compile_module`.
 
+    With ``fn_store``, the front end also parses through the store's
+    declaration memo (``fn_store.decls``), so declarations unchanged
+    since the last compile of ``name`` are not parsed again.
+
     ``stage_hook`` additionally fires with ``"frontend"`` right after
     parsing/lowering, before any analysis touches the module.
     """
     with span("parse"):
-        module = compile_c(source, name=name, defines=defines)
+        module = compile_c(
+            source,
+            name=name,
+            defines=defines,
+            decls=fn_store.decls if fn_store is not None else None,
+        )
     if stage_hook is not None:
         stage_hook("frontend", module)
     with span("optimize"):
