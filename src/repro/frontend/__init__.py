@@ -3,7 +3,8 @@
 Parsing goes one top-level declaration at a time through a
 :class:`~repro.frontend.decls.DeclMemo`, which a ``FunctionStore``
 carries across compiles: an edit re-parses only the declarations whose
-text changed.  The whole-file parse survives as the error path.
+text changed.  Programs that declare a typedef, and any error, take the
+whole-file parse.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ def compile_c(
     Each top-level declaration is parsed on its own, through ``decls``
     (a :class:`DeclMemo`; a throwaway one when ``None``), so a
     declaration whose text is unchanged since ``name``'s last compile is
-    not parsed again.  On any error, or text that does not split, the
-    whole file is parsed and lowered as one, and what that raises is
-    raised: messages and coordinates never depend on the memo.
+    not parsed again.  On any error, or text that contains ``typedef``
+    or does not split, the whole file is parsed and lowered as one, and
+    what that raises is raised: messages and coordinates never depend on
+    the memo.
     """
     text = preprocess(source, defines)
     if decls is None:

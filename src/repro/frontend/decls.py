@@ -8,13 +8,14 @@ own and reuses its AST while its text is unchanged.
   boundaries with a brace/paren-depth scan over string literals, char
   literals and ``{}();``: a declaration ends at a depth-0 ``;``, a
   function at the depth-0 ``}`` closing a ``{`` that follows ``)``.
-* :meth:`DeclMemo.parse` parses each piece with pycparser behind one
-  ``typedef int T;`` stub per typedef name declared earlier, so the
-  lexer tells type names from identifiers as in a whole-file parse, and
-  drops the stubs' nodes.  Parsed pieces are memoized by (typedef names
-  in scope, text).  A memoized AST's coordinates are relative to its
+* :meth:`DeclMemo.parse` parses each piece with pycparser and memoizes
+  it by its text.  A memoized AST's coordinates are relative to its
   declaration; the caller re-parses the whole file on any error, so no
   such coordinate reaches a message.
+* Text that contains the word ``typedef`` is left to the whole-file
+  parse: pycparser's lexer tells type names from identifiers by the
+  typedefs declared earlier, which a declaration parsed on its own does
+  not see.
 
 The memo keeps, per module name, only the declarations that name's last
 parse used, and at most :data:`DECL_MEMO_NAMES` names (FIFO).
@@ -67,20 +68,11 @@ def split_declarations(text: str) -> list[str] | None:
 
 
 class DeclMemo:
-    """Parsed top-level declarations, keyed by (typedef names in scope,
-    declaration text)."""
+    """Parsed top-level declarations, keyed by declaration text."""
 
     def __init__(self) -> None:
-        #: module name -> {key: (ext nodes, file-scope names declared)}
-        self._by_name: dict[str, dict] = {}
-
-    def names(self) -> list[str]:
-        """Module names with memoized declarations, oldest first."""
-        return list(self._by_name)
-
-    def declarations(self, name: str) -> list[str]:
-        """The declaration texts memoized for module ``name``."""
-        return [text for _, text in self._by_name.get(name, {})]
+        #: module name -> {declaration text: its ext nodes}
+        self._by_name: dict[str, dict[str, list[c_ast.Node]]] = {}
 
     def clear(self) -> None:
         self._by_name.clear()
@@ -88,33 +80,27 @@ class DeclMemo:
     def parse(self, text: str, name: str) -> c_ast.FileAST | None:
         """The AST of preprocessed ``text``, one declaration at a time.
 
-        Returns ``None`` when the text does not split, or when a name
-        changes between typedef and identifier at file scope (which a
-        whole-file parse rejects); pycparser's ``ParseError`` and
-        ``AssertionError`` propagate.
+        Returns ``None`` when the text contains the word ``typedef`` or
+        does not split; pycparser's ``ParseError`` and ``AssertionError``
+        propagate.
         """
+        if "typedef" in text:
+            return None
         decls = split_declarations(text)
         if decls is None:
             return None
         known = self._by_name.get(name, {})
-        used: dict = {}
+        used: dict[str, list[c_ast.Node]] = {}
         parser = None
-        scope: dict[str, bool] = {}  # file-scope name -> is a typedef
-        typedefs: frozenset[str] = frozenset()
         ext: list[c_ast.Node] = []
         for decl in decls:
-            key = (typedefs, decl)
-            entry = known.get(key) or used.get(key)
-            if entry is None:
+            nodes = used.get(decl)
+            if nodes is None:
+                nodes = known.get(decl)
+            if nodes is None:
                 parser = parser or CParser()
-                entry = _parse_one(parser, typedefs, decl, name)
-            used[key] = entry
-            nodes, declared = entry
-            for ident, is_typedef in declared.items():
-                if scope.setdefault(ident, is_typedef) is not is_typedef:
-                    return None
-            if any(declared.values()):
-                typedefs = frozenset(n for n, is_t in scope.items() if is_t)
+                nodes = _parse_one(parser, decl, name)
+            used[decl] = nodes
             ext += nodes
         if name not in self._by_name:
             while len(self._by_name) >= DECL_MEMO_NAMES:
@@ -123,16 +109,6 @@ class DeclMemo:
         return c_ast.FileAST(ext)
 
 
-def _parse_one(parser: CParser, typedefs: frozenset[str], decl: str, name: str):
-    """Parse one declaration behind its typedef stubs; returns its ext
-    nodes and the file-scope names it declares (name -> is a typedef)."""
-    stubs = "".join(f"typedef int {t};" for t in sorted(typedefs))
-    ast = parser.parse(stubs + decl, filename=name)
-    # the parser's file scope after the parse: the stubs plus this
-    # declaration's names (pycparser keeps no other record of them)
-    declared = {
-        ident: is_typedef
-        for ident, is_typedef in parser._scope_stack[0].items()
-        if ident not in typedefs
-    }
-    return tuple(ast.ext[len(typedefs):]), declared
+def _parse_one(parser: CParser, decl: str, name: str) -> list[c_ast.Node]:
+    """The ext nodes of one declaration parsed on its own."""
+    return parser.parse(decl, filename=name).ext

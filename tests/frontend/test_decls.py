@@ -1,5 +1,5 @@
-"""The per-declaration front end: the split, the typedef stubs, the
-memo, and the whole-file error path.
+"""The per-declaration front end: the split, the memo, and the
+whole-file path that typedef programs and errors take.
 
 Every AST the per-declaration parse produces must equal the whole-file
 AST node for node (coordinates excepted) and lower to byte-identical
@@ -72,8 +72,6 @@ def _programs():
         yield pytest.param(w.source, w.name, w.defines, id=w.name)
     for path in CORPUS:
         yield pytest.param(path.read_text(), path.stem, None, id=path.name)
-    yield pytest.param(TYPEDEFS, "typedefs", None, id="typedefs")
-    yield pytest.param(SHADOWED_TYPEDEF, "shadow", None, id="shadowed-typedef")
     for seed in FUZZ_SEEDS:
         program = generate_program(seed)
         yield pytest.param(program.source, program.name, None, id=program.name)
@@ -105,9 +103,9 @@ def parse_calls(monkeypatch):
     calls: list[str] = []
     original = decls_module._parse_one
 
-    def counting(parser, typedefs, decl, name):
+    def counting(parser, decl, name):
         calls.append(decl)
-        return original(parser, typedefs, decl, name)
+        return original(parser, decl, name)
 
     monkeypatch.setattr(decls_module, "_parse_one", counting)
     return calls
@@ -136,6 +134,23 @@ def test_per_declaration_parse_equals_whole_file(source, name, defines, parse_ca
     assert shape(cached) == shape(whole)
     assert lowered(cached, name) == reference
     assert format_module(compile_c(source, name, defines, decls=memo)) == reference
+
+
+@pytest.mark.parametrize(
+    "source,name",
+    [
+        pytest.param(TYPEDEFS, "typedefs", id="typedefs"),
+        pytest.param(SHADOWED_TYPEDEF, "shadow", id="shadowed-typedef"),
+    ],
+)
+def test_typedef_programs_take_the_whole_file_parse(source, name, parse_calls):
+    text = preprocess(source)
+    reference = lowered(_parse_whole(text, name), name)
+    memo = DeclMemo()
+    assert memo.parse(text, name) is None
+    assert format_module(compile_c(source, name, decls=memo)) == reference
+    assert parse_calls == []
+    assert memo._by_name == {}
 
 
 def test_workloads_split_into_191_declarations():
@@ -236,7 +251,7 @@ class TestErrorsMatchWholeFile:
         assert message == "kr:1:9: K&R-style parameter lists are not supported"
 
     def test_typedef_of_a_declared_identifier(self):
-        # per declaration, ``typedef int x;`` parses; the whole file does not
+        # the whole-file parse rejects ``typedef int x;`` after ``int x;``
         source = "int x;\ntypedef int x;\nint main(void) { return 0; }\n"
         memo = DeclMemo()
         assert memo.parse(preprocess(source), "clash") is None
@@ -271,10 +286,10 @@ class TestMemo:
         for value in (4, 5, 6):
             source = source.replace(f"return {value - 1};", f"return {value};")
             compile_c(source, "versions", decls=memo)
-        assert sorted(memo.declarations("versions")) == sorted(
+        assert sorted(memo._by_name["versions"]) == sorted(
             split_declarations(preprocess(source))
         )
-        assert not any("return 3;" in text for text in memo.declarations("versions"))
+        assert not any("return 3;" in text for text in memo._by_name["versions"])
 
     def test_names_are_evicted_first_in_first_out(self):
         memo = DeclMemo()
@@ -283,15 +298,15 @@ class TestMemo:
         # recompiling the oldest name does not make it the newest
         compile_c(THREE_FUNCTIONS, "m0", decls=memo)
         compile_c(THREE_FUNCTIONS, "late", decls=memo)
-        names = memo.names()
+        names = list(memo._by_name)
         assert len(names) == DECL_MEMO_NAMES
         assert names[0] == "m1" and names[-1] == "late"
-        assert memo.declarations("m0") == []
+        assert "m0" not in memo._by_name
 
     def test_function_store_carries_the_memo(self):
         store = FunctionStore(root=None)
         compile_source(THREE_FUNCTIONS, name="three", fn_store=store)
-        assert store.decls.names() == ["three"]
+        assert list(store.decls._by_name) == ["three"]
         # the memo never goes through get/put
         assert len(store) == 4
 
@@ -299,11 +314,11 @@ class TestMemo:
         store = FunctionStore(root=None)
         compile_source(THREE_FUNCTIONS, name="three", fn_store=store)
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.decls.names() == []
-        assert store.decls.names() == ["three"]
+        assert clone.decls._by_name == {}
+        assert list(store.decls._by_name) == ["three"]
 
     def test_clear_empties_the_memo(self, tmp_path):
         store = FunctionStore(root=tmp_path)
         compile_source(THREE_FUNCTIONS, name="three", fn_store=store)
         store.clear()
-        assert store.decls.names() == []
+        assert store.decls._by_name == {}
