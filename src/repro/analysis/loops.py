@@ -229,12 +229,6 @@ def _insert_landing_pad(func: Function, loop: Loop, outside_preds: list[str]) ->
     """
     pad = func.new_block("P")
     pad.append(Jump(loop.header))
-    header_block = func.block(loop.header)
-    if header_block.phis():
-        raise AnalysisError(
-            "normalize_loops does not support SSA phis on loop headers; "
-            "normalize before SSA construction"
-        )
     for pred_label in outside_preds:
         term = func.block(pred_label).terminator
         if term is None:

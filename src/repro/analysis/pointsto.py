@@ -40,7 +40,6 @@ from ..ir.instructions import (
     MemLoad,
     MemStore,
     Mov,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -154,11 +153,6 @@ def run_points_to(module: Module) -> PointsToResult:
                     solver.add_edge(
                         reg_node(fname, instr.src), reg_node(fname, instr.dst)
                     )
-                elif isinstance(instr, Phi):
-                    for incoming in instr.incoming.values():
-                        solver.add_edge(
-                            reg_node(fname, incoming), reg_node(fname, instr.dst)
-                        )
                 elif isinstance(instr, BinOp):
                     # pointer arithmetic flows addresses through +/-; other
                     # operators cannot produce a valid pointer

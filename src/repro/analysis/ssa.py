@@ -1,17 +1,18 @@
-"""SSA construction and destruction.
+"""SSA construction and destruction, used by SCCP only.
 
-The paper's points-to analyzer converts each function to SSA form and
-propagates pointer values over SSA names; our SCCP pass uses the same
-machinery.  Construction is the classic Cytron et al. algorithm:
+Construction is the classic Cytron et al. algorithm:
 
 1. place phi nodes at the iterated dominance frontier of each variable's
    definition sites;
 2. rename along a preorder walk of the dominator tree, keeping a stack of
    reaching definitions per variable.
 
-Destruction replaces each phi with copies at the end of the predecessors.
-Critical edges must be split first (:func:`repro.ir.cfg.split_critical_edges`)
-or copies could execute on paths that bypass the phi.
+The IL has no phi instruction: the phis live in the side table
+:attr:`SSAInfo.phis`, keyed by the label of their join block, while the
+function's own instructions are renamed in place.  Destruction splits
+critical edges (:func:`repro.ir.cfg.split_critical_edges`) so copies never
+execute on paths that bypass the phi, then replaces each phi with copies
+at the end of the predecessors.
 """
 
 from __future__ import annotations
@@ -21,8 +22,16 @@ from dataclasses import dataclass, field
 from ..errors import IRError
 from ..ir.cfg import predecessors, split_critical_edges
 from ..ir.function import Function
-from ..ir.instructions import Mov, Phi, VReg
+from ..ir.instructions import Mov, VReg
 from .dominators import DominatorInfo, compute_dominators, dominance_frontiers
+
+
+@dataclass
+class Phi:
+    """``dst = phi [pred1: r1, pred2: r2, ...]`` at the head of a join."""
+
+    dst: VReg
+    incoming: dict[str, VReg]
 
 
 @dataclass
@@ -31,16 +40,19 @@ class SSAInfo:
 
     ``origin`` maps every SSA name back to the pre-SSA register it
     versions; names that were already single-assignment map to themselves.
+    ``phis`` maps a join block's label to its phis; they are renamed, and
+    lowered to copies, in list order.
     """
 
     origin: dict[VReg, VReg] = field(default_factory=dict)
+    phis: dict[str, list[Phi]] = field(default_factory=dict)
 
     def origin_of(self, reg: VReg) -> VReg:
         return self.origin.get(reg, reg)
 
 
 def construct_ssa(func: Function) -> SSAInfo:
-    """Put ``func`` into SSA form in place."""
+    """Put ``func`` into SSA form in place; its phis go into the result."""
     dom = compute_dominators(func)
     frontiers = dominance_frontiers(func, dom)
     preds = predecessors(func)
@@ -60,7 +72,7 @@ def construct_ssa(func: Function) -> SSAInfo:
                 def_counts[instr.dest] = def_counts.get(instr.dest, 0) + 1
 
     # -- phase 1: phi placement at iterated dominance frontiers ---------------
-    phi_for: dict[tuple[str, VReg], Phi] = {}
+    info = SSAInfo()
     for var, blocks in def_blocks.items():
         if def_counts.get(var, 0) <= 1 and len(blocks) <= 1:
             # single static definition: no phis needed; renaming still
@@ -75,14 +87,12 @@ def construct_ssa(func: Function) -> SSAInfo:
                     continue
                 placed.add(join)
                 phi = Phi(var, {p: var for p in preds[join] if p in dom.idom})
-                func.block(join).instrs.insert(0, phi)
-                phi_for[(join, var)] = phi
+                info.phis.setdefault(join, []).insert(0, phi)
                 if join not in def_blocks[var]:
                     work.append(join)
 
     # -- phase 2: renaming ------------------------------------------------------
     stacks: dict[VReg, list[VReg]] = {var: [] for var in def_blocks}
-    info = SSAInfo()
 
     def fresh_name(var: VReg) -> VReg:
         new = func.new_vreg(var.hint)
@@ -107,9 +117,10 @@ def construct_ssa(func: Function) -> SSAInfo:
     while work:
         label, leaving = work.pop()
         block = func.block(label)
+        phis = info.phis.get(label, ())
         if leaving:
-            for instr in block.instrs:
-                dest = instr.dest
+            dests = [phi.dst for phi in phis] + [i.dest for i in block.instrs]
+            for dest in dests:
                 if dest is None:
                     continue
                 orig = info.origin.get(dest, dest)
@@ -119,15 +130,19 @@ def construct_ssa(func: Function) -> SSAInfo:
 
         work.append((label, True))
 
+        # phis define their registers before the block's first instruction
+        for phi in phis:
+            var = phi.dst
+            phi.dst = fresh_name(var)
+            stacks[var].append(phi.dst)
         for instr in block.instrs:
-            if not isinstance(instr, Phi):
-                mapping = {}
-                for reg in set(instr.uses()):
-                    new = top(reg)
-                    if new != reg:
-                        mapping[reg] = new
-                if mapping:
-                    instr.replace_uses(mapping)
+            mapping = {}
+            for reg in set(instr.uses()):
+                new = top(reg)
+                if new != reg:
+                    mapping[reg] = new
+            if mapping:
+                instr.replace_uses(mapping)
             dest = instr.dest
             if dest is not None:
                 if dest in stacks:
@@ -142,10 +157,10 @@ def construct_ssa(func: Function) -> SSAInfo:
                     info.origin[dest] = dest
 
         for succ in block.successors():
-            for instr in func.block(succ).phis():
-                orig = info.origin.get(instr.dst, instr.dst)
-                if label in instr.incoming:
-                    instr.incoming[label] = top(orig)
+            for phi in info.phis.get(succ, ()):
+                orig = info.origin.get(phi.dst, phi.dst)
+                if label in phi.incoming:
+                    phi.incoming[label] = top(orig)
 
         for child in _dom_children(dom, label):
             work.append((child, False))
@@ -165,22 +180,25 @@ def _set_dest(instr: object, new_dest: VReg) -> None:
         raise IRError(f"cannot set destination of {instr}")
 
 
-def destruct_ssa(func: Function) -> None:
-    """Replace phis with copies, leaving conventional (non-SSA) IL.
+def destruct_ssa(func: Function, info: SSAInfo) -> None:
+    """Replace ``info``'s phis with copies, leaving conventional (non-SSA) IL.
 
-    Splits critical edges first, then for each phi ``d = phi[p_i: r_i]``
-    appends ``d = mov r_i`` at the end of each predecessor ``p_i`` (before
-    its terminator) and deletes the phi.  Parallel-copy hazards (swap
-    problems) are handled by routing every phi of a block through fresh
-    temporaries when any phi source is also a phi destination of the same
-    block.
+    Splits critical edges first, routing each phi input that crossed a
+    split edge through the new block, then for each phi
+    ``d = phi[p_i: r_i]`` appends ``d = mov r_i`` at the end of each
+    predecessor ``p_i`` (before its terminator).  Parallel-copy hazards
+    (swap problems) are handled by routing every phi of a block through
+    fresh temporaries when any phi source is also a phi destination of the
+    same block.  ``info.phis`` is empty afterwards.
     """
-    split_critical_edges(func)
+    for src, dst, mid in split_critical_edges(func):
+        for phi in info.phis.get(dst, ()):
+            if src in phi.incoming:
+                phi.incoming[mid] = phi.incoming.pop(src)
     preds = predecessors(func)
 
-    for label in list(func.blocks):
-        block = func.blocks[label]
-        phis = block.phis()
+    for label in func.blocks:
+        phis = info.phis.get(label)
         if not phis:
             continue
         dests = {phi.dst for phi in phis}
@@ -207,4 +225,4 @@ def destruct_ssa(func: Function) -> None:
                 copies.extend(Mov(dst, src) for dst, src in pairs)
             insert_at = len(pred_block.instrs) - 1
             pred_block.instrs[insert_at:insert_at] = copies
-        block.instrs = [i for i in block.instrs if not isinstance(i, Phi)]
+    info.phis.clear()

@@ -64,7 +64,13 @@ def _parse_whole(text: str, name: str) -> c_ast.FileAST:
     try:
         return parser.parse(text, filename=name)
     except ParseError as exc:
-        raise FrontendError(f"parse error: {exc}") from exc
+        message = str(exc)
+        if not message.startswith(f"{name}: "):
+            raise FrontendError(f"parse error: {message}") from exc
+        # some errors ("Invalid expression") name the file but no line
+        line = getattr(parser.clex, "_lineno", None)
+        detail = message.removeprefix(f"{name}: ")
+        raise FrontendError(f"parse error: {detail}", f"{name}:{line}") from exc
     except AssertionError as exc:
         # pycparser asserts, instead of raising ParseError, on some malformed
         # inputs (a '}' that closes no open scope, odd declarations)

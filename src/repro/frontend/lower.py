@@ -784,7 +784,7 @@ class FunctionLowerer:
     # -- lvalues ----------------------------------------------------------
     def lvalue(self, node: c_ast.Node) -> LValue:
         if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup_var(node.name)
+            sym = self.scopes.lookup_var(node.name, node.coord)
             if sym.in_register:
                 return RegLValue(sym)
             assert sym.tag is not None
@@ -1003,7 +1003,7 @@ class FunctionLowerer:
 
     def _address_of(self, node: c_ast.Node) -> Value:
         if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup_var(node.name)
+            sym = self.scopes.lookup_var(node.name, node.coord)
             if sym.in_register:
                 raise FrontendError(
                     f"internal error: address taken of register variable "
@@ -1228,7 +1228,7 @@ class FunctionLowerer:
         """Evaluate an expression in address context: arrays decay to their
         base address, pointers evaluate normally."""
         if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup_var(node.name)
+            sym = self.scopes.lookup_var(node.name, node.coord)
             if sym.ctype.is_array():
                 assert sym.tag is not None
                 reg = self.b.la(sym.tag)

@@ -80,10 +80,10 @@ class ScopeStack:
                 return scope[name]
         return None
 
-    def lookup_var(self, name: str) -> VarSymbol:
+    def lookup_var(self, name: str, coord: object) -> VarSymbol:
         sym = self.lookup(name)
         if not isinstance(sym, VarSymbol):
-            raise FrontendError(f"use of undeclared variable {name!r}")
+            raise FrontendError(f"undeclared identifier {name!r}", coord)
         return sym
 
     def depth(self) -> int:

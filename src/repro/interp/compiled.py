@@ -114,7 +114,6 @@ from ..ir.instructions import (
     MemStore,
     Mov,
     Nop,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -244,7 +243,7 @@ def _yields_int(instr, ints: set[int]) -> bool:
         if op in _ALWAYS_INT:
             return True
         return op in _INT_IF_INT and all(u.id in ints for u in instr.uses())
-    # loads, call results and phis may hold anything
+    # loads and call results may hold anything
     return False
 
 
@@ -1005,8 +1004,6 @@ class _Gen:
             emit(ind, f"return {value}")
         elif cls is Nop:
             pass
-        elif cls is Phi:
-            emit(ind, self.raiser("phi reached the interpreter; destruct SSA first"))
         else:  # pragma: no cover - defensive
             emit(ind, self.raiser(f"unknown instruction {instr}"))
 

@@ -52,7 +52,6 @@ from ..ir.instructions import (
     MemStore,
     Mov,
     Nop,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -318,10 +317,6 @@ class Machine:
                         regs[instr.dst.id] = value if value is not None else 0
                 elif cls is Nop:
                     counters.total_ops -= 1  # structural, never "executed"
-                elif cls is Phi:
-                    raise InterpError(
-                        "phi reached the interpreter; destruct SSA first"
-                    )
                 else:  # pragma: no cover - defensive
                     raise InterpError(f"unknown instruction {instr}")
             if next_label is None:

@@ -20,7 +20,6 @@ from .instructions import (
     MemStore,
     Mov,
     Nop,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -74,7 +73,6 @@ __all__ = [
     "Mov",
     "Nop",
     "Opcode",
-    "Phi",
     "Ret",
     "ScalarLoad",
     "ScalarStore",

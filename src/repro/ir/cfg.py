@@ -64,28 +64,22 @@ def reachable_labels(func: Function) -> set[str]:
 def remove_unreachable_blocks(func: Function) -> list[str]:
     """Delete blocks no path from the entry reaches.
 
-    Returns the removed labels.  Phi nodes in surviving blocks are pruned of
-    incoming edges from removed blocks.
+    Returns the removed labels.
     """
     live = reachable_labels(func)
     dead = [label for label in func.blocks if label not in live]
     for label in dead:
         del func.blocks[label]
-    if dead:
-        dead_set = set(dead)
-        for block in func.blocks.values():
-            for phi in block.phis():
-                for gone in dead_set & set(phi.incoming):
-                    del phi.incoming[gone]
     return dead
 
 
-def split_critical_edges(func: Function) -> int:
+def split_critical_edges(func: Function) -> list[tuple[str, str, str]]:
     """Split every edge whose source has multiple successors and whose
-    target has multiple predecessors.  Returns the number of edges split.
+    target has multiple predecessors.  Returns one ``(src, dst, new_label)``
+    per split edge, in the order they were split.
     """
     preds = predecessors(func)
-    count = 0
+    splits: list[tuple[str, str, str]] = []
     for src_label in list(func.blocks):
         src = func.blocks[src_label]
         succs = src.successors()
@@ -94,8 +88,8 @@ def split_critical_edges(func: Function) -> int:
         for dst_label in succs:
             if len(preds[dst_label]) < 2:
                 continue
-            func.split_edge(src_label, dst_label, hint="CE")
-            count += 1
+            mid = func.split_edge(src_label, dst_label, hint="CE")
+            splits.append((src_label, dst_label, mid.label))
             preds = predecessors(func)
-    return count
+    return splits
 

@@ -16,7 +16,6 @@ from .instructions import (
     Branch,
     Instr,
     Jump,
-    Phi,
     VReg,
     branch_targets,
 )
@@ -58,22 +57,6 @@ class BasicBlock:
         if self.is_terminated():
             raise IRError(f"appending to terminated block {self.label}")
         self.instrs.append(instr)
-
-    def phis(self) -> list[Phi]:
-        """The phi nodes at the head of the block (SSA form only)."""
-        result: list[Phi] = []
-        for instr in self.instrs:
-            if isinstance(instr, Phi):
-                result.append(instr)
-            else:
-                break
-        return result
-
-    def first_non_phi_index(self) -> int:
-        for idx, instr in enumerate(self.instrs):
-            if not isinstance(instr, Phi):
-                return idx
-        return len(self.instrs)
 
     def body(self) -> list[Instr]:
         """Instructions excluding the terminator."""
@@ -185,11 +168,9 @@ class Function:
         """Insert a fresh block on the CFG edge ``src -> dst``.
 
         The new block ends with ``jmp dst``; the source's terminator is
-        retargeted.  Phi nodes in ``dst`` are updated to route the value
-        that arrived from ``src`` through the new block.
+        retargeted.
         """
         src = self.block(src_label)
-        dst = self.block(dst_label)
         term = src.terminator
         if term is None or dst_label not in branch_targets(term):
             raise IRError(f"no edge {src_label} -> {dst_label} in {self.name}")
@@ -202,9 +183,6 @@ class Function:
                 term.if_true = mid.label
             if term.if_false == dst_label:
                 term.if_false = mid.label
-        for phi in dst.phis():
-            if src_label in phi.incoming:
-                phi.incoming[mid.label] = phi.incoming.pop(src_label)
         return mid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -504,40 +504,6 @@ class Call(Instr):
         return f"{head}call {target}({arglist}) mod={self.mod} ref={self.ref}"
 
 
-class Phi(Instr):
-    """SSA phi node: ``dst = phi [pred1: r1, pred2: r2, ...]``.
-
-    Only present while a function is in SSA form (points-to analysis and
-    SCCP); SSA destruction lowers phis back to copies.
-    """
-
-    __slots__ = ("dst", "incoming")
-    opcode = Opcode.PHI
-
-    def __init__(self, dst: VReg, incoming: dict[str, VReg]) -> None:
-        self.dst = dst
-        self.incoming = dict(incoming)
-
-    def uses(self) -> tuple[VReg, ...]:
-        return tuple(self.incoming.values())
-
-    @property
-    def dest(self) -> VReg:
-        return self.dst
-
-    def replace_uses(self, mapping: Mapping[VReg, VReg]) -> None:
-        self.incoming = {
-            label: _subst(mapping, reg) for label, reg in self.incoming.items()
-        }
-
-    def copy(self) -> "Phi":
-        return Phi(self.dst, dict(self.incoming))
-
-    def __str__(self) -> str:
-        parts = ", ".join(f"{lbl}: {reg}" for lbl, reg in sorted(self.incoming.items()))
-        return f"{self.dst} = phi [{parts}]"
-
-
 class Nop(Instr):
     """A placeholder that executes nothing and is removed by cleaning."""
 

@@ -73,8 +73,7 @@ class Opcode(enum.Enum):
     RET = "ret"
     CALL = "call"        # the paper's JSR, with MOD/REF tag summaries
 
-    # -- SSA / structural ---------------------------------------------------
-    PHI = "phi"
+    # -- structural ---------------------------------------------------------
     NOP = "nop"
 
     def __str__(self) -> str:  # pragma: no cover - trivial

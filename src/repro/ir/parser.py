@@ -36,7 +36,6 @@ from .instructions import (
     MemStore,
     Mov,
     Nop,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -289,18 +288,6 @@ def _parse_instr(line: str, env: _TagEnv):
         if not m2:
             raise IRError(f"bad load: {rhs!r}")
         return MemLoad(dst, _parse_reg(m2.group(1)), env.tag_set(m2.group(2)))
-    if rhs.startswith("phi "):
-        m2 = re.match(r"^phi \[(.*)\]$", rhs)
-        if not m2:
-            raise IRError(f"bad phi: {rhs!r}")
-        incoming = {}
-        body = m2.group(1).strip()
-        if body:
-            for piece in body.split(","):
-                label, reg = piece.split(":")
-                incoming[label.strip()] = _parse_reg(reg)
-        return Phi(dst, incoming)
-
     parts = rhs.split(None, 1)
     opname = parts[0]
     if opname in _BINARY_BY_NAME:

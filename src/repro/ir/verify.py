@@ -10,17 +10,14 @@ Invariants checked per function:
   which is the last instruction;
 * every branch target names an existing block;
 * no instruction other than the last is a terminator;
-* phi nodes appear only at the head of a block and have exactly one
-  incoming value per predecessor;
 * (optional, ``ssa=True``) every register has at most one definition.
 """
 
 from __future__ import annotations
 
 from ..errors import IRError
-from .cfg import predecessors
 from .function import Function
-from .instructions import Phi, VReg
+from .instructions import VReg
 from .module import Module
 
 
@@ -41,26 +38,6 @@ def verify_function(func: Function, ssa: bool = False) -> None:
             if target not in func.blocks:
                 raise IRError(
                     f"{func.name}/{label}: branch to unknown block {target}"
-                )
-        seen_non_phi = False
-        for instr in block.instrs:
-            if isinstance(instr, Phi):
-                if seen_non_phi:
-                    raise IRError(
-                        f"{func.name}/{label}: phi {instr} after non-phi"
-                    )
-            else:
-                seen_non_phi = True
-
-    preds = predecessors(func)
-    for label, block in func.blocks.items():
-        for phi in block.phis():
-            incoming = set(phi.incoming)
-            expected = set(preds[label])
-            if incoming != expected:
-                raise IRError(
-                    f"{func.name}/{label}: phi {phi} incoming {sorted(incoming)} "
-                    f"does not match predecessors {sorted(expected)}"
                 )
 
     if ssa:

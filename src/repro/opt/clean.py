@@ -12,8 +12,6 @@ Classic CFG hygiene, iterated to a fixpoint:
 * hoist a jump-to-branch: a block ending in ``jmp`` to an empty block
   ending in a branch takes the branch directly;
 * delete unreachable blocks.
-
-The pass never touches functions in SSA form (phis pin edge identities).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 from ..ir.cfg import predecessors, remove_unreachable_blocks
 from ..ir.function import Function
-from ..ir.instructions import Branch, Jump, Phi, retarget
+from ..ir.instructions import Branch, Jump, retarget
 
 
 @dataclass
@@ -53,10 +51,6 @@ def clean_function(func: Function) -> CleanStats:
     return stats
 
 
-def _has_phis(func: Function) -> bool:
-    return any(isinstance(i, Phi) for i in func.instructions())
-
-
 def _fold_branches(func: Function, stats: CleanStats) -> bool:
     changed = False
     for block in func.blocks.values():
@@ -74,8 +68,6 @@ def _is_trivially_empty(block) -> bool:
 
 def _skip_empty_blocks(func: Function, stats: CleanStats) -> bool:
     """Retarget edges that pass through a block containing only a jump."""
-    if _has_phis(func):
-        return False
     changed = False
     for label in list(func.blocks):
         block = func.blocks.get(label)
@@ -104,8 +96,6 @@ def _skip_empty_blocks(func: Function, stats: CleanStats) -> bool:
 
 def _merge_chains(func: Function, stats: CleanStats) -> bool:
     """Merge ``a -> b`` when a ends in a jump to b and b has one pred."""
-    if _has_phis(func):
-        return False
     changed = False
     preds = predecessors(func)
     for label in list(func.blocks):

@@ -26,14 +26,13 @@ from ..ir.instructions import (
     Jump,
     LoadI,
     Mov,
-    Phi,
     UnOp,
     VReg,
 )
 from ..ir.module import Module
 from .clean import clean_function
 from .valuenum import _try_fold_binop, _try_fold_unop
-from ..analysis.ssa import construct_ssa, destruct_ssa
+from ..analysis.ssa import Phi, construct_ssa, destruct_ssa
 
 _TOP = "top"
 _BOTTOM = "bottom"
@@ -48,13 +47,13 @@ class SCCPStats:
 
 def run_sccp(func: Function) -> SCCPStats:
     stats = SCCPStats()
-    construct_ssa(func)
+    info = construct_ssa(func)
     try:
-        lattice, executable_edges = _propagate(func)
+        lattice, executable_edges = _propagate(func, info.phis)
         _rewrite(func, lattice, executable_edges, stats)
     finally:
-        _prune_phis(func)
-        destruct_ssa(func)
+        _prune_phis(func, info.phis)
+        destruct_ssa(func, info)
     clean_function(func)
     return stats
 
@@ -68,7 +67,7 @@ def run_sccp_module(module: Module) -> SCCPStats:
     return total
 
 
-def _propagate(func: Function):
+def _propagate(func: Function, phis: dict[str, list[Phi]]):
     lattice: dict[VReg, object] = {}
     for param in func.params:
         lattice[param] = _BOTTOM
@@ -76,13 +75,13 @@ def _propagate(func: Function):
     def value_of(reg: VReg) -> object:
         return lattice.get(reg, _TOP)
 
-    # SSA def and use indexes
-    def_site: dict[VReg, tuple[str, Instr]] = {}
-    uses: dict[VReg, list[tuple[str, Instr]]] = {}
+    # SSA use index
+    uses: dict[VReg, list[tuple[str, Instr | Phi]]] = {}
     for label, block in func.blocks.items():
+        for phi in phis.get(label, ()):
+            for reg in phi.incoming.values():
+                uses.setdefault(reg, []).append((label, phi))
         for instr in block.instrs:
-            if instr.dest is not None:
-                def_site[instr.dest] = (label, instr)
             for reg in instr.uses():
                 uses.setdefault(reg, []).append((label, instr))
 
@@ -98,7 +97,7 @@ def _propagate(func: Function):
             lattice[reg] = new
             ssa_work.append(reg)
 
-    def eval_instr(label: str, instr: Instr) -> None:
+    def eval_instr(label: str, instr: Instr | Phi) -> None:
         if isinstance(instr, Phi):
             result: object = _TOP
             for pred, reg in instr.incoming.items():
@@ -156,10 +155,10 @@ def _propagate(func: Function):
             first_visit = dst not in executable_blocks
             executable_blocks.add(dst)
             # phis must be re-evaluated on every new incoming edge
-            for instr in block.phis():
-                eval_instr(dst, instr)
+            for phi in phis.get(dst, ()):
+                eval_instr(dst, phi)
             if first_visit:
-                for instr in block.instrs[block.first_non_phi_index():]:
+                for instr in block.instrs:
                     eval_instr(dst, instr)
             continue
         reg = ssa_work.pop()
@@ -189,8 +188,6 @@ def _rewrite(func: Function, lattice, executable_edges, stats: SCCPStats) -> Non
             dest = instr.dest
             value = lattice.get(dest, _TOP) if dest is not None else _TOP
             is_const = dest is not None and value is not _TOP and value is not _BOTTOM
-            # phis stay phis (a loadi in the phi zone would break block
-            # structure); their constant inputs are already loadi-rewritten
             if is_const and isinstance(instr, (BinOp, UnOp, Mov)):
                 stats.constants_found += 1
                 new_instrs.append(LoadI(dest, value))
@@ -206,12 +203,13 @@ def _rewrite(func: Function, lattice, executable_edges, stats: SCCPStats) -> Non
         block.instrs = new_instrs
 
 
-def _prune_phis(func: Function) -> None:
-    """Drop phi inputs from labels that are no longer predecessors."""
+def _prune_phis(func: Function, phis: dict[str, list[Phi]]) -> None:
+    """Drop unreachable blocks, then phi inputs from labels that are no
+    longer predecessors."""
     remove_unreachable_blocks(func)
     preds = predecessors(func)
-    for label, block in func.blocks.items():
-        for phi in block.phis():
-            live = set(preds.get(label, []))
+    for label, join_phis in phis.items():
+        live = set(preds.get(label, ()))
+        for phi in join_phis:
             for gone in [p for p in phi.incoming if p not in live]:
                 del phi.incoming[gone]

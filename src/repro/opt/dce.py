@@ -20,7 +20,6 @@ from ..ir.instructions import (
     LoadI,
     MemLoad,
     Mov,
-    Phi,
     ScalarLoad,
     UnOp,
     VReg,
@@ -33,7 +32,7 @@ class DCEStats:
     removed: int = 0
 
 
-_REMOVABLE = (BinOp, UnOp, LoadI, Mov, LoadAddr, ScalarLoad, CLoad, MemLoad, Phi)
+_REMOVABLE = (BinOp, UnOp, LoadI, Mov, LoadAddr, ScalarLoad, CLoad, MemLoad)
 
 
 def _is_removable(instr: Instr) -> bool:

@@ -36,7 +36,6 @@ from ..ir.instructions import (
     MemLoad,
     MemStore,
     Mov,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -189,10 +188,6 @@ def _number_instr(
     state: _BlockNumbering,
     stats: VNStats,
 ) -> Instr | None:
-    if isinstance(instr, Phi):
-        state.define(instr.dst, state.new_vn())
-        return instr
-
     _propagate_copies(instr, state, stats)
 
     if isinstance(instr, LoadI):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.liveness import Liveness, compute_liveness
 from ..ir.function import Function
-from ..ir.instructions import Mov, Phi
+from ..ir.instructions import Mov
 
 
 @dataclass
@@ -83,8 +83,6 @@ def build_interference(
                 for other in others:
                     adjacency.setdefault(other, set()).add(d)
                 live.discard(d)
-            if isinstance(instr, Phi):
-                continue
             for reg in instr.uses():
                 adjacency.setdefault(reg.id, set())
                 occurrences[reg.id] = occurrences.get(reg.id, 0) + weight

@@ -7,7 +7,6 @@ from repro.ir import (
     Function,
     IRBuilder,
     Opcode,
-    Phi,
     VReg,
 )
 
@@ -91,20 +90,4 @@ class TestLiveness:
         b.ret(func.params[0])
         live = compute_liveness(func)
         assert func.params[0].id in live.live_in[func.entry]
-
-    def test_phi_operand_live_out_of_pred(self):
-        func = Function("p")
-        b = IRBuilder(func)
-        entry = b.start_block("entry")
-        v1 = b.loadi(1)
-        join = func.new_block(label="J")
-        b.jmp(join)
-        phi_dst = func.new_vreg()
-        join.instrs.append(Phi(phi_dst, {entry.label: v1}))
-        b.set_block(join)
-        b.ret(phi_dst)
-        live = compute_liveness(func)
-        assert v1.id in live.live_out[entry.label]
-        # phi defs are not live-in to their own block
-        assert phi_dst.id not in live.live_in["J"]
 

@@ -1,9 +1,9 @@
 """Tests for SSA construction and destruction."""
 
-from repro.analysis.ssa import construct_ssa, destruct_ssa
+from repro.analysis.ssa import Phi, SSAInfo, construct_ssa, destruct_ssa
 from repro.frontend import compile_c
 from repro.interp import run_module
-from repro.ir import Function, IRBuilder, Mov, Phi, verify_function
+from repro.ir import Branch, Function, IRBuilder, Jump, Mov, Ret, verify_function
 
 
 def loop_counter_function() -> Function:
@@ -39,14 +39,22 @@ def loop_counter_function() -> Function:
 class TestConstructSSA:
     def test_single_assignment_holds(self):
         func = loop_counter_function()
-        construct_ssa(func)
+        info = construct_ssa(func)
         verify_function(func, ssa=True)
+        # the verifier sees the instructions only: phi destinations must
+        # not be defined anywhere else either
+        defined = list(func.params)
+        defined += [i.dest for i in func.instructions() if i.dest is not None]
+        defined += [phi.dst for phis in info.phis.values() for phi in phis]
+        assert len(defined) == len(set(defined))
 
     def test_phi_placed_at_loop_header(self):
         func = loop_counter_function()
-        construct_ssa(func)
-        header_phis = func.block("H").phis()
-        assert len(header_phis) >= 1
+        info = construct_ssa(func)
+        assert set(info.phis) == {"H"}
+        assert len(info.phis["H"]) >= 1
+        for phi in info.phis["H"]:
+            assert set(phi.incoming) == {func.entry, "B"}
 
     def test_straightline_needs_no_phis(self):
         func = Function("s")
@@ -55,17 +63,17 @@ class TestConstructSSA:
         x = b.loadi(1)
         y = b.add(x, x)
         b.ret(y)
-        construct_ssa(func)
-        assert not any(isinstance(i, Phi) for i in func.instructions())
+        info = construct_ssa(func)
+        assert info.phis == {}
         verify_function(func, ssa=True)
 
     def test_origin_tracks_versions(self):
         func = loop_counter_function()
         info = construct_ssa(func)
-        # every new name maps back to some original register
-        for block in func.blocks.values():
-            for phi in block.phis():
-                assert info.origin_of(phi.dst) is not None
+        # every phi versions a register the function defined before SSA
+        for phi in info.phis["H"]:
+            assert info.origin_of(phi.dst).hint == "i"
+            assert info.origin_of(phi.dst) != phi.dst
 
 
 class TestDestructSSA:
@@ -91,11 +99,12 @@ class TestDestructSSA:
 
         module2 = compile_c(src)
         for func in module2.functions.values():
-            construct_ssa(func)
+            info = construct_ssa(func)
             verify_function(func, ssa=True)
-            destruct_ssa(func)
+            assert info.phis
+            destruct_ssa(func, info)
             verify_function(func)
-            assert not any(isinstance(i, Phi) for i in func.instructions())
+            assert info.phis == {}
         actual = run_module(module2)
         assert actual.output == expected.output
         assert actual.exit_code == expected.exit_code
@@ -123,8 +132,29 @@ class TestDestructSSA:
         expected = run_module(module)
         module2 = compile_c(src)
         for func in module2.functions.values():
-            construct_ssa(func)
-            destruct_ssa(func)
+            destruct_ssa(func, construct_ssa(func))
             verify_function(func)
         actual = run_module(module2)
         assert actual.output == expected.output == "2 1\n"
+
+    def test_phi_input_routed_through_split_edge(self):
+        # A -cbr-> (B, C) and C -> B: A->B is critical, so the copy for
+        # the phi input from A must land in the block that splits it
+        func = Function("f")
+        a = func.new_block(label="A")
+        b_blk = func.new_block(label="B")
+        c = func.new_block(label="C")
+        r, s, d = func.new_vreg(), func.new_vreg(), func.new_vreg()
+        a.instrs = [Branch(r, "B", "C")]
+        c.instrs = [Jump("B")]
+        b_blk.instrs = [Ret(d)]
+        info = SSAInfo(phis={"B": [Phi(d, {"A": r, "C": s})]})
+        destruct_ssa(func, info)
+        verify_function(func)
+        (mid,) = [label for label in func.blocks if label not in "ABC"]
+        assert a.successors() == (mid, "C")
+        assert [str(i) for i in func.block(mid).instrs] == [
+            str(Mov(d, r)),
+            str(Jump("B")),
+        ]
+        assert str(c.instrs[0]) == str(Mov(d, s))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FrontendError, UnsupportedFeatureError
+from repro.frontend import compile_c
 from tests.helpers import run_c
 
 
@@ -297,3 +298,15 @@ class TestErrors:
             run_c(source)
         assert excinfo.value.coord is not None
         assert "parse error: malformed input" in str(excinfo.value)
+
+    def test_assignment_to_undeclared_name_has_coordinate(self):
+        source = "int bump(void) {\n    counter = counter + 1;\n    return counter;\n}\n"
+        with pytest.raises(FrontendError) as excinfo:
+            compile_c(source, name="bump")
+        assert str(excinfo.value) == "bump:2:5: undeclared identifier 'counter'"
+
+    def test_parse_error_without_pycparser_line_gets_lexer_line(self):
+        source = "int three(void) {\n    return 3 +;\n}\n"
+        with pytest.raises(FrontendError) as excinfo:
+            compile_c(source, name="three")
+        assert str(excinfo.value) == "three:2: parse error: Invalid expression"

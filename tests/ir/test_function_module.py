@@ -13,7 +13,6 @@ from repro.ir import (
     LoadI,
     Module,
     Mov,
-    Phi,
     Ret,
     Tag,
     TagKind,
@@ -49,13 +48,6 @@ class TestBasicBlock:
         assert block.terminator is None
         assert block.successors() == ()
         assert not block.is_terminated()
-
-    def test_phis_prefix(self):
-        block = BasicBlock("B")
-        p1 = Phi(VReg(0), {})
-        block.instrs = [p1, LoadI(VReg(1), 0), Jump("X")]
-        assert block.phis() == [p1]
-        assert block.first_non_phi_index() == 1
 
     def test_body_excludes_terminator(self):
         load = LoadI(VReg(0), 1)
@@ -116,20 +108,6 @@ class TestSplitEdge:
         mid = func.split_edge("A", "B")
         assert a.successors() == (mid.label,)
         assert mid.successors() == ("B",)
-
-    def test_split_branch_edge_updates_phi(self):
-        func = Function("f")
-        a = func.new_block(label="A")
-        b_blk = func.new_block(label="B")
-        c = func.new_block(label="C")
-        r = func.new_vreg()
-        a.append(Branch(r, "B", "C"))
-        phi = Phi(func.new_vreg(), {"A": r})
-        b_blk.instrs = [phi, Ret()]
-        c.append(Ret())
-        mid = func.split_edge("A", "B")
-        assert phi.incoming == {mid.label: r}
-        assert a.successors() == (mid.label, "C")
 
     def test_split_missing_edge_fails(self):
         func = Function("f")

@@ -15,7 +15,6 @@ from repro.ir import (
     Mov,
     Nop,
     Opcode,
-    Phi,
     Ret,
     ScalarLoad,
     ScalarStore,
@@ -87,11 +86,6 @@ class TestUsesAndDefs:
         with pytest.raises(ValueError):
             Call(None, None, [])
 
-    def test_phi_uses(self):
-        phi = Phi(R0, {"A": R1, "B": R2})
-        assert set(phi.uses()) == {R1, R2}
-        assert phi.dest == R0
-
 
 class TestReplaceUses:
     def test_binop(self):
@@ -104,11 +98,6 @@ class TestReplaceUses:
         instr.replace_uses({R0: R2, R1: R2})
         assert instr.dst == R0
         assert instr.src == R2
-
-    def test_phi_replace(self):
-        phi = Phi(R0, {"A": R1})
-        phi.replace_uses({R1: R2})
-        assert phi.incoming == {"A": R2}
 
     def test_memstore_replaces_both(self):
         instr = MemStore(R0, R1, TagSet.of(T))
@@ -199,7 +188,7 @@ class TestCopy:
             Branch(R0, "A", "B"),
             Ret(R0),
             Call(R0, "f", [R1], site_id=3),
-            Phi(R0, {"A": R1}),
+            CLoad(R0, T),
             Nop(),
         ],
     )

@@ -52,7 +52,7 @@ class TestOpcodeFamilies:
 
     def test_every_opcode_in_some_known_family(self):
         structural = {Opcode.LOADI, Opcode.MOV, Opcode.LA, Opcode.CALL,
-                      Opcode.PHI, Opcode.NOP}
+                      Opcode.NOP}
         covered = (BINARY_OPS | UNARY_OPS | MEMORY_OPS | TERMINATOR_OPS
                    | structural)
         assert covered == set(Opcode)

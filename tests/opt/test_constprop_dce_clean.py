@@ -1,5 +1,6 @@
 """Tests for SCCP, dead code elimination, and basic-block cleaning."""
 
+from repro.analysis.ssa import Phi
 from repro.frontend import compile_c
 from repro.interp import run_module
 from repro.ir import (
@@ -10,6 +11,7 @@ from repro.ir import (
     LoadI,
     MemLoad,
     Mov,
+    Ret,
     ScalarLoad,
     ScalarStore,
     Tag,
@@ -17,7 +19,7 @@ from repro.ir import (
     TagSet,
 )
 from repro.opt.clean import clean_function
-from repro.opt.constprop import run_sccp, run_sccp_module
+from repro.opt.constprop import _prune_phis, run_sccp, run_sccp_module
 from repro.opt.dce import run_dce
 from tests.helpers import run_c
 
@@ -87,6 +89,21 @@ class TestSCCP:
         module = compile_c(src)
         run_sccp_module(module)
         assert run_module(module).exit_code == 14
+
+    def test_prune_phis_drops_unreachable_inputs(self):
+        # entry -cbr-> (left | right) -> join; "dead" also jumps to join
+        # but nothing reaches it
+        func = Function("d")
+        r = func.new_vreg()
+        func.new_block(label="entry").instrs = [Branch(r, "left", "right")]
+        func.new_block(label="left").instrs = [Jump("join")]
+        func.new_block(label="right").instrs = [Jump("join")]
+        func.new_block(label="join").instrs = [Ret()]
+        func.new_block(label="dead").instrs = [Jump("join")]
+        phi = Phi(func.new_vreg(), {"left": r, "right": r, "dead": r, "gone": r})
+        _prune_phis(func, {"join": [phi]})
+        assert "dead" not in func.blocks
+        assert list(phi.incoming) == ["left", "right"]
 
     def test_unreachable_loop_removed(self):
         src = r"""

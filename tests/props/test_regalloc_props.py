@@ -18,7 +18,7 @@ from repro.analysis.liveness import compute_liveness
 from repro.frontend import compile_c
 from repro.interp import MachineOptions, run_module
 from repro.ir import Function, IRBuilder, VReg
-from repro.ir.instructions import Mov, Phi
+from repro.ir.instructions import Mov
 from repro.regalloc import RegAllocOptions, allocate_function, build_interference
 from tests.props.test_differential_props import programs
 
@@ -80,9 +80,7 @@ def reference_live_at(func) -> dict[tuple[str, int], set[int]]:
 
     Straight from the definition: a register is live at a point when some
     path from it reaches a use before any definition.  For each register
-    the points are found by walking backwards from its uses.  A phi
-    defines its destination at its own position and uses its operand for
-    predecessor P at the end of P.  Nothing flows into or out of a block
+    the points are found by walking backwards from its uses.  Nothing flows into or out of a block
     the entry cannot reach, the convention the allocator's liveness
     follows.
     """
@@ -101,16 +99,8 @@ def reference_live_at(func) -> dict[tuple[str, int], set[int]]:
     seeds: dict[int, set[tuple[str, int]]] = {}
     for label, block in func.blocks.items():
         for j, instr in enumerate(block.instrs):
-            if isinstance(instr, Phi):
-                if label not in reachable:
-                    continue
-                for pred, reg in instr.incoming.items():
-                    if pred in reachable:
-                        end = (pred, len(func.block(pred).instrs))
-                        seeds.setdefault(reg.id, set()).add(end)
-            else:
-                for reg in instr.uses():
-                    seeds.setdefault(reg.id, set()).add((label, j))
+            for reg in instr.uses():
+                seeds.setdefault(reg.id, set()).add((label, j))
 
     live_at: dict[tuple[str, int], set[int]] = {}
     for reg_id, points in seeds.items():
@@ -148,9 +138,8 @@ def reference_interference(func) -> dict[int, set[int]]:
 
     for label, block in func.blocks.items():
         for i, instr in enumerate(block.instrs):
-            if not isinstance(instr, Phi):
-                for reg in instr.uses():
-                    adjacency.setdefault(reg.id, set())
+            for reg in instr.uses():
+                adjacency.setdefault(reg.id, set())
             dest = instr.dest
             if dest is None:
                 continue
