@@ -49,27 +49,21 @@ class ModRefResult:
     #: address-taken tags visible to each function (the universe used when
     #: materializing a universal tag set inside that function)
     visible: dict[str, frozenset[Tag]] = field(default_factory=dict)
-    call_graph: CallGraph | None = None
     sccs: SCCInfo | None = None
     #: one ``summarized`` row per function: the MOD/REF provenance every
     #: caller's ``ambiguous-via-call`` promotion decision traces back to
     decisions: list[Decision] = field(default_factory=list)
 
 
-def run_modref(module: Module, apply_to_ir: bool = True) -> ModRefResult:
-    """Run the analysis; when ``apply_to_ir`` rewrite every pointer-based
-    operation's tag set and every call's MOD/REF summary in place."""
+def run_modref(module: Module) -> ModRefResult:
+    """Run the analysis, rewriting every pointer-based operation's tag
+    set and every call's MOD/REF summary in place."""
     graph = build_call_graph(module)
     sccs = condense_sccs(graph)
     visible = _visible_universe(module, graph)
-
-    if apply_to_ir:
-        _limit_pointer_operations(module, visible)
-
+    _limit_pointer_operations(module, visible)
     summaries = _function_summaries(module, graph, sccs, visible)
-
-    if apply_to_ir:
-        _limit_calls(module, graph, summaries, visible)
+    _limit_calls(module, graph, summaries, visible)
 
     decisions = [
         Decision(
@@ -85,7 +79,6 @@ def run_modref(module: Module, apply_to_ir: bool = True) -> ModRefResult:
     return ModRefResult(
         summaries=summaries,
         visible=visible,
-        call_graph=graph,
         sccs=sccs,
         decisions=decisions,
     )

@@ -24,8 +24,8 @@ the Csmith-style answer (scaled to our C subset):
     to a minimal reproducer while the divergence predicate holds;
 
 :mod:`repro.fuzz.campaign`
-    the ``repro fuzz`` driver: fans program batches out through the
-    :mod:`repro.runner` scheduler, records every divergence as a
+    the ``repro fuzz`` driver: judges program batches inline or one
+    program per :mod:`repro.runner.pool` job, records every divergence as a
     :mod:`repro.diag` Decision-style artifact, and promotes reduced
     reproducers into the regression corpus.
 """

@@ -1,10 +1,10 @@
 """The ``repro fuzz`` campaign driver.
 
-Generates programs in batches, fans every batch's oracle matrix out
-through the :mod:`repro.runner` scheduler (one :class:`CellSpec` per
-(program, level, engine) cell — so ``--jobs`` parallelism, bounded
-retries, and graceful CellFailure degradation all come for free), and
-folds the outcomes back into per-program verdicts.
+Generates programs in batches and judges each with
+:func:`~repro.fuzz.oracle.run_oracle`: inline, or with ``jobs > 1`` one
+:mod:`repro.runner.pool` job per program.  A program whose worker is
+lost (killed, or dead mid-job) is reported divergent with one
+``crash-divergence`` naming the loss, and the batch carries on.
 
 Budget semantics: ``budget_seconds`` is wall clock; the campaign stops
 *starting* new batches once the budget is spent, so a run always finishes
@@ -26,21 +26,21 @@ from pathlib import Path
 from typing import Callable
 
 from ..diag.log import get_logger
-from ..runner.scheduler import run_cells
+from ..inccomp import FunctionStore
+from ..runner.pool import WorkerLost, fan_out
 from ..trace import (
     FlightRecorder,
     flight_recorder,
     install_flight_recorder,
     uninstall_flight_recorder,
 )
-from .gen import GenOptions, generate_program
+from .gen import FuzzProgram, GenOptions, generate_program
 from .oracle import (
+    Divergence,
     OracleConfig,
     OracleReport,
-    build_oracle_specs,
-    check_fuel_limits,
-    classify_outcomes,
     make_divergence_predicate,
+    run_oracle,
     write_divergence_artifact,
 )
 from .reduce import reduce_source
@@ -107,8 +107,8 @@ def run_campaign(
     result = CampaignResult(first_seed=options.seed)
     next_seed = options.seed
     stop = False
-    from ..inccomp import FunctionStore
-
+    # persists across batches: generated programs share helper shapes,
+    # and a bounded memo is cheap
     fn_store = FunctionStore(root=None)
 
     # last-N program history + recent log records ride along in every
@@ -131,34 +131,8 @@ def run_campaign(
                 for k in range(batch_size)
             ]
             next_seed += batch_size
-            specs = [
-                spec
-                for program in batch
-                for spec in build_oracle_specs(
-                    program.name, program.source, options.oracle
-                )
-            ]
-            # a fresh per-batch compile cache bounds memory while letting each
-            # level's engine set share one compilation (per worker when
-            # pooled);
-            # the function store persists across batches — generated
-            # programs share helper shapes, and a bounded memo is cheap
-            outcomes = run_cells(
-                specs,
-                jobs=options.jobs,
-                retries=0,
-                compile_cache={},
-                fn_store=fn_store,
-            )
-
-            for program in batch:
-                cell_outcomes = {
-                    variant: outcome
-                    for (workload, variant), outcome in outcomes.items()
-                    if workload == program.name
-                }
-                report = classify_outcomes(program, cell_outcomes)
-                check_fuel_limits(report, options.oracle, fn_store)
+            for report in _judge(batch, options, fn_store):
+                program = report.program
                 recorder.record_event(
                     "fuzz.program",
                     program=program.name,
@@ -186,6 +160,41 @@ def run_campaign(
 
     result.seconds = time.perf_counter() - started
     return result
+
+
+def _judge(
+    batch: list[FuzzProgram], options: CampaignOptions, fn_store: FunctionStore
+) -> list[OracleReport]:
+    """One report per program of ``batch``, in batch order.  Pooled
+    workers are forked with ``fn_store``, so each works on its own copy."""
+    if options.jobs <= 1:
+        return [run_oracle(p, options.oracle, fn_store=fn_store) for p in batch]
+    reports: dict[int, OracleReport] = {}
+
+    def settle(job: dict, reply, seconds: float) -> bool:
+        program = job["program"]
+        if isinstance(reply, WorkerLost):
+            reports[program.seed] = _lost(program, f"worker process died: {reply}")
+        elif not reply["ok"]:
+            reports[program.seed] = _lost(program, reply["error"]["message"])
+        else:
+            reports[program.seed] = reply["result"]
+        return False
+
+    fan_out(
+        [{"kind": "oracle", "program": p, "config": options.oracle} for p in batch],
+        options.jobs,
+        settle=settle,
+        fn_store=fn_store,
+    )
+    return [reports[p.seed] for p in batch]
+
+
+def _lost(program: FuzzProgram, why: str) -> OracleReport:
+    """The verdict on a program whose oracle run never reported: as with
+    any cell that crashed while others ran, a divergence."""
+    lost = Divergence("crash-divergence", f"the oracle run was lost: {why}")
+    return OracleReport(program, "divergent", divergences=[lost])
 
 
 def _handle_divergence(

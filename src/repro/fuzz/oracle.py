@@ -1,7 +1,7 @@
 """Multi-level differential oracle.
 
-One generated program is judged by running a matrix of cells through the
-:mod:`repro.runner` scheduler:
+:func:`run_oracle` is the one judge of a generated program.  It runs a
+matrix of cells:
 
 ====================  ====================================================
 level                 pipeline
@@ -14,9 +14,11 @@ level                 pipeline
 ====================  ====================================================
 
 each × both interpreter engines (the ``simple`` reference loop and the
-``compiled`` tier), and every cell compiled with
-``verify_each_stage=True`` so the IR verifier runs between passes.  The
-verdict is built from four invariant families:
+``compiled`` tier).  Each level is compiled once, with
+``verify_each_stage=True`` so the IR verifier runs between passes, and
+every engine runs that one module; a compile or a run that raises makes
+its cells ``crash`` failures.  The verdict is built from four invariant
+families:
 
 * **output equivalence** — every successful cell prints the same bytes
   and exits with the same code;
@@ -49,17 +51,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..diag.ledger import Decision
-from ..errors import ReproError
 from ..inccomp.store import FunctionStore
 from ..interp import Machine, MachineOptions
+from ..ir.module import Module
 from ..opt.promotion import PromotionOptions
-from ..pipeline import Analysis, ExperimentCell, PipelineOptions, compile_source
-from ..runner.scheduler import CellFailure, CellSpec, run_cells
+from ..pipeline import (
+    Analysis,
+    ExperimentCell,
+    PipelineOptions,
+    compile_source,
+    run_compiled,
+)
+from ..runner.pool import describe_error
+from ..runner.scheduler import CellFailure
 from .gen import FuzzProgram
 
 ENGINES = ("compiled", "simple")
@@ -174,28 +182,6 @@ class OracleReport:
             "cells": self.cells,
             "decisions": [d.as_dict() for d in self.decisions()],
         }
-
-
-def build_oracle_specs(
-    name: str, source: str, config: OracleConfig
-) -> list[CellSpec]:
-    """One spec per (level, engine) cell of the oracle matrix."""
-    specs: list[CellSpec] = []
-    for level in config.levels:
-        options = config.pipeline_for(level)
-        for engine in config.engines:
-            specs.append(
-                CellSpec(
-                    workload=name,
-                    variant=f"{level}+{engine}",
-                    source=source,
-                    options=options,
-                    machine=MachineOptions(
-                        max_steps=config.max_steps, engine=engine
-                    ),
-                )
-            )
-    return specs
 
 
 def classify_outcomes(
@@ -358,38 +344,27 @@ def classify_outcomes(
 def check_fuel_limits(
     report: OracleReport,
     config: OracleConfig,
-    fn_store: "FunctionStore | None" = None,
+    module: Module | None,
 ) -> None:
-    """Engine equivalence where the fuel runs out: run every engine of the
-    ``full`` level at ``max_steps`` ⌊total/2⌋ and total−1, where total is
-    the level's op count, and add an engine divergence to ``report`` when
-    one stops with another message or other counters than the first.
+    """Engine equivalence where the fuel runs out: run every engine on
+    ``module``, the ``full`` level's compiled module, at ``max_steps``
+    ⌊total/2⌋ and total−1, where total is the level's op count, and add
+    an engine divergence to ``report`` when one stops with another
+    message or other counters than the first.
 
     A program that traps at the level is first run to its trap, whose
     counters must agree too, and total is the count it trapped at.  A
-    level whose cells disagree, failed to compile or ran out of the
-    configured fuel is left to the other checks.
+    level whose cells disagree, failed to compile (``module`` is
+    ``None``) or ran out of the configured fuel is left to the other
+    checks.
     """
     engines = config.engines
-    if (
-        report.status == "divergent"
-        or _FUEL_LEVEL not in config.levels
-        or len(engines) < 2
-    ):
+    if report.status == "divergent" or module is None or len(engines) < 2:
         return
     # the level's cells agree: all ran, with equal counters, or all
     # failed with one message
     first = report.cells[f"{_FUEL_LEVEL}+{engines[0]}"]
     if "executed operations" in first.get("message", ""):
-        return
-    try:
-        module = compile_source(
-            report.program.source,
-            config.pipeline_for(_FUEL_LEVEL),
-            name=report.program.name,
-            fn_store=fn_store,
-        ).module
-    except ReproError:  # the cells' crash checks cover it
         return
     runs = []
     if "counters" in first:
@@ -445,31 +420,45 @@ def _fuel_stop(module, engine: str, limit: int) -> tuple[str, dict]:
 def run_oracle(
     program: FuzzProgram,
     config: OracleConfig | None = None,
-    jobs: int = 1,
     fn_store: "FunctionStore | None" = None,
 ) -> OracleReport:
-    """Run the whole matrix for one program and classify the outcomes.
+    """Judge one program: compile each level once, run every engine on
+    it, classify the outcomes and run the fuel checks.
 
     ``fn_store`` makes the matrix incremental per function: levels share
     nothing with each other (their options differ), but successive
-    oracle runs over related sources — a campaign batch, the reducer's
-    thousands of probes — reuse every function body they did not touch.
+    oracle runs over related sources — the reducer's thousands of
+    probes — reuse every function body they did not touch.
     """
     config = config or OracleConfig()
-    specs = build_oracle_specs(program.name, program.source, config)
-    # one compilation per level serves the whole engine set (inline, or
-    # per worker when pooled)
-    outcomes = run_cells(
-        specs,
-        jobs=jobs,
-        retries=0,
-        compile_cache={},
-        fn_store=fn_store,
-    )
-    report = classify_outcomes(
-        program, {variant: o for (_, variant), o in outcomes.items()}
-    )
-    check_fuel_limits(report, config, fn_store)
+    outcomes: dict[str, ExperimentCell | CellFailure] = {}
+    fuel_module = None
+    for level in config.levels:
+        try:
+            compiled = compile_source(
+                program.source,
+                config.pipeline_for(level),
+                name=program.name,
+                fn_store=fn_store,
+            )
+        except Exception as error:  # noqa: BLE001 - a crash is an outcome
+            compiled, failure = None, describe_error(error)
+        if level == _FUEL_LEVEL and compiled is not None:
+            fuel_module = compiled.module
+        for engine in config.engines:
+            variant = f"{level}+{engine}"
+            if compiled is not None:
+                machine = MachineOptions(max_steps=config.max_steps, engine=engine)
+                try:
+                    outcomes[variant] = run_compiled(compiled, machine)
+                    continue
+                except Exception as error:  # noqa: BLE001
+                    failure = describe_error(error)
+            outcomes[variant] = CellFailure(
+                program.name, variant, "crash", failure, attempts=1
+            )
+    report = classify_outcomes(program, outcomes)
+    check_fuel_limits(report, config, fuel_module)
     return report
 
 
@@ -487,22 +476,14 @@ def make_divergence_predicate(
     miscompile to an unrelated inconsistency.
     """
     config = config or OracleConfig()
-    scheduler_log = logging.getLogger("repro.runner.scheduler")
     # one warm memo across every probe: ddmin deletes a few lines per
     # candidate, so most of each probe's functions hit the store
     fn_store = FunctionStore(root=None)
 
     def predicate(source: str) -> bool:
-        # most probes fail to compile by design; the scheduler's per-cell
-        # crash warnings are pure noise here, so keep only its errors
-        previous = scheduler_log.level
-        scheduler_log.setLevel(logging.ERROR)
-        try:
-            report = run_oracle(
-                FuzzProgram(seed=-1, source=source), config, fn_store=fn_store
-            )
-        finally:
-            scheduler_log.setLevel(previous)
+        report = run_oracle(
+            FuzzProgram(seed=-1, source=source), config, fn_store=fn_store
+        )
         if kind is None:
             return report.status == "divergent"
         return any(d.kind == kind for d in report.divergences)

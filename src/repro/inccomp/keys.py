@@ -45,7 +45,7 @@ __all__ = [
 
 #: bump when the stored :class:`~repro.inccomp.store.FunctionRecord`
 #: payload or the meaning of any key component changes
-FN_SCHEMA_VERSION = 2
+FN_SCHEMA_VERSION = 3
 
 
 def _tag_attrs(tag) -> list:

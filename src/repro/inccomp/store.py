@@ -48,8 +48,6 @@ class FunctionRecord:
     stats: dict[str, float] = field(default_factory=dict)
     #: the decision rows this function's passes returned, in pass order
     decisions: list["Decision"] = field(default_factory=list)
-    #: wall seconds the original optimization took (reporting only)
-    seconds: float = 0.0
 
 
 class FunctionStore(Store):

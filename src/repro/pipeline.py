@@ -30,7 +30,6 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from time import perf_counter
 
 from .analysis.loops import normalize_loops
 from .analysis.modref import ModRefResult, run_modref
@@ -198,7 +197,6 @@ def _optimize_function(
     ``func`` in place.  Returns the :class:`FunctionRecord` capturing
     everything a later cache hit must replay, its decision rows
     included."""
-    start = perf_counter()
     name = func.name
     record = FunctionRecord(function=func)
     rows = record.decisions
@@ -271,7 +269,6 @@ def _optimize_function(
             run_dce(func)
             clean_function(func)
 
-    record.seconds = perf_counter() - start
     return record
 
 

@@ -1,13 +1,17 @@
 """Worker processes: the one place that starts, feeds and kills them.
 
-``run_cells(jobs > 1)`` drives them through :func:`fan_out`, and
-:class:`repro.serve.pool.WorkerPool` drives them from asyncio.  A worker
-is a long-lived forked process that serves jobs from a duplex pipe until
-it reads the ``None`` sentinel.  It keeps a ``compile_cache`` (keyed by
-:func:`~repro.runner.scheduler.compile_memo_key`) for its lifetime, and
-compiles through the :class:`~repro.inccomp.FunctionStore` it was
-spawned with.  It answers every job with ``{"ok": True, "result": ...}``
-or ``{"ok": False, "error": {"code": ..., "message": ...}}``.
+``run_cells(jobs > 1)`` and the pooled fuzz campaign drive them through
+:func:`fan_out`, and :class:`repro.serve.pool.WorkerPool` drives them
+from asyncio.  A worker is a long-lived forked process that serves jobs
+from a duplex pipe until it reads the ``None`` sentinel.  It runs
+``cell``, ``compile`` and ``explain`` jobs and judges ``oracle`` jobs
+(one fuzz program each), compiling through the
+:class:`~repro.inccomp.FunctionStore` it was spawned with.  Cell jobs
+marked ``share_compile`` (serve's) also share a memo of compiled modules
+(keyed by :func:`~repro.runner.scheduler.compile_memo_key`) that lives
+as long as the worker.  It answers every job with
+``{"ok": True, "result": ...}`` or
+``{"ok": False, "error": {"code": ..., "message": ...}}``.
 
 A reply is awaited with a deadline.  A cell cannot be cancelled
 cooperatively, so when the deadline passes the worker is SIGKILLed and
@@ -77,7 +81,7 @@ def _handle_job(
     parented under the parent's dispatch span, and travel back in the
     reply as ``trace_spans`` for the server to adopt.  A cell job's
     ``collect_trace`` returns its plain per-pass spans the same way, and
-    ``share_compile=False`` keeps it out of ``compile_cache``.
+    ``share_compile=True`` lets it use and fill ``compile_cache``.
     """
     kind = job["kind"]
     ctx_data = job.get("trace_ctx")
@@ -91,7 +95,7 @@ def _handle_job(
         cell = execute_cell(
             spec,
             collect_trace,
-            compile_cache=compile_cache if job.get("share_compile", True) else None,
+            compile_cache=compile_cache if job.get("share_compile") else None,
             trace_ctx=trace_ctx,
             trace_worker=worker_label,
             fn_store=fn_store,
@@ -104,6 +108,10 @@ def _handle_job(
         if trace_ctx is not None or collect_trace:
             result["trace_spans"] = cell.trace_events
         return result
+    if kind == "oracle":
+        from ..fuzz.oracle import run_oracle
+
+        return run_oracle(job["program"], job["config"], fn_store=fn_store)
     if kind not in ("compile", "explain"):
         raise ValueError(f"unknown job kind {kind!r}")
     with _maybe_tracing(kind, trace_ctx, worker_label) as trace:
@@ -123,18 +131,16 @@ def _handle_job(
             "decisions": [decision.as_dict() for decision in decisions],
         }
     else:
-        reports = list(compiled.promotion_reports.values())
-        tags = set().union(*(r.promoted_tags for r in reports))
+        # promotion totals are compile metrics, absent without promotion
+        metric = compiled.metrics.get
         result = {
             "variant": job["options"].variant_name(),
             "il": format_module(compiled.module),
             "promotion": {
-                "tags_promoted": len(tags),
-                "references_rewritten": sum(
-                    r.references_rewritten for r in reports
-                ),
-                "loads_inserted": sum(r.loads_inserted for r in reports),
-                "stores_inserted": sum(r.stores_inserted for r in reports),
+                "tags_promoted": metric("promotion.tags_promoted", 0),
+                "references_rewritten": metric("promotion.refs_rewritten", 0),
+                "loads_inserted": metric("promotion.loads_inserted", 0),
+                "stores_inserted": metric("promotion.stores_inserted", 0),
             },
         }
     if trace_ctx is not None:

@@ -2,9 +2,11 @@
 
 Each ``(workload, variant)`` cell is an independent job that carries its
 own source text, so injected or synthetic workloads need no registry
-coordination.  ``jobs > 1`` runs cells on :mod:`repro.runner.pool`
-workers spawned for the call; ``jobs <= 1`` runs them inline, where the
-IR-bearing ``CompileResult`` stays attached to each result.  A cell that
+coordination, and compiles its own module: only serve's workers share
+compiled modules between cells (see :mod:`repro.runner.pool`).
+``jobs > 1`` runs cells on :mod:`repro.runner.pool` workers spawned for
+the call; ``jobs <= 1`` runs them inline, where the IR-bearing
+``CompileResult`` stays attached to each result.  A cell that
 raises, takes its worker down, or runs out of ``timeout`` becomes a
 :class:`CellFailure` instead of killing the suite, and a crashed cell is
 retried up to ``retries`` extra times.  With a
@@ -21,6 +23,7 @@ rejects ``--timeout`` without ``--jobs`` > 1.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -106,10 +109,10 @@ def execute_cell(
 
     ``keep_compile_result`` attaches the full IR-bearing
     :class:`CompileResult`.  ``compile_cache`` (keyed by
-    :func:`compile_memo_key`) lets cells that differ only in
-    :class:`MachineOptions` — the fuzz oracle's engine pairs — share one
-    compilation; running never mutates the module, and every sharing
-    cell carries the compile's metrics.
+    :func:`compile_memo_key`) is a serve worker's memo: cells that
+    differ only in :class:`MachineOptions` share one compilation;
+    running never mutates the module, and every sharing cell carries the
+    compile's metrics.
 
     ``trace_ctx`` joins this cell to a distributed trace: spans carry its
     trace id, are parented under its ``parent_id``, and come back in
@@ -117,17 +120,30 @@ def execute_cell(
     ``collect_trace``.
     """
     started = time.perf_counter()
-    if collect_trace or trace_ctx is not None:
-        with tracing(
+    traced = collect_trace or trace_ctx is not None
+    key = compile_memo_key(spec) if compile_cache is not None else None
+    with (
+        tracing(
             f"{spec.workload}:{spec.variant}",
             context=trace_ctx,
             worker=trace_worker or f"pid{os.getpid()}",
-        ) as trace:
-            cell = _compile_and_run(spec, compile_cache, fn_store)
-        events = [event.as_dict() for event in trace.events]
-    else:
-        cell = _compile_and_run(spec, compile_cache, fn_store)
-        events = []
+        )
+        if traced
+        else contextlib.nullcontext()
+    ) as trace:
+        compiled = compile_cache.get(key) if key is not None else None
+        if compiled is None:
+            with span("compile", variant=spec.options.variant_name()):
+                compiled = compile_source(
+                    spec.source,
+                    spec.options,
+                    name=spec.workload,
+                    defines=dict(spec.defines) or None,
+                    fn_store=fn_store,
+                )
+            if key is not None:
+                compile_cache[key] = compiled
+        cell = run_compiled(compiled, spec.machine)
     _log.debug(
         "cell %s[%s] done in %.3fs", spec.workload, spec.variant,
         time.perf_counter() - started,
@@ -135,31 +151,10 @@ def execute_cell(
     cell.workload = spec.workload
     cell.variant = spec.variant
     cell.seconds = time.perf_counter() - started
-    cell.trace_events = events
+    cell.trace_events = [e.as_dict() for e in trace.events] if traced else []
     if not keep_compile_result:
         cell.compile_result = None
     return cell
-
-
-def _compile_and_run(
-    spec: CellSpec,
-    compile_cache: dict[str, CompileResult] | None = None,
-    fn_store: FunctionStore | None = None,
-) -> ExperimentCell:
-    key = compile_memo_key(spec) if compile_cache is not None else None
-    compiled = compile_cache.get(key) if key is not None else None
-    if compiled is None:
-        with span("compile", variant=spec.options.variant_name()):
-            compiled = compile_source(
-                spec.source,
-                spec.options,
-                name=spec.workload,
-                defines=dict(spec.defines) or None,
-                fn_store=fn_store,
-            )
-        if key is not None:
-            compile_cache[key] = compiled
-    return run_compiled(compiled, spec.machine)
 
 
 def spec_cache_key(spec: CellSpec) -> str:
@@ -184,16 +179,10 @@ def run_cells(
     cache: ResultCache | None = None,
     collect_trace: bool = False,
     progress: ProgressFn | None = None,
-    compile_cache: dict[str, CompileResult] | None = None,
     fn_store: FunctionStore | None = None,
 ) -> dict[tuple[str, str], CellOutcome]:
     """Run every cell, returning an outcome per ``(workload, variant)``.
-
-    ``compile_cache`` shares one compilation between cells that differ
-    only in machine options; ``None`` turns sharing off.  Inline runs use
-    the caller's dict (pass a fresh ``{}`` per batch to keep it bounded);
-    compiled modules do not cross processes, so pooled runs leave it
-    untouched and share inside each worker instead.
+    Each cell compiles its own module.
 
     ``fn_store`` enables incremental per-function compilation (see
     :mod:`repro.inccomp`).  Pooled workers are forked with it: a
@@ -257,7 +246,6 @@ def run_cells(
                         spec,
                         collect_trace,
                         keep_compile_result=True,
-                        compile_cache=compile_cache,
                         fn_store=fn_store,
                     )
                 except Exception as error:
@@ -267,12 +255,7 @@ def run_cells(
     else:
         fan_out(
             [
-                {
-                    "kind": "cell",
-                    "spec": spec,
-                    "collect_trace": collect_trace,
-                    "share_compile": compile_cache is not None,
-                }
+                {"kind": "cell", "spec": spec, "collect_trace": collect_trace}
                 for spec in pending
             ],
             jobs,

@@ -595,7 +595,9 @@ class ReproServer:
                 spec = self._run_spec(request)
             else:
                 spec = self._suite_cell_spec(request)
-            return {"kind": "cell", "spec": spec}, spec_cache_key(spec), True
+            # a worker that compiled this cell before only executes it
+            job = {"kind": "cell", "spec": spec, "share_compile": True}
+            return job, spec_cache_key(spec), True
         if request.op == "compile":
             source = self._required_str(request, params, "source")
             options = self._pipeline_options(request, params)

@@ -1,12 +1,24 @@
 """The campaign driver: budgets, artifacts, and corpus promotion."""
 
+import os
+
 import pytest
 
-from repro.fuzz import CampaignOptions, run_campaign
+from repro.fuzz import CampaignOptions, oracle, run_campaign
 from repro.fuzz.oracle import config_with_broken_promotion
 
 #: seed whose program the injected promotion bug miscompiles
 MISCOMPILED_SEED = 4
+
+_run_oracle = oracle.run_oracle
+
+
+def run_oracle_dying_on_seed_1(program, *args, **kwargs):
+    """Stand-in for ``oracle.run_oracle`` that the forked workers inherit:
+    takes the worker down without a reply on the program of seed 1."""
+    if program.seed == 1:
+        os._exit(3)
+    return _run_oracle(program, *args, **kwargs)
 
 
 class TestCleanCampaign:
@@ -43,6 +55,42 @@ class TestCleanCampaign:
         )
         run_campaign(options, progress=seen.append)
         assert [r.program.seed for r in seen] == [0, 1]
+
+
+class TestPooledCampaign:
+    def test_pooled_reports_equal_inline(self, tmp_path):
+        def reports(jobs):
+            seen = []
+            options = CampaignOptions(
+                budget_seconds=1e9,
+                max_programs=4,
+                jobs=jobs,
+                artifacts_dir=str(tmp_path / f"artifacts{jobs}"),
+            )
+            run_campaign(options, progress=seen.append)
+            return [report.as_dict() for report in seen]
+
+        inline = reports(1)
+        assert [r["seed"] for r in inline] == [0, 1, 2, 3]
+        assert reports(2) == inline
+
+    def test_lost_worker_fails_only_its_program(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "run_oracle", run_oracle_dying_on_seed_1)
+        options = CampaignOptions(
+            budget_seconds=1e9,
+            max_programs=3,
+            jobs=2,
+            keep_going=True,
+            reduce=False,
+            artifacts_dir=str(tmp_path / "artifacts"),
+        )
+        result = run_campaign(options)
+        assert (result.programs, result.ok, result.divergent) == (3, 2, 1)
+        [report] = result.divergence_reports
+        assert report.program.seed == 1
+        [divergence] = report.divergences
+        assert divergence.kind == "crash-divergence"
+        assert "worker process died" in divergence.message
 
 
 class TestDivergentCampaign:

@@ -4,13 +4,14 @@ import pytest
 
 from repro.fuzz import generate_program, run_oracle
 from repro.fuzz.gen import FuzzProgram
+from repro import pipeline
 from repro.fuzz.oracle import (
     OracleConfig,
-    build_oracle_specs,
     classify_outcomes,
     config_with_broken_promotion,
     make_divergence_predicate,
     o0_options,
+    oracle_levels,
     write_divergence_artifact,
 )
 from repro.interp import Counters, compiled
@@ -144,18 +145,42 @@ class TestClassification:
 class TestEndToEnd:
     def test_specs_cover_the_matrix(self):
         config = OracleConfig()
-        specs = build_oracle_specs("p", "int main(void){return 0;}", config)
-        assert len(specs) == len(config.levels) * len(config.engines)
-        assert all(spec.options.verify_each_stage for spec in specs)
+        report = run_oracle(_program(), config)
+        assert len(report.cells) == len(config.levels) * len(config.engines)
+        assert set(oracle_levels()) == set(config.levels)
+        assert all(o.verify_each_stage for o in oracle_levels().values())
 
     def test_matrix_includes_both_engines(self):
         config = OracleConfig()
         assert set(config.engines) == {"simple", "compiled"}
-        specs = build_oracle_specs("p", "int main(void){return 0;}", config)
-        variants = {spec.variant for spec in specs}
-        for level in config.levels:
-            for engine in config.engines:
-                assert f"{level}+{engine}" in variants
+        report = run_oracle(_program(), config)
+        assert list(report.cells) == [
+            f"{level}+{engine}"
+            for level in config.levels
+            for engine in config.engines
+        ]
+
+    def test_each_level_compiles_once(self, monkeypatch):
+        calls = []
+        compile_module = pipeline.compile_module
+
+        def spy(module, *args, **kwargs):
+            calls.append(module.name)
+            return compile_module(module, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compile_module", spy)
+        config = OracleConfig()
+        report = run_oracle(generate_program(0), config)
+        assert report.status == "ok"
+        # the fuel checks reuse the compiled ``full`` module
+        assert len(calls) == len(config.levels) == 4
+
+    def test_compile_error_fails_every_cell_alike(self):
+        report = run_oracle(FuzzProgram(seed=-1, source="int main( {"))
+        assert report.status == "trap"
+        messages = {cell["message"] for cell in report.cells.values()}
+        assert len(messages) == 1
+        assert len(report.cells) == 8
 
     def test_o0_disables_everything(self):
         options = o0_options()

@@ -31,7 +31,7 @@ TINY = (
 
 def make_record(name: str = "add") -> FunctionRecord:
     module = compile_c(TINY, name="tiny")
-    return FunctionRecord(function=module.functions[name], seconds=0.01)
+    return FunctionRecord(function=module.functions[name])
 
 
 # ---------------------------------------------------------------------------

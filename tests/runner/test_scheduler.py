@@ -127,9 +127,8 @@ class TestCellMetrics:
         assert warm.metrics == fresh
 
     def test_pooled(self, spec, fresh):
-        # three cells on two workers: one worker shares its compile
         specs = [replace(spec, variant=f"copy{index}") for index in range(3)]
-        outcomes = run_cells(specs, jobs=2, compile_cache={})
+        outcomes = run_cells(specs, jobs=2)
         assert [outcomes[s.key].metrics for s in specs] == [fresh] * 3
 
 

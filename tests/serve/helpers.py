@@ -60,7 +60,12 @@ def make_cell_job(
     name: str = "test",
     max_steps: int = 50_000_000,
 ) -> dict:
-    return {"kind": "cell", "spec": make_spec(source, name, max_steps)}
+    # shares the worker's compile memo, like the server's cell jobs
+    return {
+        "kind": "cell",
+        "spec": make_spec(source, name, max_steps),
+        "share_compile": True,
+    }
 
 
 def run_async(coroutine):

@@ -10,9 +10,18 @@ import os
 import signal
 import time
 
+import pytest
+
+from repro.pipeline import PipelineOptions, compile_source
+from repro.runner.pool import _handle_job
 from repro.serve.pool import CRASH_RETRIES, WorkerPool
 from repro.serve.queue import AdmissionQueue, Ticket
-from tests.serve.helpers import make_cell_job, run_async, slow_source
+from tests.serve.helpers import (
+    FAST_SOURCE,
+    make_cell_job,
+    run_async,
+    slow_source,
+)
 
 
 async def submit(queue: AdmissionQueue, job: dict, deadline_s=None, **kw):
@@ -31,6 +40,22 @@ async def make_pool(size=1, **kw) -> tuple[AdmissionQueue, WorkerPool]:
     pool = WorkerPool(queue, size=size, **kw)
     await pool.start()
     return queue, pool
+
+
+class TestCompileJob:
+    @pytest.mark.parametrize("promotion", [True, False])
+    def test_promotion_block_reads_the_compile_metrics(self, promotion):
+        options = PipelineOptions(promotion=promotion)
+        job = {"kind": "compile", "source": FAST_SOURCE, "options": options}
+        reply = _handle_job(job, {})
+        metrics = compile_source(FAST_SOURCE, options, name="request").metrics
+        assert reply["promotion"] == {
+            "tags_promoted": metrics.get("promotion.tags_promoted", 0),
+            "references_rewritten": metrics.get("promotion.refs_rewritten", 0),
+            "loads_inserted": metrics.get("promotion.loads_inserted", 0),
+            "stores_inserted": metrics.get("promotion.stores_inserted", 0),
+        }
+        assert (reply["promotion"]["tags_promoted"] > 0) == promotion
 
 
 class TestWarmWorkers:

@@ -25,7 +25,9 @@ def _cell(tag: int = 0) -> dict:
 
 def _record(tag: int = 0) -> FunctionRecord:
     module = compile_c(TINY, name="tiny")
-    return FunctionRecord(function=module.functions["add"], seconds=0.01 * tag)
+    return FunctionRecord(
+        function=module.functions["add"], stats={"licm.hoisted": tag}
+    )
 
 
 def _cell_view(payload: dict) -> dict:
@@ -33,7 +35,7 @@ def _cell_view(payload: dict) -> dict:
 
 
 def _record_view(record: FunctionRecord) -> tuple:
-    return format_function(record.function), record.seconds
+    return format_function(record.function), record.stats
 
 
 #: configuration -> (store class, extension, make a value, comparable view,
