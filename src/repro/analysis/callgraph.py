@@ -39,7 +39,6 @@ class CallGraph:
 def build_call_graph(module: Module) -> CallGraph:
     graph = CallGraph()
     defined = set(module.functions)
-    addressed = sorted(module.addressed_functions & defined)
 
     for func in module.functions.values():
         graph.callees.setdefault(func.name, set())
@@ -51,9 +50,8 @@ def build_call_graph(module: Module) -> CallGraph:
             if not isinstance(instr, Call):
                 continue
             if instr.is_indirect():
+                # no function's address is ever taken: no target to add
                 graph.has_indirect_call.add(func.name)
-                for target in addressed:
-                    graph.callees[func.name].add(target)
                 continue
             callee = instr.callee
             assert callee is not None

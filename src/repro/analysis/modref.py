@@ -215,7 +215,6 @@ def _limit_calls(
     summaries: dict[str, ModRefSummary],
     visible: dict[str, frozenset[Tag]],
 ) -> None:
-    addressed = sorted(module.addressed_functions & set(module.functions))
     for func in module.functions.values():
         universe = visible[func.name]
         for block in func.blocks.values():
@@ -223,13 +222,10 @@ def _limit_calls(
                 if not isinstance(instr, Call):
                     continue
                 if instr.is_indirect():
-                    mod: set[Tag] = set()
-                    ref: set[Tag] = set()
-                    for target in addressed:
-                        mod |= summaries[target].mod
-                        ref |= summaries[target].ref
-                    instr.mod = TagSet.from_iterable(mod)
-                    instr.ref = TagSet.from_iterable(ref)
+                    # no function's address is ever taken, so an
+                    # indirect call has no target
+                    instr.mod = TagSet.empty()
+                    instr.ref = TagSet.empty()
                     continue
                 callee = instr.callee
                 assert callee is not None

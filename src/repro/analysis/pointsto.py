@@ -208,8 +208,6 @@ def _call_constraints(module, solver, fname, instr, reg_node, ret_node) -> None:
     targets: list[str] = []
     if callee is not None and callee in module.functions:
         targets = [callee]
-    elif callee is None:
-        targets = sorted(module.addressed_functions & set(module.functions))
     elif is_intrinsic(callee):
         if callee in ALLOCATORS and instr.dst is not None:
             heap = module.heap_tag_for_site(instr.site_id)

@@ -1,10 +1,11 @@
 """C front end: preprocess, parse (pycparser), and lower to tagged IL.
 
-Parsing goes one top-level declaration at a time through a
+Parsing goes one top-level declaration at a time.  With a
 :class:`~repro.frontend.decls.DeclMemo`, which a ``FunctionStore``
-carries across compiles: an edit re-parses only the declarations whose
-text changed.  Programs that declare a typedef, and any error, take the
-whole-file parse.
+carries across compiles, an edit re-parses only the declarations whose
+text changed and re-lowers only the function bodies whose lowering
+could come out different.  Programs that declare a typedef, and any
+error, take the whole-file parse.
 """
 
 from __future__ import annotations
@@ -34,20 +35,22 @@ def compile_c(
     operations carry universal tag sets and calls carry universal MOD/REF
     summaries.
 
-    Each top-level declaration is parsed on its own, through ``decls``
-    (a :class:`DeclMemo`; a throwaway one when ``None``), so a
-    declaration whose text is unchanged since ``name``'s last compile is
-    not parsed again.  On any error, or text that contains ``typedef``
-    or does not split, the whole file is parsed and lowered as one, and
-    what that raises is raised: messages and coordinates never depend on
-    the memo.
+    Each top-level declaration is parsed on its own.  With ``decls`` (a
+    :class:`DeclMemo`) a declaration whose text one of ``name``'s last
+    two compiles used is not parsed again, and a function body is not
+    lowered again while its memo key holds (see
+    :mod:`repro.frontend.decls`).  On any error, or text that contains
+    ``typedef`` or does not split, the whole file is parsed and lowered
+    as one, and what that raises is raised: messages and coordinates
+    never depend on the memo.
     """
     text = preprocess(source, defines)
-    if decls is None:
-        decls = DeclMemo()
     try:
-        ast = decls.parse(text, name)
-        module = None if ast is None else ModuleLowerer(name).lower(ast)
+        if decls is None:
+            ast = DeclMemo().parse(text, name)
+            module = None if ast is None else ModuleLowerer(name).lower(ast)
+        else:
+            module = decls.lower(text, name)
     except (ParseError, AssertionError, ReproError):
         module = None
     if module is None:

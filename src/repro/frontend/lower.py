@@ -132,6 +132,25 @@ _ASSIGN_OPS = {
 }
 
 
+@dataclass
+class LoweredFunction:
+    """One function body's lowering plus the module-wide state it wrote,
+    so :meth:`ModuleLowerer.replay` can repeat it without the AST."""
+
+    #: never handed out: :meth:`~ModuleLowerer.replay` adds a copy
+    function: Function
+    #: string literals it interned, in order
+    strings: tuple[str, ...]
+    #: call-site ids it consumed
+    call_sites: int
+    #: the sites it named heap tags for, in order
+    heap_sites: tuple[int, ...]
+    address_taken: frozenset[Tag]
+    #: ``("function", name, FunctionType)`` for a local prototype of a new
+    #: name, ``("struct", name, StructType)`` for a struct it defined
+    symbols: tuple[tuple[str, str, CType], ...]
+
+
 class ModuleLowerer:
     """Lowers a full translation unit."""
 
@@ -141,12 +160,20 @@ class ModuleLowerer:
         self.typedefs: dict[str, CType] = {}
         self.structs: dict[str, StructType] = {}
         self.functions: dict[str, FuncSymbol] = {}
+        #: the symbols :meth:`lower_recorded` and :meth:`replay` added
+        self.body_symbols: tuple[tuple[str, str, CType], ...] = ()
 
     # -- entry point -----------------------------------------------------
     def lower(self, ast: c_ast.FileAST) -> Module:
+        for funcdef in self.declare(ast.ext):
+            FunctionLowerer(self, funcdef).lower()
+        return self.module
+
+    def declare(self, exts: list[c_ast.Node]) -> list[c_ast.FuncDef]:
+        """Pass 1: types, globals, and every function signature.  Returns
+        the function definitions, whose bodies pass 2 lowers in order."""
         funcdefs: list[c_ast.FuncDef] = []
-        # pass 1: types, globals, and every function signature
-        for ext in ast.ext:
+        for ext in exts:
             if isinstance(ext, c_ast.Typedef):
                 self.typedefs[ext.name] = self.resolve_type(ext.type)
             elif isinstance(ext, c_ast.Decl):
@@ -159,10 +186,62 @@ class ModuleLowerer:
                     f"unsupported top-level construct {type(ext).__name__}",
                     getattr(ext, "coord", None),
                 )
-        # pass 2: function bodies
-        for funcdef in funcdefs:
-            FunctionLowerer(self, funcdef).lower()
-        return self.module
+        return funcdefs
+
+    # -- pass 2 through a memo -------------------------------------------
+    def body_state(self) -> tuple:
+        """What lowering a body reads besides its own text and pass 1's
+        results: the strings interned so far, the next call-site id, and
+        the symbols earlier bodies added."""
+        module = self.module
+        return (tuple(module.strings), module.call_sites, self.body_symbols)
+
+    def lower_recorded(self, funcdef: c_ast.FuncDef) -> LoweredFunction:
+        """Lower one body, recording what :meth:`replay` must repeat."""
+        module = self.module
+        strings = len(module.strings)
+        sites = module.call_sites
+        heap_sites = len(module.heap_tags)
+        taken = set(module.address_taken)
+        functions = len(self.functions)
+        structs = dict(self.structs)
+        func = FunctionLowerer(self, funcdef).lower()
+        # a body only appends functions, but may redefine a struct
+        symbols = tuple(
+            ("function", name, sym.ftype)
+            for name, sym in list(self.functions.items())[functions:]
+        ) + tuple(
+            ("struct", name, struct)
+            for name, struct in self.structs.items()
+            if structs.get(name) is not struct
+        )
+        self.body_symbols += symbols
+        return LoweredFunction(
+            function=func.copy(),
+            strings=tuple(module.strings)[strings:],
+            call_sites=module.call_sites - sites,
+            heap_sites=tuple(module.heap_tags)[heap_sites:],
+            address_taken=frozenset(module.address_taken - taken),
+            symbols=symbols,
+        )
+
+    def replay(self, lowered: LoweredFunction) -> None:
+        """Add a copy of an already-lowered body and repeat its writes."""
+        module = self.module
+        for text in lowered.strings:
+            module.add_string(text)
+        for _ in range(lowered.call_sites):
+            module.new_call_site()
+        for site in lowered.heap_sites:
+            module.heap_tag_for_site(site)
+        module.address_taken |= lowered.address_taken
+        for kind, name, ctype in lowered.symbols:
+            if kind == "function":
+                self.functions[name] = FuncSymbol(name, ctype)
+            else:
+                self.structs[name] = ctype
+        self.body_symbols += lowered.symbols
+        module.add_function(lowered.function.copy())
 
     # -- signatures --------------------------------------------------------
     def _register_signature(self, funcdef: c_ast.FuncDef) -> None:

@@ -36,6 +36,8 @@ def preprocess(source: str, defines: dict[str, str] | None = None) -> str:
     """Expand the supported directives; return pycparser-ready C."""
     source = strip_comments(source)
     macros: dict[str, str] = dict(defines or {})
+    # any macro name as a whole word; None once #define/#undef change them
+    names: re.Pattern[str] | None = None
     out_lines: list[str] = []
     # stack of booleans: are we currently emitting?
     active_stack: list[bool] = []
@@ -75,6 +77,7 @@ def preprocess(source: str, defines: dict[str, str] | None = None) -> str:
         m = _UNDEF_RE.match(line)
         if m:
             macros.pop(m.group(1), None)
+            names = None
             out_lines.append("")
             continue
         m = _DEFINE_RE.match(line)
@@ -85,13 +88,22 @@ def preprocess(source: str, defines: dict[str, str] | None = None) -> str:
                     f"line {lineno}: function-like macro {name} is not supported"
                 )
             macros[name] = body
+            names = None
             out_lines.append("")
             continue
         if line.lstrip().startswith("#"):
             raise UnsupportedFeatureError(
                 f"line {lineno}: unsupported preprocessor directive: {line.strip()}"
             )
-        out_lines.append(_expand(line, macros))
+        if macros:
+            # a line with no macro name in it expands to itself
+            if names is None:
+                names = re.compile(
+                    r"\b(?:" + "|".join(map(re.escape, macros)) + r")\b"
+                )
+            if names.search(line):
+                line = _expand(line, macros)
+        out_lines.append(line)
 
     if active_stack:
         raise UnsupportedFeatureError("unterminated #ifdef/#ifndef block")
@@ -138,8 +150,6 @@ def strip_comments(source: str) -> str:
 
 def _expand(line: str, macros: dict[str, str]) -> str:
     """Expand object-like macros in a line, skipping string literals."""
-    if not macros:
-        return line
     pieces = _split_strings(line)
     expanded: list[str] = []
     for piece, is_string in pieces:

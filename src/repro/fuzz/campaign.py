@@ -107,8 +107,10 @@ def run_campaign(
     result = CampaignResult(first_seed=options.seed)
     next_seed = options.seed
     stop = False
-    # persists across batches: generated programs share helper shapes,
-    # and a bounded memo is cheap
+    # the levels of one program share this store's front-end memo, so
+    # every level after the first parses and lowers nothing.  Its
+    # function records never hit: no two generated programs share an
+    # environment digest, and the levels' options differ
     fn_store = FunctionStore(root=None)
 
     # last-N program history + recent log records ride along in every

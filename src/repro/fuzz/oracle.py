@@ -425,10 +425,11 @@ def run_oracle(
     """Judge one program: compile each level once, run every engine on
     it, classify the outcomes and run the fuel checks.
 
-    ``fn_store`` makes the matrix incremental per function: levels share
-    nothing with each other (their options differ), but successive
-    oracle runs over related sources — the reducer's thousands of
-    probes — reuse every function body they did not touch.
+    ``fn_store`` makes the matrix incremental: the levels share its
+    front-end memo, so only the first parses and lowers; their optimized
+    bodies share nothing (their options differ), but successive oracle
+    runs over related sources — the reducer's thousands of probes —
+    reuse every function body they did not touch.
     """
     config = config or OracleConfig()
     outcomes: dict[str, ExperimentCell | CellFailure] = {}

@@ -6,7 +6,8 @@ interprocedural analyses from scratch (they establish the facts the keys
 are built from); the per-function optimize-and-allocate phase is then
 served from the store for every function whose key is unchanged.  The
 store also carries the front end's memo of parsed top-level
-declarations, so only the declarations an edit changed are parsed again.
+declarations and lowered function bodies, so an edit parses and lowers
+only what it changed.
 
 * :mod:`~repro.inccomp.keys` — what a function's content address covers
   and why that makes invalidation propagate along call edges.

@@ -16,7 +16,7 @@ key is a SHA-256 over all of them:
    them in explicitly.
 2. **The module data environment** (:func:`module_env_digest`): globals
    with initializers, string literals, heap site tags, the address-taken
-   set, addressed functions, and every function's local-tag attributes —
+   set, and every function's local-tag attributes —
    the universe register promotion materializes ambiguity against.
 3. **The pipeline options**, via the same canonical JSON encoding the
    cell cache uses (:mod:`repro.store`).
@@ -45,7 +45,7 @@ __all__ = [
 
 #: bump when the stored :class:`~repro.inccomp.store.FunctionRecord`
 #: payload or the meaning of any key component changes
-FN_SCHEMA_VERSION = 3
+FN_SCHEMA_VERSION = 4
 
 
 def _tag_attrs(tag) -> list:
@@ -85,7 +85,6 @@ def module_env_digest(module: Module) -> str:
             [site, _tag_attrs(tag)] for site, tag in module.heap_tags.items()
         ),
         "address_taken": sorted(t.name for t in module.address_taken),
-        "addressed_functions": sorted(module.addressed_functions),
         "locals": [
             [func.name, [_tag_attrs(t) for t in func.local_tags]]
             for func in sorted(module.functions.values(), key=lambda f: f.name)

@@ -9,9 +9,10 @@ memory layer unpickles on every hit, so a spliced function is never
 shared between two modules.  ``root=None`` is memory-only.
 
 The store also carries the front end's memo of parsed top-level
-declarations (:attr:`FunctionStore.decls`, a
-:class:`~repro.frontend.decls.DeclMemo`), so a compile that passes a
-store re-parses only the declarations an edit changed.  The memo is
+declarations and lowered function bodies (:attr:`FunctionStore.decls`,
+a :class:`~repro.frontend.decls.DeclMemo`), so a compile that passes a
+store re-parses only the declarations an edit changed and re-lowers
+only the bodies whose lowering could differ.  The memo is
 memory-only and never goes through :meth:`get`/:meth:`put`, so the
 hit/miss counters count function records alone.  Like the memory layer
 it does not travel by pickle, and :meth:`clear` empties it.
@@ -60,7 +61,7 @@ class FunctionStore(Store):
 
     def __init__(self, root: str | Path | None = DEFAULT_FN_CACHE_DIR) -> None:
         super().__init__(root)
-        #: parsed top-level declarations, for ``compile_c``
+        #: parsed declarations and lowered bodies, for ``compile_c``
         self.decls = DeclMemo()
 
     def __getstate__(self) -> dict:

@@ -154,6 +154,21 @@ class Function:
         for block in self.blocks.values():
             yield from block.instrs
 
+    def copy(self) -> "Function":
+        """A structural copy: fresh blocks, instructions and tag lists;
+        registers, tags and tag sets are immutable and shared."""
+        clone = Function(self.name, self.params)
+        clone.entry = self.entry
+        clone.blocks = {
+            label: BasicBlock(label, [instr.copy() for instr in block.instrs])
+            for label, block in self.blocks.items()
+        }
+        clone.local_tags = list(self.local_tags)
+        clone.local_tag_sizes = dict(self.local_tag_sizes)
+        clone._next_vreg = self._next_vreg
+        clone._next_label = self._next_label
+        return clone
+
     def max_vreg_id(self) -> int:
         highest = max((p.id for p in self.params), default=-1)
         for instr in self.instructions():

@@ -58,8 +58,6 @@ class Module:
         #: tags whose address is ever taken (explicitly via ``&`` or
         #: implicitly via array/struct decay); populated by the front end.
         self.address_taken: set[Tag] = set()
-        #: functions whose address is taken (indirect call targets).
-        self.addressed_functions: set[str] = set()
         self._next_site = 0
 
     def __getstate__(self) -> dict:
@@ -103,6 +101,11 @@ class Module:
         return lit
 
     # -- call sites and heap naming --------------------------------------------
+    @property
+    def call_sites(self) -> int:
+        """How many call-site ids :meth:`new_call_site` has handed out."""
+        return self._next_site
+
     def new_call_site(self) -> int:
         site = self._next_site
         self._next_site += 1

@@ -421,9 +421,10 @@ def compile_source(
 ) -> CompileResult:
     """Front end + :func:`compile_module`.
 
-    With ``fn_store``, the front end also parses through the store's
-    declaration memo (``fn_store.decls``), so declarations unchanged
-    since the last compile of ``name`` are not parsed again.
+    With ``fn_store``, the front end also parses and lowers through the
+    store's memo (``fn_store.decls``): a declaration one of ``name``'s
+    last two compiles used is not parsed again, nor a function body
+    lowered again while nothing its lowering reads has changed.
 
     ``stage_hook`` additionally fires with ``"frontend"`` right after
     parsing/lowering, before any analysis touches the module.

@@ -280,16 +280,32 @@ class TestMemo:
         assert len(parse_calls) == 1
         assert parse_calls[0].split("(")[0].split()[-1] == function
 
-    def test_memo_holds_only_the_last_version(self):
+    def test_memo_holds_the_last_two_versions(self):
         memo = DeclMemo()
+        versions = []
         source = THREE_FUNCTIONS
         for value in (4, 5, 6):
             source = source.replace(f"return {value - 1};", f"return {value};")
+            versions.append(source)
             compile_c(source, "versions", decls=memo)
-        assert sorted(memo._by_name["versions"]) == sorted(
-            split_declarations(preprocess(source))
-        )
-        assert not any("return 3;" in text for text in memo._by_name["versions"])
+        newest, older = memo._by_name["versions"]
+        assert sorted(newest.parsed) == sorted(split_declarations(preprocess(versions[2])))
+        assert sorted(older.parsed) == sorted(split_declarations(preprocess(versions[1])))
+        held = [*newest.parsed, *older.parsed]
+        assert not any("return 4;" in text or "return 3;" in text for text in held)
+        # one lowered body per function definition
+        assert len(newest.lowered) == len(older.lowered) == 4
+
+    def test_a_reverted_declaration_is_not_parsed_again(self, parse_calls):
+        memo = DeclMemo()
+        edit_a = THREE_FUNCTIONS.replace("return 1;", "return 10;")
+        edit_b = THREE_FUNCTIONS.replace("return 2;", "return 20;")
+        for source in (THREE_FUNCTIONS, edit_a):
+            compile_c(source, "revert", decls=memo)
+        del parse_calls[:]
+        # ``a`` reverts to the text of the compile before last
+        compile_c(edit_b, "revert", decls=memo)
+        assert parse_calls == ["int b(void) { return 20; }"]
 
     def test_names_are_evicted_first_in_first_out(self):
         memo = DeclMemo()

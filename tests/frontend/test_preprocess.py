@@ -1,9 +1,13 @@
 """Tests for the mini-preprocessor."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import UnsupportedFeatureError
-from repro.frontend.preprocess import preprocess, strip_comments
+from repro.frontend.preprocess import _split_strings, preprocess, strip_comments
 
 
 class TestComments:
@@ -119,3 +123,106 @@ class TestIncludes:
     def test_unknown_directive_rejected(self):
         with pytest.raises(UnsupportedFeatureError):
             preprocess("#pragma once\n")
+
+
+# ---------------------------------------------------------------------------
+# the whole-word fast path against the algorithm before it
+# ---------------------------------------------------------------------------
+
+_REFERENCE_WORD_RE = re.compile(r"\b\w+\b")
+
+
+def reference_expand(line: str, macros: dict[str, str]) -> str:
+    """Macro expansion as it was before the fast path: every line is
+    re-substituted word by word until it stops changing."""
+    if not macros:
+        return line
+    expanded: list[str] = []
+    for piece, is_string in _split_strings(line):
+        if not is_string:
+            for _ in range(32):
+                new_piece = _REFERENCE_WORD_RE.sub(
+                    lambda m: macros.get(m.group(0), m.group(0)), piece
+                )
+                if new_piece == piece:
+                    break
+                piece = new_piece
+            else:
+                raise UnsupportedFeatureError("macro expansion did not terminate")
+        expanded.append(piece)
+    return "".join(expanded)
+
+
+def reference_preprocess(items: list[tuple[str, str, str]]) -> str:
+    macros: dict[str, str] = {}
+    out: list[str] = []
+    for kind, name, text in items:
+        if kind == "define":
+            macros[name] = text
+            out.append("")
+        elif kind == "undef":
+            macros.pop(name, None)
+            out.append("")
+        else:
+            out.append(reference_expand(text, macros))
+    return "\n".join(out) + "\n"
+
+
+def render(items: list[tuple[str, str, str]]) -> str:
+    lines = []
+    for kind, name, text in items:
+        if kind == "define":
+            lines.append(f"#define {name} {text}")
+        elif kind == "undef":
+            lines.append(f"#undef {name}")
+        else:
+            lines.append(text)
+    return "\n".join(lines) + "\n"
+
+
+_NAMES = ["N", "M", "SIZE", "x"]
+_WORDS = _NAMES + ["N2", "xN", "_N", "SIZE_", "y", "1", "42"]
+# at most one word per body: a body naming its own macro twice would
+# double the line on every round of the reference's 32
+_bodies = st.tuples(
+    st.sampled_from(["", "(", "-"]),
+    st.sampled_from(_WORDS + [""]),
+    st.sampled_from(["", "+ 1", ")", "* 2"]),
+).map(lambda parts: " ".join(p for p in parts if p))
+_literals = st.sampled_from(
+    ['"N"', '"x SIZE"', '"say \\"N\\""', "'N'", "'x'", "'\\''", '"M\\\\"', '""']
+)
+_code = st.lists(
+    st.one_of(st.sampled_from(_WORDS + ["+", "=", ";", "[", "]", "{"]), _literals),
+    min_size=1,
+    max_size=8,
+).map(" ".join)
+_items = st.lists(
+    st.one_of(
+        st.tuples(st.just("define"), st.sampled_from(_NAMES), _bodies),
+        st.tuples(st.just("undef"), st.sampled_from(_NAMES), st.just("")),
+        st.tuples(st.just("code"), st.just(""), _code),
+    ),
+    max_size=12,
+)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except UnsupportedFeatureError:
+        return "error"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_items)
+@example([("define", "N", "M"), ("define", "M", "2"), ("code", "", "int a[N];")])
+@example([("define", "N", "1"), ("code", "", 'puts("N");')])
+@example([("define", "N", "1"), ("undef", "N", ""), ("code", "", "N;")])
+@example([("define", "N", "x"), ("define", "x", "N"), ("code", "", "N;")])
+def test_fast_path_expands_as_the_reference(items):
+    source = render(items)
+    assert _outcome(lambda: preprocess(source)) == _outcome(
+        lambda: reference_preprocess(items)
+    )
+
