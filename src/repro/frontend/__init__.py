@@ -1,14 +1,17 @@
 """C front end: preprocess, parse (pycparser), and lower to tagged IL.
 
-Parsing goes one top-level declaration at a time.  With a
-:class:`~repro.frontend.decls.DeclMemo`, which a ``FunctionStore``
-carries across compiles, an edit re-parses only the declarations whose
+A compile without a store parses the whole file and lowers the whole
+module.  With a :class:`~repro.frontend.decls.DeclMemo`, which a
+``FunctionStore`` carries across compiles, parsing goes one top-level
+declaration at a time: an edit re-parses only the declarations whose
 text changed and re-lowers only the function bodies whose lowering
 could come out different.  Programs that declare a typedef, and any
 error, take the whole-file parse.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
 
 from pycparser import CParser, c_ast
 from pycparser.c_parser import ParseError
@@ -35,24 +38,20 @@ def compile_c(
     operations carry universal tag sets and calls carry universal MOD/REF
     summaries.
 
-    Each top-level declaration is parsed on its own.  With ``decls`` (a
-    :class:`DeclMemo`) a declaration whose text one of ``name``'s last
-    two compiles used is not parsed again, and a function body is not
+    With ``decls`` (a :class:`DeclMemo`) each top-level declaration is
+    parsed on its own: one whose text one of ``name``'s last two
+    compiles used is not parsed again, and a function body is not
     lowered again while its memo key holds (see
-    :mod:`repro.frontend.decls`).  On any error, or text that contains
-    ``typedef`` or does not split, the whole file is parsed and lowered
-    as one, and what that raises is raised: messages and coordinates
-    never depend on the memo.
+    :mod:`repro.frontend.decls`).  Without it, or on any error, or text
+    that contains ``typedef`` or does not split, the whole file is
+    parsed and lowered as one, and what that raises is raised: messages
+    and coordinates never depend on the memo.
     """
     text = preprocess(source, defines)
-    try:
-        if decls is None:
-            ast = DeclMemo().parse(text, name)
-            module = None if ast is None else ModuleLowerer(name).lower(ast)
-        else:
+    module = None
+    if decls is not None:
+        with suppress(ParseError, AssertionError, ReproError):
             module = decls.lower(text, name)
-    except (ParseError, AssertionError, ReproError):
-        module = None
     if module is None:
         module = ModuleLowerer(name).lower(_parse_whole(text, name))
     from ..ir.verify import verify_module

@@ -1,23 +1,24 @@
 """Top-level declarations, parsed and lowered one at a time and memoized.
 
 An edit to one function leaves the text of every other top-level
-declaration unchanged, so the front end parses each declaration on its
-own, reuses its AST while its text is unchanged, and reuses each
-function's lowered body while nothing that body's lowering reads has
-changed.
+declaration unchanged, so a compile with a store parses each
+declaration on its own, reuses its AST while its text is unchanged, and
+reuses each function's lowered body while nothing that body's lowering
+reads has changed.  A compile without a store parses the whole file.
 
 * :func:`split_declarations` cuts preprocessed text at top-level
   boundaries with a brace/paren-depth scan over string literals, char
   literals and ``{}();``: a declaration ends at a depth-0 ``;``, a
-  function at the depth-0 ``}`` closing a ``{`` that follows ``)``.
-* :meth:`DeclMemo.parse` parses each piece with pycparser and memoizes
+  function at the depth-0 ``}`` closing a ``{`` that follows ``)``,
+  whose offset it returns with the function.
+* :meth:`DeclMemo.lower` parses each piece with pycparser and memoizes
   it by its text.  A memoized AST's coordinates are relative to its
   declaration; the caller re-parses the whole file on any error, so no
   such coordinate reaches a message.
-* :meth:`DeclMemo.lower` also memoizes each function definition's
-  lowered body (a :class:`~repro.frontend.lower.LoweredFunction`), keyed
-  by the definition's text, the pass-1 environment (every other
-  declaration's text and every function's signature text, in order) and
+* It also memoizes each function definition's lowered body (a
+  :class:`~repro.frontend.lower.LoweredFunction`), keyed by the
+  definition's text, the pass-1 environment (every other declaration's
+  text and every function's signature text, in order) and
   :meth:`~repro.frontend.lower.ModuleLowerer.body_state`.  A hit adds a
   copy of the body and replays what its lowering wrote.  Once a body is
   lowered its AST is kept only pickled, without coordinates, for a
@@ -42,23 +43,26 @@ from pycparser import CParser, c_ast
 
 from ..ir.module import Module
 from .lower import LoweredFunction, ModuleLowerer
+from .preprocess import LITERAL
 
 __all__ = ["DECL_MEMO_NAMES", "DeclMemo", "split_declarations"]
 
 #: module names a memo keeps declarations for (FIFO eviction beyond it)
 DECL_MEMO_NAMES = 32
 
-_TOKEN_RE = re.compile(r'"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)*\'|[{}();]')
+_TOKEN_RE = re.compile(LITERAL + r"|[{}();]", re.S)
 
 
-def split_declarations(text: str) -> list[str] | None:
-    """The top-level declarations of ``text``, each stripped, or ``None``
-    when the scan does not consume the text (unbalanced brackets, or
-    trailing text no boundary closes)."""
-    decls: list[str] = []
+def split_declarations(text: str) -> list[tuple[str, int | None]] | None:
+    """The top-level declarations of ``text``, each stripped and paired
+    with the offset of its body's ``{`` when it is a function definition
+    (``None`` otherwise), or ``None`` when the scan does not consume the
+    text (unbalanced brackets, or trailing text no boundary closes)."""
+    decls: list[tuple[str, int | None]] = []
     depth = 0
     start = 0
     function_body = False
+    body = 0
     for match in _TOKEN_RE.finditer(text):
         char = match.group()[0]
         if char == "(" or char == "{":
@@ -67,16 +71,20 @@ def split_declarations(text: str) -> list[str] | None:
                 while before >= start and text[before].isspace():
                     before -= 1
                 function_body = before >= start and text[before] == ")"
+                body = match.start()
             depth += 1
         elif char == ")" or char == "}":
             depth -= 1
             if depth < 0:
                 return None
             if depth == 0 and char == "}" and function_body:
-                decls.append(text[start:match.end()].strip())
+                piece = text[start:match.end()]
+                # the body's offset in the stripped piece
+                body -= match.end() - len(piece.lstrip())
+                decls.append((piece.strip(), body))
                 start = match.end()
         elif char == ";" and depth == 0:
-            decls.append(text[start:match.end()].strip())
+            decls.append((text[start:match.end()].strip(), None))
             start = match.end()
     if depth or text[start:].strip():
         return None
@@ -135,33 +143,33 @@ class DeclMemo:
     def clear(self) -> None:
         self._by_name.clear()
 
-    def parse(self, text: str, name: str) -> c_ast.FileAST | None:
-        """The AST of preprocessed ``text``, one declaration at a time.
+    def lower(self, text: str, name: str) -> Module | None:
+        """The lowered module of preprocessed ``text``: every
+        declaration's AST through pass 1, then each function body from
+        the memo or lowered afresh.
 
         Returns ``None`` when the text contains the word ``typedef`` or
         does not split; pycparser's ``ParseError`` and ``AssertionError``
-        propagate.
+        and the front end's ``ReproError`` propagate.
         """
-        parsed = self._parse(text, name)
-        if parsed is None:
+        if "typedef" in text:
             return None
-        used, order = parsed
-        ext: list[c_ast.Node] = []
-        for entry in order:
-            ext += entry.nodes if entry.signature is None else [entry.funcdef()]
-        self._keep(name, used)
-        return c_ast.FileAST(ext)
-
-    def lower(self, text: str, name: str) -> Module | None:
-        """The lowered module of preprocessed ``text``: :meth:`parse`'s
-        AST through pass 1, then each function body from the memo or
-        lowered afresh.  ``None`` and errors as :meth:`parse`, plus the
-        front end's ``ReproError``."""
-        parsed = self._parse(text, name)
-        if parsed is None:
+        decls = split_declarations(text)
+        if decls is None:
             return None
-        used, order = parsed
         recent = self._by_name.get(name, ())
+        used = _Compile()
+        order: list[_Decl] = []
+        parser = None
+        for decl, body in decls:
+            entry = used.parsed.get(decl) or next(
+                (c.parsed[decl] for c in recent if decl in c.parsed), None
+            )
+            if entry is None:
+                parser = parser or CParser()
+                entry = _parse_decl(parser, decl, body, name)
+            used.parsed[entry.text] = entry
+            order.append(entry)
         lowerer = ModuleLowerer(name)
         lowerer.declare([node for entry in order for node in entry.nodes])
         env = tuple(
@@ -184,30 +192,6 @@ class DeclMemo:
         self._keep(name, used)
         return lowerer.module
 
-    def _parse(
-        self, text: str, name: str
-    ) -> tuple[_Compile, list[_Decl]] | None:
-        """The memo entry of each declaration of ``text``, in order."""
-        if "typedef" in text:
-            return None
-        decls = split_declarations(text)
-        if decls is None:
-            return None
-        recent = self._by_name.get(name, ())
-        used = _Compile()
-        order: list[_Decl] = []
-        parser = None
-        for decl in decls:
-            entry = used.parsed.get(decl) or next(
-                (c.parsed[decl] for c in recent if decl in c.parsed), None
-            )
-            if entry is None:
-                parser = parser or CParser()
-                entry = _parse_decl(parser, decl, name)
-            used.parsed[entry.text] = entry
-            order.append(entry)
-        return used, order
-
     def _keep(self, name: str, used: _Compile) -> None:
         """Make ``used`` the newest of ``name``'s two kept compiles."""
         recent = self._by_name.get(name)
@@ -219,10 +203,12 @@ class DeclMemo:
             self._by_name[name] = (used, recent[0])
 
 
-def _parse_decl(parser: CParser, decl: str, name: str) -> _Decl:
+def _parse_decl(
+    parser: CParser, decl: str, body: int | None, name: str
+) -> _Decl:
     nodes = _parse_one(parser, decl, name)
     if len(nodes) == 1 and isinstance(nodes[0], c_ast.FuncDef):
-        return _Decl(decl, nodes, _signature(decl))
+        return _Decl(decl, nodes, decl[:body])
     return _Decl(decl, nodes, None)
 
 
@@ -236,18 +222,3 @@ def _walk(node: c_ast.Node):
     for _, child in node.children():
         yield from _walk(child)
 
-
-def _signature(decl: str) -> str:
-    """A function definition's text up to its body: the last depth-0
-    ``{`` opens the body."""
-    depth = 0
-    body = len(decl)
-    for match in _TOKEN_RE.finditer(decl):
-        char = match.group()[0]
-        if char == "(" or char == "{":
-            if char == "{" and depth == 0:
-                body = match.start()
-            depth += 1
-        elif char == ")" or char == "}":
-            depth -= 1
-    return decl[:body]

@@ -29,6 +29,12 @@ _ENDIF_RE = re.compile(r"^\s*#\s*endif\s*$")
 _UNDEF_RE = re.compile(r"^\s*#\s*undef\s+(\w+)\s*$")
 _WORD_RE = re.compile(r"\b\w+\b")
 
+#: a string or char literal: to its closing quote, or to the end of the
+#: text when none closes it; a backslash escapes the next character
+LITERAL = r'"(?:[^"\\]|\\.?)*"?|\'(?:[^\'\\]|\\.?)*\'?'
+_COMMENT_RE = re.compile(LITERAL + r"|/\*.*?(?:\*/|\Z)|//[^\n]*", re.S)
+_LITERAL_SPLIT_RE = re.compile(f"({LITERAL})", re.S)
+
 _MAX_EXPANSION_DEPTH = 32
 
 
@@ -114,48 +120,27 @@ def strip_comments(source: str) -> str:
     """Remove ``/* ... */`` and ``// ...`` comments, preserving string and
     character literals and keeping line numbers stable (block comments are
     replaced by the newlines they spanned)."""
-    out: list[str] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    j += 1
-                    break
-                j += 1
-            out.append(source[i:j])
-            i = j
-        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise UnsupportedFeatureError("unterminated block comment")
-            out.append(" ")
-            out.append("\n" * source.count("\n", i, end + 2))
-            i = end + 2
-        elif ch == "/" and i + 1 < n and source[i + 1] == "/":
-            end = source.find("\n", i)
-            i = n if end == -1 else end
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_uncomment, source)
+
+
+def _uncomment(match: re.Match[str]) -> str:
+    """A literal as it is; a comment as the whitespace that replaces it."""
+    text = match.group()
+    if text[0] in "\"'":
+        return text
+    if text[1] == "/":
+        return ""
+    if len(text) < 4 or not text.endswith("*/"):
+        raise UnsupportedFeatureError("unterminated block comment")
+    return " " + "\n" * text.count("\n")
 
 
 def _expand(line: str, macros: dict[str, str]) -> str:
     """Expand object-like macros in a line, skipping string literals."""
-    pieces = _split_strings(line)
-    expanded: list[str] = []
-    for piece, is_string in pieces:
-        if is_string:
-            expanded.append(piece)
-            continue
+    pieces = _LITERAL_SPLIT_RE.split(line)
+    # even pieces are code, odd ones literals
+    for index in range(0, len(pieces), 2):
+        piece = pieces[index]
         for _ in range(_MAX_EXPANSION_DEPTH):
             new_piece = _WORD_RE.sub(
                 lambda m: macros.get(m.group(0), m.group(0)), piece
@@ -167,36 +152,5 @@ def _expand(line: str, macros: dict[str, str]) -> str:
             raise UnsupportedFeatureError(
                 f"macro expansion did not terminate in: {line.strip()}"
             )
-        expanded.append(piece)
-    return "".join(expanded)
-
-
-def _split_strings(line: str) -> list[tuple[str, bool]]:
-    """Split a line into (text, inside_string_or_char_literal) runs."""
-    pieces: list[tuple[str, bool]] = []
-    i = 0
-    n = len(line)
-    start = 0
-    while i < n:
-        ch = line[i]
-        if ch in "\"'":
-            if start < i:
-                pieces.append((line[start:i], False))
-            quote = ch
-            j = i + 1
-            while j < n:
-                if line[j] == "\\":
-                    j += 2
-                    continue
-                if line[j] == quote:
-                    j += 1
-                    break
-                j += 1
-            pieces.append((line[i:j], True))
-            i = j
-            start = j
-        else:
-            i += 1
-    if start < n:
-        pieces.append((line[start:], False))
-    return pieces
+        pieces[index] = piece
+    return "".join(pieces)

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable
 
 from ..diag.log import get_logger
-from ..inccomp import FunctionStore
 from ..runner.pool import WorkerLost, fan_out
 from ..trace import (
     FlightRecorder,
@@ -107,11 +106,6 @@ def run_campaign(
     result = CampaignResult(first_seed=options.seed)
     next_seed = options.seed
     stop = False
-    # the levels of one program share this store's front-end memo, so
-    # every level after the first parses and lowers nothing.  Its
-    # function records never hit: no two generated programs share an
-    # environment digest, and the levels' options differ
-    fn_store = FunctionStore(root=None)
 
     # last-N program history + recent log records ride along in every
     # divergence artifact (see _handle_divergence)
@@ -133,7 +127,7 @@ def run_campaign(
                 for k in range(batch_size)
             ]
             next_seed += batch_size
-            for report in _judge(batch, options, fn_store):
+            for report in _judge(batch, options):
                 program = report.program
                 recorder.record_event(
                     "fuzz.program",
@@ -164,13 +158,11 @@ def run_campaign(
     return result
 
 
-def _judge(
-    batch: list[FuzzProgram], options: CampaignOptions, fn_store: FunctionStore
-) -> list[OracleReport]:
-    """One report per program of ``batch``, in batch order.  Pooled
-    workers are forked with ``fn_store``, so each works on its own copy."""
+def _judge(batch: list[FuzzProgram], options: CampaignOptions) -> list[OracleReport]:
+    """One report per program of ``batch``, in batch order.  No function
+    store: no two generated programs share a function record."""
     if options.jobs <= 1:
-        return [run_oracle(p, options.oracle, fn_store=fn_store) for p in batch]
+        return [run_oracle(p, options.oracle) for p in batch]
     reports: dict[int, OracleReport] = {}
 
     def settle(job: dict, reply, seconds: float) -> bool:
@@ -187,7 +179,6 @@ def _judge(
         [{"kind": "oracle", "program": p, "config": options.oracle} for p in batch],
         options.jobs,
         settle=settle,
-        fn_store=fn_store,
     )
     return [reports[p.seed] for p in batch]
 

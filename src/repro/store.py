@@ -10,7 +10,9 @@ entry that does not decode is logged, unlinked and read as a miss; one
 that fails the payload check is a miss.  Configurations that set
 ``memory`` keep up to :data:`MEMORY_ENTRIES` encoded entries in a
 per-process FIFO layer and decode on every hit, so each hit is a fresh
-object; ``root=None`` makes them memory-only.
+object; ``root=None`` makes them memory-only.  With a disk, the layer
+holds what was read, not what was written: a record an edit replaces
+is never read again.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ class Store:
 
     def put(self, key: str, value) -> None:
         blob = self.encode(value)
-        self._remember(key, blob)
         if self.root is None:
+            self._remember(key, blob)
             return
         path = self.path_for(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{next(_WRITES)}.tmp")

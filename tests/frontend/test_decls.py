@@ -1,5 +1,6 @@
 """The per-declaration front end: the split, the memo, and the
-whole-file path that typedef programs and errors take.
+whole-file path that store-less compiles, typedef programs and errors
+take.
 
 Every AST the per-declaration parse produces must equal the whole-file
 AST node for node (coordinates excepted) and lower to byte-identical
@@ -13,6 +14,7 @@ import pickle
 from pathlib import Path
 
 import pytest
+from pycparser import c_ast
 
 from repro.errors import FrontendError
 from repro.frontend import DeclMemo, ModuleLowerer, compile_c, preprocess
@@ -26,7 +28,7 @@ from repro.pipeline import PipelineOptions, compile_source
 from repro.workloads import all_workloads
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.c"))
-FUZZ_SEEDS = range(8)
+FUZZ_SEEDS = range(64)
 
 TYPEDEFS = r"""
 typedef int counter;
@@ -115,25 +117,46 @@ def parse_calls(monkeypatch):
 # equivalence with the whole-file parse
 # ---------------------------------------------------------------------------
 
+def memo_ast(memo: DeclMemo, text: str, name: str) -> c_ast.FileAST:
+    """The AST the memo's newest compile of ``name`` parsed from ``text``,
+    function bodies included."""
+    parsed = memo._by_name[name][0].parsed
+    ext = []
+    for decl, _ in split_declarations(text):
+        entry = parsed[decl]
+        ext += entry.nodes if entry.signature is None else [entry.funcdef()]
+    return c_ast.FileAST(ext)
+
+
 @pytest.mark.parametrize("source,name,defines", _programs())
 def test_per_declaration_parse_equals_whole_file(source, name, defines, parse_calls):
     text = preprocess(source, defines)
     whole = _parse_whole(text, name)
-    reference = lowered(whole, name)
+    # a store-less compile lowers the whole-file AST
+    reference = format_module(compile_c(source, name, defines))
     memo = DeclMemo()
 
-    fresh = memo.parse(text, name)
+    fresh = memo.lower(text, name)
     assert fresh is not None
-    assert parse_calls == split_declarations(text)
-    assert shape(fresh) == shape(whole)
-    assert lowered(fresh, name) == reference
+    assert parse_calls == [decl for decl, _ in split_declarations(text)]
+    assert shape(memo_ast(memo, text, name)) == shape(whole)
+    assert format_module(fresh) == reference
 
     del parse_calls[:]
-    cached = memo.parse(text, name)
+    cached = memo.lower(text, name)
     assert parse_calls == []
-    assert shape(cached) == shape(whole)
-    assert lowered(cached, name) == reference
+    assert shape(memo_ast(memo, text, name)) == shape(whole)
+    assert format_module(cached) == reference
     assert format_module(compile_c(source, name, defines, decls=memo)) == reference
+
+
+def test_a_store_less_compile_never_splits(monkeypatch):
+    def spy(text):
+        raise AssertionError("a store-less compile split its text")
+
+    monkeypatch.setattr(decls_module, "split_declarations", spy)
+    for workload in all_workloads():
+        compile_c(workload.source, workload.name, workload.defines)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +170,7 @@ def test_typedef_programs_take_the_whole_file_parse(source, name, parse_calls):
     text = preprocess(source)
     reference = lowered(_parse_whole(text, name), name)
     memo = DeclMemo()
-    assert memo.parse(text, name) is None
+    assert memo.lower(text, name) is None
     assert format_module(compile_c(source, name, decls=memo)) == reference
     assert parse_calls == []
     assert memo._by_name == {}
@@ -165,24 +188,33 @@ class TestSplit:
     def test_function_ends_at_its_closing_brace(self):
         text = "int f(void) { if (1) { return 2; } return 3; }\nint g;\n"
         assert split_declarations(text) == [
-            "int f(void) { if (1) { return 2; } return 3; }",
-            "int g;",
+            ("int f(void) { if (1) { return 2; } return 3; }", 12),
+            ("int g;", None),
         ]
 
     def test_struct_and_initializer_braces_end_at_semicolon(self):
         text = "struct S { int a; int b; };\nint v[2] = { 1, 2 };\n"
         assert split_declarations(text) == [
-            "struct S { int a; int b; };",
-            "int v[2] = { 1, 2 };",
+            ("struct S { int a; int b; };", None),
+            ("int v[2] = { 1, 2 };", None),
         ]
 
     def test_literals_hide_brackets(self):
         text = "char *s = \"};(\";\nchar c = '{';\nint main(void) { return ')'; }\n"
         assert split_declarations(text) == [
-            "char *s = \"};(\";",
-            "char c = '{';",
-            "int main(void) { return ')'; }",
+            ("char *s = \"};(\";", None),
+            ("char c = '{';", None),
+            ("int main(void) { return ')'; }", 15),
         ]
+
+    def test_body_offset_is_within_the_stripped_text(self):
+        # the body is the last depth-0 ``{``: a struct type in the
+        # return type opens one before it
+        text = "\n\n  struct P { int x; } *mk(void)\n{ return 0; }\nint g;\n"
+        [(decl, body), _] = split_declarations(text)
+        assert decl.startswith("struct P")
+        assert decl[:body] == "struct P { int x; } *mk(void)\n"
+        assert decl[body:] == "{ return 0; }"
 
     @pytest.mark.parametrize(
         "text", ["int f(void) { return 1;\n", "int f(void) } {\n", "int x = 1\n"]
@@ -245,7 +277,7 @@ class TestErrorsMatchWholeFile:
             "int add(a, b) int a; int b; { return a + b; }\n"
             "int main(void) { return add(1, 2); }\n"
         )
-        assert split_declarations(preprocess(kr))[0] == "int add(a, b) int a;"
+        assert split_declarations(preprocess(kr))[0] == ("int add(a, b) int a;", None)
         message = _memo_error([THREE_FUNCTIONS, kr], "kr")
         assert message == whole_file_error(kr, "kr")
         assert message == "kr:1:9: K&R-style parameter lists are not supported"
@@ -254,7 +286,7 @@ class TestErrorsMatchWholeFile:
         # the whole-file parse rejects ``typedef int x;`` after ``int x;``
         source = "int x;\ntypedef int x;\nint main(void) { return 0; }\n"
         memo = DeclMemo()
-        assert memo.parse(preprocess(source), "clash") is None
+        assert memo.lower(preprocess(source), "clash") is None
         with pytest.raises(FrontendError) as caught:
             compile_c(source, "clash", decls=memo)
         assert str(caught.value) == (
@@ -289,8 +321,9 @@ class TestMemo:
             versions.append(source)
             compile_c(source, "versions", decls=memo)
         newest, older = memo._by_name["versions"]
-        assert sorted(newest.parsed) == sorted(split_declarations(preprocess(versions[2])))
-        assert sorted(older.parsed) == sorted(split_declarations(preprocess(versions[1])))
+        for kept, version in ((newest, versions[2]), (older, versions[1])):
+            texts = [decl for decl, _ in split_declarations(preprocess(version))]
+            assert sorted(kept.parsed) == sorted(texts)
         held = [*newest.parsed, *older.parsed]
         assert not any("return 4;" in text or "return 3;" in text for text in held)
         # one lowered body per function definition

@@ -7,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UnsupportedFeatureError
-from repro.frontend.preprocess import _split_strings, preprocess, strip_comments
+from repro.frontend.preprocess import (
+    _LITERAL_SPLIT_RE,
+    _expand,
+    preprocess,
+    strip_comments,
+)
 
 
 class TestComments:
@@ -138,7 +143,7 @@ def reference_expand(line: str, macros: dict[str, str]) -> str:
     if not macros:
         return line
     expanded: list[str] = []
-    for piece, is_string in _split_strings(line):
+    for piece, is_string in reference_split_strings(line):
         if not is_string:
             for _ in range(32):
                 new_piece = _REFERENCE_WORD_RE.sub(
@@ -226,3 +231,99 @@ def test_fast_path_expands_as_the_reference(items):
         lambda: reference_preprocess(items)
     )
 
+
+
+# ---------------------------------------------------------------------------
+# the literal regex against the character loops before it
+# ---------------------------------------------------------------------------
+
+def reference_strip_comments(source: str) -> str:
+    """``strip_comments`` as a character loop, as it was before the
+    shared literal regex."""
+    out: list[str] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch in "\"'":
+            quote = ch
+            j = i + 1
+            while j < n:
+                if source[j] == "\\":
+                    j += 2
+                    continue
+                if source[j] == quote:
+                    j += 1
+                    break
+                j += 1
+            out.append(source[i:j])
+            i = j
+        elif ch == "/" and i + 1 < n and source[i + 1] == "*":
+            end = source.find("*/", i + 2)
+            if end == -1:
+                raise UnsupportedFeatureError("unterminated block comment")
+            out.append(" ")
+            out.append("\n" * source.count("\n", i, end + 2))
+            i = end + 2
+        elif ch == "/" and i + 1 < n and source[i + 1] == "/":
+            end = source.find("\n", i)
+            i = n if end == -1 else end
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def reference_split_strings(line: str) -> list[tuple[str, bool]]:
+    """A line as (text, inside_string_or_char_literal) runs, by the
+    character loop the preprocessor used before the shared regex."""
+    pieces: list[tuple[str, bool]] = []
+    i = 0
+    n = len(line)
+    start = 0
+    while i < n:
+        ch = line[i]
+        if ch in "\"'":
+            if start < i:
+                pieces.append((line[start:i], False))
+            quote = ch
+            j = i + 1
+            while j < n:
+                if line[j] == "\\":
+                    j += 2
+                    continue
+                if line[j] == quote:
+                    j += 1
+                    break
+                j += 1
+            pieces.append((line[i:j], True))
+            i = j
+            start = j
+        else:
+            i += 1
+    if start < n:
+        pieces.append((line[start:], False))
+    return pieces
+
+
+_SCANNED = st.text(alphabet="\"'\\/*{} aN\n", max_size=40)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_SCANNED)
+@example("a \\")
+@example("'a\\")
+@example('"a\\')
+@example('"/* \\" */ x" // y')
+@example("/*/ a")
+@example("/**/")
+@example("'\\\n' /* a\nb */ N")
+def test_literal_regex_scans_as_the_character_loops(source):
+    assert _outcome(lambda: strip_comments(source)) == _outcome(
+        lambda: reference_strip_comments(source)
+    )
+    macros = {"N": "1", "a": "N"}
+    for line in source.splitlines():
+        assert _expand(line, macros) == reference_expand(line, macros)
+        literals = [p for p, quoted in reference_split_strings(line) if quoted]
+        assert _LITERAL_SPLIT_RE.split(line)[1::2] == literals

@@ -158,10 +158,14 @@ def test_fifo_memory_bound(codec, tmp_path, monkeypatch):
     keys = ["k1", "k2", "k3"]
     for index, key in enumerate(keys):
         store.put(key, make(index))
+    # with a disk, writes stay out of the memory layer; reads fill it
+    assert store._memory == {}
+    for index, key in enumerate(keys):
+        assert view(store.get(key)) == view(make(index))
     # the function store keeps the newest two; the cell cache keeps none
     assert list(store._memory) == (keys[1:] if cls.memory else [])
-    for index, key in enumerate(keys):  # evicted entries still read from disk
-        assert view(store.get(key)) == view(make(index))
+    # an evicted entry still reads from disk
+    assert view(store.get("k1")) == view(make(0))
 
 
 def test_fifo_eviction_bounds_memory_layer(monkeypatch):
