@@ -35,7 +35,7 @@ def compute_liveness(func: Function) -> Liveness:
     succs: dict[str, list[str]] = {}
 
     for label in order:
-        block = func.block(label)
+        block = func.blocks[label]
         succs[label] = [s for s in block.successors() if s in labels]
         upward: set[int] = set()
         killed: set[int] = set()
@@ -43,8 +43,9 @@ def compute_liveness(func: Function) -> Liveness:
             for reg in instr.uses():
                 if reg.id not in killed:
                     upward.add(reg.id)
-            if instr.dest is not None:
-                killed.add(instr.dest.id)
+            dest = instr.dest
+            if dest is not None:
+                killed.add(dest.id)
         uevar[label] = upward
         varkill[label] = killed
 

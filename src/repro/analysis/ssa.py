@@ -57,27 +57,39 @@ def construct_ssa(func: Function) -> SSAInfo:
     frontiers = dominance_frontiers(func, dom)
     preds = predecessors(func)
 
-    # -- collect definition sites per register --------------------------------
-    def_blocks: dict[VReg, set[str]] = {}
-    def_counts: dict[VReg, int] = {}
+    # -- collect definition sites per register id -----------------------------
+    def_blocks: dict[int, set[str]] = {}
+    def_counts: dict[int, int] = {}
+    #: the first register object seen for each id (its hint names the phis)
+    regs: dict[int, VReg] = {}
     for param in func.params:
-        def_blocks.setdefault(param, set()).add(func.entry)
-        def_counts[param] = def_counts.get(param, 0) + 1
+        def_blocks.setdefault(param.id, set()).add(func.entry)
+        def_counts[param.id] = def_counts.get(param.id, 0) + 1
+        regs.setdefault(param.id, param)
     for label, block in func.blocks.items():
         if label not in dom.idom:
             continue  # unreachable
         for instr in block.instrs:
-            if instr.dest is not None:
-                def_blocks.setdefault(instr.dest, set()).add(label)
-                def_counts[instr.dest] = def_counts.get(instr.dest, 0) + 1
+            dest = instr.dest
+            if dest is not None:
+                r = dest.id
+                sites = def_blocks.get(r)
+                if sites is None:
+                    def_blocks[r] = {label}
+                    def_counts[r] = 1
+                    regs[r] = dest
+                else:
+                    sites.add(label)
+                    def_counts[r] += 1
 
     # -- phase 1: phi placement at iterated dominance frontiers ---------------
     info = SSAInfo()
-    for var, blocks in def_blocks.items():
-        if def_counts.get(var, 0) <= 1 and len(blocks) <= 1:
+    for r, blocks in def_blocks.items():
+        if def_counts[r] <= 1:
             # single static definition: no phis needed; renaming still
             # handles uses dominated by the def
             continue
+        var = regs[r]
         work = list(blocks)
         placed: set[str] = set()
         while work:
@@ -88,11 +100,12 @@ def construct_ssa(func: Function) -> SSAInfo:
                 placed.add(join)
                 phi = Phi(var, {p: var for p in preds[join] if p in dom.idom})
                 info.phis.setdefault(join, []).insert(0, phi)
-                if join not in def_blocks[var]:
+                if join not in blocks:
                     work.append(join)
 
     # -- phase 2: renaming ------------------------------------------------------
-    stacks: dict[VReg, list[VReg]] = {var: [] for var in def_blocks}
+    # reaching definitions, by the id of the register they version
+    stacks: dict[int, list[VReg]] = {r: [] for r in def_blocks}
 
     def fresh_name(var: VReg) -> VReg:
         new = func.new_vreg(var.hint)
@@ -100,61 +113,60 @@ def construct_ssa(func: Function) -> SSAInfo:
         return new
 
     for param in func.params:
-        stacks[param].append(param)
+        stacks[param.id].append(param)
         info.origin[param] = param
 
     def top(var: VReg) -> VReg:
-        stack = stacks.get(var)
+        stack = stacks.get(var.id)
         if not stack:
             # use of a register with no dominating definition: leave it —
             # the verifier in strict mode will complain if it matters
             return var
         return stack[-1]
 
-    # iterative preorder walk over the dominator tree with explicit
-    # "pop" events so stacks unwind exactly as in the recursive version
-    work: list[tuple[str, bool]] = [(func.entry, False)]
+    # iterative preorder walk over the dominator tree; a block's leaving
+    # event pops the stacks its definitions pushed, so stacks unwind
+    # exactly as in the recursive version
+    work: list[tuple[str, list[list[VReg]] | None]] = [(func.entry, None)]
     while work:
-        label, leaving = work.pop()
-        block = func.block(label)
-        phis = info.phis.get(label, ())
-        if leaving:
-            dests = [phi.dst for phi in phis] + [i.dest for i in block.instrs]
-            for dest in dests:
-                if dest is None:
-                    continue
-                orig = info.origin.get(dest, dest)
-                if stacks.get(orig):
-                    stacks[orig].pop()
+        label, pushed = work.pop()
+        if pushed is not None:
+            for stack in pushed:
+                stack.pop()
             continue
-
-        work.append((label, True))
+        pushed = []
+        work.append((label, pushed))
+        block = func.block(label)
 
         # phis define their registers before the block's first instruction
-        for phi in phis:
+        for phi in info.phis.get(label, ()):
             var = phi.dst
             phi.dst = fresh_name(var)
-            stacks[var].append(phi.dst)
+            stack = stacks[var.id]
+            stack.append(phi.dst)
+            pushed.append(stack)
         for instr in block.instrs:
             mapping = {}
-            for reg in set(instr.uses()):
-                new = top(reg)
-                if new != reg:
-                    mapping[reg] = new
+            for reg in instr.uses():
+                stack = stacks.get(reg.id)
+                if stack and stack[-1].id != reg.id:
+                    mapping[reg] = stack[-1]
             if mapping:
                 instr.replace_uses(mapping)
             dest = instr.dest
             if dest is not None:
-                if dest in stacks:
+                stack = stacks.get(dest.id)
+                if stack is not None:
                     new_dest = fresh_name(dest)
-                    stacks[dest].append(new_dest)
+                    stack.append(new_dest)
                     _set_dest(instr, new_dest)
                 else:
                     # a register defined once and never phi-merged keeps
                     # its name; still record a (trivial) stack so nested
                     # uses resolve to it
-                    stacks[dest] = [dest]
+                    stack = stacks[dest.id] = [dest]
                     info.origin[dest] = dest
+                pushed.append(stack)
 
         for succ in block.successors():
             for phi in info.phis.get(succ, ()):
@@ -163,7 +175,7 @@ def construct_ssa(func: Function) -> SSAInfo:
                     phi.incoming[label] = top(orig)
 
         for child in _dom_children(dom, label):
-            work.append((child, False))
+            work.append((child, None))
 
     return info
 

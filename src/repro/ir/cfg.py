@@ -26,27 +26,21 @@ def postorder(func: Function) -> list[str]:
 
     Unreachable blocks are omitted.
     """
-    seen: set[str] = set()
+    seen = {func.entry}
     order: list[str] = []
-    # Iterative DFS keeps very deep CFGs from exhausting Python's stack.
-    stack: list[tuple[str, int]] = [(func.entry, 0)]
-    seen.add(func.entry)
+    # Iterative DFS keeps very deep CFGs from exhausting Python's stack;
+    # each frame resumes its own successor iterator.
+    stack = [(func.entry, iter(func.block(func.entry).successors()))]
     while stack:
-        label, child_idx = stack[-1]
-        succs = func.block(label).successors()
-        advanced = False
-        for idx in range(child_idx, len(succs)):
-            succ = succs[idx]
-            stack[-1] = (label, idx + 1)
+        label, succs = stack[-1]
+        for succ in succs:
             if succ not in seen:
                 seen.add(succ)
-                stack.append((succ, 0))
-                advanced = True
+                stack.append((succ, iter(func.block(succ).successors())))
                 break
-        if not advanced and stack and stack[-1][0] == label:
-            if stack[-1][1] >= len(succs):
-                order.append(label)
-                stack.pop()
+        else:
+            order.append(label)
+            stack.pop()
     return order
 
 

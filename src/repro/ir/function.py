@@ -44,10 +44,19 @@ class BasicBlock:
         return None
 
     def successors(self) -> tuple[str, ...]:
-        term = self.terminator
-        if term is None:
+        """:func:`branch_targets` of the terminator, read off the last
+        instruction's class: every CFG walk calls this, per block."""
+        if not self.instrs:
             return ()
-        return branch_targets(term)
+        last = self.instrs[-1]
+        cls = last.__class__
+        if cls is Jump:
+            return (last.target,)
+        if cls is Branch:
+            if last.if_true == last.if_false:
+                return (last.if_true,)
+            return (last.if_true, last.if_false)
+        return ()
 
     def is_terminated(self) -> bool:
         return self.terminator is not None

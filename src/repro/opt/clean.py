@@ -76,18 +76,13 @@ def _skip_empty_blocks(func: Function, stats: CleanStats) -> bool:
         target = block.instrs[0].target
         if target == label:  # a self-loop; removing it would change semantics
             continue
-        if label == func.entry:
-            # the entry can be skipped only by re-rooting the function
-            func.entry = target
-            del func.blocks[label]
-            stats.empty_blocks_removed += 1
-            changed = True
-            continue
-        preds = predecessors(func).get(label, [])
-        for pred_label in preds:
+        for pred_label in predecessors(func)[label]:
             pred_term = func.blocks[pred_label].terminator
             if pred_term is not None:
                 retarget(pred_term, label, target)
+        if label == func.entry:
+            # the entry can be skipped only by re-rooting the function
+            func.entry = target
         del func.blocks[label]
         stats.empty_blocks_removed += 1
         changed = True

@@ -68,34 +68,36 @@ def run_sccp_module(module: Module) -> SCCPStats:
 
 
 def _propagate(func: Function, phis: dict[str, list[Phi]]):
-    lattice: dict[VReg, object] = {}
+    """The lattice value of each register, by register id, and the
+    executable CFG edges."""
+    lattice: dict[int, object] = {}
     for param in func.params:
-        lattice[param] = _BOTTOM
+        lattice[param.id] = _BOTTOM
 
     def value_of(reg: VReg) -> object:
-        return lattice.get(reg, _TOP)
+        return lattice.get(reg.id, _TOP)
 
     # SSA use index
-    uses: dict[VReg, list[tuple[str, Instr | Phi]]] = {}
+    uses: dict[int, list[tuple[str, Instr | Phi]]] = {}
     for label, block in func.blocks.items():
         for phi in phis.get(label, ()):
             for reg in phi.incoming.values():
-                uses.setdefault(reg, []).append((label, phi))
+                uses.setdefault(reg.id, []).append((label, phi))
         for instr in block.instrs:
             for reg in instr.uses():
-                uses.setdefault(reg, []).append((label, instr))
+                uses.setdefault(reg.id, []).append((label, instr))
 
     executable_edges: set[tuple[str, str]] = set()
     executable_blocks: set[str] = set()
     flow_work: list[tuple[str | None, str]] = [(None, func.entry)]
-    ssa_work: list[VReg] = []
+    ssa_work: list[int] = []
 
     def raise_to(reg: VReg, value: object) -> None:
-        old = value_of(reg)
+        old = lattice.get(reg.id, _TOP)
         new = _meet(old, value)
         if new != old:
-            lattice[reg] = new
-            ssa_work.append(reg)
+            lattice[reg.id] = new
+            ssa_work.append(reg.id)
 
     def eval_instr(label: str, instr: Instr | Phi) -> None:
         if isinstance(instr, Phi):
@@ -186,14 +188,14 @@ def _rewrite(func: Function, lattice, executable_edges, stats: SCCPStats) -> Non
         new_instrs: list[Instr] = []
         for instr in block.instrs:
             dest = instr.dest
-            value = lattice.get(dest, _TOP) if dest is not None else _TOP
+            value = lattice.get(dest.id, _TOP) if dest is not None else _TOP
             is_const = dest is not None and value is not _TOP and value is not _BOTTOM
             if is_const and isinstance(instr, (BinOp, UnOp, Mov)):
                 stats.constants_found += 1
                 new_instrs.append(LoadI(dest, value))
                 continue
             if isinstance(instr, Branch):
-                cond = lattice.get(instr.cond, _TOP)
+                cond = lattice.get(instr.cond.id, _TOP)
                 if cond is not _TOP and cond is not _BOTTOM:
                     target = instr.if_true if cond != 0 else instr.if_false
                     stats.branches_folded += 1

@@ -1,10 +1,10 @@
 """Dead code elimination.
 
-Worklist-based: an instruction is dead when it writes a register nobody
-reads and has no side effect.  Loads are deletable (removing a dead load
-is both legal and exactly the kind of memory-traffic reduction the
-paper's optimizer performs); stores, calls, and terminators are never
-removed by this pass.
+An instruction is dead when it writes a register nobody reads and has
+no side effect.  Loads are deletable (removing a dead load is both
+legal and exactly the kind of memory-traffic reduction the paper's
+optimizer performs); stores, calls, terminators and divisions (which
+may trap) are never removed by this pass.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from ..ir.instructions import (
     Mov,
     ScalarLoad,
     UnOp,
-    VReg,
 )
 from ..ir.opcodes import Opcode
 
@@ -42,35 +41,43 @@ def _is_removable(instr: Instr) -> bool:
         # deleting a dead division would also delete its potential trap;
         # that is a (legal) behaviour change we opt out of to keep the
         # interpreter's trap reports stable
-        return True
+        return False
     return True
 
 
 def run_dce(func: Function) -> DCEStats:
+    """Delete self-copies and removable instructions whose register is
+    never read, to a fixpoint.
+
+    Uses are counted once, by register id, and decremented as their
+    readers go; a sweep repeats only when some count fell to zero."""
     stats = DCEStats()
+    use_counts: dict[int, int] = {}
+    for instr in func.instructions():
+        for reg in instr.uses():
+            use_counts[reg.id] = use_counts.get(reg.id, 0) + 1
     changed = True
     while changed:
         changed = False
-        use_counts: dict[VReg, int] = {}
-        for instr in func.instructions():
-            for reg in instr.uses():
-                use_counts[reg] = use_counts.get(reg, 0) + 1
         for block in func.blocks.values():
             kept: list[Instr] = []
-            for instr in block.instrs:
-                if isinstance(instr, Mov) and instr.dst == instr.src:
-                    stats.removed += 1
-                    changed = True
-                    continue
+            # backwards, so a dead chain inside one block goes in one sweep
+            for instr in reversed(block.instrs):
                 dest = instr.dest
-                if (
+                dead = (instr.__class__ is Mov and instr.dst.id == instr.src.id) or (
                     dest is not None
-                    and use_counts.get(dest, 0) == 0
+                    and not use_counts.get(dest.id, 0)
                     and _is_removable(instr)
-                ):
-                    stats.removed += 1
-                    changed = True
+                )
+                if not dead:
+                    kept.append(instr)
                     continue
-                kept.append(instr)
-            block.instrs = kept
+                stats.removed += 1
+                for reg in instr.uses():
+                    use_counts[reg.id] -= 1
+                    if not use_counts[reg.id]:
+                        changed = True
+            if len(kept) != len(block.instrs):
+                kept.reverse()
+                block.instrs = kept
     return stats

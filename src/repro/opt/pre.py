@@ -126,6 +126,9 @@ class _ExprTable:
         self.by_tag: dict[Tag, int] = {}
         #: bitmask of every load expression (killed by universal writes)
         self.all_loads = 0
+        #: loads with no ``by_tag`` entry (universal tag sets), which any
+        #: memory write kills; set once the table is complete
+        self.untagged_loads = 0
 
     def intern(self, key: tuple, uses: tuple[int, ...], tags, is_load: bool) -> int:
         idx = self.index.get(key)
@@ -179,6 +182,10 @@ def _collect(func: Function, exprs: _ExprTable) -> None:
                 exprs.intern(key, (instr.src.id,), None, False)
             elif isinstance(instr, LoadAddr):
                 exprs.intern(key, (), None, False)
+    tagged = 0
+    for bits in exprs.by_tag.values():
+        tagged |= bits
+    exprs.untagged_loads = exprs.all_loads & ~tagged
 
 
 class _SingleTag:
@@ -208,28 +215,21 @@ def _kill_mask(instr: Instr, exprs: _ExprTable) -> int:
         # a store to t also kills general loads whose tag set contains t,
         # which by_tag already covers; universal-tagged loads are covered
         # by their absence from by_tag — kill them explicitly:
-        mask |= exprs.all_loads & ~_finite_loads_mask(exprs)
+        mask |= exprs.untagged_loads
     elif isinstance(instr, MemStore):
         if instr.tags.universal:
             mask |= exprs.all_loads
         else:
             for tag in instr.tags:
                 mask |= exprs.by_tag.get(tag, 0)
-            mask |= exprs.all_loads & ~_finite_loads_mask(exprs)
+            mask |= exprs.untagged_loads
     elif isinstance(instr, Call):
         if instr.mod.universal:
             mask |= exprs.all_loads
         elif instr.mod:
             for tag in instr.mod:
                 mask |= exprs.by_tag.get(tag, 0)
-            mask |= exprs.all_loads & ~_finite_loads_mask(exprs)
-    return mask
-
-
-def _finite_loads_mask(exprs: _ExprTable) -> int:
-    mask = 0
-    for bits in exprs.by_tag.values():
-        mask |= bits
+            mask |= exprs.untagged_loads
     return mask
 
 

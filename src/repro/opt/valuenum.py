@@ -72,39 +72,35 @@ class _BlockNumbering:
         self._next_vn = 0
 
     # -- registers -----------------------------------------------------------
-    def version_of(self, reg: VReg) -> int:
-        return self.reg_version.get(reg.id, 0)
-
     def use_vn(self, reg: VReg) -> int:
-        key = (reg.id, self.version_of(reg))
+        version = self.reg_version.get(reg.id, 0)
+        key = (reg.id, version)
         vn = self.reg_vn.get(key)
         if vn is None:
             vn = self.new_vn()
             self.reg_vn[key] = vn
-            self.vn_home.setdefault(vn, (reg, self.version_of(reg)))
+            self.vn_home.setdefault(vn, (reg, version))
         return vn
 
     def define(self, reg: VReg, vn: int) -> None:
-        self.reg_version[reg.id] = self.version_of(reg) + 1
-        self.reg_vn[(reg.id, self.version_of(reg))] = vn
-        home = self.vn_home.get(vn)
-        if home is None or not self.home_valid(vn):
-            self.vn_home[vn] = (reg, self.version_of(reg))
+        version = self.reg_version.get(reg.id, 0) + 1
+        self.reg_version[reg.id] = version
+        self.reg_vn[(reg.id, version)] = vn
+        if not self.home_valid(vn):
+            self.vn_home[vn] = (reg, version)
 
     def new_vn(self) -> int:
         self._next_vn += 1
         return self._next_vn
 
     def home_valid(self, vn: int) -> bool:
-        home = self.vn_home.get(vn)
-        if home is None:
-            return False
-        reg, version = home
-        return self.version_of(reg) == version
+        return self.home_reg(vn) is not None
 
     def home_reg(self, vn: int) -> VReg | None:
-        if self.home_valid(vn):
-            return self.vn_home[vn][0]
+        """The register holding ``vn``, unless it was redefined since."""
+        home = self.vn_home.get(vn)
+        if home is not None and self.reg_version.get(home[0].id, 0) == home[1]:
+            return home[0]
         return None
 
     # -- memory -----------------------------------------------------------
@@ -176,7 +172,7 @@ def _propagate_copies(instr: Instr, state: _BlockNumbering, stats: VNStats) -> N
     for reg in set(instr.uses()):
         vn = state.use_vn(reg)
         home = state.home_reg(vn)
-        if home is not None and home != reg:
+        if home is not None and home.id != reg.id:
             mapping[reg] = home
     if mapping:
         instr.replace_uses(mapping)

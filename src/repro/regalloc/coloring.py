@@ -144,20 +144,31 @@ def _coalesce(func: Function, k: int, depth) -> tuple[int, InterferenceGraph | N
 
 
 def _briggs_ok(graph: InterferenceGraph, a: int, b: int, k: int) -> bool:
-    neighbors = graph.adjacency.get(a, set()) | graph.adjacency.get(b, set())
-    significant = sum(1 for n in neighbors if len(graph.adjacency[n]) >= k)
-    return significant < k
+    """Briggs' test: the merged node has fewer than ``k`` neighbours of
+    degree ``k`` or more."""
+    adjacency = graph.adjacency
+    neighbors = adjacency.get(a, set()) | adjacency.get(b, set())
+    if len(neighbors) < k:
+        return True
+    significant = 0
+    for n in neighbors:
+        if len(adjacency[n]) >= k:
+            significant += 1
+            if significant == k:
+                return False
+    return True
 
 
 def _apply_union(func: Function, parent: dict[int, int], find) -> int:
     """Rewrite the function with the union-find substitution; delete
-    self-copies.  Returns the number of copies deleted."""
+    self-copies.  Returns the number of copies deleted.
+
+    A register is renamed exactly when its id is a key of ``parent``
+    (roots never are), so an instruction with none of those is skipped."""
     cache: dict[int, VReg] = {}
 
     def subst(reg: VReg) -> VReg:
         root = find(reg.id)
-        if root == reg.id:
-            return reg
         if root not in cache:
             cache[root] = VReg(root, reg.hint)
         return cache[root]
@@ -166,19 +177,16 @@ def _apply_union(func: Function, parent: dict[int, int], find) -> int:
     for block in func.blocks.values():
         new_instrs: list[Instr] = []
         for instr in block.instrs:
-            mapping = {}
-            for reg in set(instr.uses()):
-                new_reg = subst(reg)
-                if new_reg != reg:
-                    mapping[reg] = new_reg
-            if mapping:
-                instr.replace_uses(mapping)
+            uses = instr.uses()
+            for reg in uses:
+                if reg.id in parent:
+                    # set order decides which hint a root's register keeps
+                    instr.replace_uses({r: subst(r) for r in set(uses) if r.id in parent})
+                    break
             dest = instr.dest
-            if dest is not None:
-                new_dest = subst(dest)
-                if new_dest != dest:
-                    _set_dest(instr, new_dest)
-            if isinstance(instr, Mov) and instr.dst.id == instr.src.id:
+            if dest is not None and dest.id in parent:
+                _set_dest(instr, subst(dest))
+            if instr.__class__ is Mov and instr.dst.id == instr.src.id:
                 removed += 1
                 continue
             new_instrs.append(instr)
@@ -234,16 +242,26 @@ def _color(
     Simplify pops the smallest ``(degree, id)`` off a lazy-deletion heap.
     Invariant: every unremoved node of degree < k has an entry with its
     current degree (pushed again on each decrement below k), so the first
-    valid entry is what a sort of the remaining nodes would pick."""
+    valid entry is what a sort of the remaining nodes would pick.
+
+    When simplify is blocked, the cheapest ``(cost, id)`` is pushed
+    optimistically, where cost is occurrences over current degree.  It
+    comes off a second lazy heap, built at the first block: a cost only
+    rises as degrees fall, so every entry is a lower bound, and a popped
+    entry whose cost is stale goes back with the current one."""
     adjacency = graph.adjacency
+    occurrences = graph.occurrences
     degrees = {n: len(neighbors) for n, neighbors in adjacency.items()}
     heap = [(degree, n) for n, degree in degrees.items() if degree < k]
     heapq.heapify(heap)
+    spill_heap: list[tuple[float, int]] | None = None
     removed: set[int] = set()
     stack: list[int] = []
 
-    nodes = set(adjacency)
-    while len(removed) < len(nodes):
+    def cost(n: int) -> float:
+        return occurrences.get(n, 1.0) / max(degrees[n], 1)
+
+    while len(stack) < len(degrees):
         candidate = None
         while heap:
             degree, node = heapq.heappop(heap)
@@ -251,31 +269,36 @@ def _color(
                 candidate = node
                 break
         if candidate is None:
-            # blocked: push the cheapest spill candidate optimistically
-            def cost(n: int) -> float:
-                occ = graph.occurrences.get(n, 1.0)
-                return occ / max(degrees[n], 1)
-
-            candidate = min(nodes - removed, key=lambda n: (cost(n), n))
+            if spill_heap is None:
+                spill_heap = [(cost(n), n) for n in degrees if n not in removed]
+                heapq.heapify(spill_heap)
+            while True:
+                entry_cost, node = heapq.heappop(spill_heap)
+                if node in removed:
+                    continue
+                current = cost(node)
+                if current == entry_cost:
+                    candidate = node
+                    break
+                heapq.heappush(spill_heap, (current, node))
         removed.add(candidate)
         stack.append(candidate)
-        for neighbor in adjacency[candidate]:
-            if neighbor not in removed:
-                degrees[neighbor] -= 1
-                if degrees[neighbor] < k:
-                    heapq.heappush(heap, (degrees[neighbor], neighbor))
+        for neighbor in adjacency[candidate] - removed:
+            degree = degrees[neighbor] - 1
+            degrees[neighbor] = degree
+            if degree < k:
+                heapq.heappush(heap, (degree, neighbor))
 
     coloring: dict[int, int] = {}
     spills: list[int] = []
     for node in reversed(stack):
-        taken = {
-            coloring[n] for n in adjacency.get(node, ()) if n in coloring
-        }
-        color = next((c for c in range(k) if c not in taken), None)
-        if color is None:
-            spills.append(node)
+        taken = set(map(coloring.get, adjacency[node]))
+        for color in range(k):
+            if color not in taken:
+                coloring[node] = color
+                break
         else:
-            coloring[node] = color
+            spills.append(node)
     return coloring, spills
 
 

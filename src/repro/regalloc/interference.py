@@ -73,20 +73,34 @@ def build_interference(
     for label, block in func.blocks.items():
         weight = 10.0 ** min(loop_depth.get(label, 0) if loop_depth else 0, 6)
         live: set[int] = set(liveness.live_out.get(label, frozenset()))
+        # every register in ``live`` keeps a row, so edges go in directly
+        for r in live:
+            if r not in adjacency:
+                adjacency[r] = set()
         for instr in reversed(block.instrs):
             dest = instr.dest
             if dest is not None:
                 d = dest.id
                 occurrences[d] = occurrences.get(d, 0) + weight
-                others = live - {d, instr.src.id if isinstance(instr, Mov) else d}
-                adjacency.setdefault(d, set()).update(others)
-                for other in others:
-                    adjacency.setdefault(other, set()).add(d)
                 live.discard(d)
+                row = adjacency.get(d)
+                if row is None:
+                    row = adjacency[d] = set()
+                # a copy's source is live across it but does not interfere
+                skip = instr.src.id if instr.__class__ is Mov and instr.src.id in live else None
+                if skip is not None:
+                    live.remove(skip)
+                row |= live
+                for other in live:
+                    adjacency[other].add(d)
+                if skip is not None:
+                    live.add(skip)
             for reg in instr.uses():
-                adjacency.setdefault(reg.id, set())
-                occurrences[reg.id] = occurrences.get(reg.id, 0) + weight
-                live.add(reg.id)
+                r = reg.id
+                if r not in adjacency:
+                    adjacency[r] = set()
+                occurrences[r] = occurrences.get(r, 0) + weight
+                live.add(r)
     # parameters are defined on entry and interfere with whatever is live
     # into the entry block
     entry_live = liveness.live_in.get(func.entry, frozenset())

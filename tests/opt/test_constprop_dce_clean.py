@@ -232,6 +232,24 @@ class TestClean:
         assert "E" not in func.blocks
         assert stats.empty_blocks_removed >= 1
 
+    def test_empty_entry_on_a_loop_reroots_its_back_edge(self):
+        """An empty entry that a back edge jumps to: skipping it re-roots
+        the function at the loop header, and the back edge follows."""
+        from repro.ir import Ret
+        from repro.ir.verify import verify_function
+
+        func = Function("f")
+        func.new_block(label="E").append(Jump("H"))
+        header = func.new_block(label="H")
+        cond = func.new_vreg()
+        header.instrs = [LoadI(cond, 1), Branch(cond, "E", "X")]
+        func.new_block(label="X").append(Ret())
+        stats = clean_function(func)
+        assert func.entry == "H" and "E" not in func.blocks
+        assert header.instrs[-1].if_true == "H"
+        assert stats.empty_blocks_removed == 1
+        verify_function(func)
+
     def test_chain_merged(self):
         src = r"""
         int main(void) {
