@@ -43,7 +43,8 @@ from ..ctype_model import (
     decay,
     usual_arithmetic,
 )
-from ..errors import FrontendError, UnsupportedFeatureError
+from ..errors import FrontendError, InterpTrap, UnsupportedFeatureError
+from ..interp.machine import _binop, _unop
 from ..intrinsics import ALLOCATORS, INTRINSICS, is_intrinsic
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
@@ -114,6 +115,8 @@ _BINOPS = {
     "==": Opcode.CMP_EQ,
     "!=": Opcode.CMP_NE,
 }
+
+_UNOPS = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
 
@@ -305,12 +308,7 @@ class ModuleLowerer:
             raise UnsupportedFeatureError(
                 "initializer list for scalar", init.coord
             )
-        value = self.const_eval(init)
-        if ctype.is_float():
-            value = float(value)
-        else:
-            value = int(value)
-        out[offset] = value
+        out[offset] = _convert(init, self.const_eval(init), ctype)
 
     # -- constant expressions ------------------------------------------------
     def const_eval(self, node: c_ast.Node) -> int | float:
@@ -327,25 +325,24 @@ class ModuleLowerer:
             if node.op == "sizeof":
                 return self._sizeof_operand(node.expr)
             inner = self.const_eval(node.expr)
-            if node.op == "-":
-                return -inner
             if node.op == "+":
                 return inner
-            if node.op == "~":
-                return ~int(inner)
-            if node.op == "!":
-                return int(inner == 0)
-            raise UnsupportedFeatureError(
-                f"constant unary {node.op!r}", node.coord
-            )
+            if node.op not in _UNOPS:
+                raise UnsupportedFeatureError(
+                    f"constant unary {node.op!r}", node.coord
+                )
+            return _fold(_unop, node, _UNOPS[node.op], inner)
         if isinstance(node, c_ast.BinaryOp):
             lhs = self.const_eval(node.left)
             rhs = self.const_eval(node.right)
-            return _fold_binary(node.op, lhs, rhs, node.coord)
+            if node.op not in _BINOPS:
+                raise UnsupportedFeatureError(
+                    f"constant binary {node.op!r}", node.coord
+                )
+            return _fold(_binop, node, _BINOPS[node.op], lhs, rhs)
         if isinstance(node, c_ast.Cast):
             target = self.resolve_type(node.to_type.type)
-            value = self.const_eval(node.expr)
-            return float(value) if target.is_float() else int(value)
+            return _convert(node, self.const_eval(node.expr), target)
         raise UnsupportedFeatureError(
             f"unsupported constant expression {type(node).__name__}", node.coord
         )
@@ -1038,18 +1035,12 @@ class FunctionLowerer:
         if op in {"++", "--", "p++", "p--"}:
             return self._inc_dec(node, op)
         operand = self.rvalue(node.expr)
-        if op == "-":
-            reg = self.b.unop(Opcode.NEG, operand.reg)
-            return Value(reg, operand.ctype)
         if op == "+":
             return operand
-        if op == "~":
-            reg = self.b.unop(Opcode.NOT, operand.reg)
-            return Value(reg, operand.ctype)
-        if op == "!":
-            reg = self.b.unop(Opcode.LNOT, operand.reg)
-            return Value(reg, INT)
-        raise UnsupportedFeatureError(f"unary {op!r}", node.coord)
+        if op not in _UNOPS:
+            raise UnsupportedFeatureError(f"unary {op!r}", node.coord)
+        reg = self.b.unop(_UNOPS[op], operand.reg)
+        return Value(reg, INT if op == "!" else operand.ctype)
 
     def _sizeof_expr(self, node: c_ast.Node) -> int:
         # static sizeof of an arbitrary expression: resolve its type only
@@ -1364,42 +1355,18 @@ def _is_string_literal(node: c_ast.Node) -> bool:
     return isinstance(node, c_ast.Constant) and node.type == "string"
 
 
-def _fold_binary(op: str, lhs: int | float, rhs: int | float, coord: object) -> int | float:
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            return int(lhs / rhs)
-        return lhs / rhs
-    if op == "%":
-        return int(lhs) - int(lhs / rhs) * int(rhs)  # C remainder
-    if op == "<<":
-        return int(lhs) << int(rhs)
-    if op == ">>":
-        return int(lhs) >> int(rhs)
-    if op == "&":
-        return int(lhs) & int(rhs)
-    if op == "|":
-        return int(lhs) | int(rhs)
-    if op == "^":
-        return int(lhs) ^ int(rhs)
-    if op == "==":
-        return int(lhs == rhs)
-    if op == "!=":
-        return int(lhs != rhs)
-    if op == "<":
-        return int(lhs < rhs)
-    if op == "<=":
-        return int(lhs <= rhs)
-    if op == ">":
-        return int(lhs > rhs)
-    if op == ">=":
-        return int(lhs >= rhs)
-    raise UnsupportedFeatureError(f"constant binary {op!r}", coord)
+def _fold(evaluate, node: c_ast.Node, op: Opcode, *operands: int | float) -> int | float:
+    """Fold a constant expression with the IL's own arithmetic; a trap
+    (division by zero, say) is an error at the expression."""
+    try:
+        return evaluate(op, *operands)
+    except InterpTrap as exc:
+        raise FrontendError(f"constant expression: {exc}", node.coord) from None
+
+
+def _convert(node: c_ast.Node, value: int | float, ctype: CType) -> int | float:
+    """``value`` converted to ``ctype``'s kind as the IL converts it."""
+    return _fold(_unop, node, Opcode.I2F if ctype.is_float() else Opcode.F2I, value)
 
 
 def _loadi_for(func: Function, dst: VReg, ctype: CType):

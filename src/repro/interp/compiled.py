@@ -124,7 +124,7 @@ from ..ir.opcodes import Opcode
 from ..ir.tags import TagKind
 from ..trace import current_trace, span
 from .counters import Counters, counted_fields
-from .machine import Machine, _binop, _unop, c_div, c_mod
+from .machine import Machine, _binop, _unop, c_div, c_mod, f2i_trap
 from .memory import _ALIGN, MemoryImage, frame_layout
 
 #: every counter field, ``total_ops`` first; a trap fix is a vector over them
@@ -297,12 +297,17 @@ def _trap_store(addr) -> None:
 def _untrap(c, fixes: dict[int, tuple[int, ...]], exc: BaseException) -> None:
     """Take back ``fixes`` at the generated line ``exc`` passed through:
     minus the counts of its path up to and including the instruction that
-    raised, which the path's leaf never bumped."""
+    raised, which the path's leaf never bumped.  Raises the F2I trap in
+    place of ``exc`` when ``exc`` is a failed inline conversion."""
     mix = fixes.get(exc.__traceback__.tb_lineno)
     if mix:
         for fld, n in zip(_FIELDS, mix):
             if n:
                 setattr(c, fld, getattr(c, fld) - n)
+    if isinstance(exc, (ValueError, OverflowError)) and exc.__traceback__.tb_next is None:
+        # raised by the generated code itself, not by a helper it called:
+        # the inline ``int()`` of an F2I met NaN or an infinity
+        raise f2i_trap(exc) from None
 
 
 def _deopt(m: Machine, code: "FunctionCode", point: int, names: dict, sp: int):

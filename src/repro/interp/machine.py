@@ -545,8 +545,17 @@ def _unop(op: Opcode, a: int | float) -> int | float:
     if op is Opcode.I2F:
         return float(a)
     if op is Opcode.F2I:
-        return wrap_int(int(a))
+        try:
+            return wrap_int(int(a))
+        except (ValueError, OverflowError) as exc:
+            raise f2i_trap(exc) from None
     raise InterpError(f"unknown unary opcode {op}")
+
+
+def f2i_trap(exc: ValueError | OverflowError) -> InterpTrap:
+    """The trap for converting NaN or an infinity to an integer, which C
+    leaves undefined; ``exc`` is the error ``int()`` raised."""
+    return InterpTrap(f"float-to-int conversion: {exc}")
 
 
 def run_module(

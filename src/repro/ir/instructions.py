@@ -16,6 +16,7 @@ function and carry an optional name hint used only for printing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -166,6 +167,19 @@ class LoadI(Instr):
 
     def __str__(self) -> str:
         return f"{self.dst} = loadi {self.value!r}"
+
+
+def const_key(value: int | float) -> tuple:
+    """A constant's identity: its type, its value and its sign, so the
+    float constants ``0.0`` and ``-0.0`` are two constants."""
+    return (type(value), value, math.copysign(1.0, value) if type(value) is float else 0)
+
+
+def same_constant(a: int | float, b: int | float) -> bool:
+    """Whether ``a`` and ``b`` are one constant by ``const_key``.  The
+    ``==`` comes first because tuples compare members by identity before
+    equality, and a NaN is never the same constant, not even as itself."""
+    return a == b and const_key(a) == const_key(b)
 
 
 class Mov(Instr):

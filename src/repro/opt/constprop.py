@@ -28,6 +28,7 @@ from ..ir.instructions import (
     Mov,
     UnOp,
     VReg,
+    same_constant,
 )
 from ..ir.module import Module
 from .clean import clean_function
@@ -178,7 +179,7 @@ def _meet(a: object, b: object) -> object:
         return a
     if a is _BOTTOM or b is _BOTTOM:
         return _BOTTOM
-    if a == b and type(a) is type(b):
+    if same_constant(a, b):  # type: ignore[arg-type]
         return a
     return _BOTTOM
 

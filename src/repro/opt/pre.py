@@ -42,7 +42,6 @@ from ..ir.instructions import (
     ScalarLoad,
     ScalarStore,
     UnOp,
-    VReg,
 )
 from ..ir.opcodes import COMMUTATIVE_OPS
 from ..ir.tags import Tag
@@ -57,21 +56,44 @@ class PREStats:
 def run_pre(func: Function) -> PREStats:
     stats = PREStats()
     exprs = _ExprTable()
-    _collect(func, exprs)
-    if not exprs.keys:
+    # interning follows ``func.blocks``; each instruction's bit (0 when it
+    # computes no expression), then its kill mask, is derived once
+    bits = {
+        label: [exprs.intern(instr) for instr in block.instrs]
+        for label, block in func.blocks.items()
+    }
+    if not exprs.index:
         return stats
+    exprs.seal()
 
     order = reverse_postorder(func)
     preds = predecessors(func)
-    comp, transp = _local_sets(func, order, exprs)
+    walks = {
+        label: [
+            (bit, _kill_mask(instr, exprs))
+            for bit, instr in zip(bits[label], func.blocks[label].instrs)
+        ]
+        for label in order
+    }
+
+    # local sets: comp(b) = computed and not killed after; transp(b) = not killed
+    all_bits = (1 << len(exprs.index)) - 1
+    comp: dict[str, int] = {}
+    transp: dict[str, int] = {}
+    for label in order:
+        computed = killed = 0
+        for bit, kill in walks[label]:
+            # x = x + y computes a value the *new* x invalidates
+            computed = (computed | bit) & ~kill
+            killed |= kill
+        comp[label] = computed
+        transp[label] = all_bits & ~killed
 
     # forward AVAIL: in(b) = AND over preds out(p); out = comp | (in & transp)
-    all_bits = (1 << len(exprs.keys)) - 1
     avail_in: dict[str, int] = {label: 0 for label in order}
     avail_out: dict[str, int] = {
         label: all_bits if label != func.entry else comp[label] for label in order
     }
-    avail_out[func.entry] = comp[func.entry]
     changed = True
     while changed:
         changed = False
@@ -91,10 +113,38 @@ def run_pre(func: Function) -> PREStats:
                 avail_out[label] = outset
                 changed = True
 
-    redundant = _find_redundant(func, order, exprs, avail_in)
+    # expressions with a fully redundant occurrence, in walk order: the
+    # temps are numbered by iterating this set
+    redundant: set[int] = set()
+    for label in order:
+        cur = avail_in[label]
+        for bit, kill in walks[label]:
+            if cur & bit:
+                redundant.add(bit.bit_length() - 1)
+            cur = (cur | bit) & ~kill
     if not redundant:
         return stats
-    _rewrite(func, order, exprs, avail_in, redundant, stats)
+
+    temps = {1 << idx: func.new_vreg("pre") for idx in redundant}
+    for label in order:
+        cur = avail_in[label]
+        block = func.blocks[label]
+        new_instrs: list[Instr] = []
+        for instr, (bit, kill) in zip(block.instrs, walks[label]):
+            temp = temps.get(bit)
+            if temp is not None and cur & bit:
+                # fully redundant: the temp holds the value
+                new_instrs.append(Mov(instr.dest, temp))
+                stats.expressions_removed += 1
+                if isinstance(instr, MEMORY_LOADS):
+                    stats.loads_removed += 1
+            else:
+                new_instrs.append(instr)
+                if temp is not None:
+                    # provider: publish the value for downstream redundant uses
+                    new_instrs.append(Mov(temp, instr.dest))
+            cur = (cur | bit) & ~kill
+        block.instrs = new_instrs
     return stats
 
 
@@ -118,7 +168,6 @@ def pre_decision(func_name: str, stats: PREStats) -> Decision | None:
 
 class _ExprTable:
     def __init__(self) -> None:
-        self.keys: list[tuple] = []
         self.index: dict[tuple, int] = {}
         #: register id -> bitmask of expressions using that register
         self.by_reg: dict[int, int] = {}
@@ -127,77 +176,54 @@ class _ExprTable:
         #: bitmask of every load expression (killed by universal writes)
         self.all_loads = 0
         #: loads with no ``by_tag`` entry (universal tag sets), which any
-        #: memory write kills; set once the table is complete
+        #: memory write kills; set by ``seal`` once the table is complete
         self.untagged_loads = 0
 
-    def intern(self, key: tuple, uses: tuple[int, ...], tags, is_load: bool) -> int:
+    def intern(self, instr: Instr) -> int:
+        """The bit of the expression ``instr`` computes, or 0."""
+        expr = _expression(instr)
+        if expr is None:
+            return 0
+        key, uses, tags = expr
         idx = self.index.get(key)
         if idx is not None:
-            return idx
-        idx = len(self.keys)
-        self.keys.append(key)
-        self.index[key] = idx
+            return 1 << idx
+        idx = self.index[key] = len(self.index)
         bit = 1 << idx
         for reg_id in uses:
             self.by_reg[reg_id] = self.by_reg.get(reg_id, 0) | bit
-        if is_load:
+        if tags is not None:
             self.all_loads |= bit
-            if tags is not None and not tags.universal:
-                for tag in tags:
-                    self.by_tag[tag] = self.by_tag.get(tag, 0) | bit
-        return idx
+            for tag in tags:
+                self.by_tag[tag] = self.by_tag.get(tag, 0) | bit
+        return bit
+
+    def seal(self) -> None:
+        tagged = 0
+        for bits in self.by_tag.values():
+            tagged |= bits
+        self.untagged_loads = self.all_loads & ~tagged
 
 
-def _key_of(instr: Instr) -> tuple | None:
-    """The expression key an instruction computes, or None."""
+def _expression(instr: Instr) -> tuple[tuple, tuple[int, ...], object] | None:
+    """The expression ``instr`` computes as (key, the register ids it
+    reads, its load tags), or None; pure computations have no tags, and a
+    load of the universal tag set has none to list."""
     if isinstance(instr, BinOp):
         a, b = instr.lhs.id, instr.rhs.id
         if instr.opcode in COMMUTATIVE_OPS and b < a:
             a, b = b, a
-        return ("bin", instr.opcode, a, b)
+        return ("bin", instr.opcode, a, b), (instr.lhs.id, instr.rhs.id), None
     if isinstance(instr, UnOp):
-        return ("un", instr.opcode, instr.src.id)
+        return ("un", instr.opcode, instr.src.id), (instr.src.id,), None
     if isinstance(instr, LoadAddr):
-        return ("la", instr.tag, instr.offset)
+        return ("la", instr.tag, instr.offset), (), None
     if isinstance(instr, (ScalarLoad, CLoad)):
-        return ("sl", instr.tag)
+        return ("sl", instr.tag), (), (instr.tag,)
     if isinstance(instr, MemLoad):
-        return ("ld", instr.addr.id)
+        tags = () if instr.tags.universal else instr.tags
+        return ("ld", instr.addr.id), (instr.addr.id,), tags
     return None
-
-
-def _collect(func: Function, exprs: _ExprTable) -> None:
-    for block in func.blocks.values():
-        for instr in block.instrs:
-            key = _key_of(instr)
-            if key is None:
-                continue
-            if isinstance(instr, (ScalarLoad, CLoad)):
-                exprs.intern(key, (), _SingleTag(instr.tag), True)
-            elif isinstance(instr, MemLoad):
-                exprs.intern(key, (instr.addr.id,), instr.tags, True)
-            elif isinstance(instr, BinOp):
-                exprs.intern(key, (instr.lhs.id, instr.rhs.id), None, False)
-            elif isinstance(instr, UnOp):
-                exprs.intern(key, (instr.src.id,), None, False)
-            elif isinstance(instr, LoadAddr):
-                exprs.intern(key, (), None, False)
-    tagged = 0
-    for bits in exprs.by_tag.values():
-        tagged |= bits
-    exprs.untagged_loads = exprs.all_loads & ~tagged
-
-
-class _SingleTag:
-    """Minimal tag-set shim for interning scalar loads."""
-
-    universal = False
-
-    def __init__(self, tag: Tag) -> None:
-        self._tag = tag
-
-    def __iter__(self):
-        return iter((self._tag,))
 
 
 # ---------------------------------------------------------------------------
@@ -231,85 +257,3 @@ def _kill_mask(instr: Instr, exprs: _ExprTable) -> int:
                 mask |= exprs.by_tag.get(tag, 0)
             mask |= exprs.untagged_loads
     return mask
-
-
-def _local_sets(func: Function, order, exprs: _ExprTable):
-    comp: dict[str, int] = {}
-    transp: dict[str, int] = {}
-    all_bits = (1 << len(exprs.keys)) - 1
-    for label in order:
-        computed = 0
-        killed = 0
-        for instr in func.block(label).instrs:
-            key = _key_of(instr)
-            kill = _kill_mask(instr, exprs)
-            computed &= ~kill
-            killed |= kill
-            if key is not None:
-                bit = 1 << exprs.index[key]
-                # x = x + y computes a value the *new* x invalidates
-                if not (kill & bit):
-                    computed |= bit
-        comp[label] = computed
-        transp[label] = all_bits & ~killed
-    return comp, transp
-
-
-# ---------------------------------------------------------------------------
-# rewrite
-# ---------------------------------------------------------------------------
-
-def _find_redundant(func: Function, order, exprs: _ExprTable, avail_in) -> set[int]:
-    """Indices of expressions with at least one fully redundant occurrence."""
-    redundant: set[int] = set()
-    for label in order:
-        cur = avail_in[label]
-        for instr in func.block(label).instrs:
-            key = _key_of(instr)
-            if key is not None:
-                bit = 1 << exprs.index[key]
-                if cur & bit:
-                    redundant.add(exprs.index[key])
-            kill = _kill_mask(instr, exprs)
-            cur &= ~kill
-            if key is not None:
-                bit = 1 << exprs.index[key]
-                if not (kill & bit):
-                    cur |= bit
-    return redundant
-
-
-def _rewrite(func: Function, order, exprs, avail_in, redundant, stats: PREStats) -> None:
-    temps: dict[int, VReg] = {
-        idx: func.new_vreg("pre") for idx in redundant
-    }
-    for label in order:
-        cur = avail_in[label]
-        block = func.block(label)
-        new_instrs: list[Instr] = []
-        for instr in block.instrs:
-            key = _key_of(instr)
-            idx = exprs.index.get(key) if key is not None else None
-            bit = 1 << idx if idx is not None else 0
-            if idx in temps and (cur & bit):
-                # fully redundant: the temp holds the value
-                assert instr.dest is not None
-                new_instrs.append(Mov(instr.dest, temps[idx]))
-                stats.expressions_removed += 1
-                if isinstance(instr, MEMORY_LOADS):
-                    stats.loads_removed += 1
-                kill = _kill_mask(instr, exprs)
-                cur &= ~kill
-                if not (kill & bit):
-                    cur |= bit
-                continue
-            new_instrs.append(instr)
-            kill = _kill_mask(instr, exprs)
-            cur &= ~kill
-            if idx is not None and not (kill & bit):
-                cur |= bit
-            if idx in temps:
-                # provider: publish the value for downstream redundant uses
-                assert instr.dest is not None
-                new_instrs.append(Mov(temps[idx], instr.dest))
-        block.instrs = new_instrs

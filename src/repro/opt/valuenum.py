@@ -27,7 +27,6 @@ from ..diag.ledger import Decision
 from ..ir.function import Function
 from ..ir.instructions import (
     BinOp,
-    Branch,
     Call,
     CLoad,
     Instr,
@@ -36,11 +35,11 @@ from ..ir.instructions import (
     MemLoad,
     MemStore,
     Mov,
-    Ret,
     ScalarLoad,
     ScalarStore,
     UnOp,
     VReg,
+    const_key,
 )
 from ..ir.module import Module
 from ..ir.opcodes import COMMUTATIVE_OPS, Opcode
@@ -130,12 +129,7 @@ def run_value_numbering(func: Function) -> VNStats:
     stats = VNStats()
     for block in func.blocks.values():
         state = _BlockNumbering(func)
-        new_instrs: list[Instr] = []
-        for instr in block.instrs:
-            replacement = _number_instr(instr, state, stats)
-            if replacement is not None:
-                new_instrs.append(replacement)
-        block.instrs = new_instrs
+        block.instrs = [_number_instr(instr, state, stats) for instr in block.instrs]
     return stats
 
 
@@ -166,28 +160,29 @@ def run_value_numbering_module(module: Module) -> VNStats:
     return total
 
 
-def _propagate_copies(instr: Instr, state: _BlockNumbering, stats: VNStats) -> None:
-    """Rewrite each use to the canonical register holding its value."""
+def _propagate_copies(instr: Instr, state: _BlockNumbering, stats: VNStats) -> dict[int, int]:
+    """Rewrite each use to the canonical register holding its value and
+    return the value number of each (rewritten) operand, by register id."""
+    vns: dict[int, int] = {}
     mapping: dict[VReg, VReg] = {}
     for reg in set(instr.uses()):
         vn = state.use_vn(reg)
         home = state.home_reg(vn)
         if home is not None and home.id != reg.id:
             mapping[reg] = home
+            reg = home
+        vns[reg.id] = vn
     if mapping:
         instr.replace_uses(mapping)
         stats.copies_propagated += len(mapping)
+    return vns
 
 
-def _number_instr(
-    instr: Instr,
-    state: _BlockNumbering,
-    stats: VNStats,
-) -> Instr | None:
-    _propagate_copies(instr, state, stats)
+def _number_instr(instr: Instr, state: _BlockNumbering, stats: VNStats) -> Instr:
+    vns = _propagate_copies(instr, state, stats)
 
     if isinstance(instr, LoadI):
-        key = ("const", type(instr.value).__name__, instr.value)
+        key = ("const", const_key(instr.value))
         vn = state.expr_vn.get(key)
         if vn is None:
             vn = state.new_vn()
@@ -197,136 +192,74 @@ def _number_instr(
         return instr
 
     if isinstance(instr, Mov):
-        vn = state.use_vn(instr.src)
-        state.define(instr.dst, vn)
+        state.define(instr.dst, vns[instr.src.id])
         return instr
 
     if isinstance(instr, LoadAddr):
-        key = ("la", instr.tag, instr.offset)
-        vn = state.expr_vn.get(key)
-        hit = vn is not None and state.home_valid(vn)
-        if vn is None:
-            vn = state.new_vn()
-            state.expr_vn[key] = vn
-        if hit:
-            stats.expressions_reused += 1
-            home = state.home_reg(vn)
-            assert home is not None
-            state.define(instr.dst, vn)
-            return Mov(instr.dst, home)
-        state.define(instr.dst, vn)
-        return instr
+        return _reuse(instr, ("la", instr.tag, instr.offset), state, stats)
 
     if isinstance(instr, BinOp):
-        lhs_vn = state.use_vn(instr.lhs)
-        rhs_vn = state.use_vn(instr.rhs)
-        if lhs_vn in state.vn_const and rhs_vn in state.vn_const:
-            folded = _try_fold_binop(
-                instr.opcode, state.vn_const[lhs_vn], state.vn_const[rhs_vn]
-            )
+        a, b = vns[instr.lhs.id], vns[instr.rhs.id]
+        if a in state.vn_const and b in state.vn_const:
+            folded = _try_fold_binop(instr.opcode, state.vn_const[a], state.vn_const[b])
             if folded is not None:
                 stats.constants_folded += 1
                 return _number_instr(LoadI(instr.dst, folded), state, stats)
-        a, b = lhs_vn, rhs_vn
         if instr.opcode in COMMUTATIVE_OPS and b < a:
             a, b = b, a
-        key = ("bin", instr.opcode, a, b)
-        vn = state.expr_vn.get(key)
-        hit = vn is not None and state.home_valid(vn)
-        if vn is None:
-            vn = state.new_vn()
-            state.expr_vn[key] = vn
-        if hit:
-            stats.expressions_reused += 1
-            home = state.home_reg(vn)
-            assert home is not None
-            state.define(instr.dst, vn)
-            return Mov(instr.dst, home)
-        state.define(instr.dst, vn)
-        return instr
+        return _reuse(instr, ("bin", instr.opcode, a, b), state, stats)
 
     if isinstance(instr, UnOp):
-        src_vn = state.use_vn(instr.src)
-        if src_vn in state.vn_const:
-            folded = _try_fold_unop(instr.opcode, state.vn_const[src_vn])
+        a = vns[instr.src.id]
+        if a in state.vn_const:
+            folded = _try_fold_unop(instr.opcode, state.vn_const[a])
             if folded is not None:
                 stats.constants_folded += 1
                 return _number_instr(LoadI(instr.dst, folded), state, stats)
-        key = ("un", instr.opcode, src_vn)
-        vn = state.expr_vn.get(key)
-        hit = vn is not None and state.home_valid(vn)
-        if vn is None:
-            vn = state.new_vn()
-            state.expr_vn[key] = vn
-        if hit:
-            stats.expressions_reused += 1
-            home = state.home_reg(vn)
-            assert home is not None
-            state.define(instr.dst, vn)
-            return Mov(instr.dst, home)
-        state.define(instr.dst, vn)
-        return instr
+        return _reuse(instr, ("un", instr.opcode, a), state, stats)
 
     if isinstance(instr, (ScalarLoad, CLoad)):
-        key = ("sload", instr.tag, state.tag_ver(instr.tag))
-        vn = state.expr_vn.get(key)
-        hit = vn is not None and state.home_valid(vn)
-        if vn is None:
-            vn = state.new_vn()
-            state.expr_vn[key] = vn
-        if hit:
-            stats.loads_removed += 1
-            home = state.home_reg(vn)
-            assert home is not None
-            state.define(instr.dst, vn)
-            return Mov(instr.dst, home)
-        state.define(instr.dst, vn)
-        return instr
+        return _reuse(instr, ("sload", instr.tag, state.tag_ver(instr.tag)), state, stats)
+
+    if isinstance(instr, MemLoad):
+        return _reuse(instr, ("load", vns[instr.addr.id], state.mem_epoch), state, stats)
 
     if isinstance(instr, ScalarStore):
-        src_vn = state.use_vn(instr.src)
         state.kill_tag(instr.tag)
         state.mem_epoch += 1
         # store-to-load forwarding: the stored value *is* the tag's value
-        state.expr_vn[("sload", instr.tag, state.tag_ver(instr.tag))] = src_vn
-        return instr
-
-    if isinstance(instr, MemLoad):
-        addr_vn = state.use_vn(instr.addr)
-        key = ("load", addr_vn, state.mem_epoch)
-        vn = state.expr_vn.get(key)
-        hit = vn is not None and state.home_valid(vn)
-        if vn is None:
-            vn = state.new_vn()
-            state.expr_vn[key] = vn
-        if hit:
-            stats.loads_removed += 1
-            home = state.home_reg(vn)
-            assert home is not None
-            state.define(instr.dst, vn)
-            return Mov(instr.dst, home)
-        state.define(instr.dst, vn)
-        return instr
-
-    if isinstance(instr, MemStore):
-        src_vn = state.use_vn(instr.src)
-        addr_vn = state.use_vn(instr.addr)
+        state.expr_vn[("sload", instr.tag, state.tag_ver(instr.tag))] = vns[instr.src.id]
+    elif isinstance(instr, MemStore):
         state.kill_tags(instr.tags)
         # forward the stored value to a same-address load
-        state.expr_vn[("load", addr_vn, state.mem_epoch)] = src_vn
-        return instr
-
-    if isinstance(instr, Call):
+        state.expr_vn[("load", vns[instr.addr.id], state.mem_epoch)] = vns[instr.src.id]
+    elif isinstance(instr, Call):
         if instr.mod:
             state.kill_tags(instr.mod)
         if instr.dst is not None:
             state.define(instr.dst, state.new_vn())
-        return instr
-
-    if isinstance(instr, (Branch, Ret)):
-        return instr
-
     return instr
+
+
+def _reuse(instr: Instr, key: tuple, state: _BlockNumbering, stats: VNStats) -> Instr:
+    """Number ``instr``'s result by ``key``: a copy from the register
+    still holding that value when there is one (a removed load or a
+    reused expression), else ``instr`` itself."""
+    vn = state.expr_vn.get(key)
+    home = None
+    if vn is None:
+        vn = state.new_vn()
+        state.expr_vn[key] = vn
+    else:
+        home = state.home_reg(vn)
+    state.define(instr.dst, vn)
+    if home is None:
+        return instr
+    if key[0] in ("sload", "load"):
+        stats.loads_removed += 1
+    else:
+        stats.expressions_reused += 1
+    return Mov(instr.dst, home)
 
 
 def _try_fold_binop(op: Opcode, a: int | float, b: int | float) -> int | float | None:

@@ -29,7 +29,16 @@ from dataclasses import dataclass, field
 from ..analysis.liveness import compute_liveness
 from ..analysis.loops import find_loops
 from ..ir.function import Function
-from ..ir.instructions import Instr, LoadAddr, LoadI, Mov, ScalarLoad, ScalarStore, VReg
+from ..ir.instructions import (
+    Instr,
+    LoadAddr,
+    LoadI,
+    Mov,
+    ScalarLoad,
+    ScalarStore,
+    VReg,
+    same_constant,
+)
 from ..ir.module import Module
 from ..ir.tags import Tag, TagKind
 from .interference import InterferenceGraph, build_interference
@@ -335,7 +344,8 @@ def _spill(func: Function, spills: list[int]) -> tuple[int, int]:
         first = defs[0]
         if isinstance(first, LoadI):
             return all(
-                isinstance(d, LoadI) and d.value == first.value for d in defs
+                isinstance(d, LoadI) and same_constant(d.value, first.value)
+                for d in defs
             )
         assert isinstance(first, LoadAddr)
         return all(

@@ -273,6 +273,45 @@ class TestConstantsAndSizeof:
         assert run_c(src).output.strip() == "0 5 6"
 
 
+class TestConstantExpressions:
+    """File-scope initializers and array sizes fold with the IL's own
+    arithmetic, so they agree with the same expression at run time."""
+
+    @staticmethod
+    def global_value(expr: str, ctype: str = "long", fmt: str = "%ld") -> str:
+        src = (
+            f"{ctype} g = {expr};\n"
+            f'int main(void) {{ printf("{fmt}\\n", g); return 0; }}\n'
+        )
+        return run_c(src).output.strip()
+
+    @pytest.mark.parametrize(
+        "source",
+        ["long g = 1 / 0;", "int a[5 % 0];", "long g = 1 % 0;", "double d = 1.0 / 0.0;"],
+    )
+    def test_trapping_constant_is_a_frontend_error(self, source):
+        with pytest.raises(FrontendError) as excinfo:
+            compile_c(source + "\nint main(void) { return 0; }\n", name="k")
+        assert excinfo.value.coord is not None
+        assert str(excinfo.value).startswith("k:1:")
+
+    def test_integer_division_is_exact(self):
+        assert self.global_value("9007199254740993 / 1") == "9007199254740993"
+        assert self.global_value("-9007199254740993 / 3") == "-3002399751580331"
+
+    def test_shift_wraps_like_the_runtime(self):
+        setup = "    long one = 1;\n    long count = 70;\n"
+        assert self.global_value("1 << 70") == str(eval_int("one << count", setup))
+        assert self.global_value("1 << 70") == "64"
+
+    def test_out_of_range_float_cast_is_a_frontend_error(self):
+        with pytest.raises(FrontendError, match="float-to-int conversion"):
+            compile_c("long g = (long)(1e308 * 10.0);\nint main(void) { return 0; }\n")
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert self.global_value("-0.0", "double", "%f") == "-0.000000"
+
+
 class TestErrors:
     def test_undeclared_variable(self):
         with pytest.raises(FrontendError):

@@ -178,6 +178,36 @@ def test_trap_identical():
 
 
 @pytest.mark.parametrize("pipeline", list(PIPELINES))
+@pytest.mark.parametrize(
+    "big,value,message",
+    [
+        ("h(1e308)", "x - x", "cannot convert float NaN to integer"),
+        ("h(1e308)", "-x", "cannot convert float infinity to integer"),
+        # constants: the optimizer's folders must leave the F2I alone
+        ("1e308", "x - x", "cannot convert float NaN to integer"),
+        ("1e308", "x", "cannot convert float infinity to integer"),
+    ],
+)
+def test_f2i_of_nan_or_infinity_traps_identically(pipeline, big, value, message):
+    source = f"""
+    double h(double v) {{ return v; }}
+    int main(void) {{
+        double x = {big} * 10.0;
+        long z = (long)({value});
+        printf("%ld\\n", z);
+        return 0;
+    }}
+    """
+    messages = set()
+    for engine in ENGINES:
+        module = compile_source(source, PIPELINES[pipeline]).module
+        with pytest.raises(InterpTrap) as exc:
+            _run(module, engine)
+        messages.add(str(exc.value))
+    assert messages == {f"float-to-int conversion: {message}"}
+
+
+@pytest.mark.parametrize("pipeline", list(PIPELINES))
 def test_out_of_range_literals_wrap_identically(pipeline):
     """The front end keeps literals at or above 2**63 unwrapped, so every
     inlined fast path must wrap its result the way the reference does."""

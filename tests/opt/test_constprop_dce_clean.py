@@ -1,5 +1,7 @@
 """Tests for SCCP, dead code elimination, and basic-block cleaning."""
 
+import pytest
+
 from repro.analysis.ssa import Phi
 from repro.frontend import compile_c
 from repro.interp import run_module
@@ -19,11 +21,12 @@ from repro.ir import (
     TagSet,
 )
 from repro.opt.clean import clean_function
-from repro.opt.constprop import _prune_phis, run_sccp, run_sccp_module
+from repro.opt.constprop import _BOTTOM, _meet, _prune_phis, run_sccp, run_sccp_module
 from repro.opt.dce import run_dce
 from tests.helpers import run_c
 
 G = Tag("g", TagKind.GLOBAL)
+NAN = float("nan")
 
 
 def count(func, cls):
@@ -31,6 +34,20 @@ def count(func, cls):
 
 
 class TestSCCP:
+    @pytest.mark.parametrize(
+        "a,b,met",
+        [
+            (0.0, -0.0, _BOTTOM),
+            (-0.0, -0.0, -0.0),
+            (1, 1.0, _BOTTOM),
+            (3, 3, 3),
+            (NAN, NAN, _BOTTOM),  # one NaN object is still not one constant
+        ],
+    )
+    def test_meet_keeps_constants_of_one_type_value_and_sign(self, a, b, met):
+        result = _meet(a, b)
+        assert result == met and str(result) == str(met)
+
     def test_constant_chain_folded(self):
         src = r"""
         int main(void) {

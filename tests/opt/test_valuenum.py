@@ -95,6 +95,18 @@ class TestConstantFolding:
         stats = run_value_numbering(func)
         assert count(func, BinOp) == 1  # the div survives
 
+    def test_signed_zeros_are_two_constants(self):
+        # 0.0 == -0.0, but the return must still read the -0.0 register
+        func = Function("f")
+        b = IRBuilder(func)
+        b.start_block()
+        b.loadi(0.0)
+        negative = b.loadi(-0.0)
+        b.ret(negative)
+        run_value_numbering(func)
+        ret = func.block(func.entry).instrs[-1]
+        assert ret.value == negative
+
 
 class TestLoadElimination:
     def test_repeated_sload_removed(self):

@@ -3,13 +3,15 @@
 from repro.analysis.liveness import compute_liveness
 from repro.frontend import compile_c
 from repro.interp import run_module
-from repro.ir import Function, IRBuilder, Mov, ScalarLoad, ScalarStore
+from repro.ir import Function, IRBuilder, LoadI, Mov, ScalarLoad, ScalarStore
+from repro.ir.tags import Tag, TagKind
 from repro.regalloc import (
     RegAllocOptions,
     allocate_function,
     allocate_module,
     build_interference,
 )
+from repro.regalloc.coloring import _spill
 from tests.helpers import run_c
 
 
@@ -189,6 +191,34 @@ class TestSpilling:
         tight = PipelineOptions(regalloc=RegAllocOptions(num_registers=6))
         cell = compile_and_run(src, tight)
         assert cell.output == expected
+
+    def _signed_zero_arms(self, first: float, second: float) -> tuple[Function, int]:
+        """A register set by ``loadi first`` on one arm and ``loadi
+        second`` on the other, then returned."""
+        func = Function("z")
+        b = IRBuilder(func)
+        b.start_block()
+        cond = b.sload(Tag("c", TagKind.GLOBAL))
+        left, right, join = b.new_block(), b.new_block(), b.new_block()
+        b.cbr(cond, left, right)
+        b.set_block(left)
+        reg = b.loadi(first)
+        b.jmp(join)
+        b.set_block(right)
+        b.emit(LoadI(reg, second))
+        b.jmp(join)
+        b.set_block(join)
+        b.ret(reg)
+        return func, reg.id
+
+    def test_signed_zeros_on_two_paths_are_spilled_not_rematerialized(self):
+        # 0.0 == -0.0, but re-issuing either before the use loses a sign
+        func, reg_id = self._signed_zero_arms(0.0, -0.0)
+        assert _spill(func, [reg_id]) == (1, 2)
+        func, reg_id = self._signed_zero_arms(-0.0, -0.0)
+        assert _spill(func, [reg_id]) == (0, 0)
+        remat = list(func.blocks.values())[-1].instrs[0]
+        assert isinstance(remat, LoadI) and repr(remat.value) == "-0.0"
 
 
 def _run_func_as_main(func: Function):
