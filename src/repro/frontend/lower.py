@@ -21,6 +21,7 @@ Register promotion exists to fix the second bullet, loop by loop.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from pycparser import c_ast
@@ -44,11 +45,12 @@ from ..ctype_model import (
     usual_arithmetic,
 )
 from ..errors import FrontendError, InterpTrap, UnsupportedFeatureError
-from ..interp.machine import _binop, _unop
+from ..interp.machine import _binop, _unop, wrap_int
 from ..intrinsics import ALLOCATORS, INTRINSICS, is_intrinsic
 from ..ir.builder import IRBuilder
-from ..ir.function import Function
-from ..ir.instructions import Call, VReg
+from ..ir.cfg import remove_unreachable_blocks
+from ..ir.function import BasicBlock, Function
+from ..ir.instructions import Call, LoadI, VReg
 from ..ir.module import GlobalVar, Module
 from ..ir.opcodes import Opcode
 from ..ir.tags import Tag, TagKind, TagSet
@@ -119,6 +121,13 @@ _BINOPS = {
 _UNOPS = {"-": Opcode.NEG, "~": Opcode.NOT, "!": Opcode.LNOT}
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
+
+#: the operators C defines on integer operands only (C11 6.5.3.3, 6.5.5,
+#: 6.5.7, 6.5.10-12), compound assignments included
+_INTEGER_ONLY = frozenset(
+    {Opcode.MOD, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
+     Opcode.NOT}
+)
 
 _ASSIGN_OPS = {
     "=": None,
@@ -257,15 +266,26 @@ class ModuleLowerer:
             raise FrontendError(f"redefinition of {name}", funcdef.coord)
         self.functions[name] = FuncSymbol(name, ftype, defined=True)
 
-    def _lower_global_decl(self, decl: c_ast.Decl) -> None:
+    def declared_type(self, decl: c_ast.Decl) -> CType | None:
+        """The type of the object ``decl`` declares, at file or block
+        scope; ``None`` for a prototype, which is registered here, and for
+        a bare ``struct S {...};`` or ``enum {...};``, whose types were
+        registered during resolution.  ``T a[] = {...}`` takes the list's
+        length."""
         ctype = self.resolve_type(decl.type)
         if isinstance(ctype, FunctionType):
-            if decl.name not in self.functions:
-                self.functions[decl.name] = FuncSymbol(decl.name, ctype)
-            return
+            self.functions.setdefault(decl.name, FuncSymbol(decl.name, ctype))
+            return None
         if decl.name is None:
-            # bare "struct S {...};" or "enum {...};" — types were
-            # registered during resolution
+            return None
+        if isinstance(ctype, ArrayType) and not ctype.length \
+                and isinstance(decl.init, c_ast.InitList):
+            return ArrayType(elem=ctype.elem, length=len(decl.init.exprs))
+        return ctype
+
+    def _lower_global_decl(self, decl: c_ast.Decl) -> None:
+        ctype = self.declared_type(decl)
+        if ctype is None:
             return
         is_const = "const" in (decl.quals or [])
         scalar = ctype.is_scalar()
@@ -277,38 +297,14 @@ class ModuleLowerer:
             is_const=is_const,
         )
         if decl.init is not None:
-            self._eval_initializer(decl.init, ctype, var.init, offset=0)
+            for offset, slot_type, expr in _init_slots(ctype, decl.init):
+                var.init[offset] = _convert(expr, self.const_eval(expr), slot_type)
         self.module.add_global(var)
         if not scalar:
             # aggregates decay to pointers whenever referenced, so their
             # address is considered taken
             self.module.address_taken.add(tag)
         self.scopes.declare(VarSymbol(decl.name, ctype, tag=tag, is_global=True))
-
-    def _eval_initializer(
-        self,
-        init: c_ast.Node,
-        ctype: CType,
-        out: dict[int, int | float],
-        offset: int,
-    ) -> None:
-        if isinstance(init, c_ast.InitList):
-            if isinstance(ctype, ArrayType):
-                for idx, item in enumerate(init.exprs):
-                    self._eval_initializer(
-                        item, ctype.elem, out, offset + idx * ctype.elem.size
-                    )
-                return
-            if isinstance(ctype, StructType):
-                for field_, item in zip(ctype.fields, init.exprs):
-                    self._eval_initializer(
-                        item, field_.ctype, out, offset + field_.offset
-                    )
-                return
-            raise UnsupportedFeatureError(
-                "initializer list for scalar", init.coord
-            )
-        out[offset] = _convert(init, self.const_eval(init), ctype)
 
     # -- constant expressions ------------------------------------------------
     def const_eval(self, node: c_ast.Node) -> int | float:
@@ -323,7 +319,7 @@ class ModuleLowerer:
             )
         if isinstance(node, c_ast.UnaryOp):
             if node.op == "sizeof":
-                return self._sizeof_operand(node.expr)
+                return self.sizeof(node)
             inner = self.const_eval(node.expr)
             if node.op == "+":
                 return inner
@@ -331,7 +327,9 @@ class ModuleLowerer:
                 raise UnsupportedFeatureError(
                     f"constant unary {node.op!r}", node.coord
                 )
-            return _fold(_unop, node, _UNOPS[node.op], inner)
+            op = _UNOPS[node.op]
+            _check_operands(op, node.op, node.coord, isinstance(inner, int))
+            return _fold(_unop, node, op, inner)
         if isinstance(node, c_ast.BinaryOp):
             lhs = self.const_eval(node.left)
             rhs = self.const_eval(node.right)
@@ -339,7 +337,11 @@ class ModuleLowerer:
                 raise UnsupportedFeatureError(
                     f"constant binary {node.op!r}", node.coord
                 )
-            return _fold(_binop, node, _BINOPS[node.op], lhs, rhs)
+            op = _BINOPS[node.op]
+            _check_operands(
+                op, node.op, node.coord, isinstance(lhs, int), isinstance(rhs, int)
+            )
+            return _fold(_binop, node, op, lhs, rhs)
         if isinstance(node, c_ast.Cast):
             target = self.resolve_type(node.to_type.type)
             return _convert(node, self.const_eval(node.expr), target)
@@ -347,14 +349,31 @@ class ModuleLowerer:
             f"unsupported constant expression {type(node).__name__}", node.coord
         )
 
-    def _sizeof_operand(self, operand: c_ast.Node) -> int:
+    def const_int(self, node: c_ast.Node, what: str) -> int:
+        """An integer constant expression: an array size, an enumerator
+        value or a ``case`` label."""
+        value = self.const_eval(node)
+        if not isinstance(value, int):
+            raise FrontendError(f"{what} is not an integer constant", node.coord)
+        return value
+
+    def sizeof(self, node: c_ast.UnaryOp) -> int:
+        """``sizeof`` a type name or a named variable."""
+        operand = node.expr
+        ctype = None
         if isinstance(operand, c_ast.Typename):
-            return self.resolve_type(operand.type).size
-        if isinstance(operand, c_ast.ID):
+            ctype = self.resolve_type(operand.type)
+        elif isinstance(operand, c_ast.ID):
             sym = self.scopes.lookup(operand.name)
             if isinstance(sym, VarSymbol):
-                return sym.ctype.size
-        raise UnsupportedFeatureError("unsupported sizeof operand")
+                ctype = sym.ctype
+            elif sym is None and operand.name in self.functions:
+                ctype = self.functions[operand.name].ftype
+        if isinstance(ctype, FunctionType):
+            raise FrontendError("sizeof applied to a function", node.coord)
+        if ctype is None:
+            raise UnsupportedFeatureError("unsupported sizeof operand", node.coord)
+        return ctype.size
 
     # -- type resolution ---------------------------------------------------
     def resolve_type(self, node: c_ast.Node) -> CType:
@@ -364,7 +383,11 @@ class ModuleLowerer:
             return PointerType(self.resolve_type(node.type))
         if isinstance(node, c_ast.ArrayDecl):
             elem = self.resolve_type(node.type)
-            length = int(self.const_eval(node.dim)) if node.dim is not None else 0
+            length = 0
+            if node.dim is not None:
+                length = self.const_int(node.dim, "array size")
+                if length < 0:
+                    raise FrontendError("array size is negative", node.dim.coord)
             return ArrayType(elem=elem, length=length)
         if isinstance(node, c_ast.FuncDecl):
             ret = self.resolve_type(node.type)
@@ -445,7 +468,7 @@ class ModuleLowerer:
         next_value = 0
         for enumerator in node.values.enumerators:
             if enumerator.value is not None:
-                next_value = int(self.const_eval(enumerator.value))
+                next_value = self.const_int(enumerator.value, "enumerator value")
             if self.scopes.lookup(enumerator.name) is None:
                 self.scopes.declare(EnumConst(enumerator.name, next_value))
             next_value += 1
@@ -492,16 +515,13 @@ class FunctionLowerer:
     # -- top level --------------------------------------------------------
     def lower(self) -> Function:
         self.scopes.push()
-        entry = self.b.start_block("B")
+        self.b.start_block("B")
         self._declare_params()
         self.module.add_function(self.func)
         self.stmt(self.funcdef.body)
         if not self.b.is_terminated():
             self._emit_default_return()
         self.scopes.pop()
-        _ = entry
-        from ..ir.cfg import remove_unreachable_blocks
-
         remove_unreachable_blocks(self.func)
         return self.func
 
@@ -585,72 +605,28 @@ class FunctionLowerer:
         self.scopes.pop()
 
     def _stmt_Decl(self, node: c_ast.Decl) -> None:
-        ctype = self.parent.resolve_type(node.type)
-        if isinstance(ctype, FunctionType):
-            if node.name not in self.parent.functions:
-                self.parent.functions[node.name] = FuncSymbol(node.name, ctype)
+        ctype = self.parent.declared_type(node)
+        if ctype is None:
             return
-        if node.name is None:
-            return
-        needs_memory = (not ctype.is_scalar()) or node.name in self.addr_taken_names
-        if needs_memory:
-            tag = self._new_local_tag(node.name, ctype)
-            sym = VarSymbol(node.name, ctype, tag=tag)
-            self.scopes.declare(sym)
-            if node.init is not None:
-                self._lower_local_init(sym, ctype, node.init)
+        if ctype.is_scalar() and node.name not in self.addr_taken_names:
+            sym = VarSymbol(node.name, ctype, reg=self.func.new_vreg(node.name))
         else:
-            reg = self.func.new_vreg(node.name)
-            sym = VarSymbol(node.name, ctype, reg=reg)
-            self.scopes.declare(sym)
-            if node.init is not None:
-                value = self.rvalue(node.init)
-                converted = self.convert(value, ctype)
-                self.b.mov(converted.reg, dst=reg)
+            sym = VarSymbol(node.name, ctype, tag=self._new_local_tag(node.name, ctype))
+        self.scopes.declare(sym)
+        if node.init is None:
+            if sym.reg is not None:
+                # a register always holds a defined value
+                self.b.emit(LoadI(sym.reg, 0.0 if ctype.is_float() else 0))
+            return
+        for offset, slot_type, expr in _init_slots(ctype, node.init):
+            value = self.convert(self.rvalue(expr), slot_type)
+            if sym.reg is not None:
+                self.b.mov(value.reg, dst=sym.reg)
+            elif ctype.is_scalar():
+                self.b.sstore(value.reg, sym.tag)
             else:
-                # give the register a defined value so the interpreter's
-                # strict mode has nothing to complain about
-                self.b.emit(_loadi_for(self.func, reg, ctype))
-
-    def _lower_local_init(
-        self, sym: VarSymbol, ctype: CType, init: c_ast.Node
-    ) -> None:
-        assert sym.tag is not None
-        if isinstance(init, c_ast.InitList):
-            self._store_init_list(sym.tag, ctype, init, offset=0)
-            return
-        value = self.convert(self.rvalue(init), ctype)
-        if ctype.is_scalar():
-            self.b.sstore(value.reg, sym.tag)
-        else:
-            raise UnsupportedFeatureError(
-                "scalar initializer for aggregate", init.coord
-            )
-
-    def _store_init_list(
-        self, tag: Tag, ctype: CType, init: c_ast.InitList, offset: int
-    ) -> None:
-        if isinstance(ctype, ArrayType):
-            for idx, item in enumerate(init.exprs):
-                sub = offset + idx * ctype.elem.size
-                if isinstance(item, c_ast.InitList):
-                    self._store_init_list(tag, ctype.elem, item, sub)
-                else:
-                    value = self.convert(self.rvalue(item), ctype.elem)
-                    addr = self.b.la(tag, sub)
-                    self.b.store(value.reg, addr, TagSet.of(tag))
-            return
-        if isinstance(ctype, StructType):
-            for field_, item in zip(ctype.fields, init.exprs):
-                sub = offset + field_.offset
-                if isinstance(item, c_ast.InitList):
-                    self._store_init_list(tag, field_.ctype, item, sub)
-                else:
-                    value = self.convert(self.rvalue(item), field_.ctype)
-                    addr = self.b.la(tag, sub)
-                    self.b.store(value.reg, addr, TagSet.of(tag))
-            return
-        raise UnsupportedFeatureError("unexpected initializer list")
+                addr = self.b.la(sym.tag, offset)
+                self.b.store(value.reg, addr, TagSet.of(sym.tag))
 
     def _stmt_DeclList(self, node: c_ast.DeclList) -> None:
         for decl in node.decls:
@@ -688,16 +664,7 @@ class FunctionLowerer:
         self.b.set_block(header)
         cond = self.rvalue(node.cond)
         self.b.cbr(cond.reg, body, exit_)
-
-        self.break_stack.append(exit_.label)
-        self.continue_stack.append(header.label)
-        self.b.set_block(body)
-        self.stmt(node.stmt)
-        if not self.b.is_terminated():
-            self.b.jmp(header)
-        self.break_stack.pop()
-        self.continue_stack.pop()
-
+        self._loop_body(node.stmt, body, exit_, header)
         self.b.set_block(exit_)
 
     def _stmt_DoWhile(self, node: c_ast.DoWhile) -> None:
@@ -705,15 +672,7 @@ class FunctionLowerer:
         latch = self.b.new_block("Dc")
         exit_ = self.b.new_block("De")
         self.b.jmp(body)
-
-        self.break_stack.append(exit_.label)
-        self.continue_stack.append(latch.label)
-        self.b.set_block(body)
-        self.stmt(node.stmt)
-        if not self.b.is_terminated():
-            self.b.jmp(latch)
-        self.break_stack.pop()
-        self.continue_stack.pop()
+        self._loop_body(node.stmt, body, exit_, latch)
 
         self.b.set_block(latch)
         cond = self.rvalue(node.cond)
@@ -736,15 +695,7 @@ class FunctionLowerer:
             self.b.cbr(cond.reg, body, exit_)
         else:
             self.b.jmp(body)
-
-        self.break_stack.append(exit_.label)
-        self.continue_stack.append(step.label)
-        self.b.set_block(body)
-        self.stmt(node.stmt)
-        if not self.b.is_terminated():
-            self.b.jmp(step)
-        self.break_stack.pop()
-        self.continue_stack.pop()
+        self._loop_body(node.stmt, body, exit_, step)
 
         self.b.set_block(step)
         if node.next is not None:
@@ -753,6 +704,24 @@ class FunctionLowerer:
 
         self.b.set_block(exit_)
         self.scopes.pop()
+
+    def _loop_body(
+        self,
+        stmt: c_ast.Node | None,
+        body: BasicBlock,
+        exit_: BasicBlock,
+        next_: BasicBlock,
+    ) -> None:
+        """Lower a loop's body into ``body``: ``break`` goes to ``exit_``,
+        ``continue`` and the end of the body to ``next_``."""
+        self.break_stack.append(exit_.label)
+        self.continue_stack.append(next_.label)
+        self.b.set_block(body)
+        self.stmt(stmt)
+        if not self.b.is_terminated():
+            self.b.jmp(next_)
+        self.break_stack.pop()
+        self.continue_stack.pop()
 
     def _stmt_Return(self, node: c_ast.Return) -> None:
         if node.expr is None:
@@ -796,8 +765,7 @@ class FunctionLowerer:
         for expr, block in cases:
             if expr is None:
                 continue
-            case_value = int(self.parent.const_eval(expr))
-            const = self.b.loadi(case_value)
+            const = self.b.loadi(self.parent.const_int(expr, "case label"))
             test = self.b.binop(Opcode.CMP_EQ, selector.reg, const)
             next_test = self.b.new_block("Sn")
             self.b.cbr(test, block, next_test)
@@ -848,14 +816,9 @@ class FunctionLowerer:
 
     # -- conversions ---------------------------------------------------------
     def convert(self, value: Value, target: CType) -> Value:
-        src = value.ctype
-        if target.is_float() and src.is_integer():
-            reg = self.b.unop(Opcode.I2F, value.reg)
-            return Value(reg, DOUBLE)
-        if target.is_integer() and src.is_float():
-            reg = self.b.unop(Opcode.F2I, value.reg)
-            return Value(reg, target)
-        return Value(value.reg, target if target.is_scalar() else src)
+        op = _conversion(value.ctype, target)
+        reg = value.reg if op is None else self.b.unop(op, value.reg)
+        return Value(reg, target if target.is_scalar() else value.ctype)
 
     # -- lvalues ----------------------------------------------------------
     def lvalue(self, node: c_ast.Node) -> LValue:
@@ -884,14 +847,14 @@ class FunctionLowerer:
         )
 
     def _array_lvalue(self, node: c_ast.ArrayRef) -> MemLValue:
-        base = self.expr_address(node.name)
+        base = self.rvalue(node.name)
         index = self.rvalue(node.subscript)
         if not base.ctype.is_pointer():
             raise FrontendError("subscript of non-pointer", node.coord)
-        elem = base.ctype.pointee
-        addr = self._index_address(base.reg, index, elem.size)
-        tags = self._address_tags(node.name)
-        return MemLValue(addr, tags, elem)
+        if not index.ctype.is_integer():
+            raise FrontendError("array subscript is not an integer", node.coord)
+        addr = self._pointer_offset(base, index, negate=False).reg
+        return MemLValue(addr, self._address_tags(node.name), base.ctype.pointee)
 
     def _struct_lvalue(self, node: c_ast.StructRef) -> MemLValue:
         if node.type == ".":
@@ -915,15 +878,6 @@ class FunctionLowerer:
             off = self.b.loadi(field_.offset)
             base_addr = self.b.add(base_addr, off)
         return MemLValue(base_addr, tags, field_.ctype)
-
-    def _index_address(self, base: VReg, index: Value, elem_size: int) -> VReg:
-        idx = index.reg
-        if index.ctype.is_float():
-            idx = self.b.unop(Opcode.F2I, idx)
-        if elem_size != 1:
-            size = self.b.loadi(elem_size)
-            idx = self.b.mul(idx, size)
-        return self.b.add(base, idx)
 
     def _address_tags(self, base_node: c_ast.Node) -> TagSet:
         """Best static knowledge of what an address expression refers to.
@@ -977,7 +931,7 @@ class FunctionLowerer:
     # -- expression node handlers -------------------------------------------
     def _expr_Constant(self, node: c_ast.Constant, want_value: bool) -> Value:
         if node.type == "string":
-            lit = self.module.add_string(_decode_string(node.value))
+            lit = self.module.add_string(_decode_literal(node))
             reg = self.b.la(lit.tag)
             return Value(reg, PointerType(CHAR))
         value = _parse_constant(node)
@@ -1017,7 +971,7 @@ class FunctionLowerer:
             return self.write_lvalue(lv, value)
         current = self.read_lvalue(lv)
         rhs = self.rvalue(node.rvalue)
-        combined = self._arith(op, node.op.rstrip("="), current, rhs)
+        combined = self._arith(op, node.op.rstrip("="), current, rhs, node.coord)
         return self.write_lvalue(lv, combined)
 
     def _expr_UnaryOp(self, node: c_ast.UnaryOp, want_value: bool) -> Value:
@@ -1027,11 +981,7 @@ class FunctionLowerer:
         if op == "*":
             return self.read_lvalue(self.lvalue(node))
         if op == "sizeof":
-            size = self.parent._sizeof_operand(node.expr) \
-                if isinstance(node.expr, c_ast.Typename) or isinstance(node.expr, c_ast.ID) \
-                else self._sizeof_expr(node.expr)
-            reg = self.b.loadi(size)
-            return Value(reg, LONG)
+            return Value(self.b.loadi(self.parent.sizeof(node)), LONG)
         if op in {"++", "--", "p++", "p--"}:
             return self._inc_dec(node, op)
         operand = self.rvalue(node.expr)
@@ -1039,17 +989,9 @@ class FunctionLowerer:
             return operand
         if op not in _UNOPS:
             raise UnsupportedFeatureError(f"unary {op!r}", node.coord)
+        _check_operands(_UNOPS[op], op, node.coord, operand.ctype.is_integer())
         reg = self.b.unop(_UNOPS[op], operand.reg)
         return Value(reg, INT if op == "!" else operand.ctype)
-
-    def _sizeof_expr(self, node: c_ast.Node) -> int:
-        # static sizeof of an arbitrary expression: resolve its type only
-        if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup(node.name)
-            if isinstance(sym, VarSymbol):
-                return sym.ctype.size
-        raise UnsupportedFeatureError("unsupported sizeof operand",
-                                      getattr(node, "coord", None))
 
     def _inc_dec(self, node: c_ast.UnaryOp, op: str) -> Value:
         lv = self.lvalue(node.expr)
@@ -1072,18 +1014,6 @@ class FunctionLowerer:
         return written
 
     def _address_of(self, node: c_ast.Node) -> Value:
-        if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup_var(node.name, node.coord)
-            if sym.in_register:
-                raise FrontendError(
-                    f"internal error: address taken of register variable "
-                    f"{node.name} (pre-pass missed it)", node.coord
-                )
-            assert sym.tag is not None
-            if sym.is_global:
-                self.module.address_taken.add(sym.tag)
-            reg = self.b.la(sym.tag)
-            return Value(reg, PointerType(sym.ctype))
         lv = self.lvalue(node)
         if isinstance(lv, ScalarLValue):
             self.module.address_taken.add(lv.tag)
@@ -1102,9 +1032,14 @@ class FunctionLowerer:
             raise UnsupportedFeatureError(f"binary {node.op!r}", node.coord)
         lhs = self.rvalue(node.left)
         rhs = self.rvalue(node.right)
-        return self._arith(_BINOPS[node.op], node.op, lhs, rhs)
+        return self._arith(_BINOPS[node.op], node.op, lhs, rhs, node.coord)
 
-    def _arith(self, op: Opcode, op_text: str, lhs: Value, rhs: Value) -> Value:
+    def _arith(
+        self, op: Opcode, op_text: str, lhs: Value, rhs: Value, coord: object
+    ) -> Value:
+        _check_operands(
+            op, op_text, coord, lhs.ctype.is_integer(), rhs.ctype.is_integer()
+        )
         # pointer arithmetic
         if op is Opcode.ADD and lhs.ctype.is_pointer() and rhs.ctype.is_integer():
             return self._pointer_offset(lhs, rhs, negate=False)
@@ -1212,7 +1147,7 @@ class FunctionLowerer:
         name = node.name.name
         args = list(node.args.exprs) if node.args is not None else []
         if is_intrinsic(name) and name not in self.parent.functions:
-            return self._lower_intrinsic_call(name, args, node, want_value)
+            return self._lower_intrinsic_call(name, args)
         fsym = self.parent.functions.get(name)
         if fsym is None:
             raise FrontendError(f"call to undeclared function {name!r}", node.coord)
@@ -1241,17 +1176,11 @@ class FunctionLowerer:
             value = self.rvalue(arg)
             if ftype is not None and idx < len(ftype.params):
                 value = self.convert(value, ftype.params[idx])
-            elif value.ctype.is_integer():
-                pass  # default promotions leave our ints alone
             values.append(value)
         return values
 
     def _lower_intrinsic_call(
-        self,
-        name: str,
-        args: list[c_ast.Node],
-        node: c_ast.FuncCall,
-        want_value: bool,
+        self, name: str, args: list[c_ast.Node]
     ) -> Value | None:
         spec = INTRINSICS[name]
         arg_values = []
@@ -1289,36 +1218,7 @@ class FunctionLowerer:
             site_id=site_id,
         )
         self.b.emit(call)
-        if dst is None or not want_value:
-            return None if spec.ret.is_void() else Value(dst, spec.ret)
-        return Value(dst, spec.ret)
-
-    # -- addresses of array-ish expressions ----------------------------------
-    def expr_address(self, node: c_ast.Node) -> Value:
-        """Evaluate an expression in address context: arrays decay to their
-        base address, pointers evaluate normally."""
-        if isinstance(node, c_ast.ID):
-            sym = self.scopes.lookup_var(node.name, node.coord)
-            if sym.ctype.is_array():
-                assert sym.tag is not None
-                reg = self.b.la(sym.tag)
-                return Value(reg, PointerType(sym.ctype.elem))
-            return self.read_lvalue(self.lvalue(node))
-        if isinstance(node, c_ast.ArrayRef):
-            lv = self._array_lvalue(node)
-            if lv.ctype.is_array():
-                return Value(lv.addr, PointerType(lv.ctype.elem))
-            value = self.read_lvalue(lv)
-            return value
-        if isinstance(node, c_ast.StructRef):
-            lv = self._struct_lvalue(node)
-            if lv.ctype.is_array():
-                return Value(lv.addr, PointerType(lv.ctype.elem))
-            return self.read_lvalue(lv)
-        value = self.rvalue(node)
-        if value.ctype.is_array():
-            return Value(value.reg, PointerType(value.ctype.elem))
-        return value
+        return None if dst is None else Value(dst, spec.ret)
 
 
 # ----------------------------------------------------------------------------
@@ -1326,33 +1226,47 @@ class FunctionLowerer:
 # ----------------------------------------------------------------------------
 
 def _parse_constant(node: c_ast.Constant) -> int | float:
+    """A numeric literal's value: a float, or a signed 64-bit integer
+    wherever the literal stands."""
     text = node.value
-    if node.type in {"float", "double", "long double"}:
-        return float(text.rstrip("fFlL"))
-    if node.type == "char":
-        return _decode_char(text)
     if node.type == "string":
         raise FrontendError("string constant in numeric context", node.coord)
+    if text.endswith("'"):  # pycparser types 'ab' as int
+        char = _decode_literal(node)
+        if len(char) != 1:
+            raise UnsupportedFeatureError(
+                f"multi-character constant {text}", node.coord
+            )
+        return ord(char)
+    if node.type in {"float", "double", "long double"}:
+        text = text.rstrip("fFlL")
+        return float.fromhex(text) if text[:2] in {"0x", "0X"} else float(text)
     cleaned = text.rstrip("uUlL")
     if len(cleaned) > 1 and cleaned[0] == "0" and cleaned[1] not in "xXbB":
-        return int(cleaned, 8)  # C octal: 010 == 8 (Python needs 0o10)
-    return int(cleaned, 0)
+        return wrap_int(int(cleaned, 8))  # C octal: 010 == 8 (Python needs 0o10)
+    return wrap_int(int(cleaned, 0))
 
 
-def _decode_char(text: str) -> int:
-    body = text[1:-1]
-    decoded = body.encode().decode("unicode_escape")
-    if len(decoded) != 1:
-        raise FrontendError(f"bad character literal {text}")
-    return ord(decoded)
-
-
-def _decode_string(text: str) -> str:
-    return text[1:-1].encode().decode("unicode_escape")
+def _decode_literal(node: c_ast.Constant) -> str:
+    """The characters between a string or character literal's quotes."""
+    text = node.value
+    body = text[text.index(text[-1]) + 1:-1]  # after an L, u or U prefix
+    try:
+        return body.encode().decode("unicode_escape")
+    except UnicodeDecodeError:
+        raise FrontendError(f"bad escape sequence in {text}", node.coord) from None
 
 
 def _is_string_literal(node: c_ast.Node) -> bool:
     return isinstance(node, c_ast.Constant) and node.type == "string"
+
+
+def _check_operands(op: Opcode, text: str, coord: object, *integer: bool) -> None:
+    """C's integer-only operators (``_INTEGER_ONLY``) reject an operand
+    that is not an integer; ``integer`` says, per operand, whether it is."""
+    if op in _INTEGER_ONLY and not all(integer):
+        arity = "binary" if len(integer) == 2 else "unary"
+        raise FrontendError(f"invalid operands to {arity} {text}", coord)
 
 
 def _fold(evaluate, node: c_ast.Node, op: Opcode, *operands: int | float) -> int | float:
@@ -1364,15 +1278,42 @@ def _fold(evaluate, node: c_ast.Node, op: Opcode, *operands: int | float) -> int
         raise FrontendError(f"constant expression: {exc}", node.coord) from None
 
 
+def _conversion(src: CType, target: CType) -> Opcode | None:
+    """The opcode that converts a ``src`` value to ``target``, if any."""
+    if target.is_float() and src.is_integer():
+        return Opcode.I2F
+    if target.is_integer() and src.is_float():
+        return Opcode.F2I
+    return None
+
+
 def _convert(node: c_ast.Node, value: int | float, ctype: CType) -> int | float:
-    """``value`` converted to ``ctype``'s kind as the IL converts it."""
-    return _fold(_unop, node, Opcode.I2F if ctype.is_float() else Opcode.F2I, value)
+    """The constant ``value`` converted to ``ctype`` as
+    :meth:`FunctionLowerer.convert` converts it at run time."""
+    op = _conversion(DOUBLE if isinstance(value, float) else LONG, ctype)
+    return value if op is None else _fold(_unop, node, op, value)
 
 
-def _loadi_for(func: Function, dst: VReg, ctype: CType):
-    from ..ir.instructions import LoadI
-
-    return LoadI(dst, 0.0 if ctype.is_float() else 0)
+def _init_slots(
+    ctype: CType, init: c_ast.Node, offset: int = 0
+) -> Iterator[tuple[int, CType, c_ast.Node]]:
+    """The ``(offset, type, expression)`` slots an initializer fills, in
+    order: file-scope declarations fold them, locals store them.  A list
+    element past an array's end is dropped, as gcc drops it."""
+    if not isinstance(init, c_ast.InitList):
+        if not ctype.is_scalar():
+            raise UnsupportedFeatureError(
+                "scalar initializer for aggregate", init.coord
+            )
+        yield offset, ctype, init
+    elif isinstance(ctype, ArrayType):
+        for idx, item in enumerate(init.exprs[:ctype.length]):
+            yield from _init_slots(ctype.elem, item, offset + idx * ctype.elem.size)
+    elif isinstance(ctype, StructType):
+        for field_, item in zip(ctype.fields, init.exprs):
+            yield from _init_slots(field_.ctype, item, offset + field_.offset)
+    else:
+        raise UnsupportedFeatureError("initializer list for scalar", init.coord)
 
 
 def _element_size(ctype: CType) -> int:

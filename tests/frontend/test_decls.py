@@ -282,6 +282,40 @@ class TestErrorsMatchWholeFile:
         assert message == whole_file_error(kr, "kr")
         assert message == "kr:1:9: K&R-style parameter lists are not supported"
 
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("int a[1e400];\nint main(void) { return 0; }\n",
+             "errs:1:7: array size is not an integer constant"),
+            ("int a[2 - 3];\nint main(void) { return 0; }\n",
+             "errs:1:7: array size is negative"),
+            ("enum { A = 1.5 };\nint main(void) { return A; }\n",
+             "errs:1:12: enumerator value is not an integer constant"),
+            ("int main(void) {\n    int x = 1;\n"
+             "    switch (x) { case 1e400: return 1; }\n    return 0;\n}\n",
+             "errs:3:23: case label is not an integer constant"),
+            ("int main(void) {\n    long x = 3;\n    double y = 1e400;\n"
+             "    return x << y;\n}\n",
+             "errs:4:12: invalid operands to binary <<"),
+            ("int a[3];\nint main(void) {\n    double d = 1.0;\n"
+             "    return a[d];\n}\n",
+             "errs:4:12: array subscript is not an integer"),
+            ("int f(void) { return 1; }\nint main(void) {\n"
+             "    return sizeof(f);\n}\n",
+             "errs:3:12: sizeof applied to a function"),
+            ("int main(void) {\n    return 'ab';\n}\n",
+             "errs:2:12: multi-character constant 'ab'"),
+            ("int a[3] = 5;\nint main(void) { return a[0]; }\n",
+             "errs:1:12: scalar initializer for aggregate"),
+        ],
+        ids=["array-size", "negative-size", "enumerator", "case-label",
+             "float-shift", "float-subscript", "sizeof-function",
+             "multi-character", "scalar-array-init"],
+    )
+    def test_typed_error_through_a_store(self, source, message):
+        assert _memo_error([THREE_FUNCTIONS, source], "errs") == message
+        assert whole_file_error(source, "errs") == message
+
     def test_typedef_of_a_declared_identifier(self):
         # the whole-file parse rejects ``typedef int x;`` after ``int x;``
         source = "int x;\ntypedef int x;\nint main(void) { return 0; }\n"

@@ -252,6 +252,7 @@ class TestConstantsAndSizeof:
     def test_hex_and_octal(self):
         assert eval_int("0x1F") == 31
         assert eval_int("010") == 8
+        assert eval_float("0x1.8p1") == 3.0
 
     def test_sizeof_type(self):
         assert eval_int("(int) sizeof(int)") == 4
@@ -310,6 +311,83 @@ class TestConstantExpressions:
 
     def test_negative_zero_keeps_its_sign(self):
         assert self.global_value("-0.0", "double", "%f") == "-0.000000"
+
+    def test_literals_are_64_bit_values_everywhere(self):
+        big = "0x8000000000000000"
+        assert self.global_value(big) == "-9223372036854775808"
+        local = run_c(expr_program("x < 0 ? x : 0", f"    long x = {big};\n", "%ld"))
+        assert local.output == "-9223372036854775808\n"
+        assert self.global_value("0xFFFFFFFFFFFFFFFF") == "-1"
+
+    #: array-size, enumerator, `case` and `sizeof` errors, each on line 2
+    CONSTANT_EXPRESSION_ERRORS = [
+        ("int a[2.5];", "array size is not an integer constant"),
+        ("int a[1e400];", "array size is not an integer constant"),
+        ("int a[-1];", "array size is negative"),
+        ("int a[(int)1e400];", "constant expression: float-to-int conversion"),
+        ("int a[1 / 0];", "constant expression: integer division by zero"),
+        ("int a[n];", "'n' is not a compile-time constant"),
+        ("int a[1 << 2.0];", "invalid operands to binary <<"),
+        ("int a[~1.0];", "invalid operands to unary ~"),
+        ("int a[5 % 2.0];", "invalid operands to binary %"),
+        ("int a[1 && 2];", "constant binary '&&'"),
+        ("int a['ab'];", "multi-character constant 'ab'"),
+        ("enum { A = 1.5 };", "enumerator value is not an integer constant"),
+        ("enum { A = 1e400 };", "enumerator value is not an integer constant"),
+        ("int f(void) {\nswitch (1) { case 1e400: return 1; } return 0; }",
+         "case label is not an integer constant"),
+        ("int f(void) {\nswitch (1) { case 0.5: return 1; } return 0; }",
+         "case label is not an integer constant"),
+        # sizeof, in a constant expression and at run time
+        ("int f(void);\nint a[sizeof(f)];", "sizeof applied to a function"),
+        ("int a[sizeof(int (void))];", "sizeof applied to a function"),
+        ("int b;\nint a[sizeof(b + 1)];", "unsupported sizeof operand"),
+        ("int f(void) {\nreturn sizeof(f); }", "sizeof applied to a function"),
+        ("int f(int x) {\nreturn sizeof(x + 1); }", "unsupported sizeof operand"),
+    ]
+
+    @pytest.mark.parametrize("source,message", CONSTANT_EXPRESSION_ERRORS)
+    def test_constant_expression_errors_have_coordinates(self, source, message):
+        if "\n" not in source:
+            source = "\n" + source
+        with pytest.raises(FrontendError) as excinfo:
+            compile_c(source + "\nint main(void) { return 0; }\n", name="k")
+        assert excinfo.value.coord is not None
+        assert str(excinfo.value).startswith("k:2:")
+        assert message in str(excinfo.value)
+
+
+class TestIntegerOnlyOperators:
+    """``%``, ``<<``, ``>>``, ``&``, ``|``, ``^`` and ``~`` take integer
+    operands only: a floating operand is an error at the operator, in a
+    function and in a constant expression alike."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["x << d", "x >> d", "7 & d", "x | d", "d ^ 1", "x % d", "~d", "p & 1"],
+    )
+    def test_runtime_operand_rejected(self, expr):
+        setup = "    long x = 3;\n    double d = 2.5;\n    long *p = &x;\n"
+        with pytest.raises(FrontendError) as excinfo:
+            compile_c(expr_program(expr, setup), name="ops")
+        assert str(excinfo.value).startswith("ops:5:")
+        assert "invalid operands to" in str(excinfo.value)
+
+    @pytest.mark.parametrize("op", ["%=", "<<=", ">>=", "&=", "|=", "^="])
+    def test_compound_assignment_rejected(self, op):
+        setup = f"    long x = 3;\n    x {op} 2.0;\n"
+        with pytest.raises(FrontendError, match=r"ops:3:5: invalid operands to binary"):
+            compile_c(expr_program("x", setup), name="ops")
+
+    @pytest.mark.parametrize("expr", ["1 << 2.0", "7 & 2.5", "~1.5", "5 % 2.0"])
+    def test_constant_operand_rejected(self, expr):
+        with pytest.raises(FrontendError, match=r"ops:1:1[01]: invalid operands to"):
+            compile_c(f"long g = {expr};\nint main(void) {{ return 0; }}\n",
+                      name="ops")
+
+    def test_integer_operands_still_fold_and_run(self):
+        assert TestConstantExpressions.global_value("(long)2.0 << 3") == "16"
+        assert eval_int("(long)d & 6", "    double d = 7.5;\n") == 6
 
 
 class TestErrors:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import FrontendError
-from tests.helpers import run_c
+from repro.errors import FrontendError, UnsupportedFeatureError
+from repro.frontend import compile_c
+from tests.helpers import run_all_variants, run_c
 
 
 class TestIf:
@@ -366,3 +367,69 @@ class TestScoping:
     def test_redeclaration_rejected(self):
         with pytest.raises(FrontendError):
             run_c("int main(void) { int x; int x; return 0; }")
+
+
+class TestInitializerLists:
+    """One walk gives an initializer's slots: a file-scope declaration
+    folds them, a local stores them, and both read back the same."""
+
+    DECLS = """
+    int grid[2][3] = {{1, 2, 3}, {4, 5, 6}};
+    struct P p = {7, 2.5};
+    struct P ps[2] = {{8, 0.5}, {9, -1.5}};
+    long partial[4] = {10, 11};
+    double conv[3] = {1, 2.5, 'a'};
+    int trunc[2] = {3.7, -2.5};
+    int unsized[] = {12, 13, 14};
+    int excess[2] = {15, 16, 17};
+    """
+    BODY = r"""
+    int i, j;
+    for (i = 0; i < 2; i++)
+        for (j = 0; j < 3; j++)
+            printf("%d ", grid[i][j]);
+    printf("| %d %f |", p.x, p.y);
+    for (i = 0; i < 2; i++)
+        printf(" %d %f", ps[i].x, ps[i].y);
+    printf(" |");
+    for (i = 0; i < 4; i++)
+        printf(" %ld", partial[i]);
+    printf(" | %f %f %f | %d %d", conv[0], conv[1], conv[2], trunc[0], trunc[1]);
+    printf(" | %d %d | %d %d\n", unsized[2], (int)sizeof(unsized), excess[1],
+           (int)sizeof(excess));
+    return 0;
+    """
+    #: gcc 12's output for either placement
+    EXPECTED = (
+        "1 2 3 4 5 6 | 7 2.500000 | 8 0.500000 9 -1.500000 | 10 11 0 0 "
+        "| 1.000000 2.500000 97.000000 | 3 -2 | 14 12 | 16 8"
+    )
+
+    def test_file_scope_and_local_lists_read_back_alike(self):
+        head = "struct P { int x; double y; };\n"
+        at_file_scope = head + self.DECLS + "int main(void) {" + self.BODY + "}\n"
+        in_function = head + "int main(void) {" + self.DECLS + self.BODY + "}\n"
+        for source in (at_file_scope, in_function):
+            cells = run_all_variants(source)
+            assert {cell.output.strip() for cell in cells.values()} == {self.EXPECTED}
+
+    @pytest.mark.parametrize("where", ["file", "function"])
+    @pytest.mark.parametrize(
+        "decl,message",
+        [
+            ("int a[3] = 5;", "1:12: scalar initializer for aggregate"),
+            # brace elision is not supported: each nested aggregate needs braces
+            ("int a[2][2] = {1, 2, 3, 4};", "1:16: scalar initializer for aggregate"),
+            ("long g = {5};", "1:11: initializer list for scalar"),
+        ],
+    )
+    def test_rejected_alike_at_file_scope_and_in_a_function(self, where, decl, message):
+        if where == "file":
+            source = decl + " int main(void) { return 0; }\n"
+        else:
+            source = "int main(void) {\n" + decl + " return 0; }\n"
+            line, rest = message.split(":", 1)
+            message = f"{int(line) + 1}:{rest}"
+        with pytest.raises(UnsupportedFeatureError) as excinfo:
+            compile_c(source, name="init")
+        assert str(excinfo.value) == f"init:{message}"

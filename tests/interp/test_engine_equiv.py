@@ -208,9 +208,31 @@ def test_f2i_of_nan_or_infinity_traps_identically(pipeline, big, value, message)
 
 
 @pytest.mark.parametrize("pipeline", list(PIPELINES))
+def test_literal_at_2_63_is_negative_in_and_out_of_functions(pipeline):
+    """A literal is one signed 64-bit value wherever it stands: gcc prints
+    ``-9223372036854775808 1`` for both lines."""
+    source = r"""
+    long g = 0x8000000000000000;
+    int main(void) {
+        long x = 0x8000000000000000;
+        printf("%ld %d\n", g, g < 0);
+        printf("%ld %d\n", x, x < 0);
+        return 0;
+    }
+    """
+    runs = []
+    for engine in ENGINES:
+        module = compile_source(source, PIPELINES[pipeline]).module
+        runs.append(_run(module, engine))
+    _assert_identical(*runs, pipeline)
+    assert runs[0].output == "-9223372036854775808 1\n" * 2
+
+
+@pytest.mark.parametrize("pipeline", list(PIPELINES))
 def test_out_of_range_literals_wrap_identically(pipeline):
-    """The front end keeps literals at or above 2**63 unwrapped, so every
-    inlined fast path must wrap its result the way the reference does."""
+    """Literals at or above 2**63 wrap to negative values, and every
+    inlined fast path must keep wrapping its results the way the
+    reference does."""
     source = r"""
     long big = 0x8000000000000000;
     long ones = 0xFFFFFFFFFFFFFFFF;
