@@ -618,6 +618,7 @@ class FunctionLowerer:
                 # a register always holds a defined value
                 self.b.emit(LoadI(sym.reg, 0.0 if ctype.is_float() else 0))
             return
+        named: set[int] = set()
         for offset, slot_type, expr in _init_slots(ctype, node.init):
             value = self.convert(self.rvalue(expr), slot_type)
             if sym.reg is not None:
@@ -627,6 +628,19 @@ class FunctionLowerer:
             else:
                 addr = self.b.la(sym.tag, offset)
                 self.b.store(value.reg, addr, TagSet.of(sym.tag))
+                named.add(offset)
+        if ctype.is_scalar():
+            return
+        # the slots the list leaves out are zero, as at file scope; the
+        # frame cell may hold an earlier activation's or iteration's value
+        zeros: dict[bool, VReg] = {}
+        for offset, slot_type in _scalar_slots(ctype):
+            if offset not in named:
+                is_float = slot_type.is_float()
+                if is_float not in zeros:
+                    zeros[is_float] = self.b.loadi(0.0 if is_float else 0)
+                addr = self.b.la(sym.tag, offset)
+                self.b.store(zeros[is_float], addr, TagSet.of(sym.tag))
 
     def _stmt_DeclList(self, node: c_ast.DeclList) -> None:
         for decl in node.decls:
@@ -1314,6 +1328,18 @@ def _init_slots(
             yield from _init_slots(field_.ctype, item, offset + field_.offset)
     else:
         raise UnsupportedFeatureError("initializer list for scalar", init.coord)
+
+
+def _scalar_slots(ctype: CType, offset: int = 0) -> Iterator[tuple[int, CType]]:
+    """The ``(offset, type)`` of every scalar an object of ``ctype`` holds."""
+    if isinstance(ctype, ArrayType):
+        for idx in range(ctype.length):
+            yield from _scalar_slots(ctype.elem, offset + idx * ctype.elem.size)
+    elif isinstance(ctype, StructType):
+        for field_ in ctype.fields:
+            yield from _scalar_slots(field_.ctype, offset + field_.offset)
+    else:
+        yield offset, ctype
 
 
 def _element_size(ctype: CType) -> int:

@@ -52,55 +52,59 @@ def preprocess(source: str, defines: dict[str, str] | None = None) -> str:
         return all(active_stack)
 
     for lineno, line in enumerate(source.splitlines(), start=1):
-        if _INCLUDE_RE.match(line):
-            out_lines.append("")
-            continue
-        m = _IFDEF_RE.match(line)
-        if m:
-            active_stack.append(m.group(1) in macros)
-            out_lines.append("")
-            continue
-        m = _IFNDEF_RE.match(line)
-        if m:
-            active_stack.append(m.group(1) not in macros)
-            out_lines.append("")
-            continue
-        if _ELSE_RE.match(line):
-            if not active_stack:
-                raise UnsupportedFeatureError(f"line {lineno}: #else without #if")
-            active_stack[-1] = not active_stack[-1]
-            out_lines.append("")
-            continue
-        if _ENDIF_RE.match(line):
-            if not active_stack:
-                raise UnsupportedFeatureError(f"line {lineno}: #endif without #if")
-            active_stack.pop()
-            out_lines.append("")
-            continue
+        # every directive has a ``#``; most lines have none
+        directive = "#" in line
+        if directive:
+            if _INCLUDE_RE.match(line):
+                out_lines.append("")
+                continue
+            m = _IFDEF_RE.match(line)
+            if m:
+                active_stack.append(m.group(1) in macros)
+                out_lines.append("")
+                continue
+            m = _IFNDEF_RE.match(line)
+            if m:
+                active_stack.append(m.group(1) not in macros)
+                out_lines.append("")
+                continue
+            if _ELSE_RE.match(line):
+                if not active_stack:
+                    raise UnsupportedFeatureError(f"line {lineno}: #else without #if")
+                active_stack[-1] = not active_stack[-1]
+                out_lines.append("")
+                continue
+            if _ENDIF_RE.match(line):
+                if not active_stack:
+                    raise UnsupportedFeatureError(f"line {lineno}: #endif without #if")
+                active_stack.pop()
+                out_lines.append("")
+                continue
         if not active():
             out_lines.append("")
             continue
-        m = _UNDEF_RE.match(line)
-        if m:
-            macros.pop(m.group(1), None)
-            names = None
-            out_lines.append("")
-            continue
-        m = _DEFINE_RE.match(line)
-        if m:
-            name, paren, body = m.groups()
-            if paren == "(":
+        if directive:
+            m = _UNDEF_RE.match(line)
+            if m:
+                macros.pop(m.group(1), None)
+                names = None
+                out_lines.append("")
+                continue
+            m = _DEFINE_RE.match(line)
+            if m:
+                name, paren, body = m.groups()
+                if paren == "(":
+                    raise UnsupportedFeatureError(
+                        f"line {lineno}: function-like macro {name} is not supported"
+                    )
+                macros[name] = body
+                names = None
+                out_lines.append("")
+                continue
+            if line.lstrip().startswith("#"):
                 raise UnsupportedFeatureError(
-                    f"line {lineno}: function-like macro {name} is not supported"
+                    f"line {lineno}: unsupported preprocessor directive: {line.strip()}"
                 )
-            macros[name] = body
-            names = None
-            out_lines.append("")
-            continue
-        if line.lstrip().startswith("#"):
-            raise UnsupportedFeatureError(
-                f"line {lineno}: unsupported preprocessor directive: {line.strip()}"
-            )
         if macros:
             # a line with no macro name in it expands to itself
             if names is None:

@@ -46,11 +46,28 @@ Python function in which
 * a compare whose only reader is the branch right after it is folded
   into that branch's ``if``;
 * a greatest fixpoint over each function's definitions finds the
-  registers that only ever hold an ``int`` (:func:`_int_registers`).
-  Arithmetic on them skips the class tests the reference loop's generic
-  helpers make: the wrap check of ADD/SUB/MUL/NEG tests only the range,
-  DIV/MOD and the bitwise ops take their int path unconditionally, and a
-  load or store through such an address needs no trap test.
+  registers that only ever hold an ``int`` in signed 64-bit range
+  (:func:`_int_registers`).  While a path is emitted, the registers
+  trap-tested on it, or computed from known ints, are known ints too,
+  until redefined; each branch arm starts from the facts held at the
+  branch, each dispatch arm from the proven ones alone.  Arithmetic on
+  known ints skips the class tests the reference loop's generic helpers
+  make: the wrap check of ADD/SUB/MUL/NEG tests only the range, DIV/MOD
+  and the bitwise ops take their int path unconditionally, and a load or
+  store through such an address needs no trap test;
+* every wrap check tests a compact bound, +-(2**30 - 1), before the
+  64-bit one: CPython specializes a compare of two one-digit ints and
+  never one against +-2**63, and a value past the compact bound is rare.
+  The rare mask is one call to :func:`~repro.interp.machine.wrap_int`.
+  A second fixpoint finds the registers that never hold a negative int
+  (:func:`_nonneg_registers`); with operands proven in range, a sum with
+  one such operand checks only the side it can overflow (ADD and the
+  minuend of SUB the upper bound, the subtrahend the lower), a SUB of two
+  checks neither, and results that cannot leave the range (bitwise ops,
+  SHR, NOT, a non-negative DIV/MOD) are not checked at all;
+* the call depth is an argument, ``_F_f(m, _cd, ...)``: callers pass
+  ``_cd + 1``, and only a deopt stores it on the machine, for the
+  reference loop it resumes.
 
 Promoted accesses still count as loads and stores: the tier changes how
 the program executes, never what the experiment measures.
@@ -124,7 +141,7 @@ from ..ir.opcodes import Opcode
 from ..ir.tags import TagKind
 from ..trace import current_trace, span
 from .counters import Counters, counted_fields
-from .machine import Machine, _binop, _unop, c_div, c_mod, f2i_trap
+from .machine import Machine, _binop, _unop, c_div, c_mod, f2i_trap, wrap_int
 from .memory import _ALIGN, MemoryImage, frame_layout
 
 #: every counter field, ``total_ops`` first; a trap fix is a vector over them
@@ -162,7 +179,7 @@ _CMP_SRC = {
 _WRAP_SRC = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 
 #: bitwise ops; their results wrap only when an operand is out of range
-#: (the front end keeps literals such as ``0xFFFFFFFFFFFFFFFF`` unwrapped)
+#: (hand-written IL may load a literal such as ``0xFFFFFFFFFFFFFFFF``)
 _BIT_SRC = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
 
 #: ops whose result is an int whatever their operands are (or which raise)
@@ -172,15 +189,25 @@ _ALWAYS_INT = frozenset(_CMP_SRC) | frozenset(_BIT_SRC) | {
 #: ops whose result is an int when their operands are
 _INT_IF_INT = frozenset(_WRAP_SRC) | {Opcode.DIV, Opcode.MOD, Opcode.NEG}
 
-_RANGE = "-9223372036854775808 <= {v} <= 9223372036854775807"
-#: guards a mask for a result that may be a float
-_WRAP_CHECK = "if {v}.__class__ is int and not " + _RANGE + ":"
-#: guards a mask for a result known to be an int
-_RANGE_CHECK = "if not " + _RANGE + ":"
-_WRAP_MASK = (
-    "{v} = (({v} + 9223372036854775808)"
-    " & 18446744073709551615) - 9223372036854775808"
+#: CPython 3.11 specializes a compare of two one-digit ints (magnitude
+#: below 2**30) and never one against a bound of +-2**63, so every range
+#: check tests this compact bound first: only a value beyond it reaches the
+#: 64-bit test
+_COMPACT = 1073741823
+_INT_MAX = 9223372036854775807
+_INT_MIN = -9223372036854775808
+_BOTH = (
+    f"({{v}} > {_COMPACT} or {{v}} < -{_COMPACT})"
+    f" and not {_INT_MIN} <= {{v}} <= {_INT_MAX}"
 )
+#: range checks by the bounds a result can cross; "float" guards a result
+#: that may be a float, whose class is tested first
+_CHECKS = {
+    "upper": f"{{v}} > {_COMPACT} and {{v}} > {_INT_MAX}",
+    "lower": f"{{v}} < -{_COMPACT} and {{v}} < {_INT_MIN}",
+    "both": _BOTH,
+    "float": "{v}.__class__ is int and " + _BOTH,
+}
 
 
 def _body(instrs: list) -> list:
@@ -229,13 +256,15 @@ def _dfs(entry: str, succs: dict[str, list[str]]) -> tuple[list[str], set[str]]:
 
 
 def _yields_int(instr, ints: set[int]) -> bool:
-    """Does ``instr`` always write an ``int``, given that the registers in
-    ``ints`` always hold one?"""
+    """Does ``instr`` always write an ``int`` in signed 64-bit range, given
+    that the registers in ``ints`` always hold one?"""
     cls = instr.__class__
     if cls is LoadI:
-        return type(instr.value) is int
+        value = instr.value
+        return type(value) is int and _INT_MIN <= value <= _INT_MAX
     if cls is LoadAddr:
-        return type(instr.offset) is int
+        # addresses lie far below 2**62
+        return type(instr.offset) is int and abs(instr.offset) < 1 << 62
     if cls is Mov:
         return instr.src.id in ints
     if cls is BinOp or cls is UnOp:
@@ -247,32 +276,79 @@ def _yields_int(instr, ints: set[int]) -> bool:
     return False
 
 
-def _int_registers(func: Function) -> frozenset[int]:
-    """The registers of ``func`` that only ever hold an ``int``.
+def _never_negative(instr, nonneg: set[int]) -> bool:
+    """Does ``instr`` always write an int in ``[0, 2**63)``, given that the
+    registers in ``nonneg`` always hold one?"""
+    cls = instr.__class__
+    if cls is LoadI:
+        value = instr.value
+        return type(value) is int and 0 <= value <= _INT_MAX
+    if cls is Mov:
+        return instr.src.id in nonneg
+    if cls is BinOp or cls is UnOp:
+        op = instr.opcode
+        if op in _CMP_SRC or op is Opcode.LNOT:
+            return True
+        if op is Opcode.AND:  # at most the non-negative operand
+            return instr.lhs.id in nonneg or instr.rhs.id in nonneg
+        if op is Opcode.SHR:
+            return instr.lhs.id in nonneg
+        if op is Opcode.DIV or op is Opcode.MOD:
+            return instr.lhs.id in nonneg and instr.rhs.id in nonneg
+    return False
 
-    The greatest fixpoint over their definitions: start from every
-    register some instruction defines, and drop one while any of its
-    definitions may write something else.  Parameters are never claimed
-    (a caller may pass a float); a register no instruction defines is
-    never claimed either.
-    """
+
+#: register -> its defining instructions (parameters left out: a caller
+#: may pass anything), and register -> the registers defined from it
+_DefGraph = tuple[dict[int, list], dict[int, list[int]]]
+
+
+def _def_graph(func: Function) -> _DefGraph:
+    """``func``'s definitions and readers, for :func:`_greatest_fixpoint`."""
+    params = {p.id for p in func.params}
     defs: dict[int, list] = {}
-    #: register -> the registers defined from it
     readers: dict[int, list[int]] = {}
     for instr in func.instructions():
         dst = instr.dest
         if dst is not None:
-            defs.setdefault(dst.id, []).append(instr)
+            if dst.id not in params:
+                defs.setdefault(dst.id, []).append(instr)
             for use in instr.uses():
                 readers.setdefault(use.id, []).append(dst.id)
-    ints = set(defs) - {p.id for p in func.params}
-    work = list(ints)
+    return defs, readers
+
+
+def _greatest_fixpoint(
+    graph: _DefGraph, holds: Callable[[Any, set[int]], bool]
+) -> frozenset[int]:
+    """The registers whose every definition ``holds``, given the
+    registers claimed so far.
+
+    Start from every register some instruction defines, and drop one
+    while any of its definitions may fail: a parameter or a register no
+    instruction defines is never claimed.
+    """
+    defs, readers = graph
+    claimed = set(defs)
+    work = list(claimed)
     while work:
         rid = work.pop()
-        if rid in ints and not all(_yields_int(i, ints) for i in defs[rid]):
-            ints.discard(rid)
+        if rid in claimed and not all(holds(i, claimed) for i in defs[rid]):
+            claimed.discard(rid)
             work.extend(readers.get(rid, ()))
-    return frozenset(ints)
+    return frozenset(claimed)
+
+
+def _int_registers(graph: _DefGraph) -> frozenset[int]:
+    """The registers that only ever hold an ``int`` in signed 64-bit
+    range: their arithmetic needs no class test."""
+    return _greatest_fixpoint(graph, _yields_int)
+
+
+def _nonneg_registers(graph: _DefGraph) -> frozenset[int]:
+    """The registers that only ever hold an ``int`` in ``[0, 2**63)``: a
+    sum with one can overflow on one side only."""
+    return _greatest_fixpoint(graph, _never_negative)
 
 
 # -- runtime helpers the generated code calls --------------------------------
@@ -320,7 +396,14 @@ def _deopt(m: Machine, code: "FunctionCode", point: int, names: dict, sp: int):
         if value is not None:
             regs[rid] = value
     frame = {name: sp + off for name, off in code.offsets.items()}
-    return m._exec_blocks(code.func, regs, frame, label, index)
+    # generated code passes the call depth as an argument; the reference
+    # loop counts it on the machine
+    outer = m._call_depth
+    m._call_depth = names["_cd"]
+    try:
+        return m._exec_blocks(code.func, regs, frame, label, index)
+    finally:
+        m._call_depth = outer
 
 
 _HELPERS: dict[str, Any] = {
@@ -328,6 +411,7 @@ _HELPERS: dict[str, Any] = {
     "_unop": _unop,
     "_div": c_div,
     "_mod": c_mod,
+    "_wrap": wrap_int,
     "_Op": Opcode,
     "_trap_load": _trap_load,
     "_trap_store": _trap_store,
@@ -411,14 +495,14 @@ class CompiledModule:
         return ns
 
     def _stub(self, name: str, profiled: bool, ns: dict) -> Callable:
-        def first_call(m, *args):
+        def first_call(m, depth, *args):
             func = self.module.functions[name]
             with span("interp.codegen", function=name) as extra:
                 code = _Gen(self, func, profiled, ns).build()
                 if extra is not None:
                     extra["lines"] = code.source.count("\n") + 1
             self.code[(name, profiled)] = code
-            return ns[f"_F_{name}"](m, *args)
+            return ns[f"_F_{name}"](m, depth, *args)
 
         return first_call
 
@@ -471,7 +555,7 @@ def exec_entry(machine: Machine, func: Function) -> int | float | None:
 
 def _call_entry(m: Machine, cm: CompiledModule, func: Function):
     ns = cm.namespaces[m.block_visits is not None]
-    return ns[f"_F_{func.name}"](m, *([0] * len(func.params)))
+    return ns[f"_F_{func.name}"](m, m._call_depth + 1, *([0] * len(func.params)))
 
 
 # -- code generation -------------------------------------------------------------
@@ -647,7 +731,13 @@ class _Gen:
                 and cmp.dst.id not in self.live.live_out.get(lbl, ())
             ):
                 self.fused[lbl] = cmp
-        self.ints = _int_registers(func)
+        graph = _def_graph(func)
+        self.ints = _int_registers(graph)
+        self.nonneg = _nonneg_registers(graph)
+        #: registers known to hold an int where emission stands: the proven
+        #: ones, plus those trap-tested or computed from known ints earlier
+        #: on the path
+        self.known: set[int] = set()
 
         # counters: each distinct mix of the fields other than total_ops
         # gets a visit counter as emission meets it at a path's leaf; the
@@ -764,67 +854,68 @@ class _Gen:
         args = params
         if len(set(params)) != len(params):
             args = [f"_a{n}" for n in range(len(params))]
-        emit(0, f"def _F_{self.name}({', '.join(['m'] + args)}):")
-        emit(4, "_cd = m._call_depth + 1")
-        emit(4, "m._call_depth = _cd")
+        emit(0, f"def _F_{self.name}({', '.join(['m', '_cd'] + args)}):")
         emit(4, "if _cd > 2000:")
         emit(8, "raise _RLE('interpreted call stack too deep')")
         size = self.frame_size
+        # only a frame needs a ``finally``: it pops the frame
+        base = 8 if size else 4
         if size:
             emit(4, "mem = m.mem")
             emit(4, f"_sp = mem.reserve({size})")
-        emit(4, "try:")
+            emit(4, "try:")
         if args is not params:
             for param, arg in zip(params, args):
-                emit(8, f"{param} = {arg}")
-        emit(8, "cells = m.mem.cells")
-        emit(8, "_g = cells.get")
-        emit(8, "c = m.counters")
-        emit(8, "_m = m._max_steps")
-        emit(8, "_lim = _m - c.total_ops")
+                emit(base, f"{param} = {arg}")
+        emit(base, "cells = m.mem.cells")
+        emit(base, "_g = cells.get")
+        emit(base, "c = m.counters")
+        emit(base, "_m = m._max_steps")
+        emit(base, "_lim = _m - c.total_ops")
         init = len(self.lines)
-        emit(8, "")
+        emit(base, "")
         # registers read before any write start at zero, as in the
         # reference loop's register file
         live = self.live.live_in.get(func.entry, frozenset())
         zeros = sorted(live - {p.id for p in func.params})
         for start in range(0, len(zeros), 20):
-            emit(8, " = ".join(f"r{rid}" for rid in zeros[start : start + 20]) + " = 0")
+            emit(base, " = ".join(f"r{rid}" for rid in zeros[start : start + 20]) + " = 0")
         for name, var in self.slot_addr.items():
-            emit(8, f"{var} = {self.slot_addr_src(name)}")
+            emit(base, f"{var} = {self.slot_addr_src(name)}")
         for name, var in self.slot_var.items():
-            emit(8, f"{var} = _g({self.slot_addr_src(name)}, 0)")
+            emit(base, f"{var} = _g({self.slot_addr_src(name)}, 0)")
         for tile in self.tiles:
             if tile.flag is None or func.entry in tile.blocks:
-                self.load_tile(tile, 8)
+                self.load_tile(tile, base)
             else:
-                emit(8, f"{tile.flag} = 0")
+                emit(base, f"{tile.flag} = 0")
         if self.profiled:
-            emit(8, "_vb = m.block_visits")
-        emit(8, f"_pc = {self.pc_of[func.entry]}")
-        emit(8, "try:")
-        emit(12, "while True:")
+            emit(base, "_vb = m.block_visits")
+        emit(base, f"_pc = {self.pc_of[func.entry]}")
+        emit(base, "try:")
+        emit(base + 4, "while True:")
         for pc, lbl in enumerate(self.arms):
             if len(self.arms) == 1:
-                emit(16, "if True:")  # a lone arm needs no test
+                emit(base + 8, "if True:")  # a lone arm needs no test
             else:
-                emit(16, f"{'if' if pc == 0 else 'elif'} _pc == {pc}:")
-            self.block(lbl, 20, _NO_COUNTS)
-        emit(8, "except BaseException as _e:")
-        self.writeback(12)
-        self.flush(12)
-        emit(12, f"_untrap(c, {self.bind(self.code.fixes)}, _e)")
-        emit(12, "raise")
+                emit(base + 8, f"{'if' if pc == 0 else 'elif'} _pc == {pc}:")
+            # many paths lead to an arm: only proven facts hold at its head
+            self.known = set(self.ints)
+            self.block(lbl, base + 12, _NO_COUNTS)
+        emit(base, "except BaseException as _e:")
+        self.writeback(base + 4)
+        self.flush(base + 4)
+        emit(base + 4, f"_untrap(c, {self.bind(self.code.fixes)}, _e)")
+        emit(base + 4, "raise")
         # reached only through a ``break``: a fuel check's or a missing
         # block's
-        self.writeback(8)
-        self.flush(8)
+        self.writeback(base)
+        self.flush(base)
         sp = "_sp" if size else "0"
-        emit(8, f"return _deopt(m, {self.bind(self.code)}, _d, locals(), {sp})")
-        emit(4, "finally:")
+        emit(base, f"return _deopt(m, {self.bind(self.code)}, _d, locals(), {sp})")
         if size:
+            emit(4, "finally:")
             emit(8, "mem.stack_ptr = _sp")
-        emit(8, "m._call_depth -= 1")
 
         # the visit counters are known now
         self.lines[init] += " = ".join(["_t", *self.visit_var.values()]) + " = 0"
@@ -877,6 +968,13 @@ class _Gen:
                 fix = tuple(map(neg, mix))
                 for line in range(first, len(self.lines) + 1):
                     fixes[line] = fix
+            dst = instr.dest
+            # a proven register stays known: every definition yields an int
+            if dst is not None and dst.id not in self.ints:
+                if _yields_int(instr, self.known):
+                    self.known.add(dst.id)
+                else:
+                    self.known.discard(dst.id)
         if not instrs or not instrs[-1].is_terminator():
             emit(
                 ind,
@@ -961,10 +1059,11 @@ class _Gen:
                 emit(ind, f"cells[{ref}] = r{instr.src.id}")
         elif cls is MemLoad or cls is MemStore:
             addr = f"r{instr.addr.id}"
-            if instr.addr.id not in self.ints:
+            if instr.addr.id not in self.known:
                 emit(ind, f"if {addr}.__class__ is not int:")
                 trap = "_trap_load" if cls is MemLoad else "_trap_store"
                 emit(ind + 4, f"{trap}({addr})")
+                self.known.add(instr.addr.id)
             if cls is MemLoad:
                 emit(ind, f"r{instr.dst.id} = _g({addr}, 0)")
             else:
@@ -999,7 +1098,10 @@ class _Gen:
                 taken, other = other, taken
                 test = f"not ({test})" if cmp is not None else f"not {test}"
             emit(ind, f"if {test}:")
+            # each arm starts from the facts held at the branch
+            facts = set(self.known) if taken in self.size else self.known
             self.edge(label, taken, ind + 4, mix)
+            self.known = facts
             self.edge(label, other, ind, mix)
         elif cls is Ret:
             self.leaf(mix, ind)
@@ -1012,19 +1114,47 @@ class _Gen:
         else:  # pragma: no cover - defensive
             emit(ind, self.raiser(f"unknown instruction {instr}"))
 
+    def bounds(self, op: Opcode, lhs: int, rhs: int | None = None) -> str | None:
+        """The bounds of signed 64-bit range that an int result of ``op``
+        can cross, as a ``_CHECKS`` key; None when it never leaves the
+        range.  Only operands proven in range narrow the check."""
+        ints, nonneg = self.ints, self.nonneg
+        if lhs not in ints or (rhs is not None and rhs not in ints):
+            return "both"
+        if op is Opcode.ADD:
+            return "upper" if lhs in nonneg or rhs in nonneg else "both"
+        if op is Opcode.SUB:
+            if rhs in nonneg:
+                return None if lhs in nonneg else "lower"
+            return "upper" if lhs in nonneg else "both"
+        if op is Opcode.NEG:  # only -(-2**63) leaves the range
+            return None if lhs in nonneg else "upper"
+        if op is Opcode.MUL or op is Opcode.SHL:
+            return "both"
+        # bitwise ops, SHR, and DIV/MOD of a non-negative dividend
+        return None
+
+    def range_check(self, v: str, ind: int, bounds: str | None) -> None:
+        """Wrap ``v`` to signed 64 bits if it crossed ``bounds``."""
+        if bounds is not None:
+            self.emit(ind, f"if {_CHECKS[bounds].format(v=v)}:")
+            self.emit(ind + 4, f"{v} = _wrap({v})")
+
     def binop(self, instr: BinOp, ind: int) -> None:
         emit = self.emit
         op = instr.opcode
-        dst, lhs, rhs = f"r{instr.dst.id}", f"r{instr.lhs.id}", f"r{instr.rhs.id}"
+        lid, rid = instr.lhs.id, instr.rhs.id
+        dst, lhs, rhs = f"r{instr.dst.id}", f"r{lid}", f"r{rid}"
         generic = f"{dst} = _binop(_Op.{op.name}, {lhs}, {rhs})"
         both_int = f"{lhs}.__class__ is int and {rhs}.__class__ is int"
-        # operands proven ints need no class test: only their int path runs
-        proven = instr.lhs.id in self.ints and instr.rhs.id in self.ints
+        # operands known to be ints need no class test: only their int
+        # path runs
+        proven = lid in self.known and rid in self.known
         fast = ind if proven else ind + 4
+        bounds = self.bounds(op, lid, rid)
         if op in _WRAP_SRC:
             emit(ind, f"{dst} = {lhs} {_WRAP_SRC[op]} {rhs}")
-            emit(ind, (_RANGE_CHECK if proven else _WRAP_CHECK).format(v=dst))
-            emit(ind + 4, _WRAP_MASK.format(v=dst))
+            self.range_check(dst, ind, bounds if proven else "float")
         elif op in _CMP_SRC:
             emit(ind, f"{dst} = 1 if {lhs} {_CMP_SRC[op]} {rhs} else 0")
         elif op is Opcode.DIV or op is Opcode.MOD:
@@ -1035,8 +1165,7 @@ class _Gen:
                 emit(ind, f"if {both_int}:")
             emit(fast, f"if {lhs} >= 0 and {rhs} > 0:")
             emit(fast + 4, f"{dst} = {lhs} {sym} {rhs}")
-            emit(fast + 4, _RANGE_CHECK.format(v=dst))
-            emit(fast + 8, _WRAP_MASK.format(v=dst))
+            self.range_check(dst, fast + 4, bounds)
             emit(fast, "else:")
             emit(fast + 4, f"{dst} = {slow}({lhs}, {rhs})")
             if not proven:
@@ -1054,8 +1183,7 @@ class _Gen:
                 emit(fast, f"{dst} = {lhs} >> ({rhs} & 63)")
             else:
                 emit(fast, f"{dst} = {lhs} << ({rhs} & 63)")
-            emit(fast, _RANGE_CHECK.format(v=dst))
-            emit(fast + 4, _WRAP_MASK.format(v=dst))
+            self.range_check(dst, fast, bounds)
             if not proven:
                 emit(ind, "else:")
                 emit(ind + 4, generic)
@@ -1065,14 +1193,16 @@ class _Gen:
     def unop(self, instr: UnOp, ind: int) -> None:
         emit = self.emit
         op = instr.opcode
-        dst, src = f"r{instr.dst.id}", f"r{instr.src.id}"
-        proven = instr.src.id in self.ints
-        if op is Opcode.NEG or op is Opcode.F2I:
-            emit(ind, f"{dst} = -{src}" if op is Opcode.NEG else f"{dst} = int({src})")
+        sid = instr.src.id
+        dst, src = f"r{instr.dst.id}", f"r{sid}"
+        proven = sid in self.known
+        if op is Opcode.NEG:
+            emit(ind, f"{dst} = -{src}")
+            self.range_check(dst, ind, self.bounds(op, sid) if proven else "float")
+        elif op is Opcode.F2I:
             # int() always makes an int
-            check = _RANGE_CHECK if proven or op is Opcode.F2I else _WRAP_CHECK
-            emit(ind, check.format(v=dst))
-            emit(ind + 4, _WRAP_MASK.format(v=dst))
+            emit(ind, f"{dst} = int({src})")
+            self.range_check(dst, ind, "both")
         elif op is Opcode.LNOT:
             emit(ind, f"{dst} = 1 if {src} == 0 else 0")
         elif op is Opcode.I2F:
@@ -1082,8 +1212,7 @@ class _Gen:
             if not proven:
                 emit(ind, f"if {src}.__class__ is int:")
             emit(fast, f"{dst} = ~{src}")
-            emit(fast, _RANGE_CHECK.format(v=dst))
-            emit(fast + 4, _WRAP_MASK.format(v=dst))
+            self.range_check(dst, fast, self.bounds(op, sid))
             if not proven:
                 emit(ind, "else:")
                 emit(ind + 4, f"{dst} = _unop(_Op.{op.name}, {src})")
@@ -1108,7 +1237,7 @@ class _Gen:
             n = len(target.params)
             args = [f"r{a.id}" for a in instr.args[:n]]
             args += ["0"] * (n - len(args))
-            expr = f"_F_{callee}({', '.join(['m'] + args)})"
+            expr = f"_F_{callee}({', '.join(['m', '_cd + 1'] + args)})"
             may_be_none = any(
                 i.__class__ is Ret and i.value is None for i in target.instructions()
             )

@@ -413,6 +413,35 @@ class TestInitializerLists:
             cells = run_all_variants(source)
             assert {cell.output.strip() for cell in cells.values()} == {self.EXPECTED}
 
+    def test_local_list_zeroes_what_it_leaves_out(self):
+        """Each entry to the block zeroes the slots its list omits, though
+        the frame cell still holds the previous iteration's value: gcc
+        prints ``0 0 | 0 0.000000 0 0.000000``."""
+        source = r"""
+        struct P { int x; double y; };
+        int main(void) {
+            int i;
+            for (i = 0; i < 2; i++) {
+                int a[3] = {1};
+                printf("%d ", a[2]);
+                a[2] = 9;
+            }
+            printf("|");
+            for (i = 0; i < 2; i++) {
+                struct P ps[2] = {{7}};
+                printf(" %d %f", ps[1].x, ps[0].y);
+                ps[1].x = 5;
+                ps[0].y = 2.5;
+            }
+            printf("\n");
+            return 0;
+        }
+        """
+        cells = run_all_variants(source)
+        assert {cell.output for cell in cells.values()} == {
+            "0 0 | 0 0.000000 0 0.000000\n"
+        }
+
     @pytest.mark.parametrize("where", ["file", "function"])
     @pytest.mark.parametrize(
         "decl,message",

@@ -11,8 +11,10 @@ boundary cases the suite cannot hit (the deopt edges: ``max_steps``
 expiring inside compiled code, also in the path after a call and near
 the end of a run, where a fuel check deoptimizes conservatively; traps
 inside code with promoted slots and inside copied joins; cache
-invalidation between runs; and deeply nested branches), and the
-soundness of the registers the tier proves to hold ints.
+invalidation between runs; and deeply nested branches), the
+soundness of the registers the tier proves to hold ints (or non-negative
+ints), every shape of its overflow check at the bounds it tests, the int
+facts it keeps along a path, and the call depth across a deopt.
 """
 
 from __future__ import annotations
@@ -870,41 +872,56 @@ J3:
 """
 
 
-class _CheckedRegs(list):
-    """A register file that records every non-int written to a register
-    the int proof claims."""
+def _in_range(value) -> bool:
+    return value.__class__ is int and -(2**63) <= value < 2**63
 
-    def __init__(self, values, claimed, bad):
+
+def _non_negative(value) -> bool:
+    return value.__class__ is int and 0 <= value < 2**63
+
+
+class _CheckedRegs(list):
+    """A register file that records every value written to a claimed
+    register that its claim (a predicate) rejects."""
+
+    def __init__(self, values, claims, bad):
         super().__init__(values)
-        self.claimed = claimed
+        self.claims = claims
         self.bad = bad
 
     def __setitem__(self, index, value):
-        if index in self.claimed and value.__class__ is not int:
-            self.bad.append((index, value))
+        for claimed, holds in self.claims:
+            if index in claimed and not holds(value):
+                self.bad.append((index, value))
         super().__setitem__(index, value)
 
 
 class TestIntRegisters:
     """``_int_registers`` claims only registers that hold nothing but
-    ints: the compiled tier drops class tests on them."""
+    in-range ints, and ``_nonneg_registers`` only those that hold nothing
+    but non-negative ones: the compiled tier drops class tests and
+    one-sided range checks on them."""
 
     @pytest.mark.parametrize("variant", list(paper_variants()))
     @pytest.mark.parametrize("name", ["allroots", "dhrystone", "fft", "mlink"])
     def test_claimed_registers_only_ever_hold_ints(self, name, variant, monkeypatch):
         module = _module(get_workload(name), paper_variants()[variant])
-        claims = {
-            fname: compiled._int_registers(func)
-            for fname, func in module.functions.items()
-        }
-        assert any(claims.values())
+        claims = {}
+        for fname, func in module.functions.items():
+            graph = compiled._def_graph(func)
+            claims[fname] = (
+                (compiled._int_registers(graph), _in_range),
+                (compiled._nonneg_registers(graph), _non_negative),
+            )
+        assert any(ints for (ints, _), _ in claims.values())
+        assert any(nonneg for _, (nonneg, _) in claims.values())
         bad: list = []
         exec_blocks = Machine._exec_blocks
 
         def spy(self, func, regs, frame, label, start=None):
-            claimed = claims[func.name]
-            bad.extend((func.name, r) for r in claimed if regs[r].__class__ is not int)
-            checked = _CheckedRegs(regs, claimed, bad)
+            for claimed, holds in claims[func.name]:
+                bad.extend((func.name, r) for r in claimed if not holds(regs[r]))
+            checked = _CheckedRegs(regs, claims[func.name], bad)
             return exec_blocks(self, func, checked, frame, label, start)
 
         monkeypatch.setattr(Machine, "_exec_blocks", spy)
@@ -913,13 +930,19 @@ class TestIntRegisters:
 
     def test_unknown_values_are_not_claimed(self):
         module = parse_module(NOT_INT_IR)
-        claimed = compiled._int_registers(module.functions["main"])
+        main = compiled._def_graph(module.functions["main"])
+        claimed = compiled._int_registers(main)
         # r3 joins an int and a float, p0 is a parameter, r4 a load, r5 a
         # call result, r6 a copy of an unknown value, r7 a DIV with a
         # float operand, r8 and r9 derive from them, r14's operands are
         # unknown but AND always makes an int
         assert claimed == {1, 10, 11, 12, 13, 14}
-        assert compiled._int_registers(module.functions["h"]) == frozenset()
+        # of those, only the constant 1 and the compare are never
+        # negative: a sum, a conversion, a quotient of a sum and an AND of
+        # unknown values may be
+        assert compiled._nonneg_registers(main) == {1, 11}
+        h = compiled._def_graph(module.functions["h"])
+        assert compiled._int_registers(h) == frozenset()
         runs = [
             Machine(parse_module(NOT_INT_IR), MachineOptions(engine=e)).run()
             for e in ENGINES
@@ -969,3 +992,345 @@ def test_recursion_limit_restored_after_run():
     with pytest.raises(InterpTrap):
         Machine(trap, MachineOptions(engine="compiled")).run()
     assert sys.getrecursionlimit() == old
+
+
+_SMALL = 2**30 - 1
+_INT_MAX = 2**63 - 1
+#: magnitudes around the compact bound and at the 64-bit one
+_EDGES = (_SMALL, _SMALL + 1, _INT_MAX)
+_SIGNED_EDGES = _EDGES + tuple(-v for v in _EDGES) + (-(2**63),)
+#: non-negative constants a one-sided check may rely on
+_NONNEG = (0, 1, _SMALL, _SMALL + 1, _INT_MAX)
+
+
+def _wrap64(value: int) -> int:
+    return (value + 2**63) % 2**64 - 2**63
+
+
+class _GuardIR:
+    """Hand-written IL with one stored result per case, so every value
+    each check shape meets can be compared: ``opaque`` operands are
+    proven ints the tier cannot call non-negative (a MUL by one), ``const``
+    operands are non-negative constants, and ``param`` operands pass
+    through ``pass2``'s parameters, which may hold anything."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.globals: list[str] = []
+        self.expected: dict[str, int | float] = {}
+        self.next = 0
+
+    def reg(self) -> str:
+        self.next += 1
+        return f"%r{self.next}"
+
+    def operand(self, kind: str, value) -> str:
+        dst = self.reg()
+        self.lines.append(f"    {dst} = loadi {value!r}")
+        if kind == "opaque":
+            one, opaque = self.reg(), self.reg()
+            self.lines.append(f"    {one} = loadi 1")
+            self.lines.append(f"    {opaque} = mul {dst}, {one}")
+            return opaque
+        return dst
+
+    def case(self, op: str, lhs, rhs, expected) -> None:
+        """``lhs`` and ``rhs`` are ``(kind, value)``; ``rhs`` None for a
+        unary op."""
+        out = f"o{len(self.globals)}"
+        self.globals.append(out)
+        self.expected[out] = expected
+        a = self.operand(*lhs)
+        dst = self.reg()
+        if rhs is None:
+            self.lines.append(f"    {dst} = {op} {a}")
+        elif lhs[0] == "param":
+            b = self.operand("const", rhs[1])
+            self.lines.append(f"    {dst} = call pass2({a}, {b}) mod=[] ref=[]")
+            dst2 = self.reg()
+            self.lines.append(f"    {dst2} = {op} {dst}, {b}")
+            dst = dst2
+        else:
+            b = self.operand(*rhs)
+            self.lines.append(f"    {dst} = {op} {a}, {b}")
+        self.lines.append(f"    sstore {dst} -> [{out}]")
+
+    def source(self) -> str:
+        head = "".join(f"global {g} size=8\n" for g in self.globals)
+        return (
+            head
+            + "\nfunc pass2(%p0, %p1) {\nB0: ; entry\n    ret %p0\n}\n\n"
+            + "func main() {\nB0: ; entry\n"
+            + "\n".join(self.lines)
+            + "\n    %r0 = loadi 0\n    ret %r0\n}\n"
+        )
+
+
+def _guard_cases() -> _GuardIR:
+    ir = _GuardIR()
+    for a in _SIGNED_EDGES:
+        for b in (1, -1, a):
+            # two-sided: neither operand is known non-negative
+            ir.case("add", ("opaque", a), ("opaque", b), _wrap64(a + b))
+            ir.case("sub", ("opaque", a), ("opaque", b), _wrap64(a - b))
+            ir.case("mul", ("opaque", a), ("opaque", b), _wrap64(a * b))
+        for d in _NONNEG:
+            # one-sided: a non-negative addend or subtrahend
+            ir.case("add", ("opaque", a), ("const", d), _wrap64(a + d))
+            ir.case("add", ("const", d), ("opaque", a), _wrap64(a + d))
+            ir.case("sub", ("opaque", a), ("const", d), _wrap64(a - d))
+            ir.case("sub", ("const", d), ("opaque", a), _wrap64(d - a))
+            # mixed: the left operand may be a float
+            ir.case("add", ("param", a), ("const", d), _wrap64(a + d))
+            ir.case("sub", ("param", a), ("const", d), _wrap64(a - d))
+        ir.case("neg", ("opaque", a), None, _wrap64(-a))
+        ir.case("add", ("param", float(a)), ("const", 1), float(a) + 1)
+    for a in _NONNEG:
+        for b in _NONNEG:
+            # no check: both operands non-negative, as at 0 - MAX
+            ir.case("sub", ("const", a), ("const", b), a - b)
+        ir.case("neg", ("const", a), None, -a)
+    return ir
+
+
+class TestOverflowGuards:
+    """Every shape of the inline 64-bit wrap check gives the reference
+    loop's value at the compact bound (2**30 - 1), just past it and at
+    2**63 - 1, on both sides."""
+
+    def test_every_check_shape_wraps_like_the_reference(self):
+        ir = _guard_cases()
+        results = []
+        for engine in ENGINES:
+            module = parse_module(ir.source())
+            machine = Machine(module, MachineOptions(engine=engine, profile=True))
+            run = machine.run()
+            addr = machine.mem.global_addr
+            stored = {g: machine.mem.cells.get(addr[g], 0) for g in ir.globals}
+            assert stored == ir.expected, engine
+            results.append(run)
+        _assert_identical(*results, "guards")
+        # every shape met those values: the two-sided, one-sided and float
+        # checks all stand in main, and so does a SUB of two non-negative
+        # constants with no check at all
+        source = module._compiled.code[("main", True)].source
+        for name, check in compiled._CHECKS.items():
+            pattern = re.escape(check.format(v="@")).replace("@", r"r\d+")
+            assert re.search(f"if {pattern}:", source), name
+        assert re.search(r"r\d+ = r\d+ - r\d+\n(?! *if )", source)
+
+    def test_no_range_check_tests_the_64_bit_bound_first(self):
+        """Over the 56 cells, every generated test of +-2**63 follows a
+        compact-bound test on the same line."""
+        shapes: Counter = Counter()
+        for name in workload_names():
+            workload = get_workload(name)
+            for options in paper_variants().values():
+                module = _module(workload, options)
+                cm = compiled.get_compiled(module, Machine(module).mem)
+                for func in module.functions.values():
+                    code = compiled._Gen(cm, func, False, cm.namespaces[0]).build()
+                    for line in code.source.splitlines():
+                        if "922337203685477580" not in line:
+                            continue
+                        assert line.index("1073741823") < line.index(
+                            "922337203685477580"
+                        ), (name, func.name, line)
+                        shapes[re.sub(r"r\d+", "v", line.strip())] += 1
+        checks = {check.format(v="v") for check in compiled._CHECKS.values()}
+        assert {line[3:-1] for line in shapes} == checks, shapes
+
+
+#: ``%r1`` passes a trap test, is redefined by a call returning a float,
+#: and is used as an address again: the second use must trap
+REDEFINED_ADDRESS_IR = """global g size=8
+
+func addr() {
+B0: ; entry
+    %r0 = la g
+    ret %r0
+}
+
+func half() {
+B0: ; entry
+    %r0 = loadi 2.5
+    ret %r0
+}
+
+func main() {
+B0: ; entry
+    %r1 = call addr() mod=[] ref=[]
+    %r2 = load [%r1] [*]
+    %r3 = load [%r1] [*]
+    cbr %r2 ? T1 : F2
+T1:
+    %r4 = load [%r1] [*]
+    ret %r4
+F2:
+    %r1 = call half() mod=[] ref=[]
+    %r5 = load [%r1] [*]
+    ret %r5
+}
+"""
+
+
+class TestPathIntFacts:
+    """A register trap-tested on a path is an int for the rest of it, on
+    both arms of a later branch, until something redefines it."""
+
+    def test_call_redefining_a_tested_register_drops_the_fact(self):
+        states = []
+        for engine in ENGINES:
+            module = parse_module(REDEFINED_ADDRESS_IR)
+            machine = Machine(module, MachineOptions(engine=engine, profile=True))
+            with pytest.raises(InterpTrap) as exc:
+                machine.run()
+            assert str(exc.value) == "load through non-integer address 2.5"
+            states.append((machine.counters.as_dict(), machine.block_visits))
+        assert states[0] == states[1]
+        source = module._compiled.code[("main", True)].source
+        # tested once before the branch, and again after the call only
+        assert source.count("if r1.__class__ is not int:") == 2
+
+    def test_facts_of_one_arm_do_not_reach_the_other(self):
+        # the smaller arm T1 is emitted first and tests a fresh %r1; F2,
+        # taken at run time, loads through the float %r1 and must trap
+        source = """func addr() {
+B0: ; entry
+    %r0 = loadi 64
+    ret %r0
+}
+
+func half() {
+B0: ; entry
+    %r0 = loadi 2.5
+    ret %r0
+}
+
+func main() {
+B0: ; entry
+    %r1 = call half() mod=[] ref=[]
+    %r2 = loadi 0
+    cbr %r2 ? T1 : F2
+T1:
+    %r1 = call addr() mod=[] ref=[]
+    %r3 = load [%r1] [*]
+    ret %r3
+F2:
+    %r4 = loadi 1
+    %r5 = loadi 2
+    %r6 = load [%r1] [*]
+    ret %r6
+}
+"""
+        for engine in ENGINES:
+            module = parse_module(source)
+            with pytest.raises(InterpTrap, match="non-integer address 2.5"):
+                Machine(module, MachineOptions(engine=engine)).run()
+        generated = module._compiled.code[("main", False)].source
+        assert generated.index("r3 = ") < generated.index("r6 = ")
+
+    def test_dispatch_arm_starts_without_facts(self):
+        # the loop header is a dispatch arm: %r1 is tested again there,
+        # though the entry tested it before jumping in
+        source = """global g size=8
+
+func addr() {
+B0: ; entry
+    %r0 = la g
+    ret %r0
+}
+
+func main() {
+B0: ; entry
+    %r1 = call addr() mod=[] ref=[]
+    %r2 = load [%r1] [*]
+    %r3 = loadi 0
+    %r6 = loadi 1
+    %r7 = loadi 3
+    jmp H1
+H1:
+    %r4 = load [%r1] [*]
+    %r3 = add %r3, %r6
+    %r5 = cmp_lt %r3, %r7
+    cbr %r5 ? H1 : X2
+X2:
+    ret %r3
+}
+"""
+        runs = [
+            Machine(parse_module(source), MachineOptions(engine=e)).run()
+            for e in ENGINES
+        ]
+        _assert_identical(*runs, "dispatch arm", visits=False)
+        assert runs[0].returned == 3
+        module = parse_module(source)
+        Machine(module, MachineOptions(engine="compiled")).run()
+        generated = module._compiled.code[("main", False)].source
+        assert generated.count("if r1.__class__ is not int:") == 2
+
+
+#: recursion to the depth limit; the never-taken arm of 20 statements
+#: makes every activation's fuel check cover far more than the path it
+#: takes
+DEEP_SOURCE = r"""
+long s;
+int f(int n) {
+    if (n < 0) { WIDE }
+    s = s + n;
+    return f(n + 1) + 1;
+}
+int main(void) { return f(1); }
+""".replace("WIDE", "s = s * 3 + n; " * 20)
+
+
+class TestCallDepth:
+    """Generated code passes the call depth as an argument; the limit
+    fires at the same call as in the reference loop, also when the
+    reference loop takes over deep in the recursion."""
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    @pytest.mark.parametrize("depth,ok", [(1999, True), (2000, False)])
+    def test_limit_fires_at_the_same_depth(self, pipeline, depth, ok):
+        # main is depth 1, so f(1) .. f(depth) are depths 2 .. depth + 1
+        source = f"""
+        int f(int n) {{ if (n == {depth}) {{ return n; }} return f(n + 1); }}
+        int main(void) {{ return f(1) & 127; }}
+        """
+        states = []
+        for engine in ENGINES:
+            module = compile_source(source, PIPELINES[pipeline]).module
+            machine = Machine(module, MachineOptions(engine=engine))
+            try:
+                how = machine.run().exit_code
+            except ResourceLimitError as exc:
+                how = str(exc)
+            states.append((how, machine.counters.as_dict()))
+        assert states[0] == states[1]
+        assert states[0][0] == (depth & 127 if ok else "interpreted call stack too deep")
+
+    def test_deopt_deep_in_recursion_keeps_the_depth(self, monkeypatch):
+        modules = {e: compile_source(DEEP_SOURCE, O0).module for e in ENGINES}
+        machine = Machine(modules["simple"], MachineOptions(engine="simple"))
+        with pytest.raises(ResourceLimitError, match="too deep"):
+            machine.run()
+        total = machine.counters.total_ops
+        deopts = _spy_deopts(monkeypatch)
+        # one short of the total runs out of fuel; from the total up the
+        # last activations' checks trip and the reference loop finishes
+        for limit in (total - 1, total, total + 1, total + 30):
+            states = []
+            for engine in ENGINES:
+                del deopts[:]
+                machine = Machine(
+                    modules[engine], MachineOptions(engine=engine, max_steps=limit)
+                )
+                with pytest.raises(ResourceLimitError) as exc:
+                    machine.run()
+                states.append((str(exc.value), machine.counters.as_dict()))
+            assert states[0] == states[1], limit
+            if limit >= total:
+                assert states[0][0] == "interpreted call stack too deep"
+                # the reference loop took over inside f, with fuel to
+                # spare, and recursed on until the depth limit fired
+                assert [d[0] for d in deopts] == ["f"], limit
