@@ -204,6 +204,18 @@ def normalize_loops(func: Function) -> LoopForest:
     raise AnalysisError(f"loop normalization did not converge in {func.name}")
 
 
+def def_sites(func: Function) -> dict[int, list[str]]:
+    """The label of each definition of each register, in block order, with
+    ``"<entry>"`` for a parameter; the IL is not SSA, so a register may
+    have several.  LICM and pointer promotion test loop invariance on it."""
+    sites: dict[int, list[str]] = {reg.id: ["<entry>"] for reg in func.params}
+    for label, block in func.blocks.items():
+        for instr in block.instrs:
+            if instr.dest is not None:
+                sites.setdefault(instr.dest.id, []).append(label)
+    return sites
+
+
 def _normalize_once(func: Function, forest: LoopForest) -> bool:
     """One normalization round; returns True if the CFG changed."""
     for loop in forest.loops:

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..diag.ledger import Decision, trim_tag_names
-from ..intrinsics import is_intrinsic
-from ..ir.instructions import Call, CLoad, MemLoad, MemStore, ScalarLoad, ScalarStore
+from ..ir.instructions import Call, MemLoad, MemStore
 from ..ir.module import Module
 from ..ir.tags import Tag, TagSet
 from .callgraph import CallGraph, SCCInfo, build_call_graph, condense_sccs
@@ -158,25 +157,15 @@ def _local_effects(
 ) -> tuple[set[Tag], set[Tag]]:
     """MOD/REF facts from the function's own memory operations and its
     calls to intrinsics (externals)."""
-    func = module.functions[name]
     mod: set[Tag] = set()
     ref: set[Tag] = set()
-    for instr in func.instructions():
-        if isinstance(instr, MemLoad):
-            ref.update(instr.tags.materialize(visible))
-        elif isinstance(instr, MemStore):
-            mod.update(instr.tags.materialize(visible))
-        elif isinstance(instr, (ScalarLoad, CLoad)):
-            ref.add(instr.tag)
-        elif isinstance(instr, ScalarStore):
-            mod.add(instr.tag)
-        elif isinstance(instr, Call):
-            callee = instr.callee
-            if callee is not None and callee in module.functions:
-                continue  # summarized via the SCC pass
-            # intrinsic or unknown external: use the seeded policy sets
-            mod.update(instr.mod.materialize(visible))
-            ref.update(instr.ref.materialize(visible))
+    for instr in module.functions[name].instructions():
+        if isinstance(instr, Call) and instr.callee in module.functions:
+            continue  # summarized via the SCC pass
+        # a memory operation adds its tags; an intrinsic or unknown
+        # external call, the policy sets the front end seeded
+        mod |= instr.writes().materialize(visible).tags
+        ref |= instr.reads().materialize(visible).tags
     return mod, ref
 
 
@@ -233,9 +222,6 @@ def _limit_calls(
                     summary = summaries[callee]
                     instr.mod = TagSet.from_iterable(summary.mod)
                     instr.ref = TagSet.from_iterable(summary.ref)
-                elif is_intrinsic(callee):
-                    instr.mod = instr.mod.materialize(universe)
-                    instr.ref = instr.ref.materialize(universe)
-                else:
+                else:  # an intrinsic or unknown external
                     instr.mod = instr.mod.materialize(universe)
                     instr.ref = instr.ref.materialize(universe)

@@ -358,22 +358,42 @@ class ModuleLowerer:
         return value
 
     def sizeof(self, node: c_ast.UnaryOp) -> int:
-        """``sizeof`` a type name or a named variable."""
+        """``sizeof`` a type name or an lvalue designator: a name, ``e[i]``,
+        ``*e``, ``e.f`` or ``e->f``.  C does not evaluate the operand, so
+        it is typed, never lowered."""
         operand = node.expr
-        ctype = None
         if isinstance(operand, c_ast.Typename):
             ctype = self.resolve_type(operand.type)
-        elif isinstance(operand, c_ast.ID):
-            sym = self.scopes.lookup(operand.name)
-            if isinstance(sym, VarSymbol):
-                ctype = sym.ctype
-            elif sym is None and operand.name in self.functions:
-                ctype = self.functions[operand.name].ftype
+        else:
+            ctype = self._designator_type(operand)
         if isinstance(ctype, FunctionType):
             raise FrontendError("sizeof applied to a function", node.coord)
         if ctype is None:
             raise UnsupportedFeatureError("unsupported sizeof operand", node.coord)
         return ctype.size
+
+    def _designator_type(self, node: c_ast.Node) -> CType | None:
+        """The type of the lvalue ``node`` designates, from the symbol
+        table alone; None when ``node`` is not a designator."""
+        if isinstance(node, c_ast.ID):
+            sym = self.scopes.lookup(node.name)
+            if isinstance(sym, VarSymbol):
+                return sym.ctype
+            if sym is None and node.name in self.functions:
+                return self.functions[node.name].ftype
+            return None
+        if isinstance(node, c_ast.StructRef):
+            struct = self._designator_type(node.name)
+            if node.type == "->":
+                struct = _pointee(struct)
+            if not isinstance(struct, StructType):
+                return None
+            return struct.field_named(node.field.name).ctype
+        if isinstance(node, c_ast.ArrayRef):
+            return _pointee(self._designator_type(node.name))
+        if isinstance(node, c_ast.UnaryOp) and node.op == "*":
+            return _pointee(self._designator_type(node.expr))
+        return None
 
     # -- type resolution ---------------------------------------------------
     def resolve_type(self, node: c_ast.Node) -> CType:
@@ -1238,6 +1258,12 @@ class FunctionLowerer:
 # ----------------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------------
+
+def _pointee(ctype: CType | None) -> CType | None:
+    """What a pointer, or an array decayed to one, points at."""
+    ctype = ctype and decay(ctype)
+    return ctype.pointee if isinstance(ctype, PointerType) else None
+
 
 def _parse_constant(node: c_ast.Constant) -> int | float:
     """A numeric literal's value: a float, or a signed 64-bit integer

@@ -654,7 +654,9 @@ class _Gen:
         for loop, members in regions:
             n = len(self.tiles)
             tile = _Tile(None if loop is None else f"_i{n}", members)
-            for lbl in members:
+            # block order, not set order, so the names do not follow the
+            # hash seed
+            for lbl in [b for b in self.bodies if b in members]:
                 for i in self.bodies[lbl]:
                     if i.__class__ in _SCALAR_OPS and self._promotable_global(i.tag):
                         name = i.tag.name

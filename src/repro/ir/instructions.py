@@ -7,8 +7,12 @@ basic blocks.  The API every pass relies on:
 * :attr:`Instr.opcode` — the :class:`~repro.ir.opcodes.Opcode`.
 * :meth:`Instr.uses` — registers read by the instruction.
 * :attr:`Instr.dest` — the register written, or ``None``.
-* :meth:`Instr.tag_set` — the memory locations possibly referenced
-  (empty for non-memory instructions; calls expose MOD/REF separately).
+* :meth:`Instr.reads` / :meth:`Instr.writes` — the memory locations the
+  instruction may read and may write: an ``sload``/``cload`` reads its
+  tag, an ``sstore`` writes it, a ``load``/``store`` reads or writes its
+  tag set, a call reads its REF and writes its MOD summary, and every
+  other instruction touches no memory.  This is the one statement of each
+  instruction's memory effect; the analyses and passes read it.
 
 Virtual registers (:class:`VReg`) are identified by integer id within a
 function and carry an optional name hint used only for printing.
@@ -45,6 +49,9 @@ class VReg:
         return str(self)
 
 
+_NO_TAGS = TagSet.empty()
+
+
 class Instr:
     """Base class for all IL instructions."""
 
@@ -65,12 +72,13 @@ class Instr:
     def replace_uses(self, mapping: Mapping[VReg, VReg]) -> None:
         """Rewrite every used register ``r`` to ``mapping.get(r, r)``."""
 
-    def tag_set(self) -> TagSet:
-        """Memory locations this instruction may reference directly.
+    def reads(self) -> TagSet:
+        """Memory locations this instruction may read."""
+        return _NO_TAGS
 
-        Calls return the union of their MOD and REF summaries.
-        """
-        return TagSet.empty()
+    def writes(self) -> TagSet:
+        """Memory locations this instruction may write."""
+        return _NO_TAGS
 
     def is_terminator(self) -> bool:
         return False
@@ -217,8 +225,9 @@ class LoadAddr(Instr):
     """``dst = la tag + offset`` — the run-time address of a tagged location.
 
     Taking an address does not by itself reference memory, so
-    :meth:`tag_set` is empty; the tag is exposed via :attr:`tag` for the
-    points-to analyzer, which uses it as an address-of constraint.
+    :meth:`reads` and :meth:`writes` are empty; the tag is exposed via
+    :attr:`tag` for the points-to analyzer, which uses it as an
+    address-of constraint.
     """
 
     __slots__ = ("dst", "tag", "offset")
@@ -256,7 +265,7 @@ class CLoad(Instr):
     def dest(self) -> VReg:
         return self.dst
 
-    def tag_set(self) -> TagSet:
+    def reads(self) -> TagSet:
         return TagSet.of(self.tag)
 
     def copy(self) -> "CLoad":
@@ -280,7 +289,7 @@ class ScalarLoad(Instr):
     def dest(self) -> VReg:
         return self.dst
 
-    def tag_set(self) -> TagSet:
+    def reads(self) -> TagSet:
         return TagSet.of(self.tag)
 
     def copy(self) -> "ScalarLoad":
@@ -306,7 +315,7 @@ class ScalarStore(Instr):
     def replace_uses(self, mapping: Mapping[VReg, VReg]) -> None:
         self.src = _subst(mapping, self.src)
 
-    def tag_set(self) -> TagSet:
+    def writes(self) -> TagSet:
         return TagSet.of(self.tag)
 
     def copy(self) -> "ScalarStore":
@@ -341,7 +350,7 @@ class MemLoad(Instr):
     def replace_uses(self, mapping: Mapping[VReg, VReg]) -> None:
         self.addr = _subst(mapping, self.addr)
 
-    def tag_set(self) -> TagSet:
+    def reads(self) -> TagSet:
         return self.tags
 
     def copy(self) -> "MemLoad":
@@ -369,7 +378,7 @@ class MemStore(Instr):
         self.src = _subst(mapping, self.src)
         self.addr = _subst(mapping, self.addr)
 
-    def tag_set(self) -> TagSet:
+    def writes(self) -> TagSet:
         return self.tags
 
     def copy(self) -> "MemStore":
@@ -501,8 +510,11 @@ class Call(Instr):
         if self.callee_reg is not None:
             self.callee_reg = _subst(mapping, self.callee_reg)
 
-    def tag_set(self) -> TagSet:
-        return self.mod.union(self.ref)
+    def reads(self) -> TagSet:
+        return self.ref
+
+    def writes(self) -> TagSet:
+        return self.mod
 
     def is_indirect(self) -> bool:
         return self.callee is None

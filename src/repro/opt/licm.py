@@ -27,27 +27,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.loops import Loop, LoopForest, normalize_loops
+from ..analysis.loops import Loop, LoopForest, def_sites, normalize_loops
 from ..diag.ledger import Decision
 from ..ir.function import Function
 from ..ir.instructions import (
     MEMORY_LOADS,
     BinOp,
-    Call,
-    CLoad,
     Instr,
     LoadAddr,
     LoadI,
     MemLoad,
-    MemStore,
-    ScalarLoad,
-    ScalarStore,
     UnOp,
     VReg,
 )
 from ..ir.module import Module
 from ..ir.opcodes import Opcode
-from ..ir.tags import Tag, TagSet
+from ..ir.tags import TagSet
 
 
 @dataclass
@@ -58,28 +53,6 @@ class LICMStats:
     decisions: list[Decision] = field(default_factory=list)
 
 
-@dataclass
-class _LoopMods:
-    """What a loop may write."""
-
-    universal: bool = False
-    tags: set[Tag] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.tags is None:
-            self.tags = set()
-
-    def may_write(self, tags: TagSet) -> bool:
-        if self.universal:
-            return bool(tags)
-        if tags.universal:
-            return bool(self.tags)
-        return any(t in self.tags for t in tags)
-
-    def may_write_tag(self, tag: Tag) -> bool:
-        return self.universal or tag in self.tags
-
-
 def run_licm(func: Function, forest: LoopForest) -> LICMStats:
     """Hoist invariant code out of every loop of ``forest``, which is
     ``normalize_loops(func)``."""
@@ -87,19 +60,9 @@ def run_licm(func: Function, forest: LoopForest) -> LICMStats:
     if not forest.loops:
         return stats
 
-    def_blocks: dict[int, set[str]] = {}
-    def_counts: dict[int, int] = {}
-    for reg in func.params:
-        def_counts[reg.id] = def_counts.get(reg.id, 0) + 1
-        def_blocks.setdefault(reg.id, set()).add("<entry>")
-    for label, block in func.blocks.items():
-        for instr in block.instrs:
-            if instr.dest is not None:
-                def_counts[instr.dest.id] = def_counts.get(instr.dest.id, 0) + 1
-                def_blocks.setdefault(instr.dest.id, set()).add(label)
-
+    sites = def_sites(func)
     for loop in forest.loops_innermost_first():
-        _hoist_from_loop(func, loop, def_blocks, def_counts, stats)
+        _hoist_from_loop(func, loop, sites, stats)
     return stats
 
 
@@ -113,39 +76,22 @@ def run_licm_module(module: Module) -> LICMStats:
     return total
 
 
-def _loop_mods(func: Function, loop: Loop) -> _LoopMods:
-    mods = _LoopMods()
-    for label in loop.blocks:
-        for instr in func.block(label).instrs:
-            if isinstance(instr, ScalarStore):
-                mods.tags.add(instr.tag)
-            elif isinstance(instr, MemStore):
-                if instr.tags.universal:
-                    mods.universal = True
-                else:
-                    mods.tags.update(instr.tags)
-            elif isinstance(instr, Call):
-                if instr.mod.universal:
-                    mods.universal = True
-                else:
-                    mods.tags.update(instr.mod)
-    return mods
-
-
 def _hoist_from_loop(
     func: Function,
     loop: Loop,
-    def_blocks: dict[int, set[str]],
-    def_counts: dict[int, int],
+    sites: dict[int, list[str]],
     stats: LICMStats,
 ) -> None:
     pad_label = loop.preheader
     pad = func.block(pad_label)
-    mods = _loop_mods(func, loop)
+    # what the loop may write
+    mods = TagSet.empty()
+    for label in loop.blocks:
+        for instr in func.block(label).instrs:
+            mods = mods.union(instr.writes())
 
     def invariant_reg(reg: VReg) -> bool:
-        blocks = def_blocks.get(reg.id, set())
-        return not (blocks & loop.blocks)
+        return loop.blocks.isdisjoint(sites.get(reg.id, ()))
 
     changed = True
     while changed:
@@ -154,12 +100,11 @@ def _hoist_from_loop(
             block = func.block(label)
             kept: list[Instr] = []
             for instr in block.instrs:
-                if _hoistable(instr, mods, invariant_reg, def_counts):
+                if _hoistable(instr, mods, invariant_reg, sites):
                     pad.instrs.insert(len(pad.instrs) - 1, instr)
                     dest = instr.dest
                     assert dest is not None
-                    def_blocks[dest.id].discard(label)
-                    def_blocks[dest.id].add(pad_label)
+                    sites[dest.id] = [pad_label]
                     stats.hoisted += 1
                     if isinstance(instr, MEMORY_LOADS):
                         stats.loads_hoisted += 1
@@ -179,12 +124,12 @@ def _hoist_from_loop(
 
 def _hoistable(
     instr: Instr,
-    mods: _LoopMods,
+    mods: TagSet,
     invariant_reg,
-    def_counts: dict[int, int],
+    sites: dict[int, list[str]],
 ) -> bool:
     dest = instr.dest
-    if dest is None or def_counts.get(dest.id, 0) != 1:
+    if dest is None or len(sites[dest.id]) != 1:
         return False
     if isinstance(instr, (LoadI, LoadAddr)):
         return True
@@ -196,8 +141,8 @@ def _hoistable(
         return True
     if isinstance(instr, UnOp):
         return invariant_reg(instr.src)
-    if isinstance(instr, (ScalarLoad, CLoad)):
-        return not mods.may_write_tag(instr.tag)
-    if isinstance(instr, MemLoad):
-        return invariant_reg(instr.addr) and not mods.may_write(instr.tags)
+    if isinstance(instr, MemLoad) and not invariant_reg(instr.addr):
+        return False
+    if isinstance(instr, MEMORY_LOADS):
+        return not mods.overlaps(instr.reads())
     return False

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.loops import LoopForest, normalize_loops
+from ..analysis.loops import LoopForest, def_sites, normalize_loops
 from ..diag.ledger import Decision, trim_tag_names
 from ..ir.function import Function
 from ..ir.instructions import (
-    Call,
     CLoad,
     Instr,
     MemLoad,
@@ -70,19 +69,11 @@ def promote_pointers_function(
     if not forest.loops:
         return report
 
-    # definition sites per register (non-SSA: registers may have several)
-    def_sites: dict[int, list[str]] = {}
-    for reg in func.params:
-        def_sites.setdefault(reg.id, []).append("<entry>")
-    for label, block in func.blocks.items():
-        for instr in block.instrs:
-            if instr.dest is not None:
-                def_sites.setdefault(instr.dest.id, []).append(label)
-
+    defs = def_sites(func)
     # outermost-first: promoting in an outer loop rewrites the inner
     # references to copies, so inner loops naturally see nothing left to do
     for loop in forest.loops_outermost_first():
-        _promote_in_loop(func, loop, forest.dom, def_sites, universe, report)
+        _promote_in_loop(func, loop, forest.dom, defs, universe, report)
     return report
 
 
@@ -100,29 +91,25 @@ def _promote_in_loop(
     func: Function,
     loop,
     dom,
-    def_sites: dict[int, list[str]],
+    defs: dict[int, list[str]],
     universe: frozenset[Tag],
     report: PointerPromotionReport,
 ) -> None:
     pad_label = loop.preheader
 
-    # gather every memory access and call effect inside the loop
+    # gather every pointer access, explicit scalar access and what any
+    # other instruction (a call) may touch inside the loop
     mem_ops: list[tuple[str, int, Instr]] = []
     scalar_tags: set[Tag] = set()
-    call_tags: set[Tag] = set()
-    call_universal = False
+    call_tags = TagSet.empty()
     for label in loop.blocks:
         for idx, instr in enumerate(func.block(label).instrs):
             if isinstance(instr, (MemLoad, MemStore)):
                 mem_ops.append((label, idx, instr))
             elif isinstance(instr, (ScalarLoad, ScalarStore, CLoad)):
                 scalar_tags.add(instr.tag)
-            elif isinstance(instr, Call):
-                for summary in (instr.mod, instr.ref):
-                    if summary.universal:
-                        call_universal = True
-                    else:
-                        call_tags.update(summary)
+            else:
+                call_tags = call_tags.union(instr.reads()).union(instr.writes())
 
     # group accesses by base address register
     groups: dict[int, list[tuple[str, int, Instr]]] = {}
@@ -145,7 +132,7 @@ def _promote_in_loop(
 
     for base_id, sites in sorted(groups.items()):
         base_reg = sites[0][2].addr  # type: ignore[union-attr]
-        if not _base_is_invariant(base_id, loop, pad_label, dom, def_sites):
+        if not _base_is_invariant(base_id, loop, pad_label, dom, defs):
             decide(base_reg, "blocked", "base-not-invariant")
             continue
         tags = TagSet.empty()
@@ -156,23 +143,17 @@ def _promote_in_loop(
         if tags.is_empty():
             decide(base_reg, "blocked", "empty-tags")
             continue
-        if call_universal or any(t in call_tags for t in tags):
+        if call_tags.overlaps(tags):
             decide(base_reg, "blocked", "call-clobbers", tags)
             continue
         if any(t in scalar_tags for t in tags):
             decide(base_reg, "blocked", "scalar-overlap", tags)
             continue
         # every other memory op touching these tags must use this base
-        conflict = False
-        for label, idx, instr in mem_ops:
-            other_addr = instr.addr  # type: ignore[union-attr]
-            if other_addr.id == base_id:
-                continue
-            other_tags = instr.tags  # type: ignore[union-attr]
-            if other_tags.universal or other_tags.overlaps(tags):
-                conflict = True
-                break
-        if conflict:
+        if any(
+            instr.addr.id != base_id and instr.tags.overlaps(tags)  # type: ignore[union-attr]
+            for _, _, instr in mem_ops
+        ):
             decide(base_reg, "blocked", "conflicting-base", tags)
             continue
 
@@ -183,16 +164,16 @@ def _promote_in_loop(
 
 
 def _base_is_invariant(
-    base_id: int, loop, pad_label: str, dom, def_sites
+    base_id: int, loop, pad_label: str, dom, defs: dict[int, list[str]]
 ) -> bool:
-    sites = def_sites.get(base_id, [])
-    if not sites:
+    labels = defs.get(base_id, [])
+    if not labels:
         return False
-    if any(label in loop.blocks for label in sites):
+    if any(label in loop.blocks for label in labels):
         return False
-    if len(sites) != 1:
+    if len(labels) != 1:
         return False  # conservatively require a single reaching definition
-    def_label = sites[0]
+    def_label = labels[0]
     if def_label == "<entry>":
         return True
     if def_label == pad_label:

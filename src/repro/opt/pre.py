@@ -32,15 +32,12 @@ from ..ir.function import Function
 from ..ir.instructions import (
     MEMORY_LOADS,
     BinOp,
-    Call,
     CLoad,
     Instr,
     LoadAddr,
     MemLoad,
-    MemStore,
     Mov,
     ScalarLoad,
-    ScalarStore,
     UnOp,
 )
 from ..ir.opcodes import COMMUTATIVE_OPS
@@ -236,24 +233,13 @@ def _kill_mask(instr: Instr, exprs: _ExprTable) -> int:
     dest = instr.dest
     if dest is not None:
         mask |= exprs.by_reg.get(dest.id, 0)
-    if isinstance(instr, ScalarStore):
-        mask |= exprs.by_tag.get(instr.tag, 0)
-        # a store to t also kills general loads whose tag set contains t,
-        # which by_tag already covers; universal-tagged loads are covered
-        # by their absence from by_tag — kill them explicitly:
+    writes = instr.writes()
+    if writes.universal:
+        mask |= exprs.all_loads
+    elif writes.tags:
+        for tag in writes.tags:
+            mask |= exprs.by_tag.get(tag, 0)
+        # a load of the universal tag set is in no by_tag entry, and any
+        # write may reach it
         mask |= exprs.untagged_loads
-    elif isinstance(instr, MemStore):
-        if instr.tags.universal:
-            mask |= exprs.all_loads
-        else:
-            for tag in instr.tags:
-                mask |= exprs.by_tag.get(tag, 0)
-            mask |= exprs.untagged_loads
-    elif isinstance(instr, Call):
-        if instr.mod.universal:
-            mask |= exprs.all_loads
-        elif instr.mod:
-            for tag in instr.mod:
-                mask |= exprs.by_tag.get(tag, 0)
-            mask |= exprs.untagged_loads
     return mask

@@ -127,18 +127,13 @@ def gather_block_info(
         for instr in block.instrs:
             if isinstance(instr, (ScalarLoad, ScalarStore, CLoad)):
                 b_exp.add(instr.tag)
-            elif isinstance(instr, (MemLoad, MemStore)):
-                b_amb.update(_materialize(instr.tags, universe))
-            elif isinstance(instr, Call) and not ignore_calls:
-                b_amb.update(_materialize(instr.mod, universe))
-                b_amb.update(_materialize(instr.ref, universe))
+            elif not (ignore_calls and isinstance(instr, Call)):
+                # every other instruction is ambiguous in all it may touch
+                b_amb |= instr.reads().materialize(universe).tags
+                b_amb |= instr.writes().materialize(universe).tags
         explicit[label] = b_exp
         ambiguous[label] = b_amb
     return explicit, ambiguous
-
-
-def _materialize(tags, universe: frozenset[Tag]):
-    return universe if tags.universal else tags
 
 
 @dataclass
@@ -398,8 +393,8 @@ def _ambiguity_blockers(
     for label in sorted(loop.blocks):
         for instr in func.block(label).instrs:
             if isinstance(instr, Call):
-                mod = _materialize(instr.mod, universe)
-                ref = _materialize(instr.ref, universe)
+                mod = instr.mod.materialize(universe)
+                ref = instr.ref.materialize(universe)
                 callee = instr.callee if instr.callee is not None else "<indirect>"
                 mod_names = trim_tag_names(mod)
                 ref_names = trim_tag_names(ref)
@@ -415,7 +410,7 @@ def _ambiguity_blockers(
                         }
                     )
             elif isinstance(instr, (MemLoad, MemStore)):
-                tags = _materialize(instr.tags, universe)
+                tags = instr.tags.materialize(universe)
                 op = "store" if isinstance(instr, MemStore) else "load"
                 names = trim_tag_names(tags)
                 for tag in tags:

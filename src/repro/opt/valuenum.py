@@ -119,9 +119,9 @@ class _BlockNumbering:
                 k: v for k, v in self.expr_vn.items() if k[0] not in ("sload", "load")
             }
             return
-        for tag in tags:
+        for tag in tags.tags:
             self.kill_tag(tag)
-        if len(tags) > 0:
+        if tags.tags:
             self.mem_epoch += 1
 
 
@@ -224,20 +224,15 @@ def _number_instr(instr: Instr, state: _BlockNumbering, stats: VNStats) -> Instr
     if isinstance(instr, MemLoad):
         return _reuse(instr, ("load", vns[instr.addr.id], state.mem_epoch), state, stats)
 
+    state.kill_tags(instr.writes())
     if isinstance(instr, ScalarStore):
-        state.kill_tag(instr.tag)
-        state.mem_epoch += 1
         # store-to-load forwarding: the stored value *is* the tag's value
         state.expr_vn[("sload", instr.tag, state.tag_ver(instr.tag))] = vns[instr.src.id]
     elif isinstance(instr, MemStore):
-        state.kill_tags(instr.tags)
         # forward the stored value to a same-address load
         state.expr_vn[("load", vns[instr.addr.id], state.mem_epoch)] = vns[instr.src.id]
-    elif isinstance(instr, Call):
-        if instr.mod:
-            state.kill_tags(instr.mod)
-        if instr.dst is not None:
-            state.define(instr.dst, state.new_vn())
+    elif isinstance(instr, Call) and instr.dst is not None:
+        state.define(instr.dst, state.new_vn())
     return instr
 
 

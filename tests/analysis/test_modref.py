@@ -1,8 +1,11 @@
 """Tests for interprocedural MOD/REF analysis."""
 
+from textwrap import dedent
+
 from repro.analysis.modref import run_modref
 from repro.frontend import compile_c
 from repro.ir import Call, MemLoad, MemStore, ScalarStore
+from repro.ir.parser import parse_module
 
 
 def find_tag(module, name):
@@ -92,6 +95,32 @@ class TestCallSiteRewriting:
             if isinstance(instr, Call):
                 assert instr.mod.is_empty()
                 assert instr.ref.is_empty()
+
+    def test_intrinsic_seeds_reach_the_caller_summary(self):
+        # an intrinsic's seeded sets are the caller's own effects; a call
+        # to a defined function brings its callee's summary, never its seeds
+        module = parse_module(dedent("""
+        global g size=4
+        global h size=4
+        global k size=4
+
+        func leaf() {
+        B0: ; entry
+            ret
+        }
+
+        func main() {
+        B0: ; entry
+            call memset() mod=[g] ref=[h]
+            call leaf() mod=[k] ref=[k]
+            ret
+        }
+        """))
+        result = run_modref(module)
+        assert {t.name for t in result.summaries["main"].mod} == {"g"}
+        assert {t.name for t in result.summaries["main"].ref} == {"h"}
+        calls = [i for i in module.functions["main"].instructions() if isinstance(i, Call)]
+        assert [(str(c.mod), str(c.ref)) for c in calls] == [("[g]", "[h]"), ("[]", "[]")]
 
 
 class TestPointerOperationLimiting:

@@ -263,6 +263,51 @@ class TestConstantsAndSizeof:
         setup = "    int arr[10];\n    arr[0] = 0;\n"
         assert eval_int("(int) sizeof arr", setup) == 40
 
+    #: declarations the designator cases below refer to
+    SIZEOF_DECLS = (
+        "struct in { int x; };\n"
+        "struct pt { int x; double y; struct in *next; char name[12]; };\n"
+        "int g[] = {1, 2, 3};\nlong m[3][5];\nstruct pt s;\nstruct pt *ps;\n"
+        "int *p;\n"
+    )
+
+    #: each designator and what gcc prints for its size on x86-64
+    SIZEOF_DESIGNATORS = [
+        ("sizeof(g) / sizeof(g[0])", 3),
+        ("sizeof(g[0])", 4),
+        ("sizeof *p", 4),
+        ("sizeof m[1]", 40),
+        ("sizeof m[1][2]", 8),
+        ("sizeof *m", 40),
+        ("sizeof *ps", 40),
+        ("sizeof ps->name", 12),
+        ("sizeof(ps->name[0])", 1),
+        ("sizeof s.y", 8),
+        ("sizeof ps->next->x", 4),
+    ]
+
+    @pytest.mark.parametrize("expr,size", SIZEOF_DESIGNATORS)
+    def test_sizeof_designator(self, expr, size):
+        # at file scope, as a constant expression, and inside a function
+        src = (
+            self.SIZEOF_DECLS
+            + f"long c = {expr};\n"
+            + f'int main(void) {{ printf("%ld %ld\\n", c, (long)({expr})); return 0; }}\n'
+        )
+        assert run_c(src).output == f"{size} {size}\n"
+
+    def test_sizeof_operand_is_not_evaluated(self):
+        # C does not evaluate the operand of sizeof: no call is emitted
+        # and the string literal is never interned
+        module = compile_c(
+            "int a[4];\n"
+            'long f(void) { return sizeof a[puts("hi")]; }\n'
+            "int main(void) { return (int) f(); }\n"
+        )
+        assert not module.strings
+        body = [str(i) for i in module.functions["f"].instructions()]
+        assert not any("call" in line or "load [" in line for line in body)
+
     def test_enum_constants(self):
         src = r"""
         enum color { RED, GREEN = 5, BLUE };
@@ -344,6 +389,8 @@ class TestConstantExpressions:
         ("int b;\nint a[sizeof(b + 1)];", "unsupported sizeof operand"),
         ("int f(void) {\nreturn sizeof(f); }", "sizeof applied to a function"),
         ("int f(int x) {\nreturn sizeof(x + 1); }", "unsupported sizeof operand"),
+        ("int b;\nint a[sizeof b.x];", "unsupported sizeof operand"),
+        ("int f(int x) {\nreturn sizeof *x; }", "unsupported sizeof operand"),
     ]
 
     @pytest.mark.parametrize("source,message", CONSTANT_EXPRESSION_ERRORS)

@@ -133,18 +133,53 @@ class TestMemoryClassification:
 
 
 class TestTagSets:
-    def test_scalar_ops_singleton(self):
-        assert set(ScalarLoad(R0, T).tag_set()) == {T}
-        assert set(ScalarStore(R0, T).tag_set()) == {T}
+    """``reads()``/``writes()``: each instruction's memory effect."""
 
-    def test_call_tag_set_is_mod_union_ref(self):
+    def test_scalar_ops_singleton(self):
+        for instr in (ScalarLoad(R0, T), CLoad(R0, T)):
+            assert set(instr.reads()) == {T} and instr.writes().is_empty()
+        store = ScalarStore(R0, T)
+        assert set(store.writes()) == {T} and store.reads().is_empty()
+
+    def test_pointer_ops_read_or_write_their_tags(self):
+        t2 = Tag("h", TagKind.GLOBAL)
+        load = MemLoad(R0, R1, TagSet.of(T, t2))
+        assert set(load.reads()) == {T, t2} and load.writes().is_empty()
+        store = MemStore(R0, R1, TagSet.of(t2))
+        assert set(store.writes()) == {t2} and store.reads().is_empty()
+        # universal sets pass through unmaterialized
+        assert MemLoad(R0, R1, TagSet.universe()).reads().universal
+        assert MemStore(R0, R1, TagSet.universe()).writes().universal
+
+    def test_call_reads_ref_and_writes_mod(self):
         t2 = Tag("h", TagKind.GLOBAL)
         call = Call(None, "f", [], mod=TagSet.of(T), ref=TagSet.of(t2))
-        assert set(call.tag_set()) == {T, t2}
+        assert set(call.reads()) == {t2}
+        assert set(call.writes()) == {T}
 
     def test_call_defaults_universal(self):
         call = Call(None, "f", [])
         assert call.mod.universal and call.ref.universal
+        assert call.reads().universal and call.writes().universal
+
+    @pytest.mark.parametrize(
+        "instr",
+        [
+            LoadAddr(R0, T),
+            LoadI(R0, 1),
+            Mov(R0, R1),
+            BinOp(Opcode.ADD, R0, R0, R1),
+            UnOp(Opcode.NEG, R0, R1),
+            Jump("L"),
+            Branch(R0, "L1", "L2"),
+            Ret(R0),
+            Nop(),
+        ],
+        ids=lambda instr: type(instr).__name__,
+    )
+    def test_other_instructions_touch_no_memory(self, instr):
+        # taking an address references no memory
+        assert instr.reads().is_empty() and instr.writes().is_empty()
 
 
 class TestControlFlow:

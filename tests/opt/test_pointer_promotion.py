@@ -1,8 +1,11 @@
 """Tests for pointer-based promotion (section 3.3) — the Figure 3 pattern."""
 
+from textwrap import dedent
+
 from repro.analysis.modref import run_modref
 from repro.frontend import compile_c
 from repro.interp import MachineOptions, run_module
+from repro.ir.parser import parse_module
 from repro.opt.licm import run_licm_module
 from repro.opt.pointer_promotion import promote_pointers_module
 from repro.pipeline import Analysis, PipelineOptions
@@ -127,6 +130,31 @@ class TestSafetyConditions:
         expected = run_c(src).output
         cell = run_optimized(src, pipeline_with_pointer_promotion())
         assert cell.output == expected
+
+        # a universal MOD set clobbers the base's tags even when the
+        # call's REF set misses them
+        text = """
+        global a size=4
+        global b size=4
+
+        func f(%p0) {
+        B0: ; entry
+            jmp B1
+        B1:
+            %v1 = load [%p0] [a]
+            store %v1 -> [%p0] [a]
+            call spoil() mod={mod} ref=[b]
+            %t2 = loadi 1
+            cbr %t2 ? B1 : B2
+        B2:
+            ret
+        }
+        """
+        for mod, action, reason in (("[*]", "blocked", "call-clobbers"),
+                                    ("[]", "promoted", None)):
+            module = parse_module(dedent(text).replace("{mod}", mod))
+            (decision,) = promote_pointers_module(module)["f"].decisions
+            assert (decision.action, decision.reason) == (action, reason)
 
     def test_read_only_reference_gets_no_store(self):
         src = r"""

@@ -1,5 +1,8 @@
 """Tests for PRE (available-expression redundancy elimination) and LICM."""
 
+from textwrap import dedent
+
+from repro.analysis.loops import normalize_loops
 from repro.analysis.modref import run_modref
 from repro.frontend import compile_c
 from repro.interp import run_module
@@ -14,6 +17,7 @@ from repro.ir import (
     TagKind,
     TagSet,
 )
+from repro.ir.parser import parse_module
 from repro.opt.licm import run_licm, run_licm_module
 from repro.opt.pre import run_pre
 from tests.helpers import run_c
@@ -85,6 +89,27 @@ class TestPRE:
         b.ret(total)
         stats = run_pre(func)
         assert stats.loads_removed == 0
+
+        # an sstore also kills a load of the universal tag set, which no
+        # tag names; without the store the second load is redundant
+        text = """
+        global g size=4
+
+        func f(%p0) {
+        B0: ; entry
+            %a1 = load [%p0] [*]
+            jmp B1
+        B1:
+            %v2 = loadi 1
+            {store}
+            %b3 = load [%p0] [*]
+            %s4 = add %a1, %b3
+            ret %s4
+        }
+        """
+        for store, removed in (("sstore %v2 -> [g]", 0), ("nop", 1)):
+            func = parse_module(dedent(text).replace("{store}", store)).functions["f"]
+            assert run_pre(func).loads_removed == removed
 
     def test_pure_expression_reused_across_blocks(self):
         func = Function("f")
@@ -259,3 +284,30 @@ class TestLICM:
         expected = run_module(compile_c(src)).output
         run_licm_module(module)
         assert run_module(module).output == expected == "6 4\n"
+
+        # a call's MOD set blocks the loads of its tags; a universal one,
+        # every load
+        text = """
+        global g size=4
+        global h size=4
+
+        func f(%p0) {
+        B0: ; entry
+            jmp B1
+        B1:
+            %a1 = sload [g]
+            %b2 = sload [h]
+            %c3 = load [%p0] [h]
+            %d4 = load [%p0] [*]
+            call bump() mod={mod} ref=[]
+            %t5 = loadi 1
+            cbr %t5 ? B1 : B2
+        B2:
+            ret
+        }
+        """
+        for mod, hoisted in (("[g]", ["h", None]), ("[*]", []), ("[]", ["g", "h", None, None])):
+            func = parse_module(dedent(text).replace("{mod}", mod)).functions["f"]
+            stats = run_licm(func, normalize_loops(func))
+            loads = [d.tag for d in stats.decisions if d.detail["opcode"] != "loadi"]
+            assert loads == hoisted, mod
